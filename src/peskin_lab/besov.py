@@ -26,6 +26,7 @@ __all__ = [
     "besov_diff",
     "besov_lp",
     "cl_norm",
+    "beta_gain",
     "EmbeddingReport",
     "embedding_audit",
 ]
@@ -239,6 +240,15 @@ def besov_lp(values: np.ndarray, params: BesovParams) -> float:
     return float(np.sum(terms**params.r) ** (1.0 / params.r))
 
 
+def beta_gain(betas: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Squared symbol |exp(i beta k) - 1|^2 = 2(1 - cos(beta k)) of delta_beta.
+
+    Shape (len(betas), len(k)); gain @ power_spectrum is
+    ||delta_beta f||_2^2 / (2 pi) for every beta at once.
+    """
+    return 2.0 * (1.0 - np.cos(np.multiply.outer(betas, k)))
+
+
 def cl_norm(times: Sequence[float], snapshots: Sequence[np.ndarray],
             params: BesovParams, kind: str = "B",
             beta_points: int = DEFAULT_BETA_POINTS,
@@ -263,7 +273,7 @@ def cl_norm(times: Sequence[float], snapshots: Sequence[np.ndarray],
     k = wavenumbers(n).astype(float)
     betas = half_offset_grid(beta_points)
     ab = np.abs(betas)
-    gain = 2.0 * (1.0 - np.cos(np.multiply.outer(betas, k)))  # (mb, n)
+    gain = beta_gain(betas, k)
     if kind == "D":
         lam = symbol(n, m if m is not None else 8 * n).lam_tilde
         gain = gain * lam[None]

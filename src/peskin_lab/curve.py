@@ -23,6 +23,8 @@ __all__ = [
     "grid_values",
     "spectral_shift",
     "shift_many",
+    "half_offset_samples",
+    "half_offset_slots",
     "spectral_derivative",
     "spectral_antiderivative",
     "difference",
@@ -94,6 +96,38 @@ def shift_many(values: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     shifted = phase.reshape(phase.shape + (1,) * (values.ndim - 1)) * c[None]
     ph = _phase(n).reshape((1, n) + (1,) * (values.ndim - 1))
     return np.fft.ifft(shifted * ph, axis=1).real * n
+
+
+def half_offset_samples(values: np.ndarray, m: int) -> np.ndarray:
+    """Samples of f at the half-offset nodes -pi + (s + 1/2) 2 pi / m.
+
+    The coefficients (Nyquist mode at wavenumber -n/2, as in shift_many)
+    are folded modulo m, so one size-m inverse FFT evaluates f exactly at
+    every node for any m.  Returns shape (m,) + values.shape[1:].
+    """
+    values = np.asarray(values)
+    n = values.shape[0]
+    k = wavenumbers(n)
+    lift = (n,) + (1,) * (values.ndim - 1)
+    # exp(i k phi_s) = (-1)^k exp(i k pi/m) exp(2 pi i k s/m)
+    c = fft_coeffs(values) * (_phase(n) * np.exp(1j * k * (np.pi / m))).reshape(lift)
+    folded = np.zeros((m,) + values.shape[1:], dtype=complex)
+    np.add.at(folded, k % m, c)
+    return np.fft.ifft(folded, axis=0).real * m
+
+
+def half_offset_slots(m: int, n: int, rows: np.ndarray | None = None) -> np.ndarray:
+    """Gather index of the (alpha, theta) frame, shape (len(rows), n).
+
+    theta_j + alpha_i, with alpha_i on the half-offset m-grid, is the
+    half-offset node (i - m/2 + j m/n) mod m; rows selects the alphas
+    (all m by default).  m must be a multiple of n.
+    """
+    if m <= 0 or m % n != 0:
+        raise ValueError(f"alpha grid size {m} must be a positive multiple "
+                         f"of the curve grid size {n}")
+    i = np.arange(m) if rows is None else np.asarray(rows)
+    return (i[:, None] - m // 2 + np.arange(n)[None, :] * (m // n)) % m
 
 
 def spectral_derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
@@ -278,26 +312,18 @@ def _arc_chord_level(curve: Curve, m: int) -> float:
     m must be a multiple of the curve grid size.
     """
     n = curve.n
-    if m % n != 0:
-        raise ValueError("alpha grid size must be a multiple of N")
-    r = m // n
-    # integer refined grid and half-offset refined grid
-    fine = curve.resampled(m)
-    x_int = fine.nodes
-    x_half = shift_many(fine.nodes, np.array([np.pi / m]))[0]
+    x_half = half_offset_samples(curve.nodes, m)
     alphas = -np.pi + (np.arange(m) + 0.5) * 2.0 * np.pi / m
-    j_idx = np.arange(n) * r
-    base = x_int[j_idx]
-    offset = np.arange(m) - m // 2
     best = np.inf
+    # bounded chunks of alphas keep the 2m refinement level's temporaries
+    # small at large n
     chunk = max(1, int(2.0e6 / max(n, 1)))
     for start in range(0, m, chunk):
-        off = offset[start : start + chunk]
-        # theta_j + alpha_m lands on half-offset slot (j*r + offset_m) mod m
-        idx = (j_idx[None, :] + off[:, None]) % m
-        d = x_half[idx] - base[None]
+        rows = np.arange(start, min(start + chunk, m))
+        d = np.take(x_half, half_offset_slots(m, n, rows), axis=0) \
+            - curve.nodes[None]
         mags = np.min(np.hypot(d[..., 0], d[..., 1]), axis=1)
-        val = np.min(mags / np.abs(alphas[start : start + chunk]))
+        val = np.min(mags / np.abs(alphas[rows]))
         best = min(best, float(val))
     return best
 

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .besov import BesovParams, MuWeight, besov_diff
+from .besov import BesovParams, MuWeight, besov_diff, beta_gain
 from .curve import Curve, arc_chord, fft_coeffs, wavenumbers
 from .evolution import SimConfig, Trajectory, simulate
 from .operators import half_offset_grid
@@ -84,7 +84,7 @@ def apriori_audit(traj: Trajectory, mu: MuWeight, lam: float,
     k = np.abs(wavenumbers(n)).astype(float)
     betas = half_offset_grid(beta_points)
     ab = np.abs(betas)
-    gain = 2.0 * (1.0 - np.cos(np.multiply.outer(betas, k)))  # (mb, k)
+    gain = beta_gain(betas, k)  # (mb, k)
     sup_part = np.sqrt(2.0 * np.pi * (gain @ powers.T).max(axis=1))
     diss_gain = gain * k[None]
     diss_sq = 2.0 * np.pi * np.trapezoid(diss_gain @ powers.T,
@@ -252,7 +252,7 @@ def _weighted_sup_diff(a: Trajectory, b: Trajectory, omega: MuWeight,
     k = wavenumbers(n).astype(float)
     betas = half_offset_grid(beta_points)
     ab = np.abs(betas)
-    gain = 2.0 * (1.0 - np.cos(np.multiply.outer(betas, k)))
+    gain = beta_gain(betas, k)
     sup = np.sqrt(2.0 * np.pi * (gain @ powers.T).max(axis=1))
     h = 2.0 * np.pi / beta_points
     return float(h * np.sum(omega(1.0 / ab) * sup / ab**1.5))

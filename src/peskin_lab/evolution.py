@@ -4,15 +4,16 @@ Three equivalent evaluators are provided: the position form driven by the
 full Stokeslet, the first-derivatives-only position form, and the
 derivative-equation form driven by the matrix kernel.  All alpha
 integrals run over a shared half-offset grid, so the odd 1/alpha parts
-cancel by symmetric pairing; shifted samples of band-limited fields
-(X, X', X'') are spectrally exact, and nonlinear functions of them are
-evaluated pointwise at the shifted values.
+cancel by symmetric pairing.  Each band-limited field (X, X', the
+padded force) is sampled exactly once on the half-offset m-grid, every
+shifted value f(theta_j + alpha_i) is gathered from those samples, and
+nonlinear functions are evaluated pointwise on the samples.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -22,11 +23,13 @@ from .curve import (
     arc_chord,
     fft_coeffs,
     grid_values,
-    shift_many,
+    half_offset_samples,
+    half_offset_slots,
     spectral_antiderivative,
     wavenumbers,
 )
 from .besov import BesovParams, MuWeight, besov_diff
+from .kernels import FOUR_PI, perp
 from .operators import half_offset_grid, symbol
 from .tension import TensionLaw, tension_jacobian, tension_map, hookean, power_law, arctan_law, globalize
 
@@ -47,7 +50,6 @@ __all__ = [
     "law_from_config",
 ]
 
-FOUR_PI = 4.0 * np.pi
 CFL_CONSTANT = 2.5  # classical four-stage explicit stability with margin
 
 
@@ -76,6 +78,10 @@ class SimState:
              m: Optional[int] = None, rho_floor: Optional[float] = None) -> "SimState":
         if m is None:
             m = 4 * curve.n
+        if m <= 0 or m % curve.n != 0:
+            # the frame gathers theta + alpha from the half-offset m-grid
+            raise ValueError(f"alpha grid size m={m} must be a positive "
+                             f"multiple of the curve grid size n={curve.n}")
         deriv = curve.derivative()
         if rho_floor is None:
             rho_floor = 0.5 * arc_chord(curve).value
@@ -84,25 +90,6 @@ class SimState:
 
     def advanced(self, t: float, curve: Curve) -> "SimState":
         return replace(self, t=t, curve=curve, deriv=curve.derivative())
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("PESKIN_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-_CHUNK_BUDGET = 4.0e6  # samples per alpha chunk; caps temporaries at tens of MB
-
-
-def _alpha_chunks(m: int, n: int):
-    chunk = max(64, min(m, int(_CHUNK_BUDGET / max(n, 1))))
-    return [slice(i, min(i + chunk, m)) for i in range(0, m, chunk)]
-
-
-def _perp(v):
-    return np.stack([-v[..., 1], v[..., 0]], axis=-1)
 
 
 def _dot(u, v):
@@ -117,33 +104,51 @@ def _floor_check(state: SimState, r2: np.ndarray, alphas: np.ndarray):
                                        f"{state.rho_floor:.3e}")
 
 
-def _accumulate(state: SimState, contribution, pieces: int = 1):
-    """Sum a per-alpha contribution over the half-offset grid, chunked.
+class _Frame:
+    """The (alpha, theta) quadrature frame of one state.
 
-    contribution(alphas_chunk) returns one (n, 2) array per piece (already
-    summed over the chunk).  Runs chunks on a thread pool when
-    PESKIN_LAB_THREADS > 1.
+    A band-limited field is sampled once on the half-offset m-grid, and
+    every shifted value f(theta_j + alpha_i) is gathered from those m
+    samples; pointwise nonlinearities are evaluated on the m samples
+    before the gather.  The geometry (delta X, its squared length and
+    unit vector, with the arc-chord floor check) and the X' samples are
+    built on first use and shared by every integrand of the frame.
     """
-    m = state.m
-    n = state.curve.n
-    chunks = _alpha_chunks(m, n)
-    alphas = half_offset_grid(m)
-    outs = [np.zeros((n, 2)) for _ in range(pieces)]
-    nthreads = _threads()
-    if nthreads > 1 and len(chunks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            for parts in pool.map(lambda sl: contribution(alphas[sl]), chunks):
-                for acc, part in zip(outs, parts):
-                    acc += part
-    else:
-        for sl in chunks:
-            for acc, part in zip(outs, contribution(alphas[sl])):
-                acc += part
-    weight = 2.0 * np.pi / m
-    outs = [acc * weight for acc in outs]
-    return outs[0] if pieces == 1 else outs
+    def __init__(self, state: SimState):
+        self.state = state
+        self.alphas = half_offset_grid(state.m)
+        self.slots = half_offset_slots(state.m, state.curve.n)
+
+    def samples(self, values: np.ndarray) -> np.ndarray:
+        return half_offset_samples(values, self.state.m)
+
+    def shifted(self, samples: np.ndarray) -> np.ndarray:
+        # np.take along axis 0 is an order of magnitude faster than the
+        # equivalent fancy index samples[self.slots]
+        return np.take(samples, self.slots, axis=0)
+
+    def integrate(self, integrand: np.ndarray) -> np.ndarray:
+        """Half-offset rule over alpha: (2 pi / m) sum_i integrand[i]."""
+        return integrand.sum(axis=0) * (2.0 * np.pi / self.state.m)
+
+    @cached_property
+    def geometry(self):
+        x = self.state.curve.nodes
+        dx = self.shifted(self.samples(x)) - x[None]
+        r2 = np.sum(dx * dx, axis=-1)
+        _floor_check(self.state, r2, self.alphas)
+        return dx, r2, dx / np.sqrt(r2)[..., None]
+
+    @cached_property
+    def x1_samples(self) -> np.ndarray:
+        return self.samples(self.state.deriv.nodes)
+
+    def tension_jump(self) -> np.ndarray:
+        """T(X'(theta + alpha)) - T(X'(theta)) for the vector tension map."""
+        law = self.state.law
+        return (self.shifted(tension_map(law, self.x1_samples))
+                - tension_map(law, self.state.deriv.nodes)[None])
 
 
 def rhs_position_bi(state: SimState) -> np.ndarray:
@@ -157,29 +162,22 @@ def rhs_position_bi(state: SimState) -> np.ndarray:
     impossible for non-polynomial nonlinearities).
     """
     n = state.curve.n
-    x = state.curve.nodes
     x1_fine = state.deriv.resampled(2 * n).nodes
     x2_fine = state.deriv.derivative().resampled(2 * n).nodes
     jac = tension_jacobian(state.law, x1_fine)
     force_fine = np.einsum("...ij,...j->...i", jac, x2_fine)
 
-    def contribution(al):
-        xs = shift_many(x, al)
-        # force samples at theta_j + alpha from the padded grid; the coarse
-        # nodes are the even slots of the doubled grid
-        fs = shift_many(force_fine, al)[:, ::2]
-        dx = xs - x[None]
-        r2 = np.sum(dx * dx, axis=-1)
-        _floor_check(state, r2, al)
-        r = np.sqrt(r2)
-        s_al = np.abs(2.0 * np.sin(al / 2.0))[:, None]
-        smooth_log = np.log(r / s_al)
-        g1 = -(smooth_log[..., None] * fs)
-        dhat = dx / r[..., None]
-        g2 = _dot(dhat, fs)[..., None] * dhat
-        return ((g1 + g2).sum(axis=0),)
-
-    quad_part = _accumulate(state, contribution)
+    frame = _Frame(state)
+    dx, r2, dhat = frame.geometry
+    al = frame.alphas
+    # force values at theta_j + alpha from the trigonometric interpolant
+    # of the padded samples
+    fs = frame.shifted(frame.samples(force_fine))
+    s_al = np.abs(2.0 * np.sin(al / 2.0))[:, None]
+    smooth_log = np.log(np.sqrt(r2) / s_al)
+    g1 = -(smooth_log[..., None] * fs)
+    g2 = _dot(dhat, fs)[..., None] * dhat
+    quad_part = frame.integrate(g1 + g2)
     # exact product quadrature for the periodic log kernel
     k = wavenumbers(2 * n).astype(float)
     w = np.where(k == 0.0, 0.0, -np.pi / np.where(k == 0.0, 1.0, np.abs(k)))
@@ -187,26 +185,23 @@ def rhs_position_bi(state: SimState) -> np.ndarray:
     return (quad_part + log_part) / FOUR_PI
 
 
+def _position_velocity(frame: _Frame) -> np.ndarray:
+    state = frame.state
+    dx, r2, dhat = frame.geometry
+    x1f = frame.x1_samples
+    mag = np.sqrt(np.sum(x1f * x1f, axis=-1))
+    # every half-offset sample is gathered at each theta_j
+    if float(mag.min()) == 0.0:
+        raise SimulationAbort(state.t, "tangent vector vanished")
+    x1s = frame.shifted(x1f)
+    quad_form = _dot(x1s, dhat) ** 2 - _dot(x1s, perp(dhat)) ** 2
+    coef = quad_form / r2 * frame.shifted(state.law.eval(mag) / mag)
+    return frame.integrate(coef[..., None] * dx) / FOUR_PI
+
+
 def rhs_position_reduced(state: SimState) -> np.ndarray:
     """First-derivatives-only position velocity (the working form)."""
-    x = state.curve.nodes
-    law = state.law
-
-    def contribution(al):
-        xs = shift_many(x, al)
-        x1s = shift_many(state.deriv.nodes, al)
-        dx = xs - x[None]
-        r2 = np.sum(dx * dx, axis=-1)
-        _floor_check(state, r2, al)
-        dhat = dx / np.sqrt(r2)[..., None]
-        quad_form = _dot(x1s, dhat) ** 2 - _dot(x1s, _perp(dhat)) ** 2
-        mag = np.sqrt(np.sum(x1s * x1s, axis=-1))
-        if float(mag.min()) == 0.0:
-            raise SimulationAbort(state.t, "tangent vector vanished")
-        coef = quad_form / r2 * (law.eval(mag) / mag)
-        return ((coef[..., None] * dx).sum(axis=0),)
-
-    return _accumulate(state, contribution) / FOUR_PI
+    return _position_velocity(_Frame(state))
 
 
 def _kernel_apply(x1s, x1, d, dhat, inv_q2, vec, which: str):
@@ -217,7 +212,7 @@ def _kernel_apply(x1s, x1, d, dhat, inv_q2, vec, which: str):
     is I, R(d), P(d) with R v = (dhat.v) dperp + (dperp.v) dhat and
     P v = (dhat.v) dhat - (dperp.v) dperp.
     """
-    dperp = _perp(dhat)
+    dperp = perp(dhat)
     if which == "K":
         u, w = x1s, np.broadcast_to(x1, x1s.shape)
         c_p = (_dot(u, dhat) * _dot(w, dhat) - _dot(u, dperp) * _dot(w, dperp)) * inv_q2
@@ -245,25 +240,16 @@ def _kernel_apply(x1s, x1, d, dhat, inv_q2, vec, which: str):
             + coef_pp[..., None] * p_vec) / FOUR_PI
 
 
-def _derivative_integrand(state: SimState, which: str):
-    x = state.curve.nodes
-    x1 = state.deriv.nodes
-    t_grid = tension_map(state.law, x1)
-
-    def contribution(al):
-        xs = shift_many(x, al)
-        x1s = shift_many(x1, al)
-        dx = xs - x[None]
-        r2 = np.sum(dx * dx, axis=-1)
-        _floor_check(state, r2, al)
-        q2 = r2 / (al**2)[:, None]  # |D_alpha X|^2
-        d = dx / al[:, None, None]
-        dhat = dx / np.sqrt(r2)[..., None]
-        d_t = tension_map(state.law, x1s) - t_grid[None]
-        applied = _kernel_apply(x1s, x1, d, dhat, 1.0 / q2, d_t, which)
-        return ((applied / (al**2)[:, None, None]).sum(axis=0),)
-
-    return contribution
+def _kernel_integral(frame: _Frame, which: str) -> np.ndarray:
+    """Alpha integral of the K (or A) kernel over alpha^2 applied to the
+    tension jump."""
+    dx, r2, dhat = frame.geometry
+    al = frame.alphas
+    q2 = r2 / (al**2)[:, None]  # |D_alpha X|^2
+    d = dx / al[:, None, None]
+    applied = _kernel_apply(frame.shifted(frame.x1_samples), frame.state.deriv.nodes,
+                            d, dhat, 1.0 / q2, frame.tension_jump(), which)
+    return frame.integrate(applied / (al**2)[:, None, None])
 
 
 def rhs_derivative(state: SimState, project: bool = True) -> np.ndarray:
@@ -272,7 +258,7 @@ def rhs_derivative(state: SimState, project: bool = True) -> np.ndarray:
     The output is projected to mean zero by default (the continuum
     operator annihilates constants; quadrature leaves a tiny drift).
     """
-    out = _accumulate(state, _derivative_integrand(state, "K"))
+    out = _kernel_integral(_Frame(state), "K")
     if project:
         out = out - out.mean(axis=0)
     return out
@@ -280,7 +266,7 @@ def rhs_derivative(state: SimState, project: bool = True) -> np.ndarray:
 
 def remainder_V(state: SimState) -> np.ndarray:
     """Bounded remainder: the A-kernel part of the derivative equation."""
-    return _accumulate(state, _derivative_integrand(state, "A"))
+    return _kernel_integral(_Frame(state), "A")
 
 
 def dissipation_term(state: SimState) -> np.ndarray:
@@ -290,15 +276,9 @@ def dissipation_term(state: SimState) -> np.ndarray:
     as the kernels, so rhs_derivative == -dissipation_term + remainder_V
     holds to rounding.
     """
-    x1 = state.deriv.nodes
-    t_grid = tension_map(state.law, x1)
-
-    def contribution(al):
-        x1s = shift_many(x1, al)
-        d_t = tension_map(state.law, x1s) - t_grid[None]
-        return ((d_t / (al**2)[:, None, None]).sum(axis=0),)
-
-    return -_accumulate(state, contribution) / FOUR_PI
+    frame = _Frame(state)
+    al = frame.alphas
+    return -frame.integrate(frame.tension_jump() / (al**2)[:, None, None]) / FOUR_PI
 
 
 def _cbar(state: SimState) -> float:
@@ -351,34 +331,11 @@ def _step_rk4(state: SimState, dt: float) -> SimState:
 
 
 def _imex_increments(state: SimState):
-    """Derivative-equation RHS and the averaged position velocity in one
-    pass over the alpha grid (the shifted frames are shared)."""
-    x = state.curve.nodes
-    x1 = state.deriv.nodes
-    law = state.law
-    t_grid = tension_map(law, x1)
-
-    def contribution(al):
-        xs = shift_many(x, al)
-        x1s = shift_many(x1, al)
-        dx = xs - x[None]
-        r2 = np.sum(dx * dx, axis=-1)
-        _floor_check(state, r2, al)
-        q2 = r2 / (al**2)[:, None]
-        d = dx / al[:, None, None]
-        dhat = dx / np.sqrt(r2)[..., None]
-        d_t = tension_map(law, x1s) - t_grid[None]
-        deriv_part = (_kernel_apply(x1s, x1, d, dhat, 1.0 / q2, d_t, "K")
-                      / (al**2)[:, None, None]).sum(axis=0)
-        quad_form = _dot(x1s, dhat) ** 2 - _dot(x1s, _perp(dhat)) ** 2
-        mag = np.sqrt(np.sum(x1s * x1s, axis=-1))
-        if float(mag.min()) == 0.0:
-            raise SimulationAbort(state.t, "tangent vector vanished")
-        coef = quad_form / r2 * (law.eval(mag) / mag)
-        pos_part = (coef[..., None] * dx).sum(axis=0) / FOUR_PI
-        return deriv_part, pos_part
-
-    deriv_rhs, pos_rhs = _accumulate(state, contribution, pieces=2)
+    """Derivative-equation RHS and the averaged position velocity from one
+    shared frame."""
+    frame = _Frame(state)
+    deriv_rhs = _kernel_integral(frame, "K")
+    pos_rhs = _position_velocity(frame)
     return deriv_rhs - deriv_rhs.mean(axis=0), pos_rhs.mean(axis=0)
 
 
@@ -567,9 +524,12 @@ def simulate(cfg: SimConfig, initial: Optional[Curve] = None,
     curve = initial if initial is not None else make_initial_curve(cfg)
     the_law = law if law is not None else law_from_config(cfg)
     m = cfg.m if cfg.m is not None else 4 * cfg.n
+    n_steps = int(round(cfg.horizon / cfg.dt))
+    if abs(cfg.horizon / cfg.dt - n_steps) > 1e-9 * n_steps:
+        raise ValueError(f"horizon {cfg.horizon!r} is not a whole number of "
+                         f"steps dt={cfg.dt!r}")
     state = SimState.make(curve, the_law, t=0.0, m=m, rho_floor=cfg.rho_floor)
     mu = _mu_for_diag(cfg, state.deriv.nodes)
-    n_steps = int(round(cfg.horizon / cfg.dt))
     times = [state.t]
     curves = [state.curve]
     records = [_diag_record(state, mu, cfg.scheme, cfg.diag_beta_points)]

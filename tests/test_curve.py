@@ -10,7 +10,10 @@ from peskin_lab.curve import (
     difference,
     fft_coeffs,
     grid_values,
+    half_offset_samples,
+    half_offset_slots,
     read_curve,
+    shift_many,
     spectral_derivative,
     spectral_shift,
     theta_grid,
@@ -147,6 +150,29 @@ def test_shift_at_grid_offsets_is_roll(rng):
     f = rng.standard_normal((32, 2))
     shifted = spectral_shift(f, 2.0 * np.pi * 5 / 32)
     assert np.max(np.abs(shifted - np.roll(f, -5, axis=0))) < 1e-12
+
+
+@pytest.mark.parametrize("ratio", [1, 3, 4])
+def test_half_offset_gather_matches_shift_many(ratio, rng):
+    n = 32
+    m = ratio * n
+    alphas = -np.pi + (np.arange(m) + 0.5) * 2.0 * np.pi / m
+    slots = half_offset_slots(m, n)
+    # a field carrying a non-zero Nyquist mode, and the 2n-padded pattern
+    # whose even slots are the n-grid nodes
+    f = rng.standard_normal((n, 2))
+    f_2n = rng.standard_normal((2 * n, 2))
+    assert np.max(np.abs(fft_coeffs(f)[n // 2])) > 1e-3
+    for got, ref in ((half_offset_samples(f, m)[slots], shift_many(f, alphas)),
+                     (half_offset_samples(f_2n, m)[slots],
+                      shift_many(f_2n, alphas)[:, ::2])):
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(got - ref)) < 1e-13 * scale
+
+
+def test_half_offset_slots_rejects_non_multiple():
+    with pytest.raises(ValueError):
+        half_offset_slots(48, 32)
 
 
 def brute_force_arc_chord(curve, m):

@@ -30,6 +30,32 @@ def make_state(curve, law=None, m=None):
     return SimState.make(curve, law if law is not None else hookean(1.0), m=m)
 
 
+# --- frame kernels -------------------------------------------------------------
+
+def test_kernel_apply_matches_matrix_kernels(rng):
+    # the matrix-free production path against the 2x2 matrix oracles
+    from peskin_lab.evolution import _kernel_apply
+    from peskin_lab.kernels import kernel_A, kernel_K
+
+    a, b, d, v = (rng.standard_normal((500, 2)) for _ in range(4))
+    d += np.sign(d) * 0.1
+    r2 = np.sum(d * d, axis=-1)
+    # the matrices are even in the sign of the unit vector along d
+    sign = np.where(rng.random(500) < 0.5, -1.0, 1.0)[:, None]
+    dhat = sign * d / np.sqrt(r2)[:, None]
+    for which, matrix in (("K", kernel_K(a, b, d)), ("A", kernel_A(a, b, d))):
+        ref = np.einsum("...ij,...j->...i", matrix, v)
+        got = _kernel_apply(a, b, d, dhat, 1.0 / r2, v, which)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(got - ref)) < 1e-12 * scale
+
+
+def test_state_rejects_alpha_grid_not_multiple_of_n():
+    # fails at construction, before any right-hand side gathers a frame
+    with pytest.raises(ValueError, match="multiple"):
+        SimState.make(Curve.circle(64), hookean(1.0), m=96)
+
+
 # --- equilibria ---------------------------------------------------------------
 
 @pytest.mark.parametrize("law", [hookean(1.0), power_law(1.0, 2.0, (0.5, 2.0))])

@@ -106,6 +106,17 @@ def test_cli_bad_config_exit_code(tmp_path):
                  str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("grid.m = 100", "multiple"), ("grid.m = 0", "multiple"),
+    ("time.horizon = 0.0225", "whole number")])
+def test_cli_rejects_inconsistent_grid_and_horizon(tmp_path, capsys, bad, message):
+    # the appended line overrides the key (last one wins)
+    cfg_path = _write_config(tmp_path, EQ_CONFIG + bad + "\n")
+    assert main(["simulate", "--config", cfg_path, "--out",
+                 str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_abort_exit_code(tmp_path):
     cfg_path = _write_config(tmp_path, EQ_CONFIG + "rho.floor = 99.0\n")
     rc = main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")])
@@ -161,17 +172,3 @@ def test_cli_compare(tmp_path, capsys):
     assert rc == 0
     rec = json.loads(capsys.readouterr().out)
     assert "ratios" in rec["measured"]
-
-
-def test_threads_env_smoke(monkeypatch):
-    # the threaded, chunked alpha-loop must reproduce the single-pass sums
-    import peskin_lab.evolution as ev
-    from peskin_lab.tension import hookean
-
-    c = Curve.circle(64)
-    st = ev.SimState.make(c, hookean(1.0), m=256)
-    base = ev.rhs_position_reduced(st)
-    monkeypatch.setattr(ev, "_CHUNK_BUDGET", 64 * 40)  # force several chunks
-    monkeypatch.setenv("PESKIN_LAB_THREADS", "4")
-    threaded = ev.rhs_position_reduced(st)
-    assert np.max(np.abs(base - threaded)) < 1e-14
