@@ -25,6 +25,7 @@ __all__ = [
     "shift_many",
     "half_offset_samples",
     "half_offset_slots",
+    "as_complex",
     "spectral_derivative",
     "spectral_antiderivative",
     "difference",
@@ -116,18 +117,25 @@ def half_offset_samples(values: np.ndarray, m: int) -> np.ndarray:
     return np.fft.ifft(folded, axis=0).real * m
 
 
-def half_offset_slots(m: int, n: int, rows: np.ndarray | None = None) -> np.ndarray:
-    """Gather index of the (alpha, theta) frame, shape (len(rows), n).
+def half_offset_slots(m: int, n: int) -> np.ndarray:
+    """Gather index of the (alpha, theta) frame, shape (m, n).
 
     theta_j + alpha_i, with alpha_i on the half-offset m-grid, is the
-    half-offset node (i - m/2 + j m/n) mod m; rows selects the alphas
-    (all m by default).  m must be a multiple of n.
+    half-offset node (i - m/2 + j m/n) mod m.  m must be a multiple of n.
     """
     if m <= 0 or m % n != 0:
         raise ValueError(f"alpha grid size {m} must be a positive multiple "
                          f"of the curve grid size {n}")
-    i = np.arange(m) if rows is None else np.asarray(rows)
-    return (i[:, None] - m // 2 + np.arange(n)[None, :] * (m // n)) % m
+    return (np.arange(m)[:, None] - m // 2 + np.arange(n)[None, :] * (m // n)) % m
+
+
+def as_complex(values: np.ndarray) -> np.ndarray:
+    """Real 2-vectors of shape (..., 2) as one complex array x + iy.
+
+    The conversion is exact (a view of the same doubles when values is
+    C-contiguous).
+    """
+    return np.ascontiguousarray(values, dtype=float).view(complex)[..., 0]
 
 
 def spectral_derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
@@ -311,21 +319,11 @@ def _arc_chord_level(curve: Curve, m: int) -> float:
 
     m must be a multiple of the curve grid size.
     """
-    n = curve.n
-    x_half = half_offset_samples(curve.nodes, m)
+    z_half = as_complex(half_offset_samples(curve.nodes, m))
+    dz = np.take(z_half, half_offset_slots(m, curve.n), axis=0) \
+        - as_complex(curve.nodes)
     alphas = -np.pi + (np.arange(m) + 0.5) * 2.0 * np.pi / m
-    best = np.inf
-    # bounded chunks of alphas keep the 2m refinement level's temporaries
-    # small at large n
-    chunk = max(1, int(2.0e6 / max(n, 1)))
-    for start in range(0, m, chunk):
-        rows = np.arange(start, min(start + chunk, m))
-        d = np.take(x_half, half_offset_slots(m, n, rows), axis=0) \
-            - curve.nodes[None]
-        mags = np.min(np.hypot(d[..., 0], d[..., 1]), axis=1)
-        val = np.min(mags / np.abs(alphas[rows]))
-        best = min(best, float(val))
-    return best
+    return float(np.min(np.abs(dz).min(axis=1) / np.abs(alphas)))
 
 
 def arc_chord(curve: Curve, m: int | None = None) -> ArcChord:

@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .besov import BesovParams, MuWeight, besov_diff, beta_gain
-from .curve import Curve, arc_chord, fft_coeffs, wavenumbers
+from .besov import BesovParams, MuWeight, besov_diff, beta_gain, cl_norm
+from .curve import Curve, arc_chord, wavenumbers
 from .evolution import SimConfig, Trajectory, simulate
 from .operators import half_offset_grid
 from .tension import TensionLaw
@@ -221,7 +221,11 @@ def stability_audit(x0: Curve, law: TensionLaw, horizon: float,
         sup = max(_l2_diff(a, b) for a, b in zip(base.derivs, other.derivs))
         ratios[label] = sup / d0
         if omega is not None:
-            omega_norms[label] = _weighted_sup_diff(base, other, omega)
+            tangent_diffs = [Curve.from_nodes(x.nodes - y.nodes).derivative().nodes
+                             for x, y in zip(base.curves, other.curves)]
+            omega_norms[label] = cl_norm(base.times, tangent_diffs,
+                                         BesovParams(0.5, 2, 1, omega), "B",
+                                         beta_points=1024)
     vals = [v for v in ratios.values() if v > 0]
     spread = (max(vals) / min(vals)) if len(vals) > 1 else 1.0
     ok = (max(vals) <= ratio_max if vals else True) and spread <= 2.0
@@ -240,22 +244,6 @@ def stability_audit(x0: Curve, law: TensionLaw, horizon: float,
 def _l2_deriv(c: Curve) -> float:
     d = c.derivative().nodes
     return float(np.sqrt(2.0 * np.pi * np.mean(np.sum(d * d, axis=-1))))
-
-
-def _weighted_sup_diff(a: Trajectory, b: Trajectory, omega: MuWeight,
-                       beta_points: int = 1024) -> float:
-    diffs = [Curve.from_nodes(x.nodes - y.nodes).derivative().nodes
-             for x, y in zip(a.curves, b.curves)]
-    powers = np.stack([np.sum(np.abs(fft_coeffs(d)) ** 2, axis=-1)
-                       for d in diffs])
-    n = diffs[0].shape[0]
-    k = wavenumbers(n).astype(float)
-    betas = half_offset_grid(beta_points)
-    ab = np.abs(betas)
-    gain = beta_gain(betas, k)
-    sup = np.sqrt(2.0 * np.pi * (gain @ powers.T).max(axis=1))
-    h = 2.0 * np.pi / beta_points
-    return float(h * np.sum(omega(1.0 / ab) * sup / ab**1.5))
 
 
 def circle_distance(deriv: Curve) -> float:

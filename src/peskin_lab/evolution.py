@@ -8,6 +8,16 @@ cancel by symmetric pairing.  Each band-limited field (X, X', the
 padded force) is sampled exactly once on the half-offset m-grid, every
 shifted value f(theta_j + alpha_i) is gathered from those samples, and
 nonlinear functions are evaluated pointwise on the samples.
+
+Inside the frame every 2-vector is one complex number z = x + iy: real
+(n, 2) fields are sampled first (so the Nyquist convention is that of
+curve.half_offset_samples) and converted with curve.as_complex, and the
+alpha integral is converted back to a real (n, 2) field.  For a chord d
+the unit rotor rot = conj(d)/d carries the whole matrix basis:
+
+    P(d) v = conj(rot v),   R(d) v = i conj(rot v),
+    u.P(d)w + i u.R(d)w = rot u w,
+    (X'.dhat)^2 - (X'.dperp)^2 = Re(rot X'^2).
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ import numpy as np
 from .curve import (
     Curve,
     arc_chord,
+    as_complex,
     fft_coeffs,
     grid_values,
     half_offset_samples,
@@ -29,7 +40,7 @@ from .curve import (
     wavenumbers,
 )
 from .besov import BesovParams, MuWeight, besov_diff
-from .kernels import FOUR_PI, perp
+from .kernels import FOUR_PI
 from .operators import half_offset_grid, symbol
 from .tension import TensionLaw, tension_jacobian, tension_map, hookean, power_law, arctan_law, globalize
 
@@ -51,6 +62,7 @@ __all__ = [
 ]
 
 CFL_CONSTANT = 2.5  # classical four-stage explicit stability with margin
+_FLOOR_FRACTION = 0.5  # default rho_floor relative to the initial arc-chord
 
 
 class SimulationAbort(RuntimeError):
@@ -84,16 +96,12 @@ class SimState:
                              f"multiple of the curve grid size n={curve.n}")
         deriv = curve.derivative()
         if rho_floor is None:
-            rho_floor = 0.5 * arc_chord(curve).value
+            rho_floor = _FLOOR_FRACTION * arc_chord(curve).value
         return cls(t=t, curve=curve, deriv=deriv, law=law, m=m,
                    rho_floor=rho_floor)
 
     def advanced(self, t: float, curve: Curve) -> "SimState":
         return replace(self, t=t, curve=curve, deriv=curve.derivative())
-
-
-def _dot(u, v):
-    return np.einsum("...i,...i->...", u, v)
 
 
 def _floor_check(state: SimState, r2: np.ndarray, alphas: np.ndarray):
@@ -111,8 +119,9 @@ class _Frame:
     every shifted value f(theta_j + alpha_i) is gathered from those m
     samples; pointwise nonlinearities are evaluated on the m samples
     before the gather.  The geometry (delta X, its squared length and
-    unit vector, with the arc-chord floor check) and the X' samples are
-    built on first use and shared by every integrand of the frame.
+    rotor, with the arc-chord floor check) and the X' samples are built
+    on first use and shared by every integrand of the frame.  Vectors
+    are complex from sampling to integration.
     """
 
     def __init__(self, state: SimState):
@@ -121,7 +130,8 @@ class _Frame:
         self.slots = half_offset_slots(state.m, state.curve.n)
 
     def samples(self, values: np.ndarray) -> np.ndarray:
-        return half_offset_samples(values, self.state.m)
+        """Complex samples of a real (n, 2) field on the half-offset m-grid."""
+        return as_complex(half_offset_samples(values, self.state.m))
 
     def shifted(self, samples: np.ndarray) -> np.ndarray:
         # np.take along axis 0 is an order of magnitude faster than the
@@ -129,26 +139,29 @@ class _Frame:
         return np.take(samples, self.slots, axis=0)
 
     def integrate(self, integrand: np.ndarray) -> np.ndarray:
-        """Half-offset rule over alpha: (2 pi / m) sum_i integrand[i]."""
-        return integrand.sum(axis=0) * (2.0 * np.pi / self.state.m)
+        """Half-offset rule over alpha, (2 pi / m) sum_i integrand[i], of a
+        complex (m, n) integrand, returned as a real (n, 2) field."""
+        z = integrand.sum(axis=0) * (2.0 * np.pi / self.state.m)
+        return np.stack([z.real, z.imag], axis=-1)
 
     @cached_property
     def geometry(self):
         x = self.state.curve.nodes
-        dx = self.shifted(self.samples(x)) - x[None]
-        r2 = np.sum(dx * dx, axis=-1)
+        dz = self.shifted(self.samples(x)) - as_complex(x)
+        r2 = dz.real**2 + dz.imag**2
         _floor_check(self.state, r2, self.alphas)
-        return dx, r2, dx / np.sqrt(r2)[..., None]
+        return dz, r2, np.conj(dz) / dz
 
     @cached_property
     def x1_samples(self) -> np.ndarray:
-        return self.samples(self.state.deriv.nodes)
+        """X' on the half-offset m-grid as real (m, 2) samples."""
+        return half_offset_samples(self.state.deriv.nodes, self.state.m)
 
     def tension_jump(self) -> np.ndarray:
         """T(X'(theta + alpha)) - T(X'(theta)) for the vector tension map."""
         law = self.state.law
-        return (self.shifted(tension_map(law, self.x1_samples))
-                - tension_map(law, self.state.deriv.nodes)[None])
+        return (self.shifted(as_complex(tension_map(law, self.x1_samples)))
+                - as_complex(tension_map(law, self.state.deriv.nodes)))
 
 
 def rhs_position_bi(state: SimState) -> np.ndarray:
@@ -164,20 +177,18 @@ def rhs_position_bi(state: SimState) -> np.ndarray:
     n = state.curve.n
     x1_fine = state.deriv.resampled(2 * n).nodes
     x2_fine = state.deriv.derivative().resampled(2 * n).nodes
-    jac = tension_jacobian(state.law, x1_fine)
-    force_fine = np.einsum("...ij,...j->...i", jac, x2_fine)
+    force_fine = (tension_jacobian(state.law, x1_fine) @ x2_fine[..., None])[..., 0]
 
     frame = _Frame(state)
-    dx, r2, dhat = frame.geometry
+    dz, r2, rot = frame.geometry
     al = frame.alphas
     # force values at theta_j + alpha from the trigonometric interpolant
     # of the padded samples
     fs = frame.shifted(frame.samples(force_fine))
     s_al = np.abs(2.0 * np.sin(al / 2.0))[:, None]
     smooth_log = np.log(np.sqrt(r2) / s_al)
-    g1 = -(smooth_log[..., None] * fs)
-    g2 = _dot(dhat, fs)[..., None] * dhat
-    quad_part = frame.integrate(g1 + g2)
+    # the G2 part (dhat.f) dhat is (f + P(d) f) / 2
+    quad_part = frame.integrate(0.5 * (fs + np.conj(rot * fs)) - smooth_log * fs)
     # exact product quadrature for the periodic log kernel
     k = wavenumbers(2 * n).astype(float)
     w = np.where(k == 0.0, 0.0, -np.pi / np.where(k == 0.0, 1.0, np.abs(k)))
@@ -187,16 +198,17 @@ def rhs_position_bi(state: SimState) -> np.ndarray:
 
 def _position_velocity(frame: _Frame) -> np.ndarray:
     state = frame.state
-    dx, r2, dhat = frame.geometry
-    x1f = frame.x1_samples
-    mag = np.sqrt(np.sum(x1f * x1f, axis=-1))
+    dz, r2, rot = frame.geometry
+    x1f = as_complex(frame.x1_samples)
+    mag = np.abs(x1f)
     # every half-offset sample is gathered at each theta_j
     if float(mag.min()) == 0.0:
         raise SimulationAbort(state.t, "tangent vector vanished")
     x1s = frame.shifted(x1f)
-    quad_form = _dot(x1s, dhat) ** 2 - _dot(x1s, perp(dhat)) ** 2
+    # (X'.dhat)^2 - (X'.dperp)^2 = X'.P(d)X'
+    quad_form = (rot * x1s * x1s).real
     coef = quad_form / r2 * frame.shifted(state.law.eval(mag) / mag)
-    return frame.integrate(coef[..., None] * dx) / FOUR_PI
+    return frame.integrate(coef * dz) / FOUR_PI
 
 
 def rhs_position_reduced(state: SimState) -> np.ndarray:
@@ -204,52 +216,43 @@ def rhs_position_reduced(state: SimState) -> np.ndarray:
     return _position_velocity(_Frame(state))
 
 
-def _kernel_apply(x1s, x1, d, dhat, inv_q2, vec, which: str):
-    """K or A applied to vec without materializing 2x2 matrices.
+def _kernel_apply(a, b, d, rot, inv_q2, vec, which: str):
+    """K or A applied to vec, with every 2-vector a complex number.
 
-    d is the signed divided difference, dhat a unit vector along it (the
-    matrices are even in the sign), inv_q2 is 1/|d|^2.  The matrix basis
-    is I, R(d), P(d) with R v = (dhat.v) dperp + (dperp.v) dhat and
-    P v = (dhat.v) dhat - (dperp.v) dperp.
+    a = X'(theta + alpha), b = X'(theta), d the divided difference,
+    rot = conj(d)/d its rotor and inv_q2 = 1/|d|^2.  With P(d)v =
+    conj(rot v), R(d)v = i conj(rot v) and u.P(d)w + i u.R(d)w = rot u w,
+    both kernels reduce to coef_i vec + coef_c conj(rot vec).  A is built
+    from dp = a - d and dm = b - d (never as K - I/4pi), so every term
+    carries a plus or minus difference.
     """
-    dperp = perp(dhat)
     if which == "K":
-        u, w = x1s, np.broadcast_to(x1, x1s.shape)
-        c_p = (_dot(u, dhat) * _dot(w, dhat) - _dot(u, dperp) * _dot(w, dperp)) * inv_q2
-        c_r = (_dot(u, dhat) * _dot(w, dperp) + _dot(u, dperp) * _dot(w, dhat)) * inv_q2
-        c_pi = c_p - _dot(u, w) * inv_q2
-        coef_i, coef_r, coef_pp = c_p, -c_r, c_pi
+        c = rot * a * b * inv_q2  # a.P(d)b/|d|^2 + i a.R(d)b/|d|^2
+        coef_i = c.real
+        coef_c = np.conj(c) - (np.conj(a) * b).real * inv_q2
     elif which == "A":
-        dp = x1s - d
-        dm = np.broadcast_to(x1, x1s.shape) - d
-        dsum = dp + dm
-        t1 = (_dot(dp, dhat) * _dot(dm, dhat) - _dot(dp, dperp) * _dot(dm, dperp)) * inv_q2
-        t2 = (_dot(dsum, dhat) * _dot(d, dhat)
-              - _dot(dsum, dperp) * _dot(d, dperp)) * inv_q2
-        t3 = (_dot(dp, dhat) * _dot(dm, dperp) + _dot(dp, dperp) * _dot(dm, dhat)) * inv_q2
-        t4 = (_dot(dsum, dhat) * _dot(d, dperp) + _dot(dsum, dperp) * _dot(d, dhat)) * inv_q2
-        t5 = t1 - _dot(dp, dm) * inv_q2
-        coef_i, coef_r, coef_pp = t1 + t2, -(t3 + t4), t5
+        dp = a - d
+        dm = b - d
+        c = rot * dp * dm * inv_q2
+        # rot (dp + dm) d = conj(d) (dp + dm)
+        e = np.conj(d) * (dp + dm) * inv_q2
+        coef_i = c.real + e.real
+        coef_c = np.conj(c) - (np.conj(dp) * dm).real * inv_q2 - 1j * e.imag
     else:
         raise ValueError(which)
-    v_t = _dot(vec, dhat)
-    v_n = _dot(vec, dperp)
-    r_vec = v_t[..., None] * dperp + v_n[..., None] * dhat
-    p_vec = v_t[..., None] * dhat - v_n[..., None] * dperp
-    return (coef_i[..., None] * vec + coef_r[..., None] * r_vec
-            + coef_pp[..., None] * p_vec) / FOUR_PI
+    return (coef_i * vec + coef_c * np.conj(rot * vec)) / FOUR_PI
 
 
 def _kernel_integral(frame: _Frame, which: str) -> np.ndarray:
     """Alpha integral of the K (or A) kernel over alpha^2 applied to the
     tension jump."""
-    dx, r2, dhat = frame.geometry
-    al = frame.alphas
-    q2 = r2 / (al**2)[:, None]  # |D_alpha X|^2
-    d = dx / al[:, None, None]
-    applied = _kernel_apply(frame.shifted(frame.x1_samples), frame.state.deriv.nodes,
-                            d, dhat, 1.0 / q2, frame.tension_jump(), which)
-    return frame.integrate(applied / (al**2)[:, None, None])
+    dz, r2, rot = frame.geometry
+    al2 = (frame.alphas**2)[:, None]
+    applied = _kernel_apply(frame.shifted(as_complex(frame.x1_samples)),
+                            as_complex(frame.state.deriv.nodes),
+                            dz / frame.alphas[:, None], rot, al2 / r2,
+                            frame.tension_jump(), which)
+    return frame.integrate(applied / al2)
 
 
 def rhs_derivative(state: SimState, project: bool = True) -> np.ndarray:
@@ -277,8 +280,7 @@ def dissipation_term(state: SimState) -> np.ndarray:
     holds to rounding.
     """
     frame = _Frame(state)
-    al = frame.alphas
-    return -frame.integrate(frame.tension_jump() / (al**2)[:, None, None]) / FOUR_PI
+    return -frame.integrate(frame.tension_jump() / (frame.alphas**2)[:, None]) / FOUR_PI
 
 
 def _cbar(state: SimState) -> float:
@@ -496,7 +498,7 @@ def _mu_for_diag(cfg: SimConfig, deriv_nodes: np.ndarray) -> MuWeight:
     raise ValueError(f"unknown mu kind {cfg.mu_kind!r}")
 
 
-def _diag_record(state: SimState, mu: MuWeight, scheme: str,
+def _diag_record(state: SimState, arc: float, mu: MuWeight, scheme: str,
                  beta_points: int) -> dict:
     x1 = state.deriv.nodes
     c = fft_coeffs(x1)
@@ -509,7 +511,7 @@ def _diag_record(state: SimState, mu: MuWeight, scheme: str,
     return {
         "schema": "peskin-lab/diag-v1",
         "t": float(state.t),
-        "arc_chord": arc_chord(state.curve).value,
+        "arc_chord": arc,
         "l2": l2,
         "h_half": h_half,
         "h1": h1,
@@ -523,22 +525,25 @@ def simulate(cfg: SimConfig, initial: Optional[Curve] = None,
     """Run the configured evolution; deterministic given the config."""
     curve = initial if initial is not None else make_initial_curve(cfg)
     the_law = law if law is not None else law_from_config(cfg)
-    m = cfg.m if cfg.m is not None else 4 * cfg.n
     n_steps = int(round(cfg.horizon / cfg.dt))
     if abs(cfg.horizon / cfg.dt - n_steps) > 1e-9 * n_steps:
         raise ValueError(f"horizon {cfg.horizon!r} is not a whole number of "
                          f"steps dt={cfg.dt!r}")
-    state = SimState.make(curve, the_law, t=0.0, m=m, rho_floor=cfg.rho_floor)
+    # the initial arc-chord serves both the default floor and the first record
+    arc = arc_chord(curve).value
+    rho_floor = cfg.rho_floor if cfg.rho_floor is not None \
+        else _FLOOR_FRACTION * arc
+    state = SimState.make(curve, the_law, t=0.0, m=cfg.m, rho_floor=rho_floor)
     mu = _mu_for_diag(cfg, state.deriv.nodes)
     times = [state.t]
     curves = [state.curve]
-    records = [_diag_record(state, mu, cfg.scheme, cfg.diag_beta_points)]
+    records = [_diag_record(state, arc, mu, cfg.scheme, cfg.diag_beta_points)]
     for i in range(1, n_steps + 1):
         state = step(state, cfg.dt, cfg.scheme)
         if i % cfg.output_stride == 0 or i == n_steps:
             times.append(state.t)
             curves.append(state.curve)
-            records.append(_diag_record(state, mu, cfg.scheme,
-                                        cfg.diag_beta_points))
+            records.append(_diag_record(state, arc_chord(state.curve).value, mu,
+                                        cfg.scheme, cfg.diag_beta_points))
     return Trajectory(times=np.array(times), curves=tuple(curves),
                       records=tuple(records), scheme=cfg.scheme, config=cfg)

@@ -33,21 +33,46 @@ def make_state(curve, law=None, m=None):
 # --- frame kernels -------------------------------------------------------------
 
 def test_kernel_apply_matches_matrix_kernels(rng):
-    # the matrix-free production path against the 2x2 matrix oracles
+    # the complex matrix-free production path against the 2x2 matrix oracles
+    from peskin_lab.curve import as_complex
     from peskin_lab.evolution import _kernel_apply
     from peskin_lab.kernels import kernel_A, kernel_K
 
     a, b, d, v = (rng.standard_normal((500, 2)) for _ in range(4))
     d += np.sign(d) * 0.1
-    r2 = np.sum(d * d, axis=-1)
-    # the matrices are even in the sign of the unit vector along d
-    sign = np.where(rng.random(500) < 0.5, -1.0, 1.0)[:, None]
-    dhat = sign * d / np.sqrt(r2)[:, None]
+    za, zb, zd, zv = (as_complex(x) for x in (a, b, d, v))
+    rot = np.conj(zd) / zd
+    inv_q2 = 1.0 / np.sum(d * d, axis=-1)
     for which, matrix in (("K", kernel_K(a, b, d)), ("A", kernel_A(a, b, d))):
         ref = np.einsum("...ij,...j->...i", matrix, v)
-        got = _kernel_apply(a, b, d, dhat, 1.0 / r2, v, which)
+        got = _kernel_apply(za, zb, zd, rot, inv_q2, zv, which)
         scale = np.max(np.abs(ref))
-        assert np.max(np.abs(got - ref)) < 1e-12 * scale
+        assert np.max(np.abs(as_complex(ref) - got)) < 1e-12 * scale
+
+
+def test_frame_matches_matrix_kernel_sum(rng):
+    # whole frame: half-offset gather, tension jump and complex kernels
+    # against a direct sum of the matrix kernels over spectral shifts
+    from peskin_lab.curve import shift_many
+    from peskin_lab.kernels import kernel_A, kernel_K0
+    from peskin_lab.operators import half_offset_grid
+    from peskin_lab.tension import tension_map
+
+    n, m = 32, 128
+    law = power_law(1.0, 3.0, (0.5, 2.0))
+    st = make_state(random_bandlimited_curve(rng, n, modes=8), law, m=m)
+    x, x1 = st.curve.nodes, st.deriv.nodes
+    al = half_offset_grid(m)
+    dx = shift_many(x, al) - x[None]
+    x1s = shift_many(x1, al)
+    b = np.broadcast_to(x1, x1s.shape)
+    jump = tension_map(law, x1s) - tension_map(law, x1)[None]
+    k0 = kernel_K0(x1s, b, dx, al[:, None])
+    a0 = kernel_A(x1s, b, dx / al[:, None, None]) / (al**2)[:, None, None, None]
+    for got, kernel in ((rhs_derivative(st, project=False), k0),
+                        (remainder_V(st), a0)):
+        ref = np.einsum("...ij,...j->...i", kernel, jump).sum(axis=0) * (2.0 * np.pi / m)
+        assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 def test_state_rejects_alpha_grid_not_multiple_of_n():
@@ -275,6 +300,22 @@ def test_simulate_rk4_scheme():
     assert traj.scheme == "rk4"
     assert len(traj.times) >= 2
     assert all(rec["step_scheme"] == "rk4" for rec in traj.records)
+
+
+def test_simulate_computes_initial_arc_chord_once(monkeypatch):
+    # the default floor and the first record share one arc-chord value
+    import peskin_lab.evolution as ev
+
+    calls = []
+
+    def counted(curve, *args, **kwargs):
+        calls.append(curve)
+        return arc_chord(curve, *args, **kwargs)
+
+    monkeypatch.setattr(ev, "arc_chord", counted)
+    traj = simulate(SimConfig(n=64, m=256, horizon=0.0))
+    assert len(calls) == 1
+    assert traj.records[0]["arc_chord"] == arc_chord(traj.curves[0]).value
 
 
 def test_trajectory_validation():

@@ -117,6 +117,23 @@ def test_cli_rejects_inconsistent_grid_and_horizon(tmp_path, capsys, bad, messag
     assert message in capsys.readouterr().err
 
 
+def test_cli_simulate_file_curve_default_alpha_grid(tmp_path):
+    # no grid.* keys: the alpha grid follows the file's node count (96),
+    # not the default grid.n
+    path = tmp_path / "start.curve"
+    write_curve(Curve.ellipse(96, a=1.2, b=1.0), path)
+    cfg_path = _write_config(tmp_path, f"""
+init.kind = fourier-file
+init.file = {path}
+time.dt = 0.005
+time.horizon = 0.01
+tension.kind = hookean
+output.stride = 1
+""")
+    assert main(["simulate", "--config", cfg_path, "--out",
+                 str(tmp_path / "o")]) == 0
+
+
 def test_cli_abort_exit_code(tmp_path):
     cfg_path = _write_config(tmp_path, EQ_CONFIG + "rho.floor = 99.0\n")
     rc = main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")])
