@@ -24,7 +24,8 @@ __all__ = [
     "spectral_shift",
     "shift_many",
     "half_offset_samples",
-    "half_offset_slots",
+    "half_offset_window",
+    "min_chord_quotient",
     "as_complex",
     "spectral_derivative",
     "spectral_antiderivative",
@@ -117,16 +118,25 @@ def half_offset_samples(values: np.ndarray, m: int) -> np.ndarray:
     return np.fft.ifft(folded, axis=0).real * m
 
 
-def half_offset_slots(m: int, n: int) -> np.ndarray:
-    """Gather index of the (alpha, theta) frame, shape (m, n).
-
-    theta_j + alpha_i, with alpha_i on the half-offset m-grid, is the
-    half-offset node (i - m/2 + j m/n) mod m.  m must be a multiple of n.
-    """
+def half_offset_window(samples: np.ndarray, n: int) -> np.ndarray:
+    """The (alpha, theta) frame [i, j] = samples[(i - m/2 + j m/n) mod m],
+    f(theta_j + alpha_i) on the half-offset m-grid, as a read-only (m, n) + rest
+    window over the samples tiled three times: no index array and no copy.
+    m must be a multiple of n."""
+    m = len(samples)
     if m <= 0 or m % n != 0:
         raise ValueError(f"alpha grid size {m} must be a positive multiple "
                          f"of the curve grid size {n}")
-    return (np.arange(m)[:, None] - m // 2 + np.arange(n)[None, :] * (m // n)) % m
+    ext = np.concatenate((samples,) * 3)
+    s = ext.strides
+    return np.lib.stride_tricks.as_strided(
+        ext[m // 2:], (m, n) + ext.shape[1:], (s[0], m // n * s[0]) + s[1:],
+        writeable=False)
+
+
+def min_chord_quotient(r2: np.ndarray, alphas: np.ndarray) -> float:
+    """min over the frame of sqrt(r2) / |alpha|, one sqrt and divide per alpha row."""
+    return float(np.min(np.sqrt(r2.min(axis=1)) / np.abs(alphas)))
 
 
 def as_complex(values: np.ndarray) -> np.ndarray:
@@ -315,15 +325,12 @@ class ArcChord(NamedTuple):
 
 
 def _arc_chord_level(curve: Curve, m: int) -> float:
-    """Min over grid theta and half-offset alpha of |delta_alpha X| / |alpha|.
-
-    m must be a multiple of the curve grid size.
-    """
-    z_half = as_complex(half_offset_samples(curve.nodes, m))
-    dz = np.take(z_half, half_offset_slots(m, curve.n), axis=0) \
-        - as_complex(curve.nodes)
+    """Min over grid theta and half-offset alpha (m of them, a multiple of
+    the curve grid size) of |delta_alpha X| / |alpha|."""
+    dz = half_offset_window(as_complex(half_offset_samples(curve.nodes, m)),
+                            curve.n) - as_complex(curve.nodes)
     alphas = -np.pi + (np.arange(m) + 0.5) * 2.0 * np.pi / m
-    return float(np.min(np.abs(dz).min(axis=1) / np.abs(alphas)))
+    return min_chord_quotient(dz.real**2 + dz.imag**2, alphas)
 
 
 def arc_chord(curve: Curve, m: int | None = None) -> ArcChord:

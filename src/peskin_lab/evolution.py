@@ -6,8 +6,8 @@ derivative-equation form driven by the matrix kernel.  All alpha
 integrals run over a shared half-offset grid, so the odd 1/alpha parts
 cancel by symmetric pairing.  Each band-limited field (X, X', the
 padded force) is sampled exactly once on the half-offset m-grid, every
-shifted value f(theta_j + alpha_i) is gathered from those samples, and
-nonlinear functions are evaluated pointwise on the samples.
+shifted value f(theta_j + alpha_i) is read from a strided window over those
+samples (no copy), and nonlinear functions are evaluated on the samples.
 
 Inside the frame every 2-vector is one complex number z = x + iy: real
 (n, 2) fields are sampled first (so the Nyquist convention is that of
@@ -35,7 +35,8 @@ from .curve import (
     fft_coeffs,
     grid_values,
     half_offset_samples,
-    half_offset_slots,
+    half_offset_window,
+    min_chord_quotient,
     spectral_antiderivative,
     wavenumbers,
 )
@@ -91,7 +92,7 @@ class SimState:
         if m is None:
             m = 4 * curve.n
         if m <= 0 or m % curve.n != 0:
-            # the frame gathers theta + alpha from the half-offset m-grid
+            # the frame reads theta + alpha from the half-offset m-grid
             raise ValueError(f"alpha grid size m={m} must be a positive "
                              f"multiple of the curve grid size n={curve.n}")
         deriv = curve.derivative()
@@ -104,39 +105,28 @@ class SimState:
         return replace(self, t=t, curve=curve, deriv=curve.derivative())
 
 
-def _floor_check(state: SimState, r2: np.ndarray, alphas: np.ndarray):
-    divided = np.sqrt(r2) / np.abs(alphas)[:, None]
-    worst = float(divided.min())
-    if worst < state.rho_floor:
-        raise SimulationAbort(state.t, f"arc-chord {worst:.3e} below floor "
-                                       f"{state.rho_floor:.3e}")
-
-
 class _Frame:
     """The (alpha, theta) quadrature frame of one state.
 
     A band-limited field is sampled once on the half-offset m-grid, and
-    every shifted value f(theta_j + alpha_i) is gathered from those m
-    samples; pointwise nonlinearities are evaluated on the m samples
-    before the gather.  The geometry (delta X, its squared length and
-    rotor, with the arc-chord floor check) and the X' samples are built
-    on first use and shared by every integrand of the frame.  Vectors
-    are complex from sampling to integration.
+    every shifted value f(theta_j + alpha_i) is read from a read-only
+    strided window over those m samples; pointwise nonlinearities are
+    evaluated on the samples first.  The geometry (delta X, its squared
+    length and rotor, with the arc-chord floor check) and the X' samples
+    are built on first use and shared by every integrand of the frame.
+    Vectors are complex from sampling to integration.
     """
 
     def __init__(self, state: SimState):
         self.state = state
         self.alphas = half_offset_grid(state.m)
-        self.slots = half_offset_slots(state.m, state.curve.n)
 
     def samples(self, values: np.ndarray) -> np.ndarray:
         """Complex samples of a real (n, 2) field on the half-offset m-grid."""
         return as_complex(half_offset_samples(values, self.state.m))
 
     def shifted(self, samples: np.ndarray) -> np.ndarray:
-        # np.take along axis 0 is an order of magnitude faster than the
-        # equivalent fancy index samples[self.slots]
-        return np.take(samples, self.slots, axis=0)
+        return half_offset_window(samples, self.state.curve.n)
 
     def integrate(self, integrand: np.ndarray) -> np.ndarray:
         """Half-offset rule over alpha, (2 pi / m) sum_i integrand[i], of a
@@ -149,7 +139,10 @@ class _Frame:
         x = self.state.curve.nodes
         dz = self.shifted(self.samples(x)) - as_complex(x)
         r2 = dz.real**2 + dz.imag**2
-        _floor_check(self.state, r2, self.alphas)
+        worst = min_chord_quotient(r2, self.alphas)
+        if worst < self.state.rho_floor:
+            raise SimulationAbort(self.state.t, f"arc-chord {worst:.3e} below "
+                                                f"floor {self.state.rho_floor:.3e}")
         return dz, r2, np.conj(dz) / dz
 
     @cached_property
@@ -201,7 +194,7 @@ def _position_velocity(frame: _Frame) -> np.ndarray:
     dz, r2, rot = frame.geometry
     x1f = as_complex(frame.x1_samples)
     mag = np.abs(x1f)
-    # every half-offset sample is gathered at each theta_j
+    # every half-offset sample is read at each theta_j
     if float(mag.min()) == 0.0:
         raise SimulationAbort(state.t, "tangent vector vanished")
     x1s = frame.shifted(x1f)

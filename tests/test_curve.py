@@ -11,7 +11,7 @@ from peskin_lab.curve import (
     fft_coeffs,
     grid_values,
     half_offset_samples,
-    half_offset_slots,
+    half_offset_window,
     read_curve,
     shift_many,
     spectral_derivative,
@@ -157,22 +157,40 @@ def test_half_offset_gather_matches_shift_many(ratio, rng):
     n = 32
     m = ratio * n
     alphas = -np.pi + (np.arange(m) + 0.5) * 2.0 * np.pi / m
-    slots = half_offset_slots(m, n)
     # a field carrying a non-zero Nyquist mode, and the 2n-padded pattern
     # whose even slots are the n-grid nodes
     f = rng.standard_normal((n, 2))
     f_2n = rng.standard_normal((2 * n, 2))
     assert np.max(np.abs(fft_coeffs(f)[n // 2])) > 1e-3
-    for got, ref in ((half_offset_samples(f, m)[slots], shift_many(f, alphas)),
-                     (half_offset_samples(f_2n, m)[slots],
+    for got, ref in ((half_offset_window(half_offset_samples(f, m), n),
+                      shift_many(f, alphas)),
+                     (half_offset_window(half_offset_samples(f_2n, m), n),
                       shift_many(f_2n, alphas)[:, ::2])):
+        assert got.shape == ref.shape
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(got - ref)) < 1e-13 * scale
 
 
-def test_half_offset_slots_rejects_non_multiple():
+def test_half_offset_window_rejects_non_multiple():
     with pytest.raises(ValueError):
-        half_offset_slots(48, 32)
+        half_offset_window(np.zeros(48, dtype=complex), 32)
+    with pytest.raises(ValueError):
+        half_offset_window(np.zeros(0, dtype=complex), 32)
+
+
+def test_half_offset_window_is_a_read_only_view(rng):
+    # the rows overlap in memory, so a write through the window would
+    # alias; and the frame must stay a window, not a gathered (m, n) copy
+    n, m = 64, 256
+    samples = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    frame = half_offset_window(samples, n)
+    slots = (np.arange(m)[:, None] - m // 2 + np.arange(n) * (m // n)) % m
+    assert np.array_equal(frame, samples[slots])
+    with pytest.raises(ValueError):
+        frame[0, 0] = 0.0
+    lo, hi = np.lib.array_utils.byte_bounds(frame)
+    assert hi - lo <= 3 * m * samples.itemsize
+    assert not frame.flags.owndata
 
 
 def brute_force_arc_chord(curve, m):

@@ -51,7 +51,7 @@ def test_kernel_apply_matches_matrix_kernels(rng):
 
 
 def test_frame_matches_matrix_kernel_sum(rng):
-    # whole frame: half-offset gather, tension jump and complex kernels
+    # whole frame: half-offset window, tension jump and complex kernels
     # against a direct sum of the matrix kernels over spectral shifts
     from peskin_lab.curve import shift_many
     from peskin_lab.kernels import kernel_A, kernel_K0
@@ -76,7 +76,7 @@ def test_frame_matches_matrix_kernel_sum(rng):
 
 
 def test_state_rejects_alpha_grid_not_multiple_of_n():
-    # fails at construction, before any right-hand side gathers a frame
+    # fails at construction, before any right-hand side builds a frame
     with pytest.raises(ValueError, match="multiple"):
         SimState.make(Curve.circle(64), hookean(1.0), m=96)
 
@@ -256,6 +256,21 @@ def test_abort_on_floor_breach():
     with pytest.raises(SimulationAbort) as err:
         rhs_position_reduced(st)
     assert err.value.t == 0.0
+
+
+def test_floor_check_agrees_with_arc_chord_level(rng):
+    # the frame's floor check and arc_chord share one quotient, so a floor
+    # one ulp either side of the arc-chord level decides the abort
+    from peskin_lab.curve import _arc_chord_level
+
+    n, m = 64, 256
+    c = random_bandlimited_curve(rng, n)
+    level = _arc_chord_level(c, m)
+    above = SimState.make(c, hookean(1.0), m=m, rho_floor=np.nextafter(level, np.inf))
+    with pytest.raises(SimulationAbort):
+        rhs_position_reduced(above)
+    below = SimState.make(c, hookean(1.0), m=m, rho_floor=np.nextafter(level, 0.0))
+    assert np.all(np.isfinite(rhs_position_reduced(below)))
 
 
 # --- simulate -----------------------------------------------------------------------
