@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .curve import fft_coeffs, shift_many, wavenumbers
+from .curve import power_spectrum, shift_many, wavenumbers
 from .operators import half_offset_grid, lp_block_norms, symbol
 
 __all__ = [
@@ -192,8 +192,9 @@ class BesovParams:
             raise ValueError("p and r must lie in [1, inf]")
 
 
-def _pointwise_mag(values: np.ndarray) -> np.ndarray:
-    if values.ndim == 1:
+def _pointwise_mag(values: np.ndarray, ndim: int) -> np.ndarray:
+    # |f| pointwise; ndim is the field's own: (n,) scalar or (n, c) vector
+    if ndim == 1:
         return np.abs(values)
     return np.sqrt(np.sum(values**2, axis=-1))
 
@@ -209,7 +210,9 @@ def besov_diff(values: np.ndarray, params: BesovParams,
                beta_points: int = DEFAULT_BETA_POINTS) -> float:
     """Difference-form seminorm on the half-offset beta grid.
 
-    Valid for s in (0, 1); use besov_lp for general s.  The quadrature
+    Valid for s in (0, 1); use besov_lp for general s.  At p = 2 the grid
+    norms ||delta_beta f||_2 come from Parseval (beta_gain times the power
+    spectrum); other p shift the field spectrally.  The quadrature
     resolves the |beta|^(-1-sr) weight at O((pi/M)^((1-s)r)) accuracy, so
     comparisons against closed forms should allow for that.
     """
@@ -217,9 +220,12 @@ def besov_diff(values: np.ndarray, params: BesovParams,
         raise ValueError("difference form needs s in (0, 1)")
     values = np.asarray(values, dtype=float)
     betas = half_offset_grid(beta_points)
-    shifted = shift_many(values, betas)
-    mags = _pointwise_mag(shifted - values[None])  # (beta_points, n)
-    norms = _lp_theta(mags, params.p)
+    if params.p == 2:
+        gain = beta_gain(betas, values.shape[0])
+        norms = np.sqrt(2.0 * np.pi * (gain @ power_spectrum(values)))
+    else:
+        diffs = shift_many(values, betas) - values[None]
+        norms = _lp_theta(_pointwise_mag(diffs, values.ndim), params.p)
     ab = np.abs(betas)
     weight = params.mu(1.0 / ab) if params.mu is not None else 1.0
     scaled = weight * norms / ab**params.s
@@ -240,13 +246,21 @@ def besov_lp(values: np.ndarray, params: BesovParams) -> float:
     return float(np.sum(terms**params.r) ** (1.0 / params.r))
 
 
-def beta_gain(betas: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Squared symbol |exp(i beta k) - 1|^2 = 2(1 - cos(beta k)) of delta_beta.
+def beta_gain(betas: np.ndarray, n: int) -> np.ndarray:
+    """Grid gain of delta_beta per wavenumber of an n-point grid.
 
-    Shape (len(betas), len(k)); gain @ power_spectrum is
-    ||delta_beta f||_2^2 / (2 pi) for every beta at once.
+    Shape (len(betas), n) in FFT order; gain @ power_spectrum(f) is the
+    squared grid norm ||delta_beta f||_2^2 / (2 pi) for every beta at once.
+    Each column is the squared symbol |exp(i beta k) - 1|^2 = 2(1 - cos(beta
+    k)), except the Nyquist column of an even grid: the grid keeps only the
+    real part c s_j cos(beta n/2) of a shifted Nyquist mode c s_j, so its
+    gain is (1 - cos(beta n/2))^2.  Odd grids have no Nyquist mode.
     """
-    return 2.0 * (1.0 - np.cos(np.multiply.outer(betas, k)))
+    k = wavenumbers(n).astype(float)
+    gain = 2.0 * (1.0 - np.cos(np.multiply.outer(betas, k)))
+    if n % 2 == 0:
+        gain[:, n // 2] = (1.0 - np.cos(betas * (n / 2))) ** 2
+    return gain
 
 
 def cl_norm(times: Sequence[float], snapshots: Sequence[np.ndarray],
@@ -264,16 +278,11 @@ def cl_norm(times: Sequence[float], snapshots: Sequence[np.ndarray],
         raise ValueError("empty trajectory")
     if len(times) != len(snapshots):
         raise ValueError("times and snapshots must align")
-    n = np.asarray(snapshots[0]).shape[0]
-    power = np.empty((len(snapshots), n))
-    for i, snap in enumerate(snapshots):
-        c = fft_coeffs(np.asarray(snap, dtype=float))
-        pw = np.abs(c) ** 2
-        power[i] = pw if pw.ndim == 1 else pw.sum(axis=tuple(range(1, pw.ndim)))
-    k = wavenumbers(n).astype(float)
+    power = np.stack([power_spectrum(snap) for snap in snapshots])
+    n = power.shape[1]
     betas = half_offset_grid(beta_points)
     ab = np.abs(betas)
-    gain = beta_gain(betas, k)
+    gain = beta_gain(betas, n)
     if kind == "D":
         lam = symbol(n, m if m is not None else 8 * n).lam_tilde
         gain = gain * lam[None]
@@ -338,7 +347,7 @@ def embedding_audit(fields: Sequence[np.ndarray],
     interp_cases = ((0.3, 0.25, 0.75, 2.0, 2.0), (0.5, 0.1, 0.9, 2.0, 1.0))
     for f in fields:
         f = np.asarray(f, dtype=float)
-        linf = float(np.max(_pointwise_mag(f)))
+        linf = float(np.max(_pointwise_mag(f, f.ndim)))
         b21 = besov_diff(f, BesovParams(0.5, 2, 1), beta_points=beta_points)
         if b21 > 0:
             r_linf = max(r_linf, linf / b21)
@@ -346,10 +355,7 @@ def embedding_audit(fields: Sequence[np.ndarray],
         rhs = besov_lp(f, BesovParams(0.5, 2, 2))
         if rhs > 0:
             r_block = max(r_block, lhs / rhs)
-        c = fft_coeffs(f)
-        pw = np.abs(c) ** 2
-        if pw.ndim > 1:
-            pw = pw.sum(axis=tuple(range(1, pw.ndim)))
+        pw = power_spectrum(f)
         k = np.abs(wavenumbers(f.shape[0])).astype(float)
         h_half2 = np.sum(k * pw)
         l2_h1 = np.sqrt(np.sum(pw)) * np.sqrt(np.sum(k**2 * pw))

@@ -7,7 +7,6 @@ configuration or input; 3 numerical abort (failing time printed).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -103,16 +102,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-@contextlib.contextmanager
-def _flipped_perp():
-    original = kernels.perp
-    kernels.perp = lambda z: -original(z)
-    try:
-        yield
-    finally:
-        kernels.perp = original
-
-
 def _verify_kernels(samples: int, seed: int):
     rng = np.random.default_rng(seed)
     checks = {}
@@ -133,10 +122,14 @@ def _verify_kernels(samples: int, seed: int):
     # symmetry and orientation independence measured relative to the
     # kernel magnitude (entries grow like 1/|d|^2)
     checks["K_symmetry"] = (float(np.max(np.abs(direct - swapped))) / scale, 1e-14)
-    with _flipped_perp():
-        flipped = kernels.kernel_K(a, b, d, form="direct")
-    checks["K_orientation"] = (float(np.max(np.abs(direct - flipped))) / scale,
-                               1e-14)
+    # orientation independence: the mirror M = diag(1, -1) reverses the
+    # orientation of perp and so negates R(d); K, quadratic in R, must obey
+    # K(Ma, Mb, Md) = M K(a, b, d) M
+    mirror = np.array([1.0, -1.0])
+    mirrored = kernels.kernel_K(a * mirror, b * mirror, d * mirror, form="direct")
+    checks["K_orientation"] = (
+        float(np.max(np.abs(direct - mirrored * np.outer(mirror, mirror)))) / scale,
+        1e-14)
     return checks
 
 

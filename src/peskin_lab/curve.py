@@ -21,6 +21,7 @@ __all__ = [
     "wavenumbers",
     "fft_coeffs",
     "grid_values",
+    "power_spectrum",
     "spectral_shift",
     "shift_many",
     "half_offset_samples",
@@ -73,6 +74,14 @@ def grid_values(coeffs: np.ndarray) -> np.ndarray:
     n = coeffs.shape[0]
     ph = _phase(n).reshape((n,) + (1,) * (coeffs.ndim - 1))
     return np.fft.ifft(coeffs * ph, axis=0).real * n
+
+
+def power_spectrum(values: np.ndarray) -> np.ndarray:
+    """Power |c_k|^2 of grid samples summed over components, shape (n,); by
+    Parseval, 2 pi sum_k w_k power_k is the squared L2 norm of the field
+    under the Fourier multiplier sqrt(w_k)."""
+    power = np.abs(fft_coeffs(values)) ** 2
+    return power.reshape(len(power), -1).sum(axis=1)
 
 
 def spectral_shift(values: np.ndarray, alpha: float) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .besov import BesovParams, MuWeight, besov_diff, beta_gain, cl_norm
-from .curve import Curve, arc_chord, wavenumbers
+from .curve import Curve, arc_chord, power_spectrum, wavenumbers
 from .evolution import SimConfig, Trajectory, simulate
 from .operators import half_offset_grid
 from .tension import TensionLaw
@@ -62,13 +62,6 @@ def _digest(traj: Trajectory) -> str:
     return h.hexdigest()[:16]
 
 
-def _coeff_powers(derivs: Sequence[Curve]) -> np.ndarray:
-    out = np.empty((len(derivs), derivs[0].n))
-    for i, d in enumerate(derivs):
-        out[i] = np.sum(np.abs(d.coeffs) ** 2, axis=-1)
-    return out
-
-
 def apriori_audit(traj: Trajectory, mu: MuWeight, lam: float,
                   c_const: float = APRIORI_C,
                   beta_points: int = 2048) -> AuditReport:
@@ -79,12 +72,12 @@ def apriori_audit(traj: Trajectory, mu: MuWeight, lam: float,
     inside the beta integral; the time integral is trapezoidal.
     """
     derivs = traj.derivs
-    powers = _coeff_powers(derivs)  # (t, k)
+    powers = np.stack([power_spectrum(d.nodes) for d in derivs])  # (t, k)
     n = derivs[0].n
     k = np.abs(wavenumbers(n)).astype(float)
     betas = half_offset_grid(beta_points)
     ab = np.abs(betas)
-    gain = beta_gain(betas, k)  # (mb, k)
+    gain = beta_gain(betas, n)  # (mb, k)
     sup_part = np.sqrt(2.0 * np.pi * (gain @ powers.T).max(axis=1))
     diss_gain = gain * k[None]
     diss_sq = 2.0 * np.pi * np.trapezoid(diss_gain @ powers.T,
@@ -94,8 +87,8 @@ def apriori_audit(traj: Trajectory, mu: MuWeight, lam: float,
     h = 2.0 * np.pi / beta_points
     lhs = float(h * np.sum(weight * (sup_part + c_const * np.sqrt(lam)
                                      * diss_part)))
-    rhs_base = np.sqrt(2.0 * np.pi * (gain @ powers[0]))
-    rhs = float(4.0 * h * np.sum(weight * rhs_base))
+    rhs = 4.0 * besov_diff(derivs[0].nodes, BesovParams(0.5, 2, 1, mu),
+                           beta_points=beta_points)
     return AuditReport(
         name="apriori",
         inputs_digest=_digest(traj),
@@ -108,9 +101,8 @@ def apriori_audit(traj: Trajectory, mu: MuWeight, lam: float,
 def _h1_series(traj: Trajectory) -> np.ndarray:
     out = np.empty(len(traj.times))
     for i, d in enumerate(traj.derivs):
-        power = np.sum(np.abs(d.coeffs) ** 2, axis=-1)
         k = np.abs(wavenumbers(d.n)).astype(float)
-        out[i] = np.sqrt(2.0 * np.pi * np.sum(k**2 * power))
+        out[i] = np.sqrt(2.0 * np.pi * np.sum(k**2 * power_spectrum(d.nodes)))
     return out
 
 
@@ -258,7 +250,7 @@ def circle_distance(deriv: Curve) -> float:
     # except the +-1 pair
     mask = np.ones(deriv.n, dtype=bool)
     mask[1] = mask[deriv.n - 1] = False
-    off = float(np.sum(np.abs(c[mask]) ** 2))
+    off = float(np.sum(power_spectrum(deriv.nodes)[mask]))
     best = np.inf
     for v in (np.array([0.5j, 0.5]), np.array([0.5j, -0.5])):
         z = np.vdot(v, c1) / np.vdot(v, v)

@@ -37,6 +37,7 @@ from .curve import (
     half_offset_samples,
     half_offset_window,
     min_chord_quotient,
+    power_spectrum,
     spectral_antiderivative,
     wavenumbers,
 )
@@ -339,7 +340,7 @@ def _step_imex(state: SimState, dt: float) -> SimState:
     cbar = _cbar(state)
     lam = symbol(state.curve.n, state.m).lam_tilde
     explicit, mean_velocity = _imex_increments(state)
-    c1 = fft_coeffs(state.deriv.nodes)
+    c1 = state.deriv.coeffs
     numer = c1 * (1.0 + dt * cbar * lam)[:, None] + dt * fft_coeffs(explicit)
     c1_new = numer / (1.0 + dt * cbar * lam)[:, None]
     c1_new[0] = 0.0
@@ -494,8 +495,7 @@ def _mu_for_diag(cfg: SimConfig, deriv_nodes: np.ndarray) -> MuWeight:
 def _diag_record(state: SimState, arc: float, mu: MuWeight, scheme: str,
                  beta_points: int) -> dict:
     x1 = state.deriv.nodes
-    c = fft_coeffs(x1)
-    power = np.sum(np.abs(c) ** 2, axis=-1)
+    power = power_spectrum(x1)
     k = np.abs(wavenumbers(state.curve.n)).astype(float)
     l2 = float(np.sqrt(2.0 * np.pi * power.sum()))
     h_half = float(np.sqrt(2.0 * np.pi * np.sum(k * power)))

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curve import fft_coeffs, grid_values, wavenumbers
+from .curve import fft_coeffs, grid_values, power_spectrum, wavenumbers
 
 __all__ = [
     "OperatorSymbol",
@@ -110,12 +110,8 @@ def half_lambda_norm(values: np.ndarray, m: int | None = None) -> float:
     n = values.shape[0]
     if m is None:
         m = 8 * n
-    c = fft_coeffs(values)
     weights = symbol(n, m).lam_tilde
-    power = np.abs(c) ** 2
-    if power.ndim > 1:
-        power = power.sum(axis=tuple(range(1, power.ndim)))
-    return float(np.sqrt(2.0 * np.pi * np.sum(weights * power)))
+    return float(np.sqrt(2.0 * np.pi * np.sum(weights * power_spectrum(values))))
 
 
 def lambda_tilde_eigenvalue_exact(k: int) -> float:

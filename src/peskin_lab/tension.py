@@ -12,6 +12,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from .kernels import perp
+
 __all__ = [
     "TensionLaw",
     "hookean",
@@ -171,7 +173,7 @@ def tension_jacobian(law: TensionLaw, z: np.ndarray) -> np.ndarray:
     if np.any(r == 0.0):
         raise ValueError("tension Jacobian undefined at z = 0")
     zh = z / r[..., None]
-    zp = np.stack([-zh[..., 1], zh[..., 0]], axis=-1)
+    zp = perp(zh)
     tang = np.einsum("...i,...j->...ij", zh, zh)
     norm = np.einsum("...i,...j->...ij", zp, zp)
     return law.d1(r)[..., None, None] * tang + (law.eval(r) / r)[..., None, None] * norm

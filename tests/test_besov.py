@@ -13,8 +13,9 @@ from peskin_lab.besov import (
     embedding_audit,
     nu_from_mu,
 )
-from peskin_lab.curve import fft_coeffs, grid_values, spectral_shift, theta_grid, wavenumbers
-from peskin_lab.operators import symbol
+from peskin_lab.curve import (fft_coeffs, grid_values, shift_many, spectral_shift,
+                              theta_grid, wavenumbers)
+from peskin_lab.operators import half_offset_grid, symbol
 from conftest import grid_lp, random_trig_field
 
 
@@ -79,6 +80,31 @@ def test_besov_diff_mu_one_is_unweighted(rng):
     assert a == b
 
 
+@pytest.mark.parametrize("n", [33, 34, 64, 512])
+def test_besov_diff_p2_matches_shift_oracle(n, rng):
+    # white noise: on even grids the Nyquist mode is non-zero
+    beta_points = 512
+    betas = half_offset_grid(beta_points)
+    ab = np.abs(betas)
+    mu = MuWeight.log4()
+    for f in (rng.standard_normal(n), rng.standard_normal((n, 2))):
+        shifted = shift_many(f, betas)
+        norms = np.array([grid_lp(g - f, 2.0) for g in shifted])
+        oracle = 2.0 * np.pi / beta_points * np.sum(mu(1.0 / ab) * norms / ab**1.5)
+        got = besov_diff(f, BesovParams(0.5, 2, 1, mu), beta_points=beta_points)
+        assert abs(got - oracle) <= 1e-12 * oracle
+
+
+@pytest.mark.parametrize("p", [2.0, np.inf])
+@pytest.mark.parametrize("r", [1.0, np.inf])
+def test_besov_diff_scalar_field_matches_zero_padded_vector(p, r):
+    f = np.cos(3.0 * theta_grid(64))
+    padded = np.stack([f, np.zeros_like(f)], axis=1)
+    params = BesovParams(0.5, p, r)
+    scalar, vector = besov_diff(f, params), besov_diff(padded, params)
+    assert abs(scalar - vector) <= 1e-13 * vector
+
+
 def test_besov_diff_rejects_bad_s():
     with pytest.raises(ValueError):
         besov_diff(np.zeros((32, 2)), BesovParams(1.5, 2, 1))
@@ -131,14 +157,15 @@ def test_diff_lp_equivalence_bracket(rng):
 # --- time norms -----------------------------------------------------------------
 
 def test_cl_norm_constant_trajectory(rng):
-    f = random_trig_field(rng, 64, 10)
     mu = MuWeight.log4()
     times = np.linspace(0, 1, 5)
-    snaps = [f] * 5
-    b = cl_norm(times, snaps, BesovParams(0.5, 2, 1, mu), kind="B",
-                beta_points=1024)
-    single = besov_diff(f, BesovParams(0.5, 2, 1, mu), beta_points=1024)
-    assert abs(b - single) < 1e-12 * max(1.0, single)
+    # white noise carries a non-zero Nyquist mode
+    for f in (random_trig_field(rng, 64, 10), rng.standard_normal((64, 2))):
+        snaps = [f] * 5
+        b = cl_norm(times, snaps, BesovParams(0.5, 2, 1, mu), kind="B",
+                    beta_points=1024)
+        single = besov_diff(f, BesovParams(0.5, 2, 1, mu), beta_points=1024)
+        assert abs(b - single) < 1e-12 * max(1.0, single)
 
 
 def test_cl_norm_zero_trajectory():
@@ -160,7 +187,6 @@ def test_cl_norm_decaying_mode_oracle():
     lam1 = symbol(n, m).lam_tilde[1]
     time_factor = np.sqrt(np.trapezoid(np.exp(-2.0 * times), times))
     # matched discrete beta-sum closed form: validates the wiring exactly
-    from peskin_lab.operators import half_offset_grid
 
     betas = half_offset_grid(4096)
     ab = np.abs(betas)
