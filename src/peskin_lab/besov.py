@@ -251,15 +251,16 @@ def beta_gain(betas: np.ndarray, n: int) -> np.ndarray:
 
     Shape (len(betas), n) in FFT order; gain @ power_spectrum(f) is the
     squared grid norm ||delta_beta f||_2^2 / (2 pi) for every beta at once.
-    Each column is the squared symbol |exp(i beta k) - 1|^2 = 2(1 - cos(beta
-    k)), except the Nyquist column of an even grid: the grid keeps only the
+    Each column is the squared symbol |exp(i beta k) - 1|^2 = 4 sin^2(beta
+    k/2), except the Nyquist column of an even grid: the grid keeps only the
     real part c s_j cos(beta n/2) of a shifted Nyquist mode c s_j, so its
-    gain is (1 - cos(beta n/2))^2.  Odd grids have no Nyquist mode.
+    gain is (1 - cos(beta n/2))^2 = 4 sin^4(beta n/4).  Odd grids have no
+    Nyquist mode.  Sines, unlike 1 - cos, do not cancel at small beta k.
     """
     k = wavenumbers(n).astype(float)
-    gain = 2.0 * (1.0 - np.cos(np.multiply.outer(betas, k)))
+    gain = 4.0 * np.sin(np.multiply.outer(betas, k / 2.0)) ** 2
     if n % 2 == 0:
-        gain[:, n // 2] = (1.0 - np.cos(betas * (n / 2))) ** 2
+        gain[:, n // 2] = 4.0 * np.sin(betas * (n / 4)) ** 4
     return gain
 
 

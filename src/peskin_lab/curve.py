@@ -257,9 +257,6 @@ class Curve:
         """X' (or higher) via the ik multiplier; mean of X' is zero."""
         return Curve.from_nodes(spectral_derivative(self.nodes, order))
 
-    def shifted(self, alpha: float) -> np.ndarray:
-        return spectral_shift(self.nodes, alpha)
-
     def resampled(self, n_new: int) -> "Curve":
         """Same trigonometric polynomial sampled on an n_new grid."""
         if n_new < self.n:
@@ -333,13 +330,41 @@ class ArcChord(NamedTuple):
     estimate: float
 
 
+_STRIDE, _BLOCK, _SLACK = 8, 64, 1e-9  # coarse row stride, rows per block, slack
+
+
 def _arc_chord_level(curve: Curve, m: int) -> float:
     """Min over grid theta and half-offset alpha (m of them, a multiple of
-    the curve grid size) of |delta_alpha X| / |alpha|."""
-    dz = half_offset_window(as_complex(half_offset_samples(curve.nodes, m)),
-                            curve.n) - as_complex(curve.nodes)
-    alphas = -np.pi + (np.arange(m) + 0.5) * 2.0 * np.pi / m
-    return min_chord_quotient(dz.real**2 + dz.imag**2, alphas)
+    the curve grid size) of |delta_alpha X| / |alpha|, bitwise the dense
+    frame's min: row i is skipped only if min_j |delta X(theta_j, alpha_c)|
+    - |alpha_i - alpha_c| L (c a coarse row next to i, L = sum_k |k| |c_k|
+    >= max |X'|) exceeds |alpha_i| times this level's best so far plus a
+    slack, relative to sum_k |c_k|, that absorbs rounding."""
+    z = as_complex(curve.nodes)
+    window = half_offset_window(as_complex(half_offset_samples(curve.nodes, m)), curve.n)
+    alphas = np.abs(-np.pi + (np.arange(m) + 0.5) * 2.0 * np.pi / m)
+
+    def chords(rows):  # min_j |delta X(theta_j, alpha_i)| per row i, in blocks
+        out = np.empty(len(rows))
+        for b in range(0, len(rows), _BLOCK):
+            dz = window[rows[b:b + _BLOCK]] - z
+            out[b:b + _BLOCK] = np.sqrt((dz.real**2 + dz.imag**2).min(axis=1))
+        return out
+
+    size = np.linalg.norm(curve.coeffs, axis=1)
+    lip = np.abs(wavenumbers(curve.n)) @ size * (2.0 * np.pi / m)  # L per row
+    dc = chords(np.arange(0, m, _STRIDE))
+    best = float(np.min(dc / alphas[::_STRIDE]))
+    rows = np.arange(m)  # row m is row 0 shifted by 2 pi: the last gap wraps
+    c, off = np.divmod(rows, _STRIDE)
+    dc = np.append(dc, dc[0])
+    bound = np.maximum(dc[c] - off * lip,
+                       dc[c + 1] - np.minimum(_STRIDE - off, m - rows) * lip)
+    rest, tol = rows[off != 0], _SLACK * size.sum()
+    while (rest := rest[bound[rest] <= best * alphas[rest] + tol]).size:
+        block, rest = rest[:_BLOCK], rest[_BLOCK:]
+        best = min(best, float(np.min(chords(block) / alphas[block])))
+    return best
 
 
 def arc_chord(curve: Curve, m: int | None = None) -> ArcChord:
@@ -347,7 +372,8 @@ def arc_chord(curve: Curve, m: int | None = None) -> ArcChord:
 
     Sampled over theta on the N-grid and alpha on a half-offset grid of
     size m >= 4N, with one refinement level (2m); estimate reports the
-    level difference.  Returns 0 exactly for degenerate curves.
+    level difference.  Each level is the dense grid infimum to the bit, from
+    a Wiener-bound pruned row search.  Returns 0 exactly for degenerate curves.
     """
     n = curve.n
     if m is None:

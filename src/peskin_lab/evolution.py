@@ -137,6 +137,8 @@ class _Frame:
 
     @cached_property
     def geometry(self):
+        """delta X, |delta X|^2, rotor; the floor check is a coarse guard on the
+        step's m alpha rows, the per-record arc_chord (4n, 8n) the margin."""
         x = self.state.curve.nodes
         dz = self.shifted(self.samples(x)) - as_complex(x)
         r2 = dz.real**2 + dz.imag**2
@@ -409,8 +411,9 @@ class Trajectory:
         t.flags.writeable = False
         object.__setattr__(self, "times", t)
 
-    @property
+    @cached_property
     def derivs(self):
+        """X' of every snapshot, computed on first access."""
         return tuple(c.derivative() for c in self.curves)
 
 

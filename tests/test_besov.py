@@ -7,14 +7,15 @@ from peskin_lab.besov import (
     MuWeight,
     besov_diff,
     besov_lp,
+    beta_gain,
     check_mu_admissible,
     cl_norm,
     construct_mu,
     embedding_audit,
     nu_from_mu,
 )
-from peskin_lab.curve import (fft_coeffs, grid_values, shift_many, spectral_shift,
-                              theta_grid, wavenumbers)
+from peskin_lab.curve import (fft_coeffs, grid_values, power_spectrum, shift_many,
+                              spectral_shift, theta_grid, wavenumbers)
 from peskin_lab.operators import half_offset_grid, symbol
 from conftest import grid_lp, random_trig_field
 
@@ -93,6 +94,16 @@ def test_besov_diff_p2_matches_shift_oracle(n, rng):
         oracle = 2.0 * np.pi / beta_points * np.sum(mu(1.0 / ab) * norms / ab**1.5)
         got = besov_diff(f, BesovParams(0.5, 2, 1, mu), beta_points=beta_points)
         assert abs(got - oracle) <= 1e-12 * oracle
+
+
+def test_beta_gain_has_no_cancellation_at_small_beta():
+    # 2(1 - cos(beta k)) is ~3e-10 relative off at the smallest of 8192 betas
+    n = 64
+    betas = half_offset_grid(8192)
+    f = np.cos(theta_grid(n))
+    got = np.sqrt(beta_gain(betas, n) @ power_spectrum(f))
+    exact = np.abs(2.0 * np.sin(betas / 2.0)) * np.sqrt(np.mean(f**2))
+    assert np.max(np.abs(got - exact) / exact) < 1e-14
 
 
 @pytest.mark.parametrize("p", [2.0, np.inf])

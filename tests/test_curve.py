@@ -1,17 +1,24 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peskin_lab.config import config_from_file
 from peskin_lab.curve import (
     ArcChord,
     Curve,
+    _arc_chord_level,
     arc_chord,
+    as_complex,
     difference,
     fft_coeffs,
     grid_values,
     half_offset_samples,
     half_offset_window,
+    min_chord_quotient,
     read_curve,
     shift_many,
     spectral_derivative,
@@ -20,7 +27,10 @@ from peskin_lab.curve import (
     wavenumbers,
     write_curve,
 )
+from peskin_lab.evolution import make_initial_curve
 from conftest import grid_lp, random_bandlimited_curve, random_trig_field
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.mark.parametrize("n", [16, 64, 256, 1024])
@@ -262,6 +272,76 @@ def test_arc_chord_refinement_estimate(rng):
 def test_arc_chord_degenerate_point():
     c = Curve.from_nodes(np.tile([0.3, 0.4], (32, 1)))
     assert arc_chord(c).value == 0.0
+
+
+def dense_arc_chord_level(curve, m):
+    """The whole (m, n) frame at once: the arithmetic the pruned search keeps."""
+    dz = half_offset_window(as_complex(half_offset_samples(curve.nodes, m)),
+                            curve.n) - as_complex(curve.nodes)
+    alphas = -np.pi + (np.arange(m) + 0.5) * 2.0 * np.pi / m
+    return min_chord_quotient(dz.real**2 + dz.imag**2, alphas)
+
+
+def config_curve(name):
+    return make_initial_curve(config_from_file(CONFIGS / name))
+
+
+def near_touching_curve(n=128, b=0.19):
+    """Peanut whose waist is 0.1 wide, on a warped parameter theta + b sin theta;
+    at b = 0.19 its 4n grid infimum lies below the 8n one."""
+    th = theta_grid(n)
+    psi = th + b * np.sin(th)
+    r = 1.0 + 0.95 * np.cos(2.0 * psi)
+    return Curve.from_nodes(np.stack([r * np.cos(psi), r * np.sin(psi)], axis=1))
+
+
+ARC_CHORD_CURVES = {
+    "circle": lambda: Curve.circle(64),
+    "thin-ellipse": lambda: Curve.ellipse(128, 5.0, 0.2),
+    "perturbed": lambda: config_curve("perturbed.cfg"),
+    "rough": lambda: config_curve("rough.cfg"),
+    "near-touching": near_touching_curve,
+    "point": lambda: Curve.from_nodes(np.tile([0.3, 0.4], (32, 1))),
+    # unit-amplitude random perturbations, arc-chord 2e-3 and 4e-3: a bound
+    # that halves L, misses the wrap to row 0 or is one row short fails here
+    "crossing-5": lambda: random_bandlimited_curve(np.random.default_rng(5), 64, 12, 1.0),
+    "crossing-16": lambda: random_bandlimited_curve(np.random.default_rng(16), 64, 12, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARC_CHORD_CURVES))
+def test_arc_chord_levels_equal_dense_frame(name):
+    c = ARC_CHORD_CURVES[name]()
+    v1 = dense_arc_chord_level(c, 4 * c.n)
+    v2 = dense_arc_chord_level(c, 8 * c.n)
+    assert _arc_chord_level(c, 4 * c.n) == v1
+    assert _arc_chord_level(c, 8 * c.n) == v2
+    assert arc_chord(c) == (v2, 2.0 * abs(v2 - v1))
+    if name == "near-touching":
+        # the coarser level's value is no valid threshold for the finer one
+        assert v1 < v2
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([16, 34, 64]),
+       st.integers(1, 12), st.floats(0.0, 1.5))
+def test_arc_chord_level_equals_dense_frame_property(seed, n, modes, amp):
+    c = random_bandlimited_curve(np.random.default_rng(seed), n, modes, amp)
+    # 5n is not a multiple of the coarse stride at n = 34: a partial last gap
+    for m in (4 * n, 5 * n, 8 * n):
+        assert _arc_chord_level(c, m) == dense_arc_chord_level(c, m)
+
+
+def test_arc_chord_memory_is_bounded():
+    # the dense (8n, n) frame of this n = 512 curve peaks near 67 MB
+    c = config_curve("rough.cfg")
+    tracemalloc.start()
+    try:
+        arc_chord(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 @settings(max_examples=20, deadline=None)

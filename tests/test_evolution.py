@@ -340,6 +340,17 @@ def test_trajectory_validation():
                    records=({}, {}), scheme="imex")
 
 
+def test_trajectory_derivs_computed_once(rng):
+    curves = (Curve.circle(32), random_bandlimited_curve(rng, 32))
+    traj = Trajectory(times=np.array([0.0, 0.1]), curves=curves,
+                      records=({}, {}), scheme="imex")
+    assert traj.derivs is traj.derivs
+    for d, c in zip(traj.derivs, curves):
+        ref = c.derivative()
+        assert np.array_equal(d.nodes, ref.nodes)
+        assert np.array_equal(d.coeffs, ref.coeffs)
+
+
 def test_diag_record_fields():
     cfg = SimConfig(n=64, m=256, dt=1e-2, horizon=0.02, output_stride=2)
     traj = simulate(cfg)
