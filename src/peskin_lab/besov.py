@@ -226,12 +226,19 @@ def besov_diff(values: np.ndarray, params: BesovParams,
     else:
         diffs = shift_many(values, betas) - values[None]
         norms = _lp_theta(_pointwise_mag(diffs, values.ndim), params.p)
+    return _diff_quadrature(norms, betas, params)
+
+
+def _diff_quadrature(norms: np.ndarray, betas: np.ndarray,
+                     params: BesovParams) -> float:
+    """The beta integral of besov_diff from the grid norms ||delta_beta f||_p
+    on the half-offset beta grid."""
     ab = np.abs(betas)
     weight = params.mu(1.0 / ab) if params.mu is not None else 1.0
     scaled = weight * norms / ab**params.s
     if np.isinf(params.r):
         return float(np.max(scaled))
-    h = 2.0 * np.pi / beta_points
+    h = 2.0 * np.pi / len(betas)
     return float((h * np.sum(scaled**params.r / ab)) ** (1.0 / params.r))
 
 
@@ -256,9 +263,13 @@ def beta_gain(betas: np.ndarray, n: int) -> np.ndarray:
     real part c s_j cos(beta n/2) of a shifted Nyquist mode c s_j, so its
     gain is (1 - cos(beta n/2))^2 = 4 sin^4(beta n/4).  Odd grids have no
     Nyquist mode.  Sines, unlike 1 - cos, do not cancel at small beta k.
+    The sines are evaluated for k >= 0 only: the column of -k is that of k
+    bit for bit, because sin is odd.
     """
-    k = wavenumbers(n).astype(float)
-    gain = 4.0 * np.sin(np.multiply.outer(betas, k / 2.0)) ** 2
+    half = (n + 1) // 2  # columns 0 .. half - 1 hold k = 0 .. half - 1
+    gain = np.empty((len(betas), n))
+    gain[:, :half] = 4.0 * np.sin(np.multiply.outer(betas, np.arange(half) / 2.0)) ** 2
+    gain[:, n - half + 1:] = gain[:, half - 1:0:-1]
     if n % 2 == 0:
         gain[:, n // 2] = 4.0 * np.sin(betas * (n / 4)) ** 4
     return gain

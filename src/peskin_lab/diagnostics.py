@@ -15,7 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .besov import BesovParams, MuWeight, besov_diff, beta_gain, cl_norm
+from .besov import (BesovParams, MuWeight, _diff_quadrature, besov_diff,
+                    beta_gain, cl_norm)
 from .curve import Curve, arc_chord, power_spectrum, wavenumbers
 from .evolution import SimConfig, Trajectory, simulate
 from .operators import half_offset_grid
@@ -78,7 +79,8 @@ def apriori_audit(traj: Trajectory, mu: MuWeight, lam: float,
     betas = half_offset_grid(beta_points)
     ab = np.abs(betas)
     gain = beta_gain(betas, n)  # (mb, k)
-    sup_part = np.sqrt(2.0 * np.pi * (gain @ powers.T).max(axis=1))
+    sq_norms = gain @ powers.T  # ||delta_beta X'(t)||^2 / (2 pi), (mb, t)
+    sup_part = np.sqrt(2.0 * np.pi * sq_norms.max(axis=1))
     diss_gain = gain * k[None]
     diss_sq = 2.0 * np.pi * np.trapezoid(diss_gain @ powers.T,
                                          np.asarray(traj.times), axis=1)
@@ -87,8 +89,9 @@ def apriori_audit(traj: Trajectory, mu: MuWeight, lam: float,
     h = 2.0 * np.pi / beta_points
     lhs = float(h * np.sum(weight * (sup_part + c_const * np.sqrt(lam)
                                      * diss_part)))
-    rhs = 4.0 * besov_diff(derivs[0].nodes, BesovParams(0.5, 2, 1, mu),
-                           beta_points=beta_points)
+    # besov_diff(derivs[0].nodes, BesovParams(0.5, 2, 1, mu)) from the same gain
+    rhs = 4.0 * _diff_quadrature(np.sqrt(2.0 * np.pi * sq_norms[:, 0]), betas,
+                                 BesovParams(0.5, 2, 1, mu))
     return AuditReport(
         name="apriori",
         inputs_digest=_digest(traj),

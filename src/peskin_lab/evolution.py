@@ -9,11 +9,22 @@ padded force) is sampled exactly once on the half-offset m-grid, every
 shifted value f(theta_j + alpha_i) is read from a strided window over those
 samples (no copy), and nonlinear functions are evaluated on the samples.
 
+The (m, n) frame is never formed.  Every right-hand side is one pass over
+blocks of alpha rows, each about _BLOCK elements so that its temporaries
+stay in cache: a block builds its own delta X, |delta X|^2 and rotor,
+checks the arc-chord floor on its rows, evaluates every integrand the
+caller asked for and adds its alpha sum into (n,) accumulators.  An IMEX
+step gets the K integral and the position velocity from one such pass.
+K has degree -2 in its chord argument, so K(a, b, delta X/alpha)/alpha^2 =
+K(a, b, delta X) and its integrand reads delta X as it is; A is not
+homogeneous and keeps the divided difference.
+
 Inside the frame every 2-vector is one complex number z = x + iy: real
 (n, 2) fields are sampled first (so the Nyquist convention is that of
 curve.half_offset_samples) and converted with curve.as_complex, and the
 alpha integral is converted back to a real (n, 2) field.  For a chord d
-the unit rotor rot = conj(d)/d carries the whole matrix basis:
+the unit rotor rot = conj(d)/d = conj(d)^2/|d|^2 carries the whole matrix
+basis:
 
     P(d) v = conj(rot v),   R(d) v = i conj(rot v),
     u.P(d)w + i u.R(d)w = rot u w,
@@ -24,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -65,6 +76,7 @@ __all__ = [
 
 CFL_CONSTANT = 2.5  # classical four-stage explicit stability with margin
 _FLOOR_FRACTION = 0.5  # default rho_floor relative to the initial arc-chord
+_BLOCK = 16384  # frame elements per row block: a complex temporary is 256 KB
 
 
 class SimulationAbort(RuntimeError):
@@ -106,15 +118,30 @@ class SimState:
         return replace(self, t=t, curve=curve, deriv=curve.derivative())
 
 
+class _Rows(NamedTuple):
+    """One block of alpha rows of the frame: the row slice, its alphas as a
+    column, delta X, |delta X|^2, its reciprocal and the rotor
+    conj(dz)/dz = conj(dz)^2/|dz|^2."""
+
+    index: slice
+    alphas: np.ndarray
+    dz: np.ndarray
+    r2: np.ndarray
+    inv_r2: np.ndarray
+    rot: np.ndarray
+
+
 class _Frame:
     """The (alpha, theta) quadrature frame of one state.
 
     A band-limited field is sampled once on the half-offset m-grid, and
     every shifted value f(theta_j + alpha_i) is read from a read-only
     strided window over those m samples; pointwise nonlinearities are
-    evaluated on the samples first.  The geometry (delta X, its squared
-    length and rotor, with the arc-chord floor check) and the X' samples
-    are built on first use and shared by every integrand of the frame.
+    evaluated on the samples first.  No (m, n) array is ever formed:
+    integrate walks the alpha rows in blocks of max(1, _BLOCK // n) rows,
+    builds the geometry of each block (delta X, its squared length, their
+    reciprocal and the rotor), checks the arc-chord floor on the block's
+    rows and adds every integrand's block sum into (n,) accumulators.
     Vectors are complex from sampling to integration.
     """
 
@@ -129,35 +156,50 @@ class _Frame:
     def shifted(self, samples: np.ndarray) -> np.ndarray:
         return half_offset_window(samples, self.state.curve.n)
 
-    def integrate(self, integrand: np.ndarray) -> np.ndarray:
-        """Half-offset rule over alpha, (2 pi / m) sum_i integrand[i], of a
-        complex (m, n) integrand, returned as a real (n, 2) field."""
-        z = integrand.sum(axis=0) * (2.0 * np.pi / self.state.m)
-        return np.stack([z.real, z.imag], axis=-1)
+    def integrate(self, *integrands) -> list:
+        """Half-offset rule over alpha, (2 pi / m) sum_i integrand[i], of each
+        integrand, a function of one _Rows block returning its complex
+        (rows, n) values; one real (n, 2) field per integrand.
 
-    @cached_property
-    def geometry(self):
-        """delta X, |delta X|^2, rotor; the floor check is a coarse guard on the
-        step's m alpha rows, the per-record arc_chord (4n, 8n) the margin."""
-        x = self.state.curve.nodes
-        dz = self.shifted(self.samples(x)) - as_complex(x)
-        r2 = dz.real**2 + dz.imag**2
-        worst = min_chord_quotient(r2, self.alphas)
-        if worst < self.state.rho_floor:
-            raise SimulationAbort(self.state.t, f"arc-chord {worst:.3e} below "
-                                                f"floor {self.state.rho_floor:.3e}")
-        return dz, r2, np.conj(dz) / dz
+        The floor check is a coarse guard on the step's m alpha rows, the
+        per-record arc_chord (4n, 8n) the margin."""
+        st = self.state
+        n, m = st.curve.n, st.m
+        x = as_complex(st.curve.nodes)
+        xs = self.shifted(self.samples(st.curve.nodes))
+        size = max(1, _BLOCK // n)
+        sums = np.zeros((len(integrands), n), dtype=complex)
+        for start in range(0, m, size):
+            index = slice(start, start + size)
+            dz = xs[index] - x
+            r2 = dz.real**2 + dz.imag**2
+            worst = min_chord_quotient(r2, self.alphas[index])
+            if worst < st.rho_floor:
+                raise SimulationAbort(st.t, f"arc-chord {worst:.3e} below "
+                                            f"floor {st.rho_floor:.3e}")
+            inv_r2 = 1.0 / r2
+            rows = _Rows(index, self.alphas[index, None], dz, r2, inv_r2,
+                         np.square(np.conj(dz)) * inv_r2)
+            for acc, integrand in zip(sums, integrands):
+                acc += integrand(rows).sum(axis=0)
+        sums *= 2.0 * np.pi / m
+        return [np.stack([z.real, z.imag], axis=-1) for z in sums]
 
     @cached_property
     def x1_samples(self) -> np.ndarray:
         """X' on the half-offset m-grid as real (m, 2) samples."""
         return half_offset_samples(self.state.deriv.nodes, self.state.m)
 
-    def tension_jump(self) -> np.ndarray:
-        """T(X'(theta + alpha)) - T(X'(theta)) for the vector tension map."""
+    @cached_property
+    def _tension(self):
         law = self.state.law
-        return (self.shifted(as_complex(tension_map(law, self.x1_samples)))
-                - as_complex(tension_map(law, self.state.deriv.nodes)))
+        return (self.shifted(as_complex(tension_map(law, self.x1_samples))),
+                as_complex(tension_map(law, self.state.deriv.nodes)))
+
+    def tension_jump(self, rows: _Rows) -> np.ndarray:
+        """T(X'(theta + alpha)) - T(X'(theta)) for the vector tension map."""
+        shifted, base = self._tension
+        return shifted[rows.index] - base
 
 
 def rhs_position_bi(state: SimState) -> np.ndarray:
@@ -168,23 +210,30 @@ def rhs_position_bi(state: SimState) -> np.ndarray:
     Fourier weights -pi/|k| acting on the force samples.  The force
     D T(X') X'' is rational in X', so it is sampled on a doubled grid
     before being treated spectrally (padding factor 2; exact dealiasing is
-    impossible for non-polynomial nonlinearities).
+    impossible for non-polynomial nonlinearities).  That 2n-band force
+    would fold modulo m on the alpha grid, so m must be at least 2n.
     """
     n = state.curve.n
+    if state.m < 2 * n:
+        raise ValueError(f"rhs_position_bi needs m >= 2n = {2 * n} to sample "
+                         f"its 2n-band force without aliasing, got m={state.m}")
     x1_fine = state.deriv.resampled(2 * n).nodes
     x2_fine = state.deriv.derivative().resampled(2 * n).nodes
     force_fine = (tension_jacobian(state.law, x1_fine) @ x2_fine[..., None])[..., 0]
 
     frame = _Frame(state)
-    dz, r2, rot = frame.geometry
-    al = frame.alphas
     # force values at theta_j + alpha from the trigonometric interpolant
     # of the padded samples
     fs = frame.shifted(frame.samples(force_fine))
-    s_al = np.abs(2.0 * np.sin(al / 2.0))[:, None]
-    smooth_log = np.log(np.sqrt(r2) / s_al)
-    # the G2 part (dhat.f) dhat is (f + P(d) f) / 2
-    quad_part = frame.integrate(0.5 * (fs + np.conj(rot * fs)) - smooth_log * fs)
+    s_al = np.abs(2.0 * np.sin(frame.alphas / 2.0))
+
+    def integrand(rows):
+        f = fs[rows.index]
+        smooth_log = np.log(np.sqrt(rows.r2) / s_al[rows.index, None])
+        # the G2 part (dhat.f) dhat is (f + P(d) f) / 2
+        return 0.5 * (f + np.conj(rows.rot * f)) - smooth_log * f
+
+    quad_part, = frame.integrate(integrand)
     # exact product quadrature for the periodic log kernel
     k = wavenumbers(2 * n).astype(float)
     w = np.where(k == 0.0, 0.0, -np.pi / np.where(k == 0.0, 1.0, np.abs(k)))
@@ -192,24 +241,31 @@ def rhs_position_bi(state: SimState) -> np.ndarray:
     return (quad_part + log_part) / FOUR_PI
 
 
-def _position_velocity(frame: _Frame) -> np.ndarray:
+def _position_integrand(frame: _Frame):
+    """The reduced position integrand over 4 pi, as a function of a block."""
     state = frame.state
-    dz, r2, rot = frame.geometry
     x1f = as_complex(frame.x1_samples)
     mag = np.abs(x1f)
     # every half-offset sample is read at each theta_j
     if float(mag.min()) == 0.0:
         raise SimulationAbort(state.t, "tangent vector vanished")
     x1s = frame.shifted(x1f)
-    # (X'.dhat)^2 - (X'.dperp)^2 = X'.P(d)X'
-    quad_form = (rot * x1s * x1s).real
-    coef = quad_form / r2 * frame.shifted(state.law.eval(mag) / mag)
-    return frame.integrate(coef * dz) / FOUR_PI
+    weight = frame.shifted(state.law.eval(mag) / mag / FOUR_PI)
+
+    def integrand(rows):
+        x1 = x1s[rows.index]
+        # (X'.dhat)^2 - (X'.dperp)^2 = X'.P(d)X'
+        quad_form = (rows.rot * x1 * x1).real
+        return quad_form * rows.inv_r2 * weight[rows.index] * rows.dz
+
+    return integrand
 
 
 def rhs_position_reduced(state: SimState) -> np.ndarray:
     """First-derivatives-only position velocity (the working form)."""
-    return _position_velocity(_Frame(state))
+    frame = _Frame(state)
+    out, = frame.integrate(_position_integrand(frame))
+    return out
 
 
 def _kernel_apply(a, b, d, rot, inv_q2, vec, which: str):
@@ -220,7 +276,7 @@ def _kernel_apply(a, b, d, rot, inv_q2, vec, which: str):
     conj(rot v), R(d)v = i conj(rot v) and u.P(d)w + i u.R(d)w = rot u w,
     both kernels reduce to coef_i vec + coef_c conj(rot vec).  A is built
     from dp = a - d and dm = b - d (never as K - I/4pi), so every term
-    carries a plus or minus difference.
+    carries a plus or minus difference.  K does not read d.
     """
     if which == "K":
         c = rot * a * b * inv_q2  # a.P(d)b/|d|^2 + i a.R(d)b/|d|^2
@@ -236,19 +292,27 @@ def _kernel_apply(a, b, d, rot, inv_q2, vec, which: str):
         coef_c = np.conj(c) - (np.conj(dp) * dm).real * inv_q2 - 1j * e.imag
     else:
         raise ValueError(which)
-    return (coef_i * vec + coef_c * np.conj(rot * vec)) / FOUR_PI
+    return (coef_i * vec + coef_c * np.conj(rot * vec)) * (1.0 / FOUR_PI)
 
 
-def _kernel_integral(frame: _Frame, which: str) -> np.ndarray:
-    """Alpha integral of the K (or A) kernel over alpha^2 applied to the
-    tension jump."""
-    dz, r2, rot = frame.geometry
-    al2 = (frame.alphas**2)[:, None]
-    applied = _kernel_apply(frame.shifted(as_complex(frame.x1_samples)),
-                            as_complex(frame.state.deriv.nodes),
-                            dz / frame.alphas[:, None], rot, al2 / r2,
-                            frame.tension_jump(), which)
-    return frame.integrate(applied / al2)
+def _kernel_integrand(frame: _Frame, which: str):
+    """The K (or A) kernel over alpha^2 applied to the tension jump, as a
+    function of a block.  K has degree -2 in d, so K(a, b, dz/alpha)/alpha^2
+    = K(a, b, dz): its integrand reads dz and 1/|dz|^2 as they are.  A is
+    not homogeneous and keeps the divided difference."""
+    a = frame.shifted(as_complex(frame.x1_samples))
+    b = as_complex(frame.state.deriv.nodes)
+
+    def integrand(rows):
+        jump = frame.tension_jump(rows)
+        if which == "K":
+            return _kernel_apply(a[rows.index], b, rows.dz, rows.rot,
+                                 rows.inv_r2, jump, "K")
+        al2 = rows.alphas**2
+        return _kernel_apply(a[rows.index], b, rows.dz * (1.0 / rows.alphas),
+                             rows.rot, al2 * rows.inv_r2, jump, which) * (1.0 / al2)
+
+    return integrand
 
 
 def rhs_derivative(state: SimState, project: bool = True) -> np.ndarray:
@@ -257,7 +321,8 @@ def rhs_derivative(state: SimState, project: bool = True) -> np.ndarray:
     The output is projected to mean zero by default (the continuum
     operator annihilates constants; quadrature leaves a tiny drift).
     """
-    out = _kernel_integral(_Frame(state), "K")
+    frame = _Frame(state)
+    out, = frame.integrate(_kernel_integrand(frame, "K"))
     if project:
         out = out - out.mean(axis=0)
     return out
@@ -265,7 +330,9 @@ def rhs_derivative(state: SimState, project: bool = True) -> np.ndarray:
 
 def remainder_V(state: SimState) -> np.ndarray:
     """Bounded remainder: the A-kernel part of the derivative equation."""
-    return _kernel_integral(_Frame(state), "A")
+    frame = _Frame(state)
+    out, = frame.integrate(_kernel_integrand(frame, "A"))
+    return out
 
 
 def dissipation_term(state: SimState) -> np.ndarray:
@@ -276,7 +343,9 @@ def dissipation_term(state: SimState) -> np.ndarray:
     holds to rounding.
     """
     frame = _Frame(state)
-    return -frame.integrate(frame.tension_jump() / (frame.alphas**2)[:, None]) / FOUR_PI
+    out, = frame.integrate(
+        lambda rows: frame.tension_jump(rows) * (1.0 / rows.alphas**2))
+    return -out / FOUR_PI
 
 
 def _cbar(state: SimState) -> float:
@@ -330,10 +399,10 @@ def _step_rk4(state: SimState, dt: float) -> SimState:
 
 def _imex_increments(state: SimState):
     """Derivative-equation RHS and the averaged position velocity from one
-    shared frame."""
+    pass over the frame."""
     frame = _Frame(state)
-    deriv_rhs = _kernel_integral(frame, "K")
-    pos_rhs = _position_velocity(frame)
+    deriv_rhs, pos_rhs = frame.integrate(_kernel_integrand(frame, "K"),
+                                         _position_integrand(frame))
     return deriv_rhs - deriv_rhs.mean(axis=0), pos_rhs.mean(axis=0)
 
 

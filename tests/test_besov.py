@@ -106,6 +106,19 @@ def test_beta_gain_has_no_cancellation_at_small_beta():
     assert np.max(np.abs(got - exact) / exact) < 1e-14
 
 
+@pytest.mark.parametrize("n", [17, 33, 34, 64, 512])
+def test_beta_gain_matches_direct_form(n):
+    # the k < 0 columns are mirrored from k > 0 rather than evaluated
+    betas = half_offset_grid(1000)
+    k = wavenumbers(n).astype(float)
+    direct = 4.0 * np.sin(np.multiply.outer(betas, k / 2.0)) ** 2
+    if n % 2 == 0:
+        direct[:, n // 2] = 4.0 * np.sin(betas * (n / 4)) ** 4
+    got = beta_gain(betas, n)
+    assert got.shape == direct.shape
+    assert np.max(np.abs(got - direct)) <= 1e-14 * np.max(direct)
+
+
 @pytest.mark.parametrize("p", [2.0, np.inf])
 @pytest.mark.parametrize("r", [1.0, np.inf])
 def test_besov_diff_scalar_field_matches_zero_padded_vector(p, r):

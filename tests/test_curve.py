@@ -14,6 +14,7 @@ from peskin_lab.curve import (
     arc_chord,
     as_complex,
     difference,
+    enclosed_area,
     fft_coeffs,
     grid_values,
     half_offset_samples,
@@ -330,6 +331,14 @@ def test_arc_chord_level_equals_dense_frame_property(seed, n, modes, amp):
     # 5n is not a multiple of the coarse stride at n = 34: a partial last gap
     for m in (4 * n, 5 * n, 8 * n):
         assert _arc_chord_level(c, m) == dense_arc_chord_level(c, m)
+
+
+def test_enclosed_area_of_conics(rng):
+    assert abs(enclosed_area(Curve.circle(32, radius=1.5)) - 2.25 * np.pi) < 1e-13
+    ellipse = Curve.ellipse(64, a=2.0, b=0.5, center=(3.0, -1.0))
+    assert abs(enclosed_area(ellipse) - np.pi) < 1e-13
+    flipped = Curve.from_nodes(ellipse.nodes[::-1].copy())
+    assert abs(enclosed_area(flipped) + np.pi) < 1e-13  # clockwise
 
 
 def test_arc_chord_memory_is_bounded():

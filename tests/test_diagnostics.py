@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from peskin_lab.besov import MuWeight
-from peskin_lab.curve import Curve, spectral_antiderivative, theta_grid
+from peskin_lab.curve import (Curve, power_spectrum, spectral_antiderivative,
+                              theta_grid, wavenumbers)
 from peskin_lab.diagnostics import (
+    APRIORI_C,
     apriori_audit,
     chord_arc_lipschitz_audit,
     circle_distance,
@@ -12,6 +14,7 @@ from peskin_lab.diagnostics import (
     stability_audit,
 )
 from peskin_lab.evolution import SimConfig, Trajectory, simulate
+from peskin_lab.operators import half_offset_grid
 from peskin_lab.tension import hookean, power_law
 
 
@@ -84,6 +87,30 @@ def test_apriori_lhs_monotone_in_horizon(perturbed_traj):
         lhs_values.append(apriori_audit(sub, mu, lam=1.0,
                                         beta_points=512).measured["lhs"])
     assert all(b >= a - 1e-10 for a, b in zip(lhs_values, lhs_values[1:]))
+
+
+def test_apriori_audit_matches_two_gain_form(perturbed_traj):
+    # the former form: one gain matrix for lhs and a second one inside
+    # besov_diff for rhs, both from the direct sine formula
+    mu, beta_points = MuWeight.log4(), 2048
+    traj = _truncated(perturbed_traj, 0.3)
+    powers = np.stack([power_spectrum(d.nodes) for d in traj.derivs])
+    n = powers.shape[1]
+    k = np.abs(wavenumbers(n)).astype(float)
+    betas = half_offset_grid(beta_points)
+    ab = np.abs(betas)
+    gain = 4.0 * np.sin(np.multiply.outer(betas, k / 2.0)) ** 2
+    gain[:, n // 2] = 4.0 * np.sin(betas * (n / 4)) ** 4
+    sup_part = np.sqrt(2.0 * np.pi * (gain @ powers.T).max(axis=1))
+    diss_sq = 2.0 * np.pi * np.trapezoid((gain * k) @ powers.T, traj.times, axis=1)
+    h = 2.0 * np.pi / beta_points
+    lhs = h * np.sum(mu(1.0 / ab) / ab**1.5
+                     * (sup_part + APRIORI_C * np.sqrt(np.maximum(diss_sq, 0.0))))
+    norms = np.sqrt(2.0 * np.pi * (gain @ powers[0]))
+    rhs = 4.0 * h * np.sum(mu(1.0 / ab) * norms / ab**1.5)
+    got = apriori_audit(traj, mu, lam=1.0, beta_points=beta_points).measured
+    assert abs(got["lhs"] - lhs) <= 1e-12 * lhs
+    assert abs(got["rhs"] - rhs) <= 1e-12 * rhs
 
 
 def test_smoothing_audit_smooth_mode(perturbed_traj):

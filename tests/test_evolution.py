@@ -1,7 +1,12 @@
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from peskin_lab.curve import Curve, arc_chord, spectral_derivative
+from peskin_lab.config import config_from_file
+from peskin_lab.curve import Curve, arc_chord, enclosed_area, spectral_derivative
 from peskin_lab.evolution import (
     SimConfig,
     SimState,
@@ -20,6 +25,8 @@ from peskin_lab.evolution import (
 )
 from peskin_lab.tension import arctan_law, hookean, power_law
 from conftest import l2_field, random_bandlimited_curve
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def rotation(phi):
@@ -75,6 +82,80 @@ def test_frame_matches_matrix_kernel_sum(rng):
         assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
+def dense_rhs(state):
+    """The five right-hand sides over the whole (m, n) frame at once: the
+    whole-frame formulas the row-block loop replaced, kept as an oracle."""
+    from peskin_lab.curve import (as_complex, fft_coeffs, grid_values,
+                                  half_offset_samples, half_offset_window,
+                                  wavenumbers)
+    from peskin_lab.evolution import _kernel_apply
+    from peskin_lab.kernels import FOUR_PI
+    from peskin_lab.operators import half_offset_grid
+    from peskin_lab.tension import tension_jacobian, tension_map
+
+    n, m, law = state.curve.n, state.m, state.law
+    al = half_offset_grid(m)[:, None]
+
+    def window(samples):
+        return half_offset_window(as_complex(samples), n)
+
+    def integrate(f):
+        z = f.sum(axis=0) * (2.0 * np.pi / m)
+        return np.stack([z.real, z.imag], axis=-1)
+
+    x, x1 = state.curve.nodes, state.deriv.nodes
+    dz = window(half_offset_samples(x, m)) - as_complex(x)
+    r2 = dz.real**2 + dz.imag**2
+    rot = np.conj(dz) / dz
+    x1_samples = half_offset_samples(x1, m)
+    a, b = window(x1_samples), as_complex(x1)
+    jump = window(tension_map(law, x1_samples)) - as_complex(tension_map(law, x1))
+    out = {}
+    for which, name in (("K", "rhs_derivative"), ("A", "remainder_V")):
+        applied = _kernel_apply(a, b, dz / al, rot, al**2 / r2, jump, which)
+        out[name] = integrate(applied / al**2)
+    out["dissipation_term"] = -integrate(jump / al**2) / FOUR_PI
+    mag = np.abs(as_complex(x1_samples))
+    weight = half_offset_window(law.eval(mag) / mag, n)
+    out["rhs_position_reduced"] = integrate((rot * a * a).real / r2 * weight * dz) / FOUR_PI
+    x1_fine = state.deriv.resampled(2 * n).nodes
+    x2_fine = state.deriv.derivative().resampled(2 * n).nodes
+    force = (tension_jacobian(law, x1_fine) @ x2_fine[..., None])[..., 0]
+    fs = window(half_offset_samples(force, m))
+    smooth_log = np.log(np.sqrt(r2) / np.abs(2.0 * np.sin(al / 2.0)))
+    quad = integrate(0.5 * (fs + np.conj(rot * fs)) - smooth_log * fs)
+    k = wavenumbers(2 * n).astype(float)
+    w = np.where(k == 0.0, 0.0, -np.pi / np.where(k == 0.0, 1.0, np.abs(k)))
+    log_part = -grid_values(fft_coeffs(force) * w[:, None])[::2]
+    out["rhs_position_bi"] = (quad + log_part) / FOUR_PI
+    return out
+
+
+@pytest.mark.parametrize("n, m", [(512, 1024), (96, 480)])
+def test_row_blocks_match_dense_frame(n, m, rng):
+    # (512, 1024) runs 32 blocks of 32 rows; (96, 480) runs 170 + 170 + 140
+    from peskin_lab.evolution import _BLOCK
+
+    rows = max(1, _BLOCK // n)
+    assert rows < m  # more than one block
+    if n == 96:
+        assert m % rows != 0  # a partial last block
+        st = make_state(random_bandlimited_curve(rng, n, modes=24, amp=0.3),
+                        arctan_law((0.2, 3.0)), m=m)
+    else:
+        cfg = config_from_file(CONFIGS / "rough.cfg")
+        st = make_state(make_initial_curve(cfg), power_law(1.0, 3.0, (0.5, 2.0)), m=m)
+    ref = dense_rhs(st)
+    got = {"rhs_derivative": rhs_derivative(st, project=False),
+           "remainder_V": remainder_V(st),
+           "dissipation_term": dissipation_term(st),
+           "rhs_position_reduced": rhs_position_reduced(st),
+           "rhs_position_bi": rhs_position_bi(st)}
+    for name, value in got.items():
+        scale = np.max(np.abs(ref[name]))
+        assert np.max(np.abs(value - ref[name])) <= 1e-13 * scale, name
+
+
 def test_state_rejects_alpha_grid_not_multiple_of_n():
     # fails at construction, before any right-hand side builds a frame
     with pytest.raises(ValueError, match="multiple"):
@@ -117,6 +198,20 @@ def test_bi_matches_reduced(rng):
     rb = rhs_position_bi(st)
     rr = rhs_position_reduced(st)
     assert l2_field(rb - rr) <= 1e-6 * l2_field(rr)
+
+
+def test_bi_rejects_alpha_grid_that_aliases_its_force(rng):
+    # the 2n-band force folds modulo m below m = 2n
+    st = make_state(random_bandlimited_curve(rng, 64), m=64)
+    with pytest.raises(ValueError, match="2n"):
+        rhs_position_bi(st)
+
+
+def test_bi_matches_reduced_at_smallest_alpha_grid(rng):
+    c = random_bandlimited_curve(rng, 128, modes=16, amp=0.25)
+    st = make_state(c, m=256)
+    rr = rhs_position_reduced(st)
+    assert l2_field(rhs_position_bi(st) - rr) <= 1e-6 * l2_field(rr)
 
 
 def test_derivative_matches_deriv_of_reduced(rng):
@@ -263,14 +358,51 @@ def test_floor_check_agrees_with_arc_chord_level(rng):
     # one ulp either side of the arc-chord level decides the abort
     from peskin_lab.curve import _arc_chord_level
 
-    n, m = 64, 256
-    c = random_bandlimited_curve(rng, n)
-    level = _arc_chord_level(c, m)
-    above = SimState.make(c, hookean(1.0), m=m, rho_floor=np.nextafter(level, np.inf))
-    with pytest.raises(SimulationAbort):
-        rhs_position_reduced(above)
-    below = SimState.make(c, hookean(1.0), m=m, rho_floor=np.nextafter(level, 0.0))
-    assert np.all(np.isfinite(rhs_position_reduced(below)))
+    # (256, 1024) checks the floor over 16 row blocks
+    for n, m in ((64, 256), (256, 1024)):
+        c = random_bandlimited_curve(rng, n)
+        level = _arc_chord_level(c, m)
+        above = SimState.make(c, hookean(1.0), m=m,
+                              rho_floor=np.nextafter(level, np.inf))
+        with pytest.raises(SimulationAbort):
+            rhs_position_reduced(above)
+        below = SimState.make(c, hookean(1.0), m=m,
+                              rho_floor=np.nextafter(level, 0.0))
+        assert np.all(np.isfinite(rhs_position_reduced(below)))
+
+
+def test_imex_step_memory_is_bounded():
+    # the whole (m, n) frame of this n = 512, m = 1024 curve peaked near 84 MB
+    from peskin_lab.operators import symbol
+
+    cfg = config_from_file(CONFIGS / "rough.cfg")
+    st = SimState.make(make_initial_curve(cfg), law_from_config(cfg), m=cfg.m)
+    symbol(st.curve.n, st.m)  # the cached solve tables are not step memory
+    tracemalloc.start()
+    try:
+        step(st, cfg.dt, "imex")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+def test_imex_keeps_circle_area():
+    st = make_state(Curve.circle(64), m=256)
+    area = enclosed_area(st.curve)
+    for _ in range(20):
+        st = step(st, 1e-2, "imex")
+    assert abs(enclosed_area(st.curve) - area) <= 1e-12 * area
+
+
+def test_imex_area_drift_on_perturbed_circle():
+    # Stokes flow conserves area; the first-order step drifts ~4.0e-6 here
+    cfg = replace(config_from_file(CONFIGS / "perturbed.cfg"), horizon=1.0,
+                  output_stride=200)
+    assert (cfg.n, cfg.m, cfg.dt) == (128, 512, 5e-3)
+    traj = simulate(cfg)
+    a0 = enclosed_area(traj.curves[0])
+    assert abs(enclosed_area(traj.curves[-1]) - a0) <= 8e-6 * a0
 
 
 # --- simulate -----------------------------------------------------------------------
