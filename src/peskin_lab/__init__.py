@@ -7,7 +7,7 @@ from .tension import TensionLaw, hookean, power_law, arctan_law, globalize
 from .kernels import stokeslet, kernel_K, kernel_K0, kernel_A, cancellation_residual
 from .operators import lambda_fourier, lambda_sine, lambda_tilde, half_lambda_norm, lp_project
 from .besov import MuWeight, BesovParams, besov_diff, besov_lp, cl_norm, construct_mu
-from .evolution import SimConfig, SimState, Trajectory, simulate, step
+from .evolution import SimConfig, SimState, Trajectory, right_hand_sides, simulate, step
 
 __all__ = [
     "Curve",
@@ -37,6 +37,7 @@ __all__ = [
     "SimConfig",
     "SimState",
     "Trajectory",
+    "right_hand_sides",
     "simulate",
     "step",
 ]

@@ -9,12 +9,15 @@ padded force) is sampled exactly once on the half-offset m-grid, every
 shifted value f(theta_j + alpha_i) is read from a strided window over those
 samples (no copy), and nonlinear functions are evaluated on the samples.
 
-The (m, n) frame is never formed.  Every right-hand side is one pass over
-blocks of alpha rows, each about _BLOCK elements so that its temporaries
-stay in cache: a block builds its own delta X, |delta X|^2 and rotor,
-checks the arc-chord floor on its rows, evaluates every integrand the
-caller asked for and adds its alpha sum into (n,) accumulators.  An IMEX
-step gets the K integral and the position velocity from one such pass.
+The (m, n) frame is never formed.  right_hand_sides serves any set of
+FORMS from one pass over blocks of alpha rows, each about _BLOCK elements
+so that its buffers stay in cache: a block fills delta X, |delta X|^2 and
+the rotor, and checks the arc-chord floor on its rows, only when a
+requested integrand reads them, evaluates every requested integrand and
+adds its alpha sum into (n,) accumulators.  The block buffers are
+allocated once per thread and refilled with out= by every block of every
+pass.  An IMEX step gets the K integral and the position velocity from one
+pass; the public rhs_* functions are single-form passes.
 K has degree -2 in its chord argument, so K(a, b, delta X/alpha)/alpha^2 =
 K(a, b, delta X) and its integrand reads delta X as it is; A is not
 homogeneous and keeps the divided difference.
@@ -33,9 +36,10 @@ basis:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -62,6 +66,8 @@ __all__ = [
     "SimConfig",
     "SimState",
     "Trajectory",
+    "FORMS",
+    "right_hand_sides",
     "rhs_position_bi",
     "rhs_position_reduced",
     "rhs_derivative",
@@ -77,6 +83,8 @@ __all__ = [
 CFL_CONSTANT = 2.5  # classical four-stage explicit stability with margin
 _FLOOR_FRACTION = 0.5  # default rho_floor relative to the initial arc-chord
 _BLOCK = 16384  # frame elements per row block: a complex temporary is 256 KB
+FORMS = ("position_bi", "position_reduced", "derivative", "remainder",
+         "dissipation")  # the right-hand sides one frame walk serves
 
 
 class SimulationAbort(RuntimeError):
@@ -118,17 +126,90 @@ class SimState:
         return replace(self, t=t, curve=curve, deriv=curve.derivative())
 
 
-class _Rows(NamedTuple):
-    """One block of alpha rows of the frame: the row slice, its alphas as a
-    column, delta X, |delta X|^2, its reciprocal and the rotor
-    conj(dz)/dz = conj(dz)^2/|dz|^2."""
+class _Scratch:
+    """Named block buffers.  Each name is a (rows, n) view, in Fortran order
+    like the alpha window, of one flat array, so a shorter last block reads
+    a prefix of the same memory.  flat holds the arrays; a frame walk passes
+    its thread's _BUFFERS.flat, so every walk refills the memory of the one
+    before.  Memory allocated per walk would be handed back to the OS
+    between calls outside long runs, and faulted in again by the next."""
 
-    index: slice
-    alphas: np.ndarray
-    dz: np.ndarray
-    r2: np.ndarray
-    inv_r2: np.ndarray
-    rot: np.ndarray
+    def __init__(self, shape: tuple, flat: Optional[dict] = None):
+        self._flat = {} if flat is None else flat
+        self._views = {}
+        self.shape = shape
+
+    def resize(self, shape: tuple):
+        if shape != self.shape:
+            self.shape = shape
+            self._views.clear()
+
+    def __call__(self, name: str, dtype=complex) -> np.ndarray:
+        view = self._views.get(name)
+        if view is None:
+            size = int(np.prod(self.shape))
+            flat = self._flat.get((name, dtype))
+            if flat is None or flat.size < size:
+                flat = self._flat[name, dtype] = np.empty(size, dtype)
+            view = self._views[name] = flat[:size].reshape(self.shape[::-1]).T
+        return view
+
+
+class _Buffers(threading.local):
+    """Each thread's frame-walk buffers, at most max(_BLOCK, n) elements
+    apiece."""
+
+    def __init__(self):
+        self.flat = {}
+
+
+_BUFFERS = _Buffers()
+
+
+class _Block:
+    """One block of alpha rows of a frame walk.
+
+    The geometry (delta X, |delta X|^2, its reciprocal, the rotor
+    conj(dz)/dz = conj(dz)^2/|dz|^2 and the arc-chord floor check) and the
+    tension jump are built on their first read in each block, into buffers
+    of the walk's _Scratch, so a pass that reads neither builds neither."""
+
+    def __init__(self, frame: "_Frame", size: int):
+        self.frame = frame
+        self.buf = _Scratch((size, frame.state.curve.n), _BUFFERS.flat)
+
+    def move(self, index: slice):
+        self.index = index
+        self.buf.resize((index.stop - index.start, self.frame.state.curve.n))
+        self._geometry = self._jump = None
+
+    def geometry(self):
+        """delta X, |delta X|^2, 1/|delta X|^2 and the rotor of the block."""
+        if self._geometry is None:
+            st, buf = self.frame.state, self.buf
+            x, xs = self.frame.chord_samples
+            dz = np.subtract(xs[self.index], x, out=buf("dz"))
+            r2 = np.square(dz.real, out=buf("r2", float))
+            inv_r2 = np.square(dz.imag, out=buf("inv_r2", float))
+            r2 += inv_r2
+            worst = min_chord_quotient(r2, self.frame.alphas[self.index])
+            if worst < st.rho_floor:
+                raise SimulationAbort(st.t, f"arc-chord {worst:.3e} below "
+                                            f"floor {st.rho_floor:.3e}")
+            np.divide(1.0, r2, out=inv_r2)
+            rot = np.conjugate(dz, out=buf("rot"))
+            np.square(rot, out=rot)
+            rot *= inv_r2
+            self._geometry = dz, r2, inv_r2, rot
+        return self._geometry
+
+    def jump(self) -> np.ndarray:
+        """T(X'(theta + alpha)) - T(X'(theta)) for the vector tension map."""
+        if self._jump is None:
+            shifted, base = self.frame.tension
+            self._jump = np.subtract(shifted[self.index], base,
+                                     out=self.buf("jump"))
+        return self._jump
 
 
 class _Frame:
@@ -139,10 +220,9 @@ class _Frame:
     strided window over those m samples; pointwise nonlinearities are
     evaluated on the samples first.  No (m, n) array is ever formed:
     integrate walks the alpha rows in blocks of max(1, _BLOCK // n) rows,
-    builds the geometry of each block (delta X, its squared length, their
-    reciprocal and the rotor), checks the arc-chord floor on the block's
-    rows and adds every integrand's block sum into (n,) accumulators.
-    Vectors are complex from sampling to integration.
+    reuses one set of block buffers for the whole walk and adds every
+    integrand's block sum into (n,) accumulators.  Vectors are complex
+    from sampling to integration.
     """
 
     def __init__(self, state: SimState):
@@ -156,34 +236,30 @@ class _Frame:
     def shifted(self, samples: np.ndarray) -> np.ndarray:
         return half_offset_window(samples, self.state.curve.n)
 
-    def integrate(self, *integrands) -> list:
+    def integrate(self, integrands) -> list:
         """Half-offset rule over alpha, (2 pi / m) sum_i integrand[i], of each
-        integrand, a function of one _Rows block returning its complex
-        (rows, n) values; one real (n, 2) field per integrand.
+        integrand, a function of one _Block returning its complex (rows, n)
+        values; one real (n, 2) field per integrand.  An integrand may
+        return a scratch buffer: it is summed before the next one runs.
 
         The floor check is a coarse guard on the step's m alpha rows, the
         per-record arc_chord (4n, 8n) the margin."""
-        st = self.state
-        n, m = st.curve.n, st.m
-        x = as_complex(st.curve.nodes)
-        xs = self.shifted(self.samples(st.curve.nodes))
-        size = max(1, _BLOCK // n)
+        n, m = self.state.curve.n, self.state.m
+        size = min(m, max(1, _BLOCK // n))
+        block = _Block(self, size)
         sums = np.zeros((len(integrands), n), dtype=complex)
         for start in range(0, m, size):
-            index = slice(start, start + size)
-            dz = xs[index] - x
-            r2 = dz.real**2 + dz.imag**2
-            worst = min_chord_quotient(r2, self.alphas[index])
-            if worst < st.rho_floor:
-                raise SimulationAbort(st.t, f"arc-chord {worst:.3e} below "
-                                            f"floor {st.rho_floor:.3e}")
-            inv_r2 = 1.0 / r2
-            rows = _Rows(index, self.alphas[index, None], dz, r2, inv_r2,
-                         np.square(np.conj(dz)) * inv_r2)
+            block.move(slice(start, min(start + size, m)))
             for acc, integrand in zip(sums, integrands):
-                acc += integrand(rows).sum(axis=0)
+                acc += integrand(block).sum(axis=0)
         sums *= 2.0 * np.pi / m
         return [np.stack([z.real, z.imag], axis=-1) for z in sums]
+
+    @cached_property
+    def chord_samples(self):
+        """X on the theta grid and its alpha window, both complex."""
+        nodes = self.state.curve.nodes
+        return as_complex(nodes), self.shifted(self.samples(nodes))
 
     @cached_property
     def x1_samples(self) -> np.ndarray:
@@ -191,58 +267,57 @@ class _Frame:
         return half_offset_samples(self.state.deriv.nodes, self.state.m)
 
     @cached_property
-    def _tension(self):
+    def tension(self):
+        """T(X') in the alpha window and on the theta grid, both complex."""
         law = self.state.law
         return (self.shifted(as_complex(tension_map(law, self.x1_samples))),
                 as_complex(tension_map(law, self.state.deriv.nodes)))
 
-    def tension_jump(self, rows: _Rows) -> np.ndarray:
-        """T(X'(theta + alpha)) - T(X'(theta)) for the vector tension map."""
-        shifted, base = self._tension
-        return shifted[rows.index] - base
 
-
-def rhs_position_bi(state: SimState) -> np.ndarray:
-    """Position velocity from the full Stokeslet against the force derivative.
+def _bi_form(frame: _Frame):
+    """The full-Stokeslet position form: its integrand, and a finish that
+    adds the spectral log part and divides by 4 pi.
 
     The log part of the kernel is split into log(|delta X| / |2 sin(a/2)|)
     (smooth, quadrature) plus the periodic log kernel handled by its exact
     Fourier weights -pi/|k| acting on the force samples.  The force
     D T(X') X'' is rational in X', so it is sampled on a doubled grid
     before being treated spectrally (padding factor 2; exact dealiasing is
-    impossible for non-polynomial nonlinearities).  That 2n-band force
-    would fold modulo m on the alpha grid, so m must be at least 2n.
-    """
+    impossible for non-polynomial nonlinearities)."""
+    state = frame.state
     n = state.curve.n
-    if state.m < 2 * n:
-        raise ValueError(f"rhs_position_bi needs m >= 2n = {2 * n} to sample "
-                         f"its 2n-band force without aliasing, got m={state.m}")
     x1_fine = state.deriv.resampled(2 * n).nodes
     x2_fine = state.deriv.derivative().resampled(2 * n).nodes
     force_fine = (tension_jacobian(state.law, x1_fine) @ x2_fine[..., None])[..., 0]
-
-    frame = _Frame(state)
     # force values at theta_j + alpha from the trigonometric interpolant
     # of the padded samples
     fs = frame.shifted(frame.samples(force_fine))
-    s_al = np.abs(2.0 * np.sin(frame.alphas / 2.0))
+    s_al = np.abs(2.0 * np.sin(frame.alphas / 2.0))[:, None]
 
-    def integrand(rows):
-        f = fs[rows.index]
-        smooth_log = np.log(np.sqrt(rows.r2) / s_al[rows.index, None])
+    def integrand(block):
+        _, r2, _, rot = block.geometry()
+        buf = block.buf
+        f = fs[block.index]
+        smooth_log = np.sqrt(r2, out=buf("r0", float))
+        smooth_log /= s_al[block.index]
+        np.log(smooth_log, out=smooth_log)
         # the G2 part (dhat.f) dhat is (f + P(d) f) / 2
-        return 0.5 * (f + np.conj(rows.rot * f)) - smooth_log * f
+        out = np.multiply(rot, f, out=buf("c0"))
+        np.conjugate(out, out=out)
+        np.add(f, out, out=out)
+        out *= 0.5
+        out -= np.multiply(smooth_log, f, out=buf("c1"))
+        return out
 
-    quad_part, = frame.integrate(integrand)
     # exact product quadrature for the periodic log kernel
     k = wavenumbers(2 * n).astype(float)
     w = np.where(k == 0.0, 0.0, -np.pi / np.where(k == 0.0, 1.0, np.abs(k)))
     log_part = -grid_values(fft_coeffs(force_fine) * w[:, None])[::2]
-    return (quad_part + log_part) / FOUR_PI
+    return integrand, lambda quad: (quad + log_part) / FOUR_PI
 
 
-def _position_integrand(frame: _Frame):
-    """The reduced position integrand over 4 pi, as a function of a block."""
+def _position_form(frame: _Frame):
+    """The reduced position integrand over 4 pi."""
     state = frame.state
     x1f = as_complex(frame.x1_samples)
     mag = np.abs(x1f)
@@ -252,23 +327,21 @@ def _position_integrand(frame: _Frame):
     x1s = frame.shifted(x1f)
     weight = frame.shifted(state.law.eval(mag) / mag / FOUR_PI)
 
-    def integrand(rows):
-        x1 = x1s[rows.index]
+    def integrand(block):
+        dz, _, inv_r2, rot = block.geometry()
+        buf = block.buf
+        x1 = x1s[block.index]
         # (X'.dhat)^2 - (X'.dperp)^2 = X'.P(d)X'
-        quad_form = (rows.rot * x1 * x1).real
-        return quad_form * rows.inv_r2 * weight[rows.index] * rows.dz
+        quad_form = np.multiply(rot, x1, out=buf("c0"))
+        quad_form *= x1
+        scale = np.multiply(quad_form.real, inv_r2, out=buf("r0", float))
+        scale *= weight[block.index]
+        return np.multiply(scale, dz, out=buf("c1"))
 
-    return integrand
-
-
-def rhs_position_reduced(state: SimState) -> np.ndarray:
-    """First-derivatives-only position velocity (the working form)."""
-    frame = _Frame(state)
-    out, = frame.integrate(_position_integrand(frame))
-    return out
+    return integrand, None
 
 
-def _kernel_apply(a, b, d, rot, inv_q2, vec, which: str):
+def _kernel_apply(a, b, d, rot, inv_q2, vec, which: str, buf=None):
     """K or A applied to vec, with every 2-vector a complex number.
 
     a = X'(theta + alpha), b = X'(theta), d the divided difference,
@@ -276,43 +349,136 @@ def _kernel_apply(a, b, d, rot, inv_q2, vec, which: str):
     conj(rot v), R(d)v = i conj(rot v) and u.P(d)w + i u.R(d)w = rot u w,
     both kernels reduce to coef_i vec + coef_c conj(rot vec).  A is built
     from dp = a - d and dm = b - d (never as K - I/4pi), so every term
-    carries a plus or minus difference.  K does not read d.
+    carries a plus or minus difference.  K does not read d.  The
+    temporaries and the result are buffers of buf, a _Scratch (by default
+    a fresh one of the broadcast shape).
     """
+    if buf is None:
+        buf = _Scratch(np.broadcast_shapes(a.shape, b.shape, d.shape,
+                                           inv_q2.shape, vec.shape))
+    c = np.multiply(rot, a, out=buf("c0"))
     if which == "K":
-        c = rot * a * b * inv_q2  # a.P(d)b/|d|^2 + i a.R(d)b/|d|^2
+        c *= b
+        c *= inv_q2  # a.P(d)b/|d|^2 + i a.R(d)b/|d|^2
         coef_i = c.real
-        coef_c = np.conj(c) - (np.conj(a) * b).real * inv_q2
+        ab = np.conjugate(a, out=buf("c1"))
+        ab *= b
+        coef_c = np.conjugate(c, out=buf("c2"))
+        coef_c -= np.multiply(ab.real, inv_q2, out=buf("r0", float))
     elif which == "A":
-        dp = a - d
-        dm = b - d
-        c = rot * dp * dm * inv_q2
+        dp = np.subtract(a, d, out=buf("c1"))
+        dm = np.subtract(b, d, out=buf("c2"))
+        np.multiply(rot, dp, out=c)
+        c *= dm
+        c *= inv_q2
         # rot (dp + dm) d = conj(d) (dp + dm)
-        e = np.conj(d) * (dp + dm) * inv_q2
-        coef_i = c.real + e.real
-        coef_c = np.conj(c) - (np.conj(dp) * dm).real * inv_q2 - 1j * e.imag
+        e = np.add(dp, dm, out=buf("c3"))
+        np.multiply(np.conjugate(d, out=buf("c4")), e, out=e)
+        e *= inv_q2
+        coef_i = np.add(c.real, e.real, out=buf("r1", float))
+        np.conjugate(dp, out=dp)
+        dp *= dm
+        coef_c = np.conjugate(c, out=c)
+        coef_c -= np.multiply(dp.real, inv_q2, out=buf("r0", float))
+        coef_c.imag -= e.imag
     else:
         raise ValueError(which)
-    return (coef_i * vec + coef_c * np.conj(rot * vec)) * (1.0 / FOUR_PI)
+    turned = np.multiply(rot, vec, out=buf("c1"))
+    np.conjugate(turned, out=turned)
+    np.multiply(coef_c, turned, out=turned)
+    out = np.multiply(coef_i, vec, out=buf("c2"))
+    out += turned
+    out *= 1.0 / FOUR_PI
+    return out
 
 
-def _kernel_integrand(frame: _Frame, which: str):
-    """The K (or A) kernel over alpha^2 applied to the tension jump, as a
-    function of a block.  K has degree -2 in d, so K(a, b, dz/alpha)/alpha^2
-    = K(a, b, dz): its integrand reads dz and 1/|dz|^2 as they are.  A is
-    not homogeneous and keeps the divided difference."""
+def _kernel_form(frame: _Frame, which: str):
+    """The K (or A) kernel over alpha^2 applied to the tension jump.  K has
+    degree -2 in d, so K(a, b, dz/alpha)/alpha^2 = K(a, b, dz): its
+    integrand reads dz and 1/|dz|^2 as they are.  A is not homogeneous and
+    keeps the divided difference."""
     a = frame.shifted(as_complex(frame.x1_samples))
     b = as_complex(frame.state.deriv.nodes)
+    inv_al = 1.0 / frame.alphas[:, None]
+    al2 = frame.alphas[:, None] ** 2
+    inv_al2 = 1.0 / al2
 
-    def integrand(rows):
-        jump = frame.tension_jump(rows)
+    def integrand(block):
+        dz, _, inv_r2, rot = block.geometry()
+        a_rows, buf = a[block.index], block.buf
         if which == "K":
-            return _kernel_apply(a[rows.index], b, rows.dz, rows.rot,
-                                 rows.inv_r2, jump, "K")
-        al2 = rows.alphas**2
-        return _kernel_apply(a[rows.index], b, rows.dz * (1.0 / rows.alphas),
-                             rows.rot, al2 * rows.inv_r2, jump, which) * (1.0 / al2)
+            return _kernel_apply(a_rows, b, dz, rot, inv_r2, block.jump(), "K",
+                                 buf)
+        d = np.multiply(dz, inv_al[block.index], out=buf("d"))
+        inv_q2 = np.multiply(al2[block.index], inv_r2, out=buf("inv_q2", float))
+        out = _kernel_apply(a_rows, b, d, rot, inv_q2, block.jump(), which, buf)
+        out *= inv_al2[block.index]
+        return out
 
-    return integrand
+    return integrand, None
+
+
+def _dissipation_form(frame: _Frame):
+    """The 1/alpha^2 integrand of the tension jump: it reads no geometry."""
+    inv_al2 = 1.0 / frame.alphas[:, None] ** 2
+
+    def integrand(block):
+        return np.multiply(block.jump(), inv_al2[block.index],
+                           out=block.buf("c0"))
+
+    return integrand, lambda out: -out / FOUR_PI
+
+
+# form -> builder of (integrand, finish) for one frame: the integrand maps a
+# _Block to its (rows, n) values, finish the alpha integral to the field
+# (None: the integral is the field)
+_FORM_BUILDERS = {
+    "position_bi": _bi_form,
+    "position_reduced": _position_form,
+    "derivative": lambda frame: _kernel_form(frame, "K"),
+    "remainder": lambda frame: _kernel_form(frame, "A"),
+    "dissipation": _dissipation_form,
+}
+
+
+def right_hand_sides(state: SimState, *forms: str) -> tuple:
+    """The requested right-hand sides of the state from one frame walk, one
+    real (n, 2) field per form, in order.
+
+    forms are names from FORMS: "position_bi" (rhs_position_bi),
+    "position_reduced", "derivative" (rhs_derivative unprojected),
+    "remainder" (remainder_V) and "dissipation" (dissipation_term).  Each
+    field equals, bit for bit, the field of a walk serving only its form.
+    The geometry and the arc-chord floor check run only when a form reads
+    them: "dissipation" alone builds neither.
+    """
+    if not forms or not set(forms) <= set(FORMS):
+        raise ValueError(f"right_hand_sides takes one or more of {FORMS}, "
+                         f"got {forms}")
+    n = state.curve.n
+    if "position_bi" in forms and state.m < 2 * n:
+        # the 2n-band force would fold modulo m on the alpha grid
+        raise ValueError(f"rhs_position_bi needs m >= 2n = {2 * n} to sample "
+                         f"its 2n-band force without aliasing, got m={state.m}")
+    frame = _Frame(state)
+    distinct = list(dict.fromkeys(forms))
+    integrands, finishes = zip(*(_FORM_BUILDERS[f](frame) for f in distinct))
+    fields = {}
+    for form, finish, out in zip(distinct, finishes, frame.integrate(integrands)):
+        fields[form] = out if finish is None else finish(out)
+    return tuple(fields[f] for f in forms)
+
+
+def rhs_position_bi(state: SimState) -> np.ndarray:
+    """Position velocity from the full Stokeslet against the force
+    derivative (see _bi_form).  Its force has band 2n and would fold modulo
+    m on the alpha grid, so m must be at least 2n."""
+    return right_hand_sides(state, "position_bi")[0]
+
+
+def rhs_position_reduced(state: SimState) -> np.ndarray:
+    """First-derivatives-only position velocity (the working form)."""
+    return right_hand_sides(state, "position_reduced")[0]
 
 
 def rhs_derivative(state: SimState, project: bool = True) -> np.ndarray:
@@ -321,18 +487,13 @@ def rhs_derivative(state: SimState, project: bool = True) -> np.ndarray:
     The output is projected to mean zero by default (the continuum
     operator annihilates constants; quadrature leaves a tiny drift).
     """
-    frame = _Frame(state)
-    out, = frame.integrate(_kernel_integrand(frame, "K"))
-    if project:
-        out = out - out.mean(axis=0)
-    return out
+    out, = right_hand_sides(state, "derivative")
+    return out - out.mean(axis=0) if project else out
 
 
 def remainder_V(state: SimState) -> np.ndarray:
     """Bounded remainder: the A-kernel part of the derivative equation."""
-    frame = _Frame(state)
-    out, = frame.integrate(_kernel_integrand(frame, "A"))
-    return out
+    return right_hand_sides(state, "remainder")[0]
 
 
 def dissipation_term(state: SimState) -> np.ndarray:
@@ -340,12 +501,9 @@ def dissipation_term(state: SimState) -> np.ndarray:
 
     Evaluated with pointwise-exact shifted samples on the same alpha grid
     as the kernels, so rhs_derivative == -dissipation_term + remainder_V
-    holds to rounding.
+    holds to rounding.  It reads no chord, so it runs no floor check.
     """
-    frame = _Frame(state)
-    out, = frame.integrate(
-        lambda rows: frame.tension_jump(rows) * (1.0 / rows.alphas**2))
-    return -out / FOUR_PI
+    return right_hand_sides(state, "dissipation")[0]
 
 
 def _cbar(state: SimState) -> float:
@@ -400,9 +558,7 @@ def _step_rk4(state: SimState, dt: float) -> SimState:
 def _imex_increments(state: SimState):
     """Derivative-equation RHS and the averaged position velocity from one
     pass over the frame."""
-    frame = _Frame(state)
-    deriv_rhs, pos_rhs = frame.integrate(_kernel_integrand(frame, "K"),
-                                         _position_integrand(frame))
+    deriv_rhs, pos_rhs = right_hand_sides(state, "derivative", "position_reduced")
     return deriv_rhs - deriv_rhs.mean(axis=0), pos_rhs.mean(axis=0)
 
 
@@ -590,6 +746,10 @@ def simulate(cfg: SimConfig, initial: Optional[Curve] = None,
     """Run the configured evolution; deterministic given the config."""
     curve = initial if initial is not None else make_initial_curve(cfg)
     the_law = law if law is not None else law_from_config(cfg)
+    if not cfg.dt > 0:
+        raise ValueError(f"time.dt must be positive, got {cfg.dt!r}")
+    if not cfg.horizon >= 0:
+        raise ValueError(f"time.horizon must be non-negative, got {cfg.horizon!r}")
     n_steps = int(round(cfg.horizon / cfg.dt))
     if abs(cfg.horizon / cfg.dt - n_steps) > 1e-9 * n_steps:
         raise ValueError(f"horizon {cfg.horizon!r} is not a whole number of "

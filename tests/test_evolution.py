@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -8,6 +11,7 @@ import pytest
 from peskin_lab.config import config_from_file
 from peskin_lab.curve import Curve, arc_chord, enclosed_area, spectral_derivative
 from peskin_lab.evolution import (
+    FORMS,
     SimConfig,
     SimState,
     SimulationAbort,
@@ -20,13 +24,15 @@ from peskin_lab.evolution import (
     rhs_derivative,
     rhs_position_bi,
     rhs_position_reduced,
+    right_hand_sides,
     simulate,
     step,
 )
 from peskin_lab.tension import arctan_law, hookean, power_law
 from conftest import l2_field, random_bandlimited_curve
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def rotation(phi):
@@ -131,20 +137,23 @@ def dense_rhs(state):
     return out
 
 
-@pytest.mark.parametrize("n, m", [(512, 1024), (96, 480)])
-def test_row_blocks_match_dense_frame(n, m, rng):
-    # (512, 1024) runs 32 blocks of 32 rows; (96, 480) runs 170 + 170 + 140
+def block_test_state(n, m, rng):
+    """(512, 1024) runs 32 blocks of 32 rows; (96, 480) runs 170 + 170 + 140."""
     from peskin_lab.evolution import _BLOCK
 
     rows = max(1, _BLOCK // n)
     assert rows < m  # more than one block
     if n == 96:
         assert m % rows != 0  # a partial last block
-        st = make_state(random_bandlimited_curve(rng, n, modes=24, amp=0.3),
-                        arctan_law((0.2, 3.0)), m=m)
-    else:
-        cfg = config_from_file(CONFIGS / "rough.cfg")
-        st = make_state(make_initial_curve(cfg), power_law(1.0, 3.0, (0.5, 2.0)), m=m)
+        return make_state(random_bandlimited_curve(rng, n, modes=24, amp=0.3),
+                          arctan_law((0.2, 3.0)), m=m)
+    cfg = config_from_file(CONFIGS / "rough.cfg")
+    return make_state(make_initial_curve(cfg), power_law(1.0, 3.0, (0.5, 2.0)), m=m)
+
+
+@pytest.mark.parametrize("n, m", [(512, 1024), (96, 480)])
+def test_row_blocks_match_dense_frame(n, m, rng):
+    st = block_test_state(n, m, rng)
     ref = dense_rhs(st)
     got = {"rhs_derivative": rhs_derivative(st, project=False),
            "remainder_V": remainder_V(st),
@@ -154,6 +163,114 @@ def test_row_blocks_match_dense_frame(n, m, rng):
     for name, value in got.items():
         scale = np.max(np.abs(ref[name]))
         assert np.max(np.abs(value - ref[name])) <= 1e-13 * scale, name
+
+
+@pytest.mark.parametrize("n, m", [(512, 1024), (96, 480)])
+def test_one_walk_matches_single_form_walks(n, m, rng):
+    # the forms share one walk's geometry, jump and scratch buffers, yet
+    # each field is the one its form gets alone, bit for bit
+    from peskin_lab.evolution import _imex_increments
+
+    st = block_test_state(n, m, rng)
+    fields = dict(zip(FORMS, right_hand_sides(st, *FORMS)))
+    single = {"position_bi": rhs_position_bi(st),
+              "position_reduced": rhs_position_reduced(st),
+              "derivative": rhs_derivative(st, project=False),
+              "remainder": remainder_V(st),
+              "dissipation": dissipation_term(st)}
+    for form in FORMS:
+        assert np.array_equal(fields[form], single[form]), form
+    raw = fields["derivative"]
+    assert np.array_equal(rhs_derivative(st), raw - raw.mean(axis=0))
+    deriv, mean_velocity = _imex_increments(st)
+    assert np.array_equal(deriv, raw - raw.mean(axis=0))
+    assert np.array_equal(mean_velocity, fields["position_reduced"].mean(axis=0))
+    reversed_fields = right_hand_sides(st, *FORMS[::-1])
+    for form, field in zip(FORMS[::-1], reversed_fields):
+        assert np.array_equal(field, fields[form]), form
+
+
+def test_right_hand_sides_rejects_forms_before_the_walk():
+    # the floor is breached in the first block, so an error raised after
+    # the walk began would be an abort
+    st = SimState.make(Curve.circle(64), hookean(1.0), m=64, rho_floor=10.0)
+    with pytest.raises(ValueError, match="2n"):
+        right_hand_sides(st, "position_reduced", "position_bi")
+    for forms in ((), ("velocity",), ("derivative", "K")):
+        with pytest.raises(ValueError, match="one or more"):
+            right_hand_sides(st, *forms)
+    with pytest.raises(SimulationAbort):
+        right_hand_sides(st, "position_reduced")
+
+
+def test_dissipation_term_reads_no_chord(rng):
+    # the half-Laplacian of T(X') does not depend on X: no floor check
+    c = random_bandlimited_curve(rng, 64)
+    high = SimState.make(c, hookean(1.0), m=256, rho_floor=2.0 * arc_chord(c).value)
+    diss = dissipation_term(high)
+    assert np.all(np.isfinite(diss))
+    assert np.array_equal(diss, dissipation_term(make_state(c, m=256)))
+    with pytest.raises(SimulationAbort):
+        rhs_derivative(high)
+
+
+def test_concurrent_walks_keep_their_own_buffers(rng):
+    # numpy releases the interpreter lock inside ufuncs, so walks in several
+    # threads sharing block buffers would corrupt each other's fields
+    import threading
+
+    st = make_state(random_bandlimited_curve(rng, 64), m=1024)  # 4 blocks
+    ref = right_hand_sides(st, *FORMS)
+    results = []
+
+    def work():
+        for _ in range(5):
+            results.append(right_hand_sides(st, *FORMS))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 20
+    for fields in results:
+        for got, want in zip(fields, ref):
+            assert np.array_equal(got, want)
+
+
+FAULT_SCRIPT = """
+import resource
+from peskin_lab.config import config_from_file
+from peskin_lab.evolution import (SimState, _imex_increments, law_from_config,
+                                  make_initial_curve, remainder_V)
+cfg = config_from_file({config!r})
+st = SimState.make(make_initial_curve(cfg), law_from_config(cfg), m=cfg.m)
+{call}
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+{call}
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.parametrize("call, alloc_faults", [("remainder_V(st)", 14080),
+                                                ("_imex_increments(st)", 1805)])
+def test_repeated_walks_reuse_block_memory(call, alloc_faults):
+    # a fresh process, where the allocator hands freed block memory back to
+    # the OS: with block temporaries allocated per block, every call after
+    # the first took alloc_faults minor page faults on configs/rough.cfg
+    script = FAULT_SCRIPT.format(config=str(CONFIGS / "rough.cfg"), call=call)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=300, check=True, env=env)
+    assert int(done.stdout) <= alloc_faults // 10
 
 
 def test_state_rejects_alpha_grid_not_multiple_of_n():
@@ -385,6 +502,28 @@ def test_imex_step_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+def test_imex_elastic_energy_does_not_increase():
+    # the elastic energy integral of E(|X'|), E' = T, of a non-Hookean law,
+    # where it is not the l2 norm; E(r) = int_1^r T by 16-point
+    # Gauss-Legendre, exact for this quadratic T on its window [0.5, 2]
+    cfg = config_from_file(CONFIGS / "power-law.cfg")
+    law = law_from_config(cfg)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+
+    def energy(state):
+        r = np.hypot(*state.deriv.nodes.T)
+        assert np.all((r > 0.5) & (r < 2.0))
+        s = 1.0 + (r[:, None] - 1.0) * (nodes + 1.0) / 2.0
+        return 2.0 * np.pi * np.mean(law.eval(s) @ weights * (r - 1.0) / 2.0)
+
+    st = SimState.make(make_initial_curve(cfg), law, m=cfg.m)
+    energies = [energy(st)]
+    for _ in range(50):
+        st = step(st, cfg.dt, cfg.scheme)
+        energies.append(energy(st))
+    assert np.all(np.diff(energies) <= 0.0)
 
 
 def test_imex_keeps_circle_area():

@@ -108,7 +108,8 @@ def test_cli_bad_config_exit_code(tmp_path):
 
 @pytest.mark.parametrize("bad, message", [
     ("grid.m = 100", "multiple"), ("grid.m = 0", "multiple"),
-    ("time.horizon = 0.0225", "whole number")])
+    ("time.horizon = 0.0225", "whole number"), ("time.dt = 0", "time.dt"),
+    ("time.dt = -0.005", "time.dt"), ("time.horizon = -0.02", "time.horizon")])
 def test_cli_rejects_inconsistent_grid_and_horizon(tmp_path, capsys, bad, message):
     # the appended line overrides the key (last one wins)
     cfg_path = _write_config(tmp_path, EQ_CONFIG + bad + "\n")
@@ -144,6 +145,19 @@ def test_cli_verify(capsys):
     assert main(["verify", "--suite", "kernels", "--samples", "200"]) == 0
     out = capsys.readouterr().out
     assert "cancellation_max" in out and "PASS" in out
+
+
+def test_cli_verify_all(capsys):
+    tolerances = {"bi_vs_reduced_rel": 1e-6,
+                  "deriv_vs_deriv_of_reduced_rel": 1e-6,
+                  "split_identity": 1e-10}
+    assert main(["verify", "--suite", "all"]) == 0
+    lines = [line[len("[formulation] "):] for line in capsys.readouterr().out.splitlines()
+             if line.startswith("[formulation] ")]
+    assert sorted(line.split(":")[0] for line in lines) == sorted(tolerances)
+    for line in lines:
+        name, rest = line.split(": ")
+        assert float(rest.split()[0]) <= tolerances[name], line
 
 
 def test_cli_norms(tmp_path, capsys):
