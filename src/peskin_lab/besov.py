@@ -13,8 +13,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .curve import power_spectrum, shift_many, wavenumbers
-from .operators import half_offset_grid, lp_block_norms, symbol
+from .curve import (half_offset_grid, lp_norm, magnitude, parseval_norm,
+                    power_spectrum, shift_many, wavenumbers)
+from .operators import lp_block_norms, symbol
 
 __all__ = [
     "MuWeight",
@@ -192,20 +193,6 @@ class BesovParams:
             raise ValueError("p and r must lie in [1, inf]")
 
 
-def _pointwise_mag(values: np.ndarray, ndim: int) -> np.ndarray:
-    # |f| pointwise; ndim is the field's own: (n,) scalar or (n, c) vector
-    if ndim == 1:
-        return np.abs(values)
-    return np.sqrt(np.sum(values**2, axis=-1))
-
-
-def _lp_theta(mag: np.ndarray, p: float) -> np.ndarray:
-    # mag has shape (..., n); quadrature over the last axis
-    if np.isinf(p):
-        return mag.max(axis=-1)
-    return (2.0 * np.pi * np.mean(mag**p, axis=-1)) ** (1.0 / p)
-
-
 def besov_diff(values: np.ndarray, params: BesovParams,
                beta_points: int = DEFAULT_BETA_POINTS) -> float:
     """Difference-form seminorm on the half-offset beta grid.
@@ -225,7 +212,7 @@ def besov_diff(values: np.ndarray, params: BesovParams,
         norms = np.sqrt(2.0 * np.pi * (gain @ power_spectrum(values)))
     else:
         diffs = shift_many(values, betas) - values[None]
-        norms = _lp_theta(_pointwise_mag(diffs, values.ndim), params.p)
+        norms = lp_norm(magnitude(diffs, values.ndim == 2), params.p)
     return _diff_quadrature(norms, betas, params)
 
 
@@ -359,7 +346,7 @@ def embedding_audit(fields: Sequence[np.ndarray],
     interp_cases = ((0.3, 0.25, 0.75, 2.0, 2.0), (0.5, 0.1, 0.9, 2.0, 1.0))
     for f in fields:
         f = np.asarray(f, dtype=float)
-        linf = float(np.max(_pointwise_mag(f, f.ndim)))
+        linf = float(lp_norm(magnitude(f, f.ndim == 2), np.inf))
         b21 = besov_diff(f, BesovParams(0.5, 2, 1), beta_points=beta_points)
         if b21 > 0:
             r_linf = max(r_linf, linf / b21)
@@ -369,9 +356,9 @@ def embedding_audit(fields: Sequence[np.ndarray],
             r_block = max(r_block, lhs / rhs)
         pw = power_spectrum(f)
         k = np.abs(wavenumbers(f.shape[0])).astype(float)
-        h_half2 = np.sum(k * pw)
-        l2_h1 = np.sqrt(np.sum(pw)) * np.sqrt(np.sum(k**2 * pw))
-        excess = max(excess, float(h_half2 - l2_h1))
+        h_half = parseval_norm(pw, k)
+        l2_h1 = parseval_norm(pw) * parseval_norm(pw, k**2)
+        excess = max(excess, (h_half**2 - l2_h1) / (2.0 * np.pi))
         for theta, s1, s2, p, r in interp_cases:
             mid = besov_lp(f, BesovParams(theta * s1 + (1 - theta) * s2, p, r))
             ends = (besov_lp(f, BesovParams(s1, p, r)) ** theta

@@ -16,7 +16,8 @@ import numpy as np
 from . import __version__
 from .besov import BesovParams, MuWeight, besov_diff, besov_lp
 from .config import config_from_file, write_manifest, write_ndjson
-from .curve import Curve, read_curve, spectral_derivative, write_curve
+from .curve import (Curve, magnitude, parseval_norm, power_spectrum, read_curve,
+                    spectral_derivative, theta_grid, wavenumbers, write_curve)
 from .evolution import SimulationAbort, simulate, law_from_config
 from . import diagnostics as diag
 from . import kernels
@@ -106,7 +107,7 @@ def _verify_kernels(samples: int, seed: int):
     rng = np.random.default_rng(seed)
     checks = {}
     z = rng.standard_normal((samples, 2))
-    z *= (10.0 ** rng.uniform(-3, 3, samples) / np.hypot(z[:, 0], z[:, 1]))[:, None]
+    z *= (10.0 ** rng.uniform(-3, 3, samples) / magnitude(z))[:, None]
     u = rng.standard_normal((samples, 2))
     checks["cancellation_max"] = (float(np.max(kernels.cancellation_residual(u, z))),
                                   1e-12)
@@ -137,14 +138,14 @@ def _verify_operators(samples: int, seed: int):
     rng = np.random.default_rng(seed)
     checks = {}
     n = 256
-    th = -np.pi + 2.0 * np.pi * np.arange(n) / n
+    th = theta_grid(n)
     worst = 0.0
     for k in range(1, 65):
         f = np.cos(k * th)
         worst = max(worst, float(np.max(np.abs(ops.lambda_sine(f) - k * f))))
     checks["sine_eigenvalue_max_err"] = (worst, 1e-7)
     lam = ops.symbol(n, 8 * n).lam_tilde
-    ks = np.abs(np.fft.fftfreq(n, 1.0 / n))
+    ks = np.abs(wavenumbers(n))
     mask = ks >= 1
     ratio = lam[mask] / ks[mask]
     ok = float(np.max(np.abs(ratio - np.clip(ratio, 1.0 / np.pi**2, 0.25))))
@@ -160,7 +161,6 @@ def _verify_operators(samples: int, seed: int):
 
 
 def _verify_formulation(seed: int):
-    from .curve import Curve
     from .evolution import FORMS, SimState, right_hand_sides
     from .tension import hookean
 
@@ -190,7 +190,7 @@ def _verify_formulation(seed: int):
 
 
 def _random_bandlimited_curve(rng, n: int, modes: int, amp: float) -> Curve:
-    th = -np.pi + 2.0 * np.pi * np.arange(n) / n
+    th = theta_grid(n)
     pert = np.zeros((n, 2))
     for k in range(1, modes + 1):
         scale = amp * k**-3.0
@@ -201,9 +201,9 @@ def _random_bandlimited_curve(rng, n: int, modes: int, amp: float) -> Curve:
 
 
 def _rel_l2(diff: np.ndarray, ref: np.ndarray) -> float:
-    num = np.sqrt(np.mean(np.sum(diff**2, axis=-1)))
-    den = np.sqrt(np.mean(np.sum(ref**2, axis=-1)))
-    return float(num / den) if den > 0 else float(num)
+    num = parseval_norm(power_spectrum(diff))
+    den = parseval_norm(power_spectrum(ref))
+    return num / den if den > 0 else num
 
 
 def _cmd_verify(args) -> int:

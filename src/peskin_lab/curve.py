@@ -3,6 +3,11 @@
 A curve is sampled at theta_j = -pi + 2*pi*j/N and kept in sync with its
 Fourier coefficients.  All shifts f(theta + alpha) are realized spectrally
 (phase factor exp(i*k*alpha)), which is exact for band-limited data.
+
+This module also holds the one implementation of each spectral primitive
+the rest of the package builds on: the theta and half-offset grids, the
+Fourier-multiplier path, and the pointwise, L^p and Parseval norms of
+sampled fields.  It imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -15,13 +20,17 @@ import numpy as np
 
 __all__ = [
     "Curve",
-    "DifferenceField",
     "ArcChord",
     "theta_grid",
+    "half_offset_grid",
     "wavenumbers",
     "fft_coeffs",
     "grid_values",
+    "apply_multiplier",
     "power_spectrum",
+    "parseval_norm",
+    "magnitude",
+    "lp_norm",
     "spectral_shift",
     "shift_many",
     "half_offset_samples",
@@ -43,6 +52,11 @@ MIN_NODES = 16
 def theta_grid(n: int) -> np.ndarray:
     """Uniform grid theta_j = -pi + 2*pi*j/n, j = 0..n-1."""
     return -np.pi + 2.0 * np.pi * np.arange(n) / n
+
+
+def half_offset_grid(m: int) -> np.ndarray:
+    """Half-offset quadrature nodes alpha = -pi + (i + 1/2) 2 pi / m."""
+    return -np.pi + (np.arange(m) + 0.5) * 2.0 * np.pi / m
 
 
 def wavenumbers(n: int) -> np.ndarray:
@@ -77,21 +91,46 @@ def grid_values(coeffs: np.ndarray) -> np.ndarray:
     return np.fft.ifft(coeffs * ph, axis=0).real * n
 
 
+def apply_multiplier(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """Grid samples of the Fourier multiplier mult (shape (n,), FFT order)
+    applied to the samples of shape (n,) or (n, c), componentwise."""
+    values = np.asarray(values, dtype=float)
+    c = fft_coeffs(values)
+    return grid_values(c * mult.reshape((len(mult),) + (1,) * (values.ndim - 1)))
+
+
 def power_spectrum(values: np.ndarray) -> np.ndarray:
-    """Power |c_k|^2 of grid samples summed over components, shape (n,); by
-    Parseval, 2 pi sum_k w_k power_k is the squared L2 norm of the field
-    under the Fourier multiplier sqrt(w_k)."""
+    """Power |c_k|^2 of grid samples summed over components, shape (n,)."""
     power = np.abs(fft_coeffs(values)) ** 2
     return power.reshape(len(power), -1).sum(axis=1)
 
 
+def parseval_norm(power: np.ndarray, weights: np.ndarray | None = None) -> float:
+    """sqrt(2 pi sum_k w_k power_k) for power = power_spectrum(f): by Parseval
+    the L2 norm on T of f under the Fourier multiplier sqrt(w_k), of f itself
+    when weights is None."""
+    total = np.sum(power) if weights is None else np.sum(weights * power)
+    return float(np.sqrt(2.0 * np.pi * total))
+
+
+def magnitude(values: np.ndarray, vector: bool = True) -> np.ndarray:
+    """Pointwise |f| of samples: the length of each 2-vector of a (..., 2)
+    field, or the absolute value of a scalar field when vector is False."""
+    return np.hypot(values[..., 0], values[..., 1]) if vector else np.abs(values)
+
+
+def lp_norm(mag: np.ndarray, p: float) -> np.ndarray:
+    """L^p(T) norm of pointwise magnitudes sampled on the theta grid along
+    the last axis (max for p = inf); one norm per leading index."""
+    if np.isinf(p):
+        return mag.max(axis=-1)
+    return (2.0 * np.pi * np.mean(mag**p, axis=-1)) ** (1.0 / p)
+
+
 def spectral_shift(values: np.ndarray, alpha: float) -> np.ndarray:
     """Samples of f(theta + alpha) from samples of f, exact for band-limited f."""
-    values = np.asarray(values)
-    n = values.shape[0]
-    k = wavenumbers(n).reshape((n,) + (1,) * (values.ndim - 1))
-    c = fft_coeffs(values) * np.exp(1j * k * alpha)
-    return grid_values(c)
+    k = wavenumbers(np.asarray(values).shape[0])
+    return apply_multiplier(values, np.exp(1j * k * alpha))
 
 
 def shift_many(values: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -164,25 +203,19 @@ def spectral_derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
     The Nyquist mode is zeroed for odd orders (its derivative is not
     representable on the grid).
     """
-    values = np.asarray(values)
-    n = values.shape[0]
-    k = wavenumbers(n).astype(float)
-    mult = (1j * k) ** order
+    n = np.asarray(values).shape[0]
+    mult = (1j * wavenumbers(n).astype(float)) ** order
     if order % 2 == 1:
         mult[n // 2] = 0.0
-    c = fft_coeffs(values) * mult.reshape((n,) + (1,) * (values.ndim - 1))
-    return grid_values(c)
+    return apply_multiplier(values, mult)
 
 
 def spectral_antiderivative(values: np.ndarray) -> np.ndarray:
     """Mean-zero antiderivative; the input's k=0 mode is discarded."""
-    values = np.asarray(values)
-    n = values.shape[0]
-    k = wavenumbers(n).astype(float)
+    k = wavenumbers(np.asarray(values).shape[0]).astype(float)
     with np.errstate(divide="ignore", invalid="ignore"):
         mult = np.where(k == 0, 0.0, 1.0 / (1j * np.where(k == 0, 1.0, k)))
-    c = fft_coeffs(values) * mult.reshape((n,) + (1,) * (values.ndim - 1))
-    return grid_values(c)
+    return apply_multiplier(values, mult)
 
 
 @dataclass(frozen=True)
@@ -277,29 +310,16 @@ class Curve:
         return Curve.from_coeffs(c_new)
 
 
-@dataclass(frozen=True)
-class DifferenceField:
-    """Samples of a difference operator applied to a periodic field.
-
-    variant "plain" is f(theta+alpha) - f(theta); "divided" is that over
-    alpha; "plus" is X'(theta+alpha) - D_alpha X; "minus" is X'(theta) -
-    D_alpha X.  base keeps the sampled field the operator acted on.
-    """
-
-    alpha: float
-    variant: str
-    values: np.ndarray
-    base: np.ndarray | None = None
-
-
 _VARIANTS = ("plain", "divided", "plus", "minus")
 
 
 def difference(values: np.ndarray, alpha: float, variant: str = "plain",
-               primitive: np.ndarray | None = None) -> DifferenceField:
-    """Apply one of the difference operators on the theta grid.
+               primitive: np.ndarray | None = None) -> np.ndarray:
+    """Samples of one of the difference operators on the theta grid.
 
-    For the "plus"/"minus" variants, values must hold the derivative field
+    variant "plain" is f(theta+alpha) - f(theta); "divided" is that over
+    alpha; "plus" is X'(theta+alpha) - D_alpha X; "minus" is X'(theta) -
+    D_alpha X.  For "plus"/"minus", values must hold the derivative field
     X' and primitive the position samples X (the divided difference
     D_alpha X is formed from it).
     """
@@ -309,19 +329,16 @@ def difference(values: np.ndarray, alpha: float, variant: str = "plain",
         raise ValueError(f"unknown variant {variant!r}")
     values = np.asarray(values, dtype=float)
     if variant == "plain":
-        out = spectral_shift(values, alpha) - values
-    elif variant == "divided":
-        out = (spectral_shift(values, alpha) - values) / alpha
-    else:
-        if primitive is None:
-            raise ValueError("plus/minus variants need the primitive samples")
-        primitive = np.asarray(primitive, dtype=float)
-        divided = (spectral_shift(primitive, alpha) - primitive) / alpha
-        if variant == "plus":
-            out = spectral_shift(values, alpha) - divided
-        else:
-            out = values - divided
-    return DifferenceField(alpha=alpha, variant=variant, values=out, base=values)
+        return spectral_shift(values, alpha) - values
+    if variant == "divided":
+        return (spectral_shift(values, alpha) - values) / alpha
+    if primitive is None:
+        raise ValueError("plus/minus variants need the primitive samples")
+    primitive = np.asarray(primitive, dtype=float)
+    divided = (spectral_shift(primitive, alpha) - primitive) / alpha
+    if variant == "plus":
+        return spectral_shift(values, alpha) - divided
+    return values - divided
 
 
 class ArcChord(NamedTuple):
@@ -343,7 +360,7 @@ def _arc_chord_level(curve: Curve, m: int) -> float:
     slack, relative to sum_k |c_k|, that absorbs rounding."""
     z = as_complex(curve.nodes)
     window = half_offset_window(as_complex(half_offset_samples(curve.nodes, m)), curve.n)
-    alphas = np.abs(-np.pi + (np.arange(m) + 0.5) * 2.0 * np.pi / m)
+    alphas = np.abs(half_offset_grid(m))
 
     def chords(rows):  # min_j |delta X(theta_j, alpha_i)| per row i, in blocks
         out = np.empty(len(rows))

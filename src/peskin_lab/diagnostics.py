@@ -17,9 +17,10 @@ import numpy as np
 
 from .besov import (BesovParams, MuWeight, _diff_quadrature, besov_diff,
                     beta_gain, cl_norm)
-from .curve import Curve, arc_chord, power_spectrum, wavenumbers
+from .curve import (Curve, arc_chord, half_offset_grid, magnitude, parseval_norm,
+                    power_spectrum, spectral_antiderivative, theta_grid,
+                    wavenumbers)
 from .evolution import SimConfig, Trajectory, simulate
-from .operators import half_offset_grid
 from .tension import TensionLaw
 
 __all__ = [
@@ -105,7 +106,7 @@ def _h1_series(traj: Trajectory) -> np.ndarray:
     out = np.empty(len(traj.times))
     for i, d in enumerate(traj.derivs):
         k = np.abs(wavenumbers(d.n)).astype(float)
-        out[i] = np.sqrt(2.0 * np.pi * np.sum(k**2 * power_spectrum(d.nodes)))
+        out[i] = parseval_norm(power_spectrum(d.nodes), k**2)
     return out
 
 
@@ -162,20 +163,12 @@ def smoothing_audit(traj: Trajectory, mode: str = "rough",
     )
 
 
-def _l2_diff(a: Curve, b: Curve) -> float:
-    d = a.nodes - b.nodes
-    return float(np.sqrt(2.0 * np.pi * np.mean(np.sum(d * d, axis=-1))))
-
-
 def _perturbation_shape(n: int) -> np.ndarray:
     # fixed deterministic direction with unit-L2 tangent field
-    th = -np.pi + 2.0 * np.pi * np.arange(n) / n
+    th = theta_grid(n)
     deriv = np.stack([np.cos(2 * th) + 0.5 * np.sin(3 * th),
                       np.sin(2 * th) - 0.5 * np.cos(3 * th)], axis=1)
-    l2 = np.sqrt(2.0 * np.pi * np.mean(np.sum(deriv**2, axis=-1)))
-    from .curve import spectral_antiderivative
-
-    return spectral_antiderivative(deriv / l2)
+    return spectral_antiderivative(deriv / parseval_norm(power_spectrum(deriv)))
 
 
 def stability_audit(x0: Curve, law: TensionLaw, horizon: float,
@@ -196,7 +189,7 @@ def stability_audit(x0: Curve, law: TensionLaw, horizon: float,
                         output_stride=5)
     cfg = SimConfig(**{**cfg.__dict__, "horizon": horizon})
     base = simulate(cfg, initial=x0, law=law)
-    base_l2 = _l2_deriv(x0)
+    base_l2 = parseval_norm(power_spectrum(x0.derivative().nodes))
     pairs = []
     if y0 is not None:
         pairs.append(("given", y0))
@@ -209,11 +202,12 @@ def stability_audit(x0: Curve, law: TensionLaw, horizon: float,
     omega_norms = {}
     for label, y in pairs:
         other = simulate(cfg, initial=y, law=law)
-        d0 = _l2_diff(x0.derivative(), y.derivative())
+        d0 = parseval_norm(power_spectrum(x0.derivative().nodes - y.derivative().nodes))
         if d0 == 0.0:
             ratios[label] = 0.0
             continue
-        sup = max(_l2_diff(a, b) for a, b in zip(base.derivs, other.derivs))
+        sup = max(parseval_norm(power_spectrum(a.nodes - b.nodes))
+                  for a, b in zip(base.derivs, other.derivs))
         ratios[label] = sup / d0
         if omega is not None:
             tangent_diffs = [Curve.from_nodes(x.nodes - y.nodes).derivative().nodes
@@ -234,11 +228,6 @@ def stability_audit(x0: Curve, law: TensionLaw, horizon: float,
         thresholds={"ratio_max": ratio_max, "spread<=": 2.0},
         passed=bool(ok),
     )
-
-
-def _l2_deriv(c: Curve) -> float:
-    d = c.derivative().nodes
-    return float(np.sqrt(2.0 * np.pi * np.mean(np.sum(d * d, axis=-1))))
 
 
 def circle_distance(deriv: Curve) -> float:
@@ -304,7 +293,7 @@ def chord_arc_lipschitz_audit(traj: Trajectory, slack: float = 1e-4) -> AuditRep
         for j in range(i + 1, len(values)):
             lhs = abs(values[i] - values[j])
             diff = derivs[i] - derivs[j]
-            rhs = float(np.max(np.hypot(diff[:, 0], diff[:, 1])))
+            rhs = float(np.max(magnitude(diff)))
             worst = max(worst, lhs - rhs)
     return AuditReport(
         name="chord-arc-lipschitz",

@@ -45,20 +45,25 @@ import numpy as np
 
 from .curve import (
     Curve,
+    apply_multiplier,
     arc_chord,
     as_complex,
     fft_coeffs,
     grid_values,
+    half_offset_grid,
     half_offset_samples,
     half_offset_window,
+    magnitude,
     min_chord_quotient,
+    parseval_norm,
     power_spectrum,
     spectral_antiderivative,
+    theta_grid,
     wavenumbers,
 )
 from .besov import BesovParams, MuWeight, besov_diff
 from .kernels import FOUR_PI
-from .operators import half_offset_grid, symbol
+from .operators import symbol
 from .tension import TensionLaw, tension_jacobian, tension_map, hookean, power_law, arctan_law, globalize
 
 __all__ = [
@@ -312,7 +317,7 @@ def _bi_form(frame: _Frame):
     # exact product quadrature for the periodic log kernel
     k = wavenumbers(2 * n).astype(float)
     w = np.where(k == 0.0, 0.0, -np.pi / np.where(k == 0.0, 1.0, np.abs(k)))
-    log_part = -grid_values(fft_coeffs(force_fine) * w[:, None])[::2]
+    log_part = -apply_multiplier(force_fine, w)[::2]
     return integrand, lambda quad: (quad + log_part) / FOUR_PI
 
 
@@ -507,8 +512,7 @@ def dissipation_term(state: SimState) -> np.ndarray:
 
 
 def _cbar(state: SimState) -> float:
-    x1 = state.deriv.nodes
-    mag = np.hypot(x1[:, 0], x1[:, 1])
+    mag = magnitude(state.deriv.nodes)
     return float(np.max(np.maximum(state.law.d1(mag), state.law.eval(mag) / mag)))
 
 
@@ -648,7 +652,7 @@ def make_initial_curve(cfg: SimConfig) -> Curve:
         base = Curve.circle(n, radius=cfg.init_radius)
         if cfg.init_perturb_amp == 0.0 or cfg.init_perturb_mode == 0:
             return base
-        th = -np.pi + 2.0 * np.pi * np.arange(n) / n
+        th = theta_grid(n)
         radial = cfg.init_radius * (1.0 + cfg.init_perturb_amp
                                     * np.cos(cfg.init_perturb_mode * th))
         return Curve.from_nodes(np.stack([radial * np.cos(th),
@@ -680,7 +684,7 @@ def _rough_curve(n: int, sigma: float, amp: float, radius: float,
     pert_deriv = grid_values(c1)
     base = Curve.circle(n, radius=radius)
     base_l2 = np.sqrt(2.0 * np.pi) * radius
-    pert_l2 = np.sqrt(2.0 * np.pi * np.mean(np.sum(pert_deriv**2, axis=-1)))
+    pert_l2 = parseval_norm(power_spectrum(pert_deriv))
     scale = amp * base_l2 / pert_l2 if pert_l2 > 0 else 0.0
     pert = spectral_antiderivative(pert_deriv * scale)
     return Curve.from_nodes(base.nodes + pert)
@@ -725,17 +729,14 @@ def _diag_record(state: SimState, arc: float, mu: MuWeight, scheme: str,
     x1 = state.deriv.nodes
     power = power_spectrum(x1)
     k = np.abs(wavenumbers(state.curve.n)).astype(float)
-    l2 = float(np.sqrt(2.0 * np.pi * power.sum()))
-    h_half = float(np.sqrt(2.0 * np.pi * np.sum(k * power)))
-    h1 = float(np.sqrt(2.0 * np.pi * np.sum(k**2 * power)))
     bes = besov_diff(x1, BesovParams(0.5, 2, 1, mu), beta_points=beta_points)
     return {
         "schema": "peskin-lab/diag-v1",
         "t": float(state.t),
         "arc_chord": arc,
-        "l2": l2,
-        "h_half": h_half,
-        "h1": h1,
+        "l2": parseval_norm(power),
+        "h_half": parseval_norm(power, k),
+        "h1": parseval_norm(power, k**2),
         "besov_half_mu": float(bes),
         "step_scheme": scheme,
     }

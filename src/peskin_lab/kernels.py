@@ -12,6 +12,8 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
+from .curve import magnitude
+
 __all__ = [
     "KernelInput",
     "perp",
@@ -39,13 +41,9 @@ def perp(z: np.ndarray) -> np.ndarray:
     return np.stack([-z[..., 1], z[..., 0]], axis=-1)
 
 
-def _norm(z):
-    return np.hypot(z[..., 0], z[..., 1])
-
-
 def unit(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
-    r = _norm(z)
+    r = magnitude(z)
     if np.any(r == 0.0):
         raise ValueError("zero vector has no direction")
     return z / r[..., None]
@@ -80,7 +78,7 @@ def _eye_like(z):
 def stokeslet(z: np.ndarray, part: str = "G") -> np.ndarray:
     """2D Stokeslet: G1 = -(log|z|/4pi) I, G2 = (zhat@zhat)/4pi, G = G1+G2."""
     z = np.asarray(z, dtype=float)
-    r = _norm(z)
+    r = magnitude(z)
     if np.any(r == 0.0):
         raise ValueError("Stokeslet is singular at z = 0")
     if part == "G1":
@@ -102,7 +100,7 @@ def stokeslet_derivatives(u: np.ndarray, v: np.ndarray | None, z: np.ndarray,
     """
     u = np.asarray(u, dtype=float)
     z = np.asarray(z, dtype=float)
-    r = _norm(z)
+    r = magnitude(z)
     if np.any(r == 0.0):
         raise ValueError("Stokeslet derivatives are singular at z = 0")
     zh = z / r[..., None]
@@ -134,7 +132,7 @@ def cancellation_residual(u: np.ndarray, z: np.ndarray) -> np.ndarray:
     g2 = stokeslet(z, "G2")
     res = np.einsum("...ij,...j->...i", du_g1, np.asarray(z, dtype=float)) \
         + np.einsum("...ij,...j->...i", g2, np.asarray(u, dtype=float))
-    return _norm(res)
+    return magnitude(res)
 
 
 @dataclass(frozen=True)
@@ -156,7 +154,7 @@ class KernelInput:
         d = np.asarray(self.d, dtype=float)
         if a.shape[-1] != 2 or b.shape != a.shape or d.shape != a.shape:
             raise ValueError("a, b, d must share a (..., 2) shape")
-        if np.any(_norm(d) == 0.0):
+        if np.any(magnitude(d) == 0.0):
             raise ValueError("divided difference vanishes: arc-chord failure")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -273,6 +271,27 @@ A_BETA_BOUND_CONST = 0.40
 A_PAIR_BOUND_CONST = 0.40
 
 
+def _check_floor(rho: float, *inputs: KernelInput) -> None:
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    if any(np.any(magnitude(inp.d) < rho) for inp in inputs):
+        raise ValueError("sample violates the arc-chord floor rho")
+
+
+def _bound_report(name: str, lhs: np.ndarray, bound: np.ndarray,
+                  constant: float) -> BoundReport:
+    # a zero bound forces every difference it carries to vanish, so lhs is
+    # exactly 0 there and its ratio is 0
+    ratio = np.where(bound > 0, lhs / np.where(bound > 0, bound, 1.0), 0.0)
+    return BoundReport(
+        name=name,
+        n_samples=int(lhs.size),
+        constant=constant,
+        max_ratio=float(np.max(ratio)) if lhs.size else 0.0,
+        n_violations=int(np.sum(lhs > bound + 1e-14)),
+    )
+
+
 def a_bound_audit(inp: KernelInput, rho: float,
                   constant: float = A_BOUND_CONST) -> BoundReport:
     """Check |A| <= C (rho^-2 |dp||dm| + rho^-1 (|dp| + |dm|)) samplewise.
@@ -283,24 +302,12 @@ def a_bound_audit(inp: KernelInput, rho: float,
     quadratic-plus-linear difference estimate; in integrated norms the
     plus/minus operators are interchangeable with the plain difference.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    if np.any(_norm(inp.d) < rho):
-        raise ValueError("sample violates the arc-chord floor rho")
-    amat = kernel_A(inp.a, inp.b, inp.d)
-    lhs = _frob(amat)
-    dp = _norm(inp.delta_plus)
-    dm = _norm(inp.delta_minus)
+    _check_floor(rho, inp)
+    lhs = _frob(kernel_A(inp.a, inp.b, inp.d))
+    dp = magnitude(inp.delta_plus)
+    dm = magnitude(inp.delta_minus)
     bound = constant * (dp * dm / rho**2 + (dp + dm) / rho)
-    ratio = np.where(bound > 0, lhs / np.where(bound > 0, bound, 1.0),
-                     np.where(lhs > 0, np.inf, 0.0))
-    return BoundReport(
-        name="A-pointwise",
-        n_samples=int(lhs.size),
-        constant=constant,
-        max_ratio=float(np.max(ratio)) if lhs.size else 0.0,
-        n_violations=int(np.sum(lhs > bound + 1e-14)),
-    )
+    return _bound_report("A-pointwise", lhs, bound, constant)
 
 
 def a_beta_bound_audit(inp: KernelInput, inp_beta: KernelInput, rho: float,
@@ -312,28 +319,18 @@ def a_beta_bound_audit(inp: KernelInput, inp_beta: KernelInput, rho: float,
     where the difference falls on the X' factors and on the divided
     difference.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    if np.any(_norm(inp.d) < rho) or np.any(_norm(inp_beta.d) < rho):
-        raise ValueError("sample violates the arc-chord floor rho")
+    _check_floor(rho, inp, inp_beta)
     lhs = _frob(kernel_A(inp_beta.a, inp_beta.b, inp_beta.d)
                 - kernel_A(inp.a, inp.b, inp.d))
-    dpp, dmm = _norm(inp.delta_plus), _norm(inp.delta_minus)
-    tb_dm = _norm(inp_beta.delta_minus)
-    db_dp = _norm(inp_beta.delta_plus - inp.delta_plus)
-    db_dm = _norm(inp_beta.delta_minus - inp.delta_minus)
-    db_d = _norm(inp_beta.d - inp.d)
+    dpp, dmm = magnitude(inp.delta_plus), magnitude(inp.delta_minus)
+    tb_dm = magnitude(inp_beta.delta_minus)
+    db_dp = magnitude(inp_beta.delta_plus - inp.delta_plus)
+    db_dm = magnitude(inp_beta.delta_minus - inp.delta_minus)
+    db_d = magnitude(inp_beta.d - inp.d)
     b1 = (db_dp * tb_dm + dpp * db_dm) / rho**2 + (db_dp + db_dm) / rho
     b2 = dpp * (tb_dm + dmm) * db_d / rho**3 + (dpp + dmm) * db_d / rho**2
-    bound = constant * (b1 + b2)
-    return BoundReport(
-        name="A-translated-difference",
-        n_samples=int(lhs.size),
-        constant=constant,
-        max_ratio=float(np.max(np.where(bound > 0, lhs / np.maximum(bound, 1e-300),
-                                        0.0))) if lhs.size else 0.0,
-        n_violations=int(np.sum(lhs > bound + 1e-14)),
-    )
+    return _bound_report("A-translated-difference", lhs, constant * (b1 + b2),
+                         constant)
 
 
 def a_pair_bound_audit(inp_x: KernelInput, inp_y: KernelInput, rho: float,
@@ -342,29 +339,19 @@ def a_pair_bound_audit(inp_x: KernelInput, inp_y: KernelInput, rho: float,
 
     rho plays the role of the smaller of the two arc-chord floors.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    if np.any(_norm(inp_x.d) < rho) or np.any(_norm(inp_y.d) < rho):
-        raise ValueError("sample violates the arc-chord floor rho")
+    _check_floor(rho, inp_x, inp_y)
     lhs = _frob(kernel_A(inp_x.a, inp_x.b, inp_x.d)
                 - kernel_A(inp_y.a, inp_y.b, inp_y.d))
-    dp_diff = _norm(inp_x.delta_plus - inp_y.delta_plus)
-    dm_diff = _norm(inp_x.delta_minus - inp_y.delta_minus)
-    d_diff = _norm(inp_x.d - inp_y.d)
-    dm_x = _norm(inp_x.delta_minus)
-    dp_y = _norm(inp_y.delta_plus)
-    dm_y = _norm(inp_y.delta_minus)
+    dp_diff = magnitude(inp_x.delta_plus - inp_y.delta_plus)
+    dm_diff = magnitude(inp_x.delta_minus - inp_y.delta_minus)
+    d_diff = magnitude(inp_x.d - inp_y.d)
+    dm_x = magnitude(inp_x.delta_minus)
+    dp_y = magnitude(inp_y.delta_plus)
+    dm_y = magnitude(inp_y.delta_minus)
     bound = constant * (
         (dp_diff + dm_diff) / rho
         + (dp_diff * dm_x + dm_diff * dp_y) / rho**2
         + d_diff * (dm_y + dp_y) / rho**2
         + d_diff * dm_y * dp_y / rho**3
     )
-    return BoundReport(
-        name="A-two-curve-difference",
-        n_samples=int(lhs.size),
-        constant=constant,
-        max_ratio=float(np.max(np.where(bound > 0, lhs / np.maximum(bound, 1e-300),
-                                        0.0))) if lhs.size else 0.0,
-        n_violations=int(np.sum(lhs > bound + 1e-14)),
-    )
+    return _bound_report("A-two-curve-difference", lhs, bound, constant)

@@ -15,7 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curve import fft_coeffs, grid_values, power_spectrum, wavenumbers
+from .curve import (apply_multiplier, half_offset_grid, lp_norm, magnitude,
+                    parseval_norm, power_spectrum, wavenumbers)
 
 __all__ = [
     "OperatorSymbol",
@@ -34,11 +35,6 @@ __all__ = [
 ]
 
 
-def half_offset_grid(m: int) -> np.ndarray:
-    """Half-offset quadrature nodes alpha = -pi + (i + 1/2) 2 pi / m."""
-    return -np.pi + (np.arange(m) + 0.5) * 2.0 * np.pi / m
-
-
 @dataclass(frozen=True)
 class OperatorSymbol:
     """Per-wavenumber eigenvalue tables for grid size n.
@@ -50,12 +46,8 @@ class OperatorSymbol:
 
     n: int
     m: int
-    abs_k: np.ndarray
     lam_sine: np.ndarray
     lam_tilde: np.ndarray
-
-    def lam_s(self, s: float) -> np.ndarray:
-        return self.abs_k**s
 
 
 @lru_cache(maxsize=64)
@@ -69,19 +61,13 @@ def symbol(n: int, m: int) -> OperatorSymbol:
     lam_tilde = (0.5 / m) * one_minus_cos @ (1.0 / al**2)
     lam_sine.flags.writeable = False
     lam_tilde.flags.writeable = False
-    return OperatorSymbol(n=n, m=m, abs_k=k, lam_sine=lam_sine, lam_tilde=lam_tilde)
-
-
-def _apply_symbol(values: np.ndarray, sym: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    c = fft_coeffs(values)
-    return grid_values(c * sym.reshape((len(sym),) + (1,) * (values.ndim - 1)))
+    return OperatorSymbol(n=n, m=m, lam_sine=lam_sine, lam_tilde=lam_tilde)
 
 
 def lambda_fourier(values: np.ndarray, s: float) -> np.ndarray:
     """Apply the |k|^s multiplier to grid samples; constants map to zero."""
     n = np.asarray(values).shape[0]
-    return _apply_symbol(values, np.abs(wavenumbers(n)).astype(float) ** s)
+    return apply_multiplier(values, np.abs(wavenumbers(n)).astype(float) ** s)
 
 
 def lambda_sine(values: np.ndarray, m: int | None = None) -> np.ndarray:
@@ -89,7 +75,7 @@ def lambda_sine(values: np.ndarray, m: int | None = None) -> np.ndarray:
     n = np.asarray(values).shape[0]
     if m is None:
         m = 8 * n
-    return _apply_symbol(values, symbol(n, m).lam_sine)
+    return apply_multiplier(values, symbol(n, m).lam_sine)
 
 
 def lambda_tilde(values: np.ndarray, m: int | None = None) -> np.ndarray:
@@ -97,7 +83,7 @@ def lambda_tilde(values: np.ndarray, m: int | None = None) -> np.ndarray:
     n = np.asarray(values).shape[0]
     if m is None:
         m = 8 * n
-    return _apply_symbol(values, symbol(n, m).lam_tilde)
+    return apply_multiplier(values, symbol(n, m).lam_tilde)
 
 
 def half_lambda_norm(values: np.ndarray, m: int | None = None) -> float:
@@ -110,8 +96,7 @@ def half_lambda_norm(values: np.ndarray, m: int | None = None) -> float:
     n = values.shape[0]
     if m is None:
         m = 8 * n
-    weights = symbol(n, m).lam_tilde
-    return float(np.sqrt(2.0 * np.pi * np.sum(weights * power_spectrum(values))))
+    return parseval_norm(power_spectrum(values), symbol(n, m).lam_tilde)
 
 
 def lambda_tilde_eigenvalue_exact(k: int) -> float:
@@ -216,7 +201,7 @@ def lp_project(values: np.ndarray, j: int) -> np.ndarray:
     """Frequency-localized piece of f at dyadic band 2^j."""
     values = np.asarray(values, dtype=float)
     fam = lp_family(values.shape[0])
-    return _apply_symbol(values, fam.block(j))
+    return apply_multiplier(values, fam.block(j))
 
 
 def lp_block_norms(values: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -226,10 +211,5 @@ def lp_block_norms(values: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray
     fam = lp_family(n)
     norms = np.empty(len(fam.js))
     for i, j in enumerate(fam.js):
-        piece = lp_project(values, j)
-        mag = np.abs(piece) if piece.ndim == 1 else np.hypot(piece[:, 0], piece[:, 1])
-        if np.isinf(p):
-            norms[i] = mag.max()
-        else:
-            norms[i] = (2.0 * np.pi * np.mean(mag**p)) ** (1.0 / p)
+        norms[i] = lp_norm(magnitude(lp_project(values, j), values.ndim == 2), p)
     return fam.js.copy(), norms

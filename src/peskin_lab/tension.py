@@ -12,6 +12,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from .curve import magnitude
 from .kernels import perp
 
 __all__ = [
@@ -128,7 +129,11 @@ def arctan_law(window: Tuple[float, float] = (0.5, 2.0)) -> TensionLaw:
 
 
 def table_law(r_values, t_values) -> TensionLaw:
-    """Monotone tension interpolated from (r, T) samples (PCHIP)."""
+    """Monotone tension interpolated from (r, T) samples (PCHIP).
+
+    The law is defined on the sampled stretch range only: eval, d1 and d2
+    raise ValueError for a stretch outside it (globalize extends the law).
+    """
     from scipy.interpolate import PchipInterpolator
 
     r_values = np.asarray(r_values, dtype=float)
@@ -137,17 +142,32 @@ def table_law(r_values, t_values) -> TensionLaw:
         raise ValueError("table must be strictly increasing in r and T")
     interp = PchipInterpolator(r_values, t_values)
     d1 = interp.derivative()
-    rs = np.linspace(r_values[0], r_values[-1], 2049)
+    d2 = interp.derivative(2)
+    lo, hi = float(r_values[0]), float(r_values[-1])
+    rs = np.linspace(lo, hi, 2049)
     lam = float(min(np.min(d1(rs)), np.min(interp(rs) / rs)))
     if lam <= 0:
         raise ValueError("interpolated tension is not uniformly increasing")
+
+    def on_table(fn):
+        def ev(r):
+            r = np.asarray(r, dtype=float)
+            outside = (r < lo) | (r > hi)
+            if np.any(outside):
+                raise ValueError(
+                    f"stretch {float(r[outside].flat[0])!r} lies outside the "
+                    f"tension table's range [{lo!r}, {hi!r}]; set "
+                    f"tension.globalize to extend the law")
+            return np.asarray(fn(r), dtype=float)
+        return ev
+
     return TensionLaw(
         name="table",
-        eval=lambda r: np.asarray(interp(r), dtype=float),
-        d1=lambda r: np.asarray(d1(r), dtype=float),
-        d2=lambda r: np.asarray(interp.derivative(2)(r), dtype=float),
+        eval=on_table(interp),
+        d1=on_table(d1),
+        d2=on_table(d2),
         lam=lam,
-        window=(float(r_values[0]), float(r_values[-1])),
+        window=(lo, hi),
         vanishes_at_zero=False,
     )
 
@@ -155,7 +175,7 @@ def table_law(r_values, t_values) -> TensionLaw:
 def tension_map(law: TensionLaw, z: np.ndarray) -> np.ndarray:
     """Vector tension T(|z|) * zhat; z has shape (..., 2)."""
     z = np.asarray(z, dtype=float)
-    r = np.hypot(z[..., 0], z[..., 1])
+    r = magnitude(z)
     if np.any(r == 0.0):
         if not law.vanishes_at_zero:
             raise ValueError("tension map undefined at z = 0 for this law")
@@ -169,7 +189,7 @@ def tension_map(law: TensionLaw, z: np.ndarray) -> np.ndarray:
 def tension_jacobian(law: TensionLaw, z: np.ndarray) -> np.ndarray:
     """Jacobian of the tension map: T'(|z|) zhat@zhat + (T/|z|) zperp@zperp."""
     z = np.asarray(z, dtype=float)
-    r = np.hypot(z[..., 0], z[..., 1])
+    r = magnitude(z)
     if np.any(r == 0.0):
         raise ValueError("tension Jacobian undefined at z = 0")
     zh = z / r[..., None]
@@ -207,30 +227,13 @@ def globalize(law: TensionLaw, a: float, b: float) -> TensionLaw:
     # and slope s0 at a/2
     q2 = (da - s0) / a
 
-    def _ev(fun_mid, r):
+    def _piecewise(r, low, blend, window, high):
+        # the four regions: linear below a/2, the blend, the law, linear above b
         r = np.asarray(r, dtype=float)
         out = np.empty_like(r)
-        lo = r < 0.5 * a
-        bl = (r >= 0.5 * a) & (r < a)
-        mid = (r >= a) & (r <= b)
-        hi = r > b
-        out[lo] = s0 * r[lo]
-        out[bl] = ta + da * (r[bl] - a) + q2 * (r[bl] - a) ** 2
-        out[mid] = fun_mid(r[mid])
-        out[hi] = tb + db * (r[hi] - b)
-        return out
-
-    def _ev1(r):
-        r = np.asarray(r, dtype=float)
-        out = np.empty_like(r)
-        lo = r < 0.5 * a
-        bl = (r >= 0.5 * a) & (r < a)
-        mid = (r >= a) & (r <= b)
-        hi = r > b
-        out[lo] = s0
-        out[bl] = da + 2.0 * q2 * (r[bl] - a)
-        out[mid] = law.d1(r[mid])
-        out[hi] = db
+        regions = (r < 0.5 * a, (r >= 0.5 * a) & (r < a), (r >= a) & (r <= b), r > b)
+        for mask, piece in zip(regions, (low, blend, window, high)):
+            out[mask] = piece(r[mask])
         return out
 
     lam = float(min(s0, np.min(d1_window), db))
@@ -240,8 +243,11 @@ def globalize(law: TensionLaw, a: float, b: float) -> TensionLaw:
     c2 = float(max(np.max(d2_window), abs(2.0 * q2)))
     return TensionLaw(
         name=f"globalized[{law.name};{a},{b}]",
-        eval=lambda r: _ev(law.eval, r),
-        d1=_ev1,
+        eval=lambda r: _piecewise(r, lambda x: s0 * x,
+                                  lambda x: ta + da * (x - a) + q2 * (x - a) ** 2,
+                                  law.eval, lambda x: tb + db * (x - b)),
+        d1=lambda r: _piecewise(r, lambda x: s0, lambda x: da + 2.0 * q2 * (x - a),
+                                law.d1, lambda x: db),
         lam=lam,
         c1=c1,
         c2=c2,

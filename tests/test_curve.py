@@ -17,9 +17,14 @@ from peskin_lab.curve import (
     enclosed_area,
     fft_coeffs,
     grid_values,
+    half_offset_grid,
     half_offset_samples,
     half_offset_window,
+    lp_norm,
+    magnitude,
     min_chord_quotient,
+    parseval_norm,
+    power_spectrum,
     read_curve,
     shift_many,
     spectral_derivative,
@@ -88,7 +93,7 @@ def test_grid_size_validation():
 
 def test_difference_constant_zero():
     f = np.tile([2.0, 3.0], (32, 1))
-    out = difference(f, 0.7).values
+    out = difference(f, 0.7)
     assert np.max(np.abs(out)) < 1e-12
 
 
@@ -98,14 +103,14 @@ def test_difference_magnitude_identity():
     th = theta_grid(n)
     f = np.stack([np.cos(th), np.sin(th)], axis=1)
     for alpha in (0.3, -1.1, np.pi / 2):
-        out = difference(f, alpha).values
+        out = difference(f, alpha)
         mags = np.hypot(out[:, 0], out[:, 1])
         assert np.allclose(mags, 2.0 * abs(np.sin(alpha / 2.0)), atol=1e-12)
 
 
 def test_divided_difference_circle_at_pi():
     c = Curve.circle(64)
-    out = difference(c.nodes, np.pi, "divided").values
+    out = difference(c.nodes, np.pi, "divided")
     mags = np.hypot(out[:, 0], out[:, 1])
     # |delta_pi X| = 2 (diameter), divided by pi
     assert np.allclose(mags, 2.0 / np.pi, atol=1e-12)
@@ -120,9 +125,9 @@ def test_plus_minus_split(rng):
     c = random_bandlimited_curve(rng, 64)
     d = c.derivative()
     alpha = 0.9
-    plus = difference(d.nodes, alpha, "plus", primitive=c.nodes).values
-    minus = difference(d.nodes, alpha, "minus", primitive=c.nodes).values
-    plain = difference(d.nodes, alpha).values
+    plus = difference(d.nodes, alpha, "plus", primitive=c.nodes)
+    minus = difference(d.nodes, alpha, "minus", primitive=c.nodes)
+    plain = difference(d.nodes, alpha)
     assert np.max(np.abs(plus - (plain + minus))) < 1e-12
 
 
@@ -139,8 +144,8 @@ def test_difference_operator_lp_bounds(p, rng):
         d = c.derivative()
         norm = grid_lp(d.nodes, p)
         for alpha in (0.3, 1.7, -2.5):
-            minus = difference(d.nodes, alpha, "minus", primitive=c.nodes).values
-            divided = difference(c.nodes, alpha, "divided").values
+            minus = difference(d.nodes, alpha, "minus", primitive=c.nodes)
+            divided = difference(c.nodes, alpha, "divided")
             assert grid_lp(minus, p) <= 2.0 * norm + 1e-10
             assert grid_lp(divided, p) <= norm + 1e-10
 
@@ -149,11 +154,11 @@ def test_difference_linear_and_commutes(rng):
     f = random_trig_field(rng, 64, 10)
     g = random_trig_field(rng, 64, 10)
     alpha = 0.6
-    lhs = difference(2.0 * f - 3.0 * g, alpha).values
-    rhs = 2.0 * difference(f, alpha).values - 3.0 * difference(g, alpha).values
+    lhs = difference(2.0 * f - 3.0 * g, alpha)
+    rhs = 2.0 * difference(f, alpha) - 3.0 * difference(g, alpha)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
-    lhs = spectral_derivative(difference(f, alpha).values)
-    rhs = difference(spectral_derivative(f), alpha).values
+    lhs = spectral_derivative(difference(f, alpha))
+    rhs = difference(spectral_derivative(f), alpha)
     assert np.max(np.abs(lhs - rhs)) < 1e-11
 
 
@@ -402,3 +407,45 @@ def test_mean_tracked_separately(rng):
     moved = c.with_mean([5.0, -2.0])
     assert np.allclose(moved.mean, [5.0, -2.0], atol=1e-13)
     assert np.max(np.abs((moved.nodes - c.nodes) - (np.array([5.0, -2.0]) - mean))) < 1e-12
+
+
+# --- spectral primitives: one implementation each ---------------------------------
+
+
+@pytest.mark.parametrize("shape", [(33,), (34,), (64,), (33, 2), (34, 2), (64, 2)])
+def test_parseval_norm_matches_physical_quadrature(rng, shape):
+    f = rng.standard_normal(shape)  # white noise: every mode, Nyquist included
+    sq = f**2 if f.ndim == 1 else np.sum(f**2, axis=-1)
+    quadrature = np.sqrt(2.0 * np.pi * np.mean(sq))
+    assert abs(parseval_norm(power_spectrum(f)) - quadrature) <= 1e-14 * quadrature
+
+
+def test_magnitude_is_hypot(rng):
+    scale = 10.0 ** rng.uniform(-200, 200, (7, 33, 1))
+    z = rng.standard_normal((7, 33, 2)) * scale
+    assert np.array_equal(magnitude(z), np.hypot(z[..., 0], z[..., 1]))
+    f = rng.standard_normal((5, 33))
+    assert np.array_equal(magnitude(f, vector=False), np.abs(f))
+
+
+def _lp_reference(mag, p):
+    if np.isinf(p):
+        return mag.max(axis=-1)
+    return (2.0 * np.pi * np.mean(mag**p, axis=-1)) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0, np.inf])
+def test_lp_norm_matches_reference_formula(rng, p):
+    mag = np.abs(rng.standard_normal((9, 48)))
+    assert np.array_equal(lp_norm(mag, p), _lp_reference(mag, p))
+    assert lp_norm(mag[0], p) == _lp_reference(mag[0], p)
+    v = rng.standard_normal((48, 2))  # one field, as lp_block_norms takes it
+    assert lp_norm(magnitude(v), p) == grid_lp(v, p)
+    assert lp_norm(magnitude(v[:, 0], vector=False), p) == grid_lp(v[:, 0], p)
+
+
+def test_operators_half_offset_grid_is_the_curve_grid():
+    # the benchmark imports half_offset_grid from peskin_lab.operators
+    import peskin_lab.operators
+
+    assert peskin_lab.operators.half_offset_grid is half_offset_grid

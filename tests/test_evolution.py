@@ -622,6 +622,21 @@ def test_trajectory_derivs_computed_once(rng):
         assert np.array_equal(d.coeffs, ref.coeffs)
 
 
+def test_diag_record_norms_match_power_spectrum_expressions():
+    from peskin_lab.curve import power_spectrum, wavenumbers
+    from peskin_lab.evolution import _diag_record, _mu_for_diag
+
+    cfg = config_from_file(CONFIGS / "rough.cfg")
+    state = SimState.make(make_initial_curve(cfg), law_from_config(cfg), m=cfg.m)
+    rec = _diag_record(state, 1.0, _mu_for_diag(cfg, state.deriv.nodes),
+                       cfg.scheme, cfg.diag_beta_points)
+    power = power_spectrum(state.deriv.nodes)
+    k = np.abs(wavenumbers(state.curve.n)).astype(float)
+    assert rec["l2"] == float(np.sqrt(2.0 * np.pi * power.sum()))
+    assert rec["h_half"] == float(np.sqrt(2.0 * np.pi * np.sum(k * power)))
+    assert rec["h1"] == float(np.sqrt(2.0 * np.pi * np.sum(k**2 * power)))
+
+
 def test_diag_record_fields():
     cfg = SimConfig(n=64, m=256, dt=1e-2, horizon=0.02, output_stride=2)
     traj = simulate(cfg)

@@ -118,6 +118,18 @@ def test_cli_rejects_inconsistent_grid_and_horizon(tmp_path, capsys, bad, messag
     assert message in capsys.readouterr().err
 
 
+def test_cli_table_not_covering_initial_stretch_exits_2(tmp_path, capsys):
+    # the unit circle has stretch 1, below the table's range
+    table = tmp_path / "t.txt"
+    table.write_text("1.5 1.5\n2.0 2.2\n3.0 3.5\n")
+    cfg_path = _write_config(tmp_path, EQ_CONFIG + "tension.kind = table\n"
+                             f"tension.table = {table}\n")
+    assert main(["simulate", "--config", cfg_path, "--out",
+                 str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "range [1.5, 3.0]" in err and "tension.globalize" in err
+
+
 def test_cli_simulate_file_curve_default_alpha_grid(tmp_path):
     # no grid.* keys: the alpha grid follows the file's node count (96),
     # not the default grid.n

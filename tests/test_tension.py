@@ -38,6 +38,36 @@ def test_tension_map_arctan():
     assert np.allclose(out, [np.pi / 4.0, 0.0], atol=1e-13)
 
 
+def test_table_law_in_range_values_unchanged():
+    from scipy.interpolate import PchipInterpolator
+
+    rs = np.array([0.5, 0.8, 1.0, 1.4, 2.0])
+    ts = np.array([0.4, 0.9, 1.2, 2.0, 3.3])
+    law = table_law(rs, ts)
+    interp = PchipInterpolator(rs, ts)
+    r = np.concatenate([rs, np.linspace(0.5, 2.0, 101)])
+    assert np.array_equal(law.eval(r), interp(r))
+    assert np.array_equal(law.d1(r), interp.derivative()(r))
+    assert np.array_equal(law.d2(r), interp.derivative(2)(r))
+
+
+@pytest.mark.parametrize("fn", ["eval", "d1", "d2"])
+@pytest.mark.parametrize("r", [5.0, 0.49, [1.0, 2.5]])
+def test_table_law_rejects_stretch_outside_table(fn, r):
+    law = table_law([0.5, 1.0, 2.0], [1.0, 2.0, 3.5])
+    message = r"outside .*\[0\.5, 2\.0\].*tension\.globalize"
+    with pytest.raises(ValueError, match=message):
+        getattr(law, fn)(r)
+
+
+def test_globalize_window_past_table_raises():
+    law = table_law([0.5, 1.0, 2.0], [1.0, 2.0, 3.5])
+    with pytest.raises(ValueError, match="outside"):
+        globalize(law, 0.5, 3.0)
+    wide = globalize(law, 0.5, 2.0)  # the window inside the table extends it
+    assert np.all(np.isfinite(wide.eval(np.array([0.1, 5.0]))))
+
+
 def test_tension_map_at_zero():
     out = tension_map(hookean(1.0), np.zeros(2))
     assert np.allclose(out, 0.0)
