@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +36,7 @@ __all__ = [
     "shift_many",
     "half_offset_samples",
     "half_offset_window",
-    "min_chord_quotient",
+    "alpha_rows",
     "as_complex",
     "spectral_derivative",
     "spectral_antiderivative",
@@ -59,15 +60,23 @@ def half_offset_grid(m: int) -> np.ndarray:
     return -np.pi + (np.arange(m) + 0.5) * 2.0 * np.pi / m
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=64)
 def wavenumbers(n: int) -> np.ndarray:
-    """Integer wavenumbers in FFT order; index n//2 holds -n//2."""
-    return np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
+    """Integer wavenumbers in FFT order; index n//2 holds -n//2.  One
+    read-only array per n, shared by every caller."""
+    return _read_only(np.fft.fftfreq(n, d=1.0 / n).astype(np.int64))
 
 
+@lru_cache(maxsize=64)
 def _phase(n: int) -> np.ndarray:
     # grid starts at -pi, so true coefficients pick up (-1)^k relative to FFT
     k = wavenumbers(n)
-    return np.where(k % 2 == 0, 1.0, -1.0)
+    return _read_only(np.where(k % 2 == 0, 1.0, -1.0))
 
 
 def fft_coeffs(values: np.ndarray) -> np.ndarray:
@@ -183,9 +192,20 @@ def half_offset_window(samples: np.ndarray, n: int) -> np.ndarray:
         writeable=False)
 
 
-def min_chord_quotient(r2: np.ndarray, alphas: np.ndarray) -> float:
-    """min over the frame of sqrt(r2) / |alpha|, one sqrt and divide per alpha row."""
-    return float(np.min(np.sqrt(r2.min(axis=1)) / np.abs(alphas)))
+def alpha_rows(table: np.ndarray, n: int) -> np.ndarray:
+    """The (theta, sample) frame of a table over the half-offset alpha grid:
+    [j, p] = table[(p + m/2 - (m/n) j) mod m], the table's value at the
+    alpha with theta_j + alpha = phi_p, the p-th half-offset node.  A
+    read-only (n, m) view over the table tiled three times, with row stride
+    -(m/n): no index array and no copy.  m must be a multiple of n."""
+    m = len(table)
+    if m <= 0 or m % n != 0:
+        raise ValueError(f"alpha grid size {m} must be a positive multiple "
+                         f"of the curve grid size {n}")
+    ext = np.concatenate((table,) * 3)
+    s = ext.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        ext[m + m // 2:], (n, m), (-(m // n) * s, s), writeable=False)
 
 
 def as_complex(values: np.ndarray) -> np.ndarray:

@@ -4,22 +4,34 @@ Three equivalent evaluators are provided: the position form driven by the
 full Stokeslet, the first-derivatives-only position form, and the
 derivative-equation form driven by the matrix kernel.  All alpha
 integrals run over a shared half-offset grid, so the odd 1/alpha parts
-cancel by symmetric pairing.  Each band-limited field (X, X', the
-padded force) is sampled exactly once on the half-offset m-grid, every
-shifted value f(theta_j + alpha_i) is read from a strided window over those
-samples (no copy), and nonlinear functions are evaluated on the samples.
+cancel by symmetric pairing.  Each band-limited field (X, X', T(X'), the
+padded force) is sampled exactly once on the half-offset m-grid phi_p,
+and nonlinear functions are evaluated on the samples.
 
-The (m, n) frame is never formed.  right_hand_sides serves any set of
-FORMS from one pass over blocks of alpha rows, each about _BLOCK elements
-so that its buffers stay in cache: a block fills delta X, |delta X|^2 and
-the rotor, and checks the arc-chord floor on its rows, only when a
-requested integrand reads them, evaluates every requested integrand and
-adds its alpha sum into (n,) accumulators.  The block buffers are
-allocated once per thread and refilled with out= by every block of every
-pass.  An IMEX step gets the K integral and the position velocity from one
-pass; the public rhs_* functions are single-form passes.
-K has degree -2 in its chord argument, so K(a, b, delta X/alpha)/alpha^2 =
-K(a, b, delta X) and its integrand reads delta X as it is; A is not
+The frame is walked by theta rows: row j pairs the node theta_j with every
+sample phi_p, at alpha = phi_p - theta_j, so the samples are plain
+m-vectors broadcast against a block's node values, and every
+alpha-dependent factor (1/alpha, 1/alpha^2, |2 sin(alpha/2)|) is read
+from the read-only circulant view curve.alpha_rows of an m-table.  The
+(n, m) frame is never formed.  right_hand_sides serves any set of FORMS
+from one pass over blocks of max(1, _BLOCK // m) theta rows, so that the
+buffers stay in cache: a block fills the chord, |chord|^2, 1/chord and
+1/chord^2, and checks the arc-chord floor on its rows, only when a
+requested integrand reads them, and each row's alpha integral is one
+contiguous row reduction, summed once.  The block buffers are allocated
+once per thread and refilled with out= by every block of every pass.  An
+IMEX step gets the K integral and the position velocity from one pass;
+the public rhs_* functions are single-form passes.
+
+K has degree -2 in its chord argument, so K(a, b, dz/alpha)/alpha^2 =
+K(a, b, dz), and with W = 1/dz^2 and V = |dz|^2 conj(W)^2 the node value
+b = X'(theta) leaves the alpha sum (see _kernel_form):
+
+    4 pi sum K J = i b Im sum W a J
+                   + conj(b) [i sum conj(W) Im(conj(a) J) + sum V conj(a J)],
+
+where a = X'(theta + alpha) and the chord dz and the tension jump J stay
+exact elementwise differences; the sums are batched row dots.  A is not
 homogeneous and keeps the divided difference.
 
 Inside the frame every 2-vector is one complex number z = x + iy: real
@@ -45,6 +57,7 @@ import numpy as np
 
 from .curve import (
     Curve,
+    alpha_rows,
     apply_multiplier,
     arc_chord,
     as_complex,
@@ -52,9 +65,7 @@ from .curve import (
     grid_values,
     half_offset_grid,
     half_offset_samples,
-    half_offset_window,
     magnitude,
-    min_chord_quotient,
     parseval_norm,
     power_spectrum,
     spectral_antiderivative,
@@ -87,7 +98,7 @@ __all__ = [
 
 CFL_CONSTANT = 2.5  # classical four-stage explicit stability with margin
 _FLOOR_FRACTION = 0.5  # default rho_floor relative to the initial arc-chord
-_BLOCK = 16384  # frame elements per row block: a complex temporary is 256 KB
+_BLOCK = 8192  # frame elements per block of theta rows: a complex buffer is 128 KB
 FORMS = ("position_bi", "position_reduced", "derivative", "remainder",
          "dissipation")  # the right-hand sides one frame walk serves
 
@@ -132,12 +143,13 @@ class SimState:
 
 
 class _Scratch:
-    """Named block buffers.  Each name is a (rows, n) view, in Fortran order
-    like the alpha window, of one flat array, so a shorter last block reads
-    a prefix of the same memory.  flat holds the arrays; a frame walk passes
-    its thread's _BUFFERS.flat, so every walk refills the memory of the one
-    before.  Memory allocated per walk would be handed back to the OS
-    between calls outside long runs, and faulted in again by the next."""
+    """Named block buffers.  Each name is a C-order view, of the current
+    shape ((rows, m) in a frame walk), of one flat array, so a shorter last
+    block reads a prefix of the same memory.
+    flat holds the arrays; a frame walk passes its thread's _BUFFERS.flat,
+    so every walk refills the memory of the one before.  Memory allocated
+    per walk would be handed back to the OS between calls outside long
+    runs, and faulted in again by the next."""
 
     def __init__(self, shape: tuple, flat: Optional[dict] = None):
         self._flat = {} if flat is None else flat
@@ -156,12 +168,12 @@ class _Scratch:
             flat = self._flat.get((name, dtype))
             if flat is None or flat.size < size:
                 flat = self._flat[name, dtype] = np.empty(size, dtype)
-            view = self._views[name] = flat[:size].reshape(self.shape[::-1]).T
+            view = self._views[name] = flat[:size].reshape(self.shape)
         return view
 
 
 class _Buffers(threading.local):
-    """Each thread's frame-walk buffers, at most max(_BLOCK, n) elements
+    """Each thread's frame-walk buffers, at most max(_BLOCK, m) elements
     apiece."""
 
     def __init__(self):
@@ -171,100 +183,154 @@ class _Buffers(threading.local):
 _BUFFERS = _Buffers()
 
 
+def _differences(fine: np.ndarray, base: np.ndarray):
+    """fill(rows, out) writes out[j, p] = fine[p] - base[rows][j] for
+    complex samples fine (m,) and nodes base (n,).
+
+    The block is one real matrix product [1, -Re base_j, -Im base_j] @
+    [fine as (re, im) pairs; 1 0 1 0 ...; 0 1 0 1 ...] written into the
+    complex out.  Every product is exact, so each entry is the difference
+    rounded once, bit for bit the broadcast subtraction, which numpy runs
+    about three times slower on complex rows."""
+    right = np.zeros((3, 2 * len(fine)))
+    right[0] = np.ascontiguousarray(fine).view(float)
+    right[1, 0::2] = right[2, 1::2] = 1.0
+    left = np.stack([np.ones(len(base)), -base.real, -base.imag], axis=1)
+
+    def fill(rows: slice, out: np.ndarray) -> np.ndarray:
+        np.matmul(left[rows], right, out=out.view(float))
+        return out
+
+    return fill
+
+
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_p x[j, p] y[j, p] per row j, y of shape (rows, m) or (m,), as one
+    batched matrix product (one BLAS dot per row, whatever the block)."""
+    return np.matmul(x[:, None, :], y[..., None])[:, 0, 0]
+
+
+def _real_row_dots(g: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_p g[j, p] z[j, p] per row j of a real g and a C-order complex z."""
+    pairs = np.matmul(g[:, None, :], z.view(float).reshape(z.shape + (2,)))
+    return pairs[:, 0, 0] + 1j * pairs[:, 0, 1]
+
+
 class _Block:
-    """One block of alpha rows of a frame walk.
+    """One block of theta rows of a frame walk: row j pairs the node
+    X(theta_j) with all m half-offset samples X(phi_p), phi_p = theta_j +
+    alpha, in C order.
 
-    The geometry (delta X, |delta X|^2, its reciprocal, the rotor
-    conj(dz)/dz = conj(dz)^2/|dz|^2 and the arc-chord floor check) and the
-    tension jump are built on their first read in each block, into buffers
-    of the walk's _Scratch, so a pass that reads neither builds neither."""
+    The geometry (c = conj(X_p - X_j), |c|^2, its reciprocal, t = c/|c|^2 =
+    1/(X_p - X_j), W = t^2 and the arc-chord floor check), the rotor
+    conj(dz)/dz = t c and the tension jump T(X')_p - T(X')_j are built on
+    their first read in each block, into buffers of the frame's _Scratch,
+    so a pass that reads none of them builds none."""
 
-    def __init__(self, frame: "_Frame", size: int):
+    def __init__(self, frame: "_Frame"):
         self.frame = frame
-        self.buf = _Scratch((size, frame.state.curve.n), _BUFFERS.flat)
+        self.buf = frame.buf
 
-    def move(self, index: slice):
-        self.index = index
-        self.buf.resize((index.stop - index.start, self.frame.state.curve.n))
-        self._geometry = self._jump = None
+    def move(self, rows: slice):
+        self.rows = rows
+        self.buf.resize((rows.stop - rows.start, self.frame.state.m))
+        self._geometry = self._rot = self._jump = None
 
     def geometry(self):
-        """delta X, |delta X|^2, 1/|delta X|^2 and the rotor of the block."""
+        """c, |c|^2, 1/|c|^2, t and W of the block."""
         if self._geometry is None:
-            st, buf = self.frame.state, self.buf
-            x, xs = self.frame.chord_samples
-            dz = np.subtract(xs[self.index], x, out=buf("dz"))
-            r2 = np.square(dz.real, out=buf("r2", float))
-            inv_r2 = np.square(dz.imag, out=buf("inv_r2", float))
+            frame, buf = self.frame, self.buf
+            c = frame.chords(self.rows, buf("c"))
+            r2 = np.square(c.real, out=buf("r2", float))
+            inv_r2 = np.square(c.imag, out=buf("inv_r2", float))
             r2 += inv_r2
-            worst = min_chord_quotient(r2, self.frame.alphas[self.index])
-            if worst < st.rho_floor:
-                raise SimulationAbort(st.t, f"arc-chord {worst:.3e} below "
-                                            f"floor {st.rho_floor:.3e}")
+            frame.check_floor(r2, self.rows, inv_r2)
             np.divide(1.0, r2, out=inv_r2)
-            rot = np.conjugate(dz, out=buf("rot"))
-            np.square(rot, out=rot)
-            rot *= inv_r2
-            self._geometry = dz, r2, inv_r2, rot
+            t = np.multiply(c, inv_r2, out=buf("t"))
+            w = np.square(t, out=buf("w"))
+            self._geometry = c, r2, inv_r2, t, w
         return self._geometry
+
+    def rot(self) -> np.ndarray:
+        """The rotor conj(dz)/dz = conj(dz)^2/|dz|^2 = t c."""
+        if self._rot is None:
+            c, _, _, t, _ = self.geometry()
+            self._rot = np.multiply(t, c, out=self.buf("rot"))
+        return self._rot
 
     def jump(self) -> np.ndarray:
         """T(X'(theta + alpha)) - T(X'(theta)) for the vector tension map."""
         if self._jump is None:
-            shifted, base = self.frame.tension
-            self._jump = np.subtract(shifted[self.index], base,
-                                     out=self.buf("jump"))
+            self._jump = self.frame.jumps(self.rows, self.buf("jump"))
         return self._jump
 
 
 class _Frame:
-    """The (alpha, theta) quadrature frame of one state.
+    """The (theta, alpha) quadrature frame of one state.
 
-    A band-limited field is sampled once on the half-offset m-grid, and
-    every shifted value f(theta_j + alpha_i) is read from a read-only
-    strided window over those m samples; pointwise nonlinearities are
-    evaluated on the samples first.  No (m, n) array is ever formed:
-    integrate walks the alpha rows in blocks of max(1, _BLOCK // n) rows,
-    reuses one set of block buffers for the whole walk and adds every
-    integrand's block sum into (n,) accumulators.  Vectors are complex
+    A band-limited field is sampled once on the half-offset m-grid; row j
+    of the frame pairs theta_j with every sample phi_p, at alpha = phi_p -
+    theta_j, so the samples are plain m-vectors broadcast against a
+    block's node values.  Every alpha-dependent factor is read from the
+    read-only circulant view curve.alpha_rows of an m-table.  No (n, m)
+    array is ever formed: integrate walks blocks of max(1, _BLOCK // m)
+    theta rows, reuses one set of block buffers for the whole walk and sums
+    each row's alpha integral once, contiguously.  Vectors are complex
     from sampling to integration.
     """
 
     def __init__(self, state: SimState):
+        n, m = state.curve.n, state.m
         self.state = state
-        self.alphas = half_offset_grid(state.m)
+        self.alphas = half_offset_grid(m)
+        self.height = min(n, max(1, _BLOCK // m))  # theta rows per block
+        self.buf = _Scratch((self.height, m), _BUFFERS.flat)
 
     def samples(self, values: np.ndarray) -> np.ndarray:
         """Complex samples of a real (n, 2) field on the half-offset m-grid."""
         return as_complex(half_offset_samples(values, self.state.m))
 
-    def shifted(self, samples: np.ndarray) -> np.ndarray:
-        return half_offset_window(samples, self.state.curve.n)
-
     def integrate(self, integrands) -> list:
-        """Half-offset rule over alpha, (2 pi / m) sum_i integrand[i], of each
-        integrand, a function of one _Block returning its complex (rows, n)
-        values; one real (n, 2) field per integrand.  An integrand may
-        return a scratch buffer: it is summed before the next one runs.
+        """Half-offset rule over alpha, (2 pi / m) sum_p integrand[j, p], of
+        each integrand, a function of one _Block returning the complex sums
+        over alpha of its rows; one real (n, 2) field per integrand.
 
-        The floor check is a coarse guard on the step's m alpha rows, the
+        The floor check is a coarse guard on the step's m alphas, the
         per-record arc_chord (4n, 8n) the margin."""
         n, m = self.state.curve.n, self.state.m
-        size = min(m, max(1, _BLOCK // n))
-        block = _Block(self, size)
-        sums = np.zeros((len(integrands), n), dtype=complex)
-        for start in range(0, m, size):
-            block.move(slice(start, min(start + size, m)))
+        block = _Block(self)
+        sums = np.empty((len(integrands), n), dtype=complex)
+        for start in range(0, n, self.height):
+            block.move(slice(start, min(start + self.height, n)))
             for acc, integrand in zip(sums, integrands):
-                acc += integrand(block).sum(axis=0)
+                acc[block.rows] = integrand(block)
         sums *= 2.0 * np.pi / m
         return [np.stack([z.real, z.imag], axis=-1) for z in sums]
 
+    def check_floor(self, r2: np.ndarray, rows: slice, scratch: np.ndarray):
+        """Abort if min sqrt(r2)/|alpha| over the block's rows is below the
+        floor.  r2/alpha^2 screens the block; only a block whose screen comes
+        within 1e-12 of the floor takes the quotient itself, which is then
+        the arc_chord level's quotient bit for bit."""
+        st = self.state
+        screen = np.multiply(r2, self.inv_alpha2[rows], out=scratch)
+        if np.sqrt(screen.min()) <= st.rho_floor * (1.0 + 1e-12):
+            abs_alpha = alpha_rows(np.abs(self.alphas), st.curve.n)
+            worst = float(np.min(np.sqrt(r2) / abs_alpha[rows]))
+            if worst < st.rho_floor:
+                raise SimulationAbort(st.t, f"arc-chord {worst:.3e} below "
+                                            f"floor {st.rho_floor:.3e}")
+
     @cached_property
-    def chord_samples(self):
-        """X on the theta grid and its alpha window, both complex."""
+    def inv_alpha2(self) -> np.ndarray:
+        """1/alpha^2 over the frame (see curve.alpha_rows)."""
+        return alpha_rows(1.0 / self.alphas**2, self.state.curve.n)
+
+    @cached_property
+    def chords(self):
+        """Fills a block with conj(X_p - X_j) (see _differences)."""
         nodes = self.state.curve.nodes
-        return as_complex(nodes), self.shifted(self.samples(nodes))
+        return _differences(np.conj(self.samples(nodes)), np.conj(as_complex(nodes)))
 
     @cached_property
     def x1_samples(self) -> np.ndarray:
@@ -272,11 +338,11 @@ class _Frame:
         return half_offset_samples(self.state.deriv.nodes, self.state.m)
 
     @cached_property
-    def tension(self):
-        """T(X') in the alpha window and on the theta grid, both complex."""
+    def jumps(self):
+        """Fills a block with T(X')_p - T(X')_j (see _differences)."""
         law = self.state.law
-        return (self.shifted(as_complex(tension_map(law, self.x1_samples))),
-                as_complex(tension_map(law, self.state.deriv.nodes)))
+        return _differences(as_complex(tension_map(law, self.x1_samples)),
+                            as_complex(tension_map(law, self.state.deriv.nodes)))
 
 
 def _bi_form(frame: _Frame):
@@ -296,23 +362,22 @@ def _bi_form(frame: _Frame):
     force_fine = (tension_jacobian(state.law, x1_fine) @ x2_fine[..., None])[..., 0]
     # force values at theta_j + alpha from the trigonometric interpolant
     # of the padded samples
-    fs = frame.shifted(frame.samples(force_fine))
-    s_al = np.abs(2.0 * np.sin(frame.alphas / 2.0))[:, None]
+    fs = frame.samples(force_fine)
+    s_al = alpha_rows(np.abs(2.0 * np.sin(frame.alphas / 2.0)), n)
 
     def integrand(block):
-        _, r2, _, rot = block.geometry()
-        buf = block.buf
-        f = fs[block.index]
+        _, r2, _, _, _ = block.geometry()
+        rot, buf = block.rot(), block.buf
         smooth_log = np.sqrt(r2, out=buf("r0", float))
-        smooth_log /= s_al[block.index]
+        smooth_log /= s_al[block.rows]
         np.log(smooth_log, out=smooth_log)
         # the G2 part (dhat.f) dhat is (f + P(d) f) / 2
-        out = np.multiply(rot, f, out=buf("c0"))
+        out = np.multiply(rot, fs, out=buf("c0"))
         np.conjugate(out, out=out)
-        np.add(f, out, out=out)
+        np.add(fs, out, out=out)
         out *= 0.5
-        out -= np.multiply(smooth_log, f, out=buf("c1"))
-        return out
+        out -= np.multiply(smooth_log, fs, out=buf("c1"))
+        return out.sum(axis=1)
 
     # exact product quadrature for the periodic log kernel
     k = wavenumbers(2 * n).astype(float)
@@ -322,72 +387,91 @@ def _bi_form(frame: _Frame):
 
 
 def _position_form(frame: _Frame):
-    """The reduced position integrand over 4 pi."""
+    """The reduced position velocity, sum_alpha Re(W a^2) weight dz / (4 pi)
+    with W = 1/dz^2, a = X'(theta + alpha) and weight = T(|a|)/|a|.
+
+    With Re(z) = (z + conj z)/2, W dz = t and W conj(dz) = t rot, a row is
+    (sum q t + conj(sum q t rot))/2 over the fine m-vector q = a^2 weight:
+    two row dots and one elementwise product."""
     state = frame.state
     x1f = as_complex(frame.x1_samples)
     mag = np.abs(x1f)
     # every half-offset sample is read at each theta_j
     if float(mag.min()) == 0.0:
         raise SimulationAbort(state.t, "tangent vector vanished")
-    x1s = frame.shifted(x1f)
-    weight = frame.shifted(state.law.eval(mag) / mag / FOUR_PI)
+    q = x1f * x1f * (state.law.eval(mag) / mag / FOUR_PI)
 
     def integrand(block):
-        dz, _, inv_r2, rot = block.geometry()
-        buf = block.buf
-        x1 = x1s[block.index]
-        # (X'.dhat)^2 - (X'.dperp)^2 = X'.P(d)X'
-        quad_form = np.multiply(rot, x1, out=buf("c0"))
-        quad_form *= x1
-        scale = np.multiply(quad_form.real, inv_r2, out=buf("r0", float))
-        scale *= weight[block.index]
-        return np.multiply(scale, dz, out=buf("c1"))
+        _, _, _, t, _ = block.geometry()
+        t_rot = np.multiply(t, block.rot(), out=block.buf("c0"))
+        return 0.5 * (_row_dots(t, q) + np.conj(_row_dots(t_rot, q)))
 
     return integrand, None
 
 
-def _kernel_apply(a, b, d, rot, inv_q2, vec, which: str, buf=None):
-    """K or A applied to vec, with every 2-vector a complex number.
+def _kernel_form(frame: _Frame):
+    """The K kernel over alpha^2 applied to the tension jump J.
+
+    K has degree -2 in d, so K(a, b, dz/alpha)/alpha^2 = K(a, b, dz).  With
+    W = 1/dz^2 and V = |dz|^2 conj(W)^2, every term of K(a, b, dz) J is b or
+    conj(b) times a term free of b, so b = X'(theta_j) leaves the alpha sum:
+
+        4 pi sum K J = i b Im sum W a J
+                       + conj(b) [i sum conj(W) Im(conj(a) J) + sum V conj(a J)].
+
+    The chord dz and the jump J stay exact differences; the sums are row
+    dots, with sum conj(W) g = conj(sum W g) for real g and sum V conj(aJ) =
+    conj(sum conj(V) a J), conj(V) = W rot."""
+    a = as_complex(frame.x1_samples)
+    a_conj = np.conj(a)
+    b = as_complex(frame.state.deriv.nodes)
+
+    def integrand(block):
+        _, _, _, _, w = block.geometry()
+        jump, buf = block.jump(), block.buf
+        aj = np.multiply(a, jump, out=buf("c0"))
+        v_conj = np.multiply(w, block.rot(), out=buf("c1"))
+        s_w = _row_dots(w, aj)
+        s_v = _row_dots(v_conj, aj)
+        im_part = np.multiply(a_conj, jump, out=v_conj).imag
+        s_g = _real_row_dots(im_part, w)
+        rows = b[block.rows]
+        return (1j * rows * s_w.imag + np.conj(rows * (s_v - 1j * s_g))) / FOUR_PI
+
+    return integrand, None
+
+
+def _kernel_A_apply(a, b, d, rot, inv_q2, vec, buf=None):
+    """The remainder kernel A applied to vec, with every 2-vector a complex
+    number.
 
     a = X'(theta + alpha), b = X'(theta), d the divided difference,
     rot = conj(d)/d its rotor and inv_q2 = 1/|d|^2.  With P(d)v =
     conj(rot v), R(d)v = i conj(rot v) and u.P(d)w + i u.R(d)w = rot u w,
-    both kernels reduce to coef_i vec + coef_c conj(rot vec).  A is built
-    from dp = a - d and dm = b - d (never as K - I/4pi), so every term
-    carries a plus or minus difference.  K does not read d.  The
-    temporaries and the result are buffers of buf, a _Scratch (by default
-    a fresh one of the broadcast shape).
+    A reduces to coef_i vec + coef_c conj(rot vec).  It is built from
+    dp = a - d and dm = b - d (never as K - I/4pi), so every term carries a
+    plus or minus difference.  The temporaries and the result are buffers
+    of buf, a _Scratch (by default a fresh one of the broadcast shape).
     """
     if buf is None:
         buf = _Scratch(np.broadcast_shapes(a.shape, b.shape, d.shape,
                                            inv_q2.shape, vec.shape))
-    c = np.multiply(rot, a, out=buf("c0"))
-    if which == "K":
-        c *= b
-        c *= inv_q2  # a.P(d)b/|d|^2 + i a.R(d)b/|d|^2
-        coef_i = c.real
-        ab = np.conjugate(a, out=buf("c1"))
-        ab *= b
-        coef_c = np.conjugate(c, out=buf("c2"))
-        coef_c -= np.multiply(ab.real, inv_q2, out=buf("r0", float))
-    elif which == "A":
-        dp = np.subtract(a, d, out=buf("c1"))
-        dm = np.subtract(b, d, out=buf("c2"))
-        np.multiply(rot, dp, out=c)
-        c *= dm
-        c *= inv_q2
-        # rot (dp + dm) d = conj(d) (dp + dm)
-        e = np.add(dp, dm, out=buf("c3"))
-        np.multiply(np.conjugate(d, out=buf("c4")), e, out=e)
-        e *= inv_q2
-        coef_i = np.add(c.real, e.real, out=buf("r1", float))
-        np.conjugate(dp, out=dp)
-        dp *= dm
-        coef_c = np.conjugate(c, out=c)
-        coef_c -= np.multiply(dp.real, inv_q2, out=buf("r0", float))
-        coef_c.imag -= e.imag
-    else:
-        raise ValueError(which)
+    c = buf("c0")
+    dp = np.subtract(a, d, out=buf("c1"))
+    dm = np.subtract(b, d, out=buf("c2"))
+    np.multiply(rot, dp, out=c)
+    c *= dm
+    c *= inv_q2
+    # rot (dp + dm) d = conj(d) (dp + dm)
+    e = np.add(dp, dm, out=buf("c3"))
+    np.multiply(np.conjugate(d, out=buf("c4")), e, out=e)
+    e *= inv_q2
+    coef_i = np.add(c.real, e.real, out=buf("r1", float))
+    np.conjugate(dp, out=dp)
+    dp *= dm
+    coef_c = np.conjugate(c, out=c)
+    coef_c -= np.multiply(dp.real, inv_q2, out=buf("r0", float))
+    coef_c.imag -= e.imag
     turned = np.multiply(rot, vec, out=buf("c1"))
     np.conjugate(turned, out=turned)
     np.multiply(coef_c, turned, out=turned)
@@ -397,39 +481,37 @@ def _kernel_apply(a, b, d, rot, inv_q2, vec, which: str, buf=None):
     return out
 
 
-def _kernel_form(frame: _Frame, which: str):
-    """The K (or A) kernel over alpha^2 applied to the tension jump.  K has
-    degree -2 in d, so K(a, b, dz/alpha)/alpha^2 = K(a, b, dz): its
-    integrand reads dz and 1/|dz|^2 as they are.  A is not homogeneous and
-    keeps the divided difference."""
-    a = frame.shifted(as_complex(frame.x1_samples))
-    b = as_complex(frame.state.deriv.nodes)
-    inv_al = 1.0 / frame.alphas[:, None]
-    al2 = frame.alphas[:, None] ** 2
-    inv_al2 = 1.0 / al2
+def _remainder_form(frame: _Frame):
+    """The A kernel over alpha^2 applied to the tension jump.  A is not
+    homogeneous and keeps the divided difference."""
+    n = frame.state.curve.n
+    a = as_complex(frame.x1_samples)
+    b = as_complex(frame.state.deriv.nodes)[:, None]
+    inv_al = alpha_rows(1.0 / frame.alphas, n)
+    al2 = alpha_rows(frame.alphas**2, n)
+    inv_al2 = frame.inv_alpha2
 
     def integrand(block):
-        dz, _, inv_r2, rot = block.geometry()
-        a_rows, buf = a[block.index], block.buf
-        if which == "K":
-            return _kernel_apply(a_rows, b, dz, rot, inv_r2, block.jump(), "K",
-                                 buf)
-        d = np.multiply(dz, inv_al[block.index], out=buf("d"))
-        inv_q2 = np.multiply(al2[block.index], inv_r2, out=buf("inv_q2", float))
-        out = _kernel_apply(a_rows, b, d, rot, inv_q2, block.jump(), which, buf)
-        out *= inv_al2[block.index]
-        return out
+        c, _, inv_r2, _, _ = block.geometry()
+        rows, buf = block.rows, block.buf
+        d = np.conjugate(c, out=buf("d"))
+        d *= inv_al[rows]
+        inv_q2 = np.multiply(al2[rows], inv_r2, out=buf("inv_q2", float))
+        out = _kernel_A_apply(a, b[rows], d, block.rot(), inv_q2, block.jump(),
+                              buf)
+        out *= inv_al2[rows]
+        return out.sum(axis=1)
 
     return integrand, None
 
 
 def _dissipation_form(frame: _Frame):
     """The 1/alpha^2 integrand of the tension jump: it reads no geometry."""
-    inv_al2 = 1.0 / frame.alphas[:, None] ** 2
+    inv_al2 = frame.inv_alpha2
 
     def integrand(block):
-        return np.multiply(block.jump(), inv_al2[block.index],
-                           out=block.buf("c0"))
+        out = np.multiply(block.jump(), inv_al2[block.rows], out=block.buf("c0"))
+        return out.sum(axis=1)
 
     return integrand, lambda out: -out / FOUR_PI
 
@@ -440,8 +522,8 @@ def _dissipation_form(frame: _Frame):
 _FORM_BUILDERS = {
     "position_bi": _bi_form,
     "position_reduced": _position_form,
-    "derivative": lambda frame: _kernel_form(frame, "K"),
-    "remainder": lambda frame: _kernel_form(frame, "A"),
+    "derivative": _kernel_form,
+    "remainder": _remainder_form,
     "dissipation": _dissipation_form,
 }
 

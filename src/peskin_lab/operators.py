@@ -15,8 +15,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curve import (apply_multiplier, half_offset_grid, lp_norm, magnitude,
-                    parseval_norm, power_spectrum, wavenumbers)
+from .curve import (apply_multiplier, fft_coeffs, grid_values, half_offset_grid,
+                    lp_norm, magnitude, parseval_norm, power_spectrum,
+                    wavenumbers)
 
 __all__ = [
     "OperatorSymbol",
@@ -205,11 +206,15 @@ def lp_project(values: np.ndarray, j: int) -> np.ndarray:
 
 
 def lp_block_norms(values: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """L^p norms of every active block; returns (js, norms)."""
+    """L^p norms of every active block; returns (js, norms).  One forward
+    transform serves every block (each block is lp_project's, bit for bit)."""
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     fam = lp_family(n)
+    coeffs = fft_coeffs(values)
+    lift = (n,) + (1,) * (values.ndim - 1)
     norms = np.empty(len(fam.js))
     for i, j in enumerate(fam.js):
-        norms[i] = lp_norm(magnitude(lp_project(values, j), values.ndim == 2), p)
+        block = grid_values(coeffs * fam.block(j).reshape(lift))
+        norms[i] = lp_norm(magnitude(block, values.ndim == 2), p)
     return fam.js.copy(), norms

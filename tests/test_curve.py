@@ -11,6 +11,8 @@ from peskin_lab.curve import (
     ArcChord,
     Curve,
     _arc_chord_level,
+    _phase,
+    alpha_rows,
     arc_chord,
     as_complex,
     difference,
@@ -22,7 +24,6 @@ from peskin_lab.curve import (
     half_offset_window,
     lp_norm,
     magnitude,
-    min_chord_quotient,
     parseval_norm,
     power_spectrum,
     read_curve,
@@ -209,6 +210,40 @@ def test_half_offset_window_is_a_read_only_view(rng):
     assert not frame.flags.owndata
 
 
+@pytest.mark.parametrize("n, m", [(64, 256), (16, 16), (32, 96)])
+def test_alpha_rows_is_a_read_only_circulant_view(n, m, rng):
+    # [j, p] is the table at the alpha with theta_j + alpha = phi_p, the
+    # index the half-offset window reads sample p from at alpha row i
+    table = rng.standard_normal(m)
+    view = alpha_rows(table, n)
+    slots = (np.arange(m)[None, :] + m // 2 - (m // n) * np.arange(n)[:, None]) % m
+    assert np.array_equal(view, table[slots])
+    window = (np.arange(m)[:, None] - m // 2 + np.arange(n) * (m // n)) % m
+    rows = np.broadcast_to(np.arange(m)[:, None], (m, n))
+    assert np.array_equal(slots[np.arange(n), window], rows)
+    with pytest.raises(ValueError):
+        view[0, 0] = 0.0
+    lo, hi = np.lib.array_utils.byte_bounds(view)
+    assert hi - lo <= 3 * m * table.itemsize
+    assert not view.flags.owndata
+
+
+def test_alpha_rows_rejects_non_multiple():
+    with pytest.raises(ValueError, match="multiple"):
+        alpha_rows(np.zeros(48), 32)
+    with pytest.raises(ValueError, match="multiple"):
+        alpha_rows(np.zeros(0), 32)
+
+
+@pytest.mark.parametrize("fn", [wavenumbers, _phase])
+def test_wavenumbers_and_phase_are_cached_read_only(fn):
+    first = fn(48)
+    assert fn(48) is first
+    assert not first.flags.writeable
+    k = np.fft.fftfreq(48, d=1.0 / 48).astype(np.int64)
+    assert np.array_equal(first, k if fn is wavenumbers else np.where(k % 2 == 0, 1.0, -1.0))
+
+
 def brute_force_arc_chord(curve, m):
     """Independent dense (theta, alpha) search, no FFT machinery."""
     n = curve.n
@@ -278,6 +313,11 @@ def test_arc_chord_refinement_estimate(rng):
 def test_arc_chord_degenerate_point():
     c = Curve.from_nodes(np.tile([0.3, 0.4], (32, 1)))
     assert arc_chord(c).value == 0.0
+
+
+def min_chord_quotient(r2, alphas):
+    """min over the frame of sqrt(r2) / |alpha|, one sqrt and divide per alpha row."""
+    return float(np.min(np.sqrt(r2.min(axis=1)) / np.abs(alphas)))
 
 
 def dense_arc_chord_level(curve, m):

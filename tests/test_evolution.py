@@ -45,10 +45,66 @@ def make_state(curve, law=None, m=None):
 
 # --- frame kernels -------------------------------------------------------------
 
+def kernel_apply(a, b, d, rot, inv_q2, vec, which: str):
+    """K or A applied to vec, with every 2-vector a complex number, element
+    by element and each temporary a fresh array: the reference for the
+    production row sums, in which b leaves the K sum.
+
+    a = X'(theta + alpha), b = X'(theta), d the divided difference,
+    rot = conj(d)/d its rotor and inv_q2 = 1/|d|^2.  With P(d)v =
+    conj(rot v), R(d)v = i conj(rot v) and u.P(d)w + i u.R(d)w = rot u w,
+    both kernels reduce to coef_i vec + coef_c conj(rot vec).  A is built
+    from dp = a - d and dm = b - d (never as K - I/4pi), so every term
+    carries a plus or minus difference.  K does not read d.
+    """
+    from peskin_lab.kernels import FOUR_PI
+
+    shape = np.broadcast_shapes(a.shape, b.shape, d.shape, inv_q2.shape, vec.shape)
+
+    def buf(name, dtype=complex):
+        return np.empty(shape, dtype)
+
+    c = np.multiply(rot, a, out=buf("c0"))
+    if which == "K":
+        c *= b
+        c *= inv_q2  # a.P(d)b/|d|^2 + i a.R(d)b/|d|^2
+        coef_i = c.real
+        ab = np.conjugate(a, out=buf("c1"))
+        ab *= b
+        coef_c = np.conjugate(c, out=buf("c2"))
+        coef_c -= np.multiply(ab.real, inv_q2, out=buf("r0", float))
+    elif which == "A":
+        dp = np.subtract(a, d, out=buf("c1"))
+        dm = np.subtract(b, d, out=buf("c2"))
+        np.multiply(rot, dp, out=c)
+        c *= dm
+        c *= inv_q2
+        # rot (dp + dm) d = conj(d) (dp + dm)
+        e = np.add(dp, dm, out=buf("c3"))
+        np.multiply(np.conjugate(d, out=buf("c4")), e, out=e)
+        e *= inv_q2
+        coef_i = np.add(c.real, e.real, out=buf("r1", float))
+        np.conjugate(dp, out=dp)
+        dp *= dm
+        coef_c = np.conjugate(c, out=c)
+        coef_c -= np.multiply(dp.real, inv_q2, out=buf("r0", float))
+        coef_c.imag -= e.imag
+    else:
+        raise ValueError(which)
+    turned = np.multiply(rot, vec, out=buf("c1"))
+    np.conjugate(turned, out=turned)
+    np.multiply(coef_c, turned, out=turned)
+    out = np.multiply(coef_i, vec, out=buf("c2"))
+    out += turned
+    out *= 1.0 / FOUR_PI
+    return out
+
+
 def test_kernel_apply_matches_matrix_kernels(rng):
-    # the complex matrix-free production path against the 2x2 matrix oracles
+    # the complex elementwise kernels (the oracle above and the production
+    # A) against the 2x2 matrix oracles
     from peskin_lab.curve import as_complex
-    from peskin_lab.evolution import _kernel_apply
+    from peskin_lab.evolution import _kernel_A_apply
     from peskin_lab.kernels import kernel_A, kernel_K
 
     a, b, d, v = (rng.standard_normal((500, 2)) for _ in range(4))
@@ -58,9 +114,11 @@ def test_kernel_apply_matches_matrix_kernels(rng):
     inv_q2 = 1.0 / np.sum(d * d, axis=-1)
     for which, matrix in (("K", kernel_K(a, b, d)), ("A", kernel_A(a, b, d))):
         ref = np.einsum("...ij,...j->...i", matrix, v)
-        got = _kernel_apply(za, zb, zd, rot, inv_q2, zv, which)
+        got = kernel_apply(za, zb, zd, rot, inv_q2, zv, which)
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(as_complex(ref) - got)) < 1e-12 * scale
+    assert np.array_equal(_kernel_A_apply(za, zb, zd, rot, inv_q2, zv),
+                          kernel_apply(za, zb, zd, rot, inv_q2, zv, "A"))
 
 
 def test_frame_matches_matrix_kernel_sum(rng):
@@ -94,7 +152,6 @@ def dense_rhs(state):
     from peskin_lab.curve import (as_complex, fft_coeffs, grid_values,
                                   half_offset_samples, half_offset_window,
                                   wavenumbers)
-    from peskin_lab.evolution import _kernel_apply
     from peskin_lab.kernels import FOUR_PI
     from peskin_lab.operators import half_offset_grid
     from peskin_lab.tension import tension_jacobian, tension_map
@@ -118,7 +175,7 @@ def dense_rhs(state):
     jump = window(tension_map(law, x1_samples)) - as_complex(tension_map(law, x1))
     out = {}
     for which, name in (("K", "rhs_derivative"), ("A", "remainder_V")):
-        applied = _kernel_apply(a, b, dz / al, rot, al**2 / r2, jump, which)
+        applied = kernel_apply(a, b, dz / al, rot, al**2 / r2, jump, which)
         out[name] = integrate(applied / al**2)
     out["dissipation_term"] = -integrate(jump / al**2) / FOUR_PI
     mag = np.abs(as_complex(x1_samples))
@@ -138,13 +195,14 @@ def dense_rhs(state):
 
 
 def block_test_state(n, m, rng):
-    """(512, 1024) runs 32 blocks of 32 rows; (96, 480) runs 170 + 170 + 140."""
+    """(512, 1024) runs 64 blocks of 8 theta rows; (96, 480) runs 5 blocks of
+    17 and one of 11."""
     from peskin_lab.evolution import _BLOCK
 
-    rows = max(1, _BLOCK // n)
-    assert rows < m  # more than one block
+    rows = max(1, _BLOCK // m)
+    assert rows < n  # more than one block
     if n == 96:
-        assert m % rows != 0  # a partial last block
+        assert n % rows != 0  # a partial last block
         return make_state(random_bandlimited_curve(rng, n, modes=24, amp=0.3),
                           arctan_law((0.2, 3.0)), m=m)
     cfg = config_from_file(CONFIGS / "rough.cfg")
@@ -190,6 +248,21 @@ def test_one_walk_matches_single_form_walks(n, m, rng):
         assert np.array_equal(field, fields[form]), form
 
 
+@pytest.mark.parametrize("n, m", [(512, 1024), (96, 480)])
+def test_fields_do_not_depend_on_the_block_height(n, m, rng, monkeypatch):
+    # each row's alpha integral is one reduction within one block, so
+    # blocks of 1 row, blocks with a partial last one and the default
+    # blocks give the same bits
+    import peskin_lab.evolution as evolution
+
+    st = block_test_state(n, m, rng)
+    ref = right_hand_sides(st, *FORMS)
+    for block in (m, 7 * m, 2 * evolution._BLOCK):
+        monkeypatch.setattr(evolution, "_BLOCK", block)
+        for form, field, want in zip(FORMS, right_hand_sides(st, *FORMS), ref):
+            assert np.array_equal(field, want), (block, form)
+
+
 def test_right_hand_sides_rejects_forms_before_the_walk():
     # the floor is breached in the first block, so an error raised after
     # the walk began would be an abort
@@ -219,7 +292,7 @@ def test_concurrent_walks_keep_their_own_buffers(rng):
     # threads sharing block buffers would corrupt each other's fields
     import threading
 
-    st = make_state(random_bandlimited_curve(rng, 64), m=1024)  # 4 blocks
+    st = make_state(random_bandlimited_curve(rng, 64), m=1024)  # 8 blocks
     ref = right_hand_sides(st, *FORMS)
     results = []
 
@@ -475,7 +548,7 @@ def test_floor_check_agrees_with_arc_chord_level(rng):
     # one ulp either side of the arc-chord level decides the abort
     from peskin_lab.curve import _arc_chord_level
 
-    # (256, 1024) checks the floor over 16 row blocks
+    # (256, 1024) checks the floor over 32 blocks of theta rows
     for n, m in ((64, 256), (256, 1024)):
         c = random_bandlimited_curve(rng, n)
         level = _arc_chord_level(c, m)
@@ -486,6 +559,35 @@ def test_floor_check_agrees_with_arc_chord_level(rng):
         below = SimState.make(c, hookean(1.0), m=m,
                               rho_floor=np.nextafter(level, 0.0))
         assert np.all(np.isfinite(rhs_position_reduced(below)))
+
+
+def test_floor_screen_defers_to_the_exact_quotient(rng):
+    # r2/alpha^2 only screens a block: where its square root rounds above
+    # the quotient sqrt(r2)/|alpha| that arc_chord takes, a floor between
+    # the two must still abort, and a floor at the quotient must not
+    from peskin_lab.curve import alpha_rows
+    from peskin_lab.evolution import _Frame
+
+    n = m = 16
+    j, p = 3, 5
+    probe = _Frame(make_state(Curve.circle(n), m=m))
+    abs_alpha = alpha_rows(np.abs(probe.alphas), n)
+    for r2 in rng.uniform(0.1, 2.0, 1000):
+        quotient = np.sqrt(r2) / abs_alpha[j, p]
+        if np.sqrt(r2 * probe.inv_alpha2[j, p]) > quotient:
+            break
+    else:
+        pytest.fail("no r2 whose screen rounds above its quotient")
+    field = np.full((n, m), 100.0)  # quotients of 3 and more elsewhere
+    field[j, p] = r2
+    for floor, aborts in ((np.nextafter(quotient, np.inf), True), (quotient, False)):
+        frame = _Frame(SimState.make(Curve.circle(n), hookean(1.0), m=m,
+                                     rho_floor=floor))
+        if aborts:
+            with pytest.raises(SimulationAbort):
+                frame.check_floor(field, slice(0, n), np.empty((n, m)))
+        else:
+            frame.check_floor(field, slice(0, n), np.empty((n, m)))
 
 
 def test_imex_step_memory_is_bounded():

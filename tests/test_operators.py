@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from peskin_lab.curve import fft_coeffs, theta_grid, wavenumbers
+from peskin_lab.curve import fft_coeffs, lp_norm, magnitude, theta_grid, wavenumbers
 from peskin_lab.operators import (
     half_lambda_norm,
     half_offset_grid,
@@ -236,3 +236,14 @@ def test_lp_block_norms_vector(rng):
     l2 = grid_lp(f - f.mean(axis=0), 2.0)
     # blocks overlap, so the l2 aggregate sits within a fixed factor
     assert 0.5 * l2 <= total <= 2.0 * l2
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0, np.inf])
+@pytest.mark.parametrize("shape", [(128, 2), (96,)])
+def test_lp_block_norms_equal_per_block_projections(p, shape, rng):
+    # one forward transform for all blocks gives the norms of the
+    # block-by-block lp_project path bit for bit
+    f = rng.standard_normal(shape)
+    js, norms = lp_block_norms(f, p)
+    ref = [lp_norm(magnitude(lp_project(f, j), f.ndim == 2), p) for j in js]
+    assert np.array_equal(norms, ref)
