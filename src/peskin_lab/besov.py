@@ -9,6 +9,7 @@ on dyadic arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,6 +29,8 @@ __all__ = [
     "besov_lp",
     "cl_norm",
     "beta_gain",
+    "folded_gain",
+    "fold_power",
     "EmbeddingReport",
     "embedding_audit",
 ]
@@ -208,8 +211,8 @@ def besov_diff(values: np.ndarray, params: BesovParams,
     values = np.asarray(values, dtype=float)
     betas = half_offset_grid(beta_points)
     if params.p == 2:
-        gain = beta_gain(betas, values.shape[0])
-        norms = np.sqrt(2.0 * np.pi * (gain @ power_spectrum(values)))
+        gain = folded_gain(beta_points, values.shape[0])
+        norms = np.sqrt(2.0 * np.pi * (gain @ fold_power(power_spectrum(values))))
     else:
         diffs = shift_many(values, betas) - values[None]
         norms = lp_norm(magnitude(diffs, values.ndim == 2), params.p)
@@ -255,11 +258,40 @@ def beta_gain(betas: np.ndarray, n: int) -> np.ndarray:
     """
     half = (n + 1) // 2  # columns 0 .. half - 1 hold k = 0 .. half - 1
     gain = np.empty((len(betas), n))
-    gain[:, :half] = 4.0 * np.sin(np.multiply.outer(betas, np.arange(half) / 2.0)) ** 2
+    gain[:, :n // 2 + 1] = _gain_columns(betas, n)
     gain[:, n - half + 1:] = gain[:, half - 1:0:-1]
+    return gain
+
+
+def _gain_columns(betas: np.ndarray, n: int) -> np.ndarray:
+    """The first n//2 + 1 columns of beta_gain(betas, n): k = 0, 1, ...,
+    (n - 1)//2 and, for even n, the Nyquist column."""
+    half = (n + 1) // 2
+    gain = np.empty((len(betas), n // 2 + 1))
+    gain[:, :half] = 4.0 * np.sin(np.multiply.outer(betas, np.arange(half) / 2.0)) ** 2
     if n % 2 == 0:
         gain[:, n // 2] = 4.0 * np.sin(betas * (n / 4)) ** 4
     return gain
+
+
+@lru_cache(maxsize=16)
+def folded_gain(beta_points: int, n: int) -> np.ndarray:
+    """The distinct columns of beta_gain(half_offset_grid(beta_points), n),
+    one per |k| (FFT columns 0 .. n//2): folded_gain @ fold_power(power)
+    is beta_gain @ power.  One read-only array per (beta_points, n)."""
+    gain = _gain_columns(half_offset_grid(beta_points), n)
+    gain.flags.writeable = False
+    return gain
+
+
+def fold_power(power: np.ndarray) -> np.ndarray:
+    """A power spectrum over FFT order (last axis of length n) summed onto
+    |k|: entry j holds P_j + P_-j for 0 < j < n/2, and P_0 and the Nyquist
+    P_-n/2 alone (see folded_gain)."""
+    n = power.shape[-1]
+    folded = power[..., :n // 2 + 1].copy()
+    folded[..., 1:(n + 1) // 2] += power[..., n - 1:n // 2:-1]
+    return folded
 
 
 def cl_norm(times: Sequence[float], snapshots: Sequence[np.ndarray],
@@ -279,12 +311,12 @@ def cl_norm(times: Sequence[float], snapshots: Sequence[np.ndarray],
         raise ValueError("times and snapshots must align")
     power = np.stack([power_spectrum(snap) for snap in snapshots])
     n = power.shape[1]
-    betas = half_offset_grid(beta_points)
-    ab = np.abs(betas)
-    gain = beta_gain(betas, n)
+    ab = np.abs(half_offset_grid(beta_points))
+    gain = folded_gain(beta_points, n)
+    power = fold_power(power)
     if kind == "D":
         lam = symbol(n, m if m is not None else 8 * n).lam_tilde
-        gain = gain * lam[None]
+        gain = gain * lam[None, :n // 2 + 1]
     g = gain @ power.T  # (mb, t): squared L2 norms / 2pi
     if kind == "B":
         norms = np.sqrt(2.0 * np.pi * g.max(axis=1))

@@ -35,11 +35,13 @@ __all__ = [
     "spectral_shift",
     "shift_many",
     "half_offset_samples",
+    "half_offset_values",
     "half_offset_window",
     "alpha_rows",
     "as_complex",
     "spectral_derivative",
     "spectral_antiderivative",
+    "antiderivative_multiplier",
     "difference",
     "arc_chord",
     "enclosed_area",
@@ -159,20 +161,37 @@ def shift_many(values: np.ndarray, alphas: np.ndarray) -> np.ndarray:
 
 
 def half_offset_samples(values: np.ndarray, m: int) -> np.ndarray:
-    """Samples of f at the half-offset nodes -pi + (s + 1/2) 2 pi / m.
+    """Samples of f at the half-offset nodes -pi + (s + 1/2) 2 pi / m, from
+    its grid samples (see half_offset_values).  Returns shape (m,) +
+    values.shape[1:]."""
+    return half_offset_values(fft_coeffs(values), m)
 
-    The coefficients (Nyquist mode at wavenumber -n/2, as in shift_many)
-    are folded modulo m, so one size-m inverse FFT evaluates f exactly at
-    every node for any m.  Returns shape (m,) + values.shape[1:].
-    """
-    values = np.asarray(values)
-    n = values.shape[0]
-    k = wavenumbers(n)
-    lift = (n,) + (1,) * (values.ndim - 1)
+
+@lru_cache(maxsize=64)
+def _half_offset_factor(n: int, m: int) -> np.ndarray:
     # exp(i k phi_s) = (-1)^k exp(i k pi/m) exp(2 pi i k s/m)
-    c = fft_coeffs(values) * (_phase(n) * np.exp(1j * k * (np.pi / m))).reshape(lift)
-    folded = np.zeros((m,) + values.shape[1:], dtype=complex)
-    np.add.at(folded, k % m, c)
+    return _read_only(_phase(n) * np.exp(1j * wavenumbers(n) * (np.pi / m)))
+
+
+def half_offset_values(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """Samples at the half-offset nodes -pi + (s + 1/2) 2 pi / m of the real
+    field with true coefficients coeffs, shape (n,) or (n, c) in FFT order.
+
+    The coefficients are folded modulo m, so one size-m inverse FFT
+    evaluates the field exactly at every node for any m.  The Nyquist mode
+    sits at wavenumber -n/2, as in shift_many, and is read as its real
+    part, the part the grid sees: the samples are those of the field that
+    grid_values(coeffs) holds.  Returns shape (m,) + coeffs.shape[1:].
+    """
+    coeffs = np.asarray(coeffs)
+    n = coeffs.shape[0]
+    lift = (n,) + (1,) * (coeffs.ndim - 1)
+    factor = _half_offset_factor(n, m)
+    c = coeffs * factor.reshape(lift)
+    if n % 2 == 0:
+        c[n // 2] = coeffs[n // 2].real * factor[n // 2]
+    folded = np.zeros((m,) + coeffs.shape[1:], dtype=complex)
+    np.add.at(folded, wavenumbers(n) % m, c)
     return np.fft.ifft(folded, axis=0).real * m
 
 
@@ -230,12 +249,17 @@ def spectral_derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
     return apply_multiplier(values, mult)
 
 
+@lru_cache(maxsize=64)
+def antiderivative_multiplier(n: int) -> np.ndarray:
+    """1/(ik) per wavenumber of an n-point grid, 0 at k = 0: one read-only
+    array per n."""
+    k = wavenumbers(n).astype(float)
+    return _read_only(np.where(k == 0, 0.0, 1.0 / (1j * np.where(k == 0, 1.0, k))))
+
+
 def spectral_antiderivative(values: np.ndarray) -> np.ndarray:
     """Mean-zero antiderivative; the input's k=0 mode is discarded."""
-    k = wavenumbers(np.asarray(values).shape[0]).astype(float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mult = np.where(k == 0, 0.0, 1.0 / (1j * np.where(k == 0, 1.0, k)))
-    return apply_multiplier(values, mult)
+    return apply_multiplier(values, antiderivative_multiplier(np.asarray(values).shape[0]))
 
 
 @dataclass(frozen=True)
@@ -441,8 +465,7 @@ _HEADER = "peskin-curve v1"
 def write_curve(curve: Curve, path, fourier: bool = False) -> None:
     buf = io.StringIO()
     buf.write(f"{_HEADER} N={curve.n}\n")
-    for x, y in curve.nodes:
-        buf.write(f"{float(x)!r} {float(y)!r}\n")
+    buf.write("".join([f"{x!r} {y!r}\n" for x, y in curve.nodes.tolist()]))
     if fourier:
         ks = wavenumbers(curve.n)
         order = np.argsort(ks)

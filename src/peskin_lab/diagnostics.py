@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .besov import (BesovParams, MuWeight, _diff_quadrature, besov_diff,
-                    beta_gain, cl_norm)
+                    cl_norm, fold_power, folded_gain)
 from .curve import (Curve, arc_chord, half_offset_grid, magnitude, parseval_norm,
                     power_spectrum, spectral_antiderivative, theta_grid,
                     wavenumbers)
@@ -74,12 +74,13 @@ def apriori_audit(traj: Trajectory, mu: MuWeight, lam: float,
     inside the beta integral; the time integral is trapezoidal.
     """
     derivs = traj.derivs
-    powers = np.stack([power_spectrum(d.nodes) for d in derivs])  # (t, k)
+    # (t, |k|) power against the (mb, |k|) gain
+    powers = fold_power(np.stack([power_spectrum(d.nodes) for d in derivs]))
     n = derivs[0].n
-    k = np.abs(wavenumbers(n)).astype(float)
+    k = np.abs(wavenumbers(n)[:n // 2 + 1]).astype(float)
     betas = half_offset_grid(beta_points)
     ab = np.abs(betas)
-    gain = beta_gain(betas, n)  # (mb, k)
+    gain = folded_gain(beta_points, n)
     sq_norms = gain @ powers.T  # ||delta_beta X'(t)||^2 / (2 pi), (mb, t)
     sup_part = np.sqrt(2.0 * np.pi * sq_norms.max(axis=1))
     diss_gain = gain * k[None]

@@ -34,9 +34,19 @@ where a = X'(theta + alpha) and the chord dz and the tension jump J stay
 exact elementwise differences; the sums are batched row dots.  A is not
 homogeneous and keeps the divided difference.
 
+The IMEX step keeps the state in Fourier coefficients from one step to
+the next.  Its implicit part is a per-wavenumber solve, so it ends with the
+coefficients of X'; X's are those over ik, with the mean advanced by the
+averaged position velocity, and both node sets come from one inverse
+transform.  The frame samples X and X' from the state's coefficients with
+one folded inverse transform (curve.half_offset_values), so a step takes
+one forward FFT (of the explicit term) and four inverse ones, two of them
+the Curve checks that nodes and coefficients agree.  Per-grid constants
+(the alpha tables, the difference pattern rows) are cached read-only.
+
 Inside the frame every 2-vector is one complex number z = x + iy: real
 (n, 2) fields are sampled first (so the Nyquist convention is that of
-curve.half_offset_samples) and converted with curve.as_complex, and the
+curve.half_offset_values) and converted with curve.as_complex, and the
 alpha integral is converted back to a real (n, 2) field.  For a chord d
 the unit rotor rot = conj(d)/d = conj(d)^2/|d|^2 carries the whole matrix
 basis:
@@ -48,9 +58,10 @@ basis:
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -58,6 +69,7 @@ import numpy as np
 from .curve import (
     Curve,
     alpha_rows,
+    antiderivative_multiplier,
     apply_multiplier,
     arc_chord,
     as_complex,
@@ -65,6 +77,7 @@ from .curve import (
     grid_values,
     half_offset_grid,
     half_offset_samples,
+    half_offset_values,
     magnitude,
     parseval_norm,
     power_spectrum,
@@ -138,8 +151,12 @@ class SimState:
         return cls(t=t, curve=curve, deriv=deriv, law=law, m=m,
                    rho_floor=rho_floor)
 
-    def advanced(self, t: float, curve: Curve) -> "SimState":
-        return replace(self, t=t, curve=curve, deriv=curve.derivative())
+    def advanced(self, t: float, curve: Curve,
+                 deriv: Optional[Curve] = None) -> "SimState":
+        """The state at time t on curve, whose X' is deriv (by default
+        curve.derivative())."""
+        return replace(self, t=t, curve=curve,
+                       deriv=curve.derivative() if deriv is None else deriv)
 
 
 class _Scratch:
@@ -154,17 +171,17 @@ class _Scratch:
     def __init__(self, shape: tuple, flat: Optional[dict] = None):
         self._flat = {} if flat is None else flat
         self._views = {}
-        self.shape = shape
+        self.shape, self.size = shape, math.prod(shape)
 
     def resize(self, shape: tuple):
         if shape != self.shape:
-            self.shape = shape
+            self.shape, self.size = shape, math.prod(shape)
             self._views.clear()
 
     def __call__(self, name: str, dtype=complex) -> np.ndarray:
         view = self._views.get(name)
         if view is None:
-            size = int(np.prod(self.shape))
+            size = self.size
             flat = self._flat.get((name, dtype))
             if flat is None or flat.size < size:
                 flat = self._flat[name, dtype] = np.empty(size, dtype)
@@ -183,6 +200,32 @@ class _Buffers(threading.local):
 _BUFFERS = _Buffers()
 
 
+@lru_cache(maxsize=16)
+def _pattern(m: int) -> np.ndarray:
+    """The rows 1 0 1 0 ... and 0 1 0 1 ... of length 2m (see
+    _differences), read-only."""
+    rows = np.zeros((2, 2 * m))
+    rows[0, 0::2] = rows[1, 1::2] = 1.0
+    rows.flags.writeable = False
+    return rows
+
+
+_ALPHA_TABLES = {  # name -> table over the half-offset alpha grid
+    "abs_alpha": np.abs,
+    "inv_alpha": lambda al: 1.0 / al,
+    "alpha2": lambda al: al**2,
+    "inv_alpha2": lambda al: 1.0 / al**2,
+    "abs_2sin": lambda al: np.abs(2.0 * np.sin(al / 2.0)),
+}
+
+
+@lru_cache(maxsize=64)
+def _alpha_factor(name: str, n: int, m: int) -> np.ndarray:
+    """The read-only (n, m) circulant view curve.alpha_rows of the named
+    table of _ALPHA_TABLES: one per (name, n, m), shared by every frame."""
+    return alpha_rows(_ALPHA_TABLES[name](half_offset_grid(m)), n)
+
+
 def _differences(fine: np.ndarray, base: np.ndarray):
     """fill(rows, out) writes out[j, p] = fine[p] - base[rows][j] for
     complex samples fine (m,) and nodes base (n,).
@@ -192,9 +235,8 @@ def _differences(fine: np.ndarray, base: np.ndarray):
     complex out.  Every product is exact, so each entry is the difference
     rounded once, bit for bit the broadcast subtraction, which numpy runs
     about three times slower on complex rows."""
-    right = np.zeros((3, 2 * len(fine)))
-    right[0] = np.ascontiguousarray(fine).view(float)
-    right[1, 0::2] = right[2, 1::2] = 1.0
+    fine = np.ascontiguousarray(fine).view(float)
+    right = np.concatenate((fine[None], _pattern(len(fine) // 2)))
     left = np.stack([np.ones(len(base)), -base.real, -base.imag], axis=1)
 
     def fill(rows: slice, out: np.ndarray) -> np.ndarray:
@@ -276,15 +318,20 @@ class _Frame:
     array is ever formed: integrate walks blocks of max(1, _BLOCK // m)
     theta rows, reuses one set of block buffers for the whole walk and sums
     each row's alpha integral once, contiguously.  Vectors are complex
-    from sampling to integration.
+    from sampling to integration.  X and X' are sampled from the state's
+    coefficients, so a state the IMEX step hands over is never transformed
+    forward again.
     """
 
     def __init__(self, state: SimState):
         n, m = state.curve.n, state.m
         self.state = state
-        self.alphas = half_offset_grid(m)
         self.height = min(n, max(1, _BLOCK // m))  # theta rows per block
         self.buf = _Scratch((self.height, m), _BUFFERS.flat)
+
+    def alpha_factor(self, name: str) -> np.ndarray:
+        """The (n, m) circulant view of one of _ALPHA_TABLES."""
+        return _alpha_factor(name, self.state.curve.n, self.state.m)
 
     def samples(self, values: np.ndarray) -> np.ndarray:
         """Complex samples of a real (n, 2) field on the half-offset m-grid."""
@@ -315,27 +362,37 @@ class _Frame:
         st = self.state
         screen = np.multiply(r2, self.inv_alpha2[rows], out=scratch)
         if np.sqrt(screen.min()) <= st.rho_floor * (1.0 + 1e-12):
-            abs_alpha = alpha_rows(np.abs(self.alphas), st.curve.n)
-            worst = float(np.min(np.sqrt(r2) / abs_alpha[rows]))
+            worst = float(np.min(np.sqrt(r2) / self.alpha_factor("abs_alpha")[rows]))
             if worst < st.rho_floor:
                 raise SimulationAbort(st.t, f"arc-chord {worst:.3e} below "
                                             f"floor {st.rho_floor:.3e}")
 
-    @cached_property
+    @property
     def inv_alpha2(self) -> np.ndarray:
         """1/alpha^2 over the frame (see curve.alpha_rows)."""
-        return alpha_rows(1.0 / self.alphas**2, self.state.curve.n)
+        return self.alpha_factor("inv_alpha2")
+
+    @cached_property
+    def _state_samples(self) -> tuple:
+        """X as complex samples and X' as real (m, 2) samples on the
+        half-offset m-grid, from the state's coefficients by one inverse
+        transform (curve.half_offset_values)."""
+        st = self.state
+        both = half_offset_values(
+            np.concatenate((st.curve.coeffs, st.deriv.coeffs), axis=1), st.m)
+        return as_complex(both[:, :2]), np.ascontiguousarray(both[:, 2:])
 
     @cached_property
     def chords(self):
         """Fills a block with conj(X_p - X_j) (see _differences)."""
-        nodes = self.state.curve.nodes
-        return _differences(np.conj(self.samples(nodes)), np.conj(as_complex(nodes)))
+        x_samples = self._state_samples[0]
+        return _differences(np.conj(x_samples),
+                            np.conj(as_complex(self.state.curve.nodes)))
 
-    @cached_property
+    @property
     def x1_samples(self) -> np.ndarray:
         """X' on the half-offset m-grid as real (m, 2) samples."""
-        return half_offset_samples(self.state.deriv.nodes, self.state.m)
+        return self._state_samples[1]
 
     @cached_property
     def jumps(self):
@@ -363,7 +420,7 @@ def _bi_form(frame: _Frame):
     # force values at theta_j + alpha from the trigonometric interpolant
     # of the padded samples
     fs = frame.samples(force_fine)
-    s_al = alpha_rows(np.abs(2.0 * np.sin(frame.alphas / 2.0)), n)
+    s_al = frame.alpha_factor("abs_2sin")
 
     def integrand(block):
         _, r2, _, _, _ = block.geometry()
@@ -433,8 +490,10 @@ def _kernel_form(frame: _Frame):
         v_conj = np.multiply(w, block.rot(), out=buf("c1"))
         s_w = _row_dots(w, aj)
         s_v = _row_dots(v_conj, aj)
-        im_part = np.multiply(a_conj, jump, out=v_conj).imag
-        s_g = _real_row_dots(im_part, w)
+        # Im(conj(a) J), copied contiguous so that its row dots run in BLAS
+        g = buf("r0", float)
+        np.copyto(g, np.multiply(a_conj, jump, out=v_conj).imag)
+        s_g = _real_row_dots(g, w)
         rows = b[block.rows]
         return (1j * rows * s_w.imag + np.conj(rows * (s_v - 1j * s_g))) / FOUR_PI
 
@@ -484,11 +543,10 @@ def _kernel_A_apply(a, b, d, rot, inv_q2, vec, buf=None):
 def _remainder_form(frame: _Frame):
     """The A kernel over alpha^2 applied to the tension jump.  A is not
     homogeneous and keeps the divided difference."""
-    n = frame.state.curve.n
     a = as_complex(frame.x1_samples)
     b = as_complex(frame.state.deriv.nodes)[:, None]
-    inv_al = alpha_rows(1.0 / frame.alphas, n)
-    al2 = alpha_rows(frame.alphas**2, n)
+    inv_al = frame.alpha_factor("inv_alpha")
+    al2 = frame.alpha_factor("alpha2")
     inv_al2 = frame.inv_alpha2
 
     def integrand(block):
@@ -650,21 +708,25 @@ def _imex_increments(state: SimState):
 
 def _step_imex(state: SimState, dt: float) -> SimState:
     # cbar is refreshed every step from the current tension Jacobian range
+    n = state.curve.n
     cbar = _cbar(state)
-    lam = symbol(state.curve.n, state.m).lam_tilde
+    lam = symbol(n, state.m).lam_tilde
     explicit, mean_velocity = _imex_increments(state)
     c1 = state.deriv.coeffs
     numer = c1 * (1.0 + dt * cbar * lam)[:, None] + dt * fft_coeffs(explicit)
     c1_new = numer / (1.0 + dt * cbar * lam)[:, None]
-    c1_new[0] = 0.0
-    # rebuild the curve: non-mean modes from the tangent field, mean advanced
-    # by the averaged position velocity (the derivative equation cannot see
-    # translations)
-    deriv_nodes = grid_values(c1_new)
-    new_nodes = spectral_antiderivative(deriv_nodes) \
-        + (state.curve.mean + dt * mean_velocity)[None]
-    _check_finite(state, new_nodes)
-    return state.advanced(state.t + dt, Curve.from_nodes(new_nodes))
+    # X' has no mean, and its Nyquist mode is not the derivative of a grid
+    # mode: both stay zero, as X' = d/dtheta X leaves them
+    c1_new[0] = c1_new[n // 2] = 0.0
+    # X from X' by 1/(ik), the mean advanced by the averaged position
+    # velocity (the derivative equation cannot see translations); both node
+    # sets from one inverse transform
+    cx = c1_new * antiderivative_multiplier(n)[:, None]
+    cx[0] = state.curve.mean + dt * mean_velocity
+    nodes = grid_values(np.concatenate((cx, c1_new), axis=1))
+    _check_finite(state, nodes)
+    return state.advanced(state.t + dt, Curve(nodes=nodes[:, :2], coeffs=cx),
+                          Curve(nodes=nodes[:, 2:], coeffs=c1_new))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from peskin_lab.besov import (
     cl_norm,
     construct_mu,
     embedding_audit,
+    fold_power,
+    folded_gain,
     nu_from_mu,
 )
 from peskin_lab.curve import (fft_coeffs, grid_values, power_spectrum, shift_many,
@@ -117,6 +119,24 @@ def test_beta_gain_matches_direct_form(n):
     got = beta_gain(betas, n)
     assert got.shape == direct.shape
     assert np.max(np.abs(got - direct)) <= 1e-14 * np.max(direct)
+
+
+@pytest.mark.parametrize("n", [17, 34, 64])
+def test_folded_gain_is_the_cached_distinct_columns_of_beta_gain(n, rng):
+    # one read-only array per (beta_points, n): the k >= 0 columns (and the
+    # Nyquist one) of beta_gain, against which the folded power gives the
+    # full product
+    gain = folded_gain(200, n)
+    full = beta_gain(half_offset_grid(200), n)
+    assert folded_gain(200, n) is gain
+    assert not gain.flags.writeable
+    assert np.array_equal(gain, full[:, :n // 2 + 1])
+    power = rng.uniform(0.0, 1.0, (3, n))
+    folded = fold_power(power)
+    assert folded.shape == (3, n // 2 + 1)
+    assert np.isclose(folded.sum(), power.sum(), rtol=1e-14)
+    want = full @ power.T
+    assert np.max(np.abs(gain @ folded.T - want)) <= 1e-14 * np.max(want)
 
 
 @pytest.mark.parametrize("p", [2.0, np.inf])

@@ -21,6 +21,7 @@ from peskin_lab.curve import (
     grid_values,
     half_offset_grid,
     half_offset_samples,
+    half_offset_values,
     half_offset_window,
     lp_norm,
     magnitude,
@@ -417,6 +418,46 @@ def test_curve_file_round_trip(tmp_path, rng):
     assert np.max(np.abs(back.nodes - c.nodes)) < 1e-15
     header = path.read_text().splitlines()[0]
     assert header == "peskin-curve v1 N=32"
+
+
+@pytest.mark.parametrize("fourier", [False, True])
+def test_write_curve_bytes_equal_the_per_row_repr_format(tmp_path, fourier):
+    # the writer formats nodes.tolist() in one join; the file is the one
+    # the per-row repr loop wrote, also for -0.0, subnormals and 1e300
+    nodes = Curve.circle(16).nodes.copy()
+    nodes[1] = (-0.0, 5e-324)
+    nodes[2] = (1e300, -2.5e-310)
+    curve = Curve.from_nodes(nodes)
+    lines = [f"peskin-curve v1 N={curve.n}\n"]
+    for x, y in curve.nodes:
+        lines.append(f"{float(x)!r} {float(y)!r}\n")
+    if fourier:
+        ks = wavenumbers(curve.n)
+        for i in np.argsort(ks):
+            c = curve.coeffs[i]
+            lines.append(f"{int(ks[i])} {float(c[0].real)!r} {float(c[0].imag)!r} "
+                         f"{float(c[1].real)!r} {float(c[1].imag)!r}\n")
+    path = tmp_path / "c.curve"
+    write_curve(curve, path, fourier=fourier)
+    assert path.read_bytes() == "".join(lines).encode()
+    assert "-0.0 5e-324\n" in lines
+
+
+def test_half_offset_values_sample_the_grid_field(rng):
+    # from a curve's own transform, the coefficient path is the node path bit
+    # for bit; an imaginary Nyquist part, which the grid cannot see, is not
+    # sampled either
+    n, m = 32, 96
+    curve = random_bandlimited_curve(rng, n)
+    assert np.array_equal(half_offset_values(curve.coeffs, m),
+                          half_offset_samples(curve.nodes, m))
+    coeffs = curve.coeffs.copy()
+    coeffs[n // 2] = (0.3 + 0.7j, -0.2 - 0.4j)
+    moved = Curve.from_coeffs(coeffs)
+    got = half_offset_values(moved.coeffs, m)
+    want = half_offset_samples(moved.nodes, m)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.max(np.abs(got - half_offset_samples(curve.nodes, m))) > 0.1
 
 
 def test_curve_file_bad_header(tmp_path):

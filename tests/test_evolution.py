@@ -565,13 +565,13 @@ def test_floor_screen_defers_to_the_exact_quotient(rng):
     # r2/alpha^2 only screens a block: where its square root rounds above
     # the quotient sqrt(r2)/|alpha| that arc_chord takes, a floor between
     # the two must still abort, and a floor at the quotient must not
-    from peskin_lab.curve import alpha_rows
+    from peskin_lab.curve import alpha_rows, half_offset_grid
     from peskin_lab.evolution import _Frame
 
     n = m = 16
     j, p = 3, 5
     probe = _Frame(make_state(Curve.circle(n), m=m))
-    abs_alpha = alpha_rows(np.abs(probe.alphas), n)
+    abs_alpha = alpha_rows(np.abs(half_offset_grid(m)), n)
     for r2 in rng.uniform(0.1, 2.0, 1000):
         quotient = np.sqrt(r2) / abs_alpha[j, p]
         if np.sqrt(r2 * probe.inv_alpha2[j, p]) > quotient:
@@ -644,6 +644,63 @@ def test_imex_area_drift_on_perturbed_circle():
     traj = simulate(cfg)
     a0 = enclosed_area(traj.curves[0])
     assert abs(enclosed_area(traj.curves[-1]) - a0) <= 8e-6 * a0
+
+
+def nodal_step(state, dt):
+    """The IMEX step with the nodal rebuild the coefficient handoff
+    replaced, kept as an oracle: X' nodes from the new coefficients, X by a
+    spectral antiderivative of those nodes, the new curve from its nodes and
+    X' as its spectral derivative."""
+    from peskin_lab.curve import fft_coeffs, grid_values, spectral_antiderivative
+    from peskin_lab.evolution import _cbar, _imex_increments
+    from peskin_lab.operators import symbol
+
+    cbar = _cbar(state)
+    lam = symbol(state.curve.n, state.m).lam_tilde
+    explicit, mean_velocity = _imex_increments(state)
+    numer = state.deriv.coeffs * (1.0 + dt * cbar * lam)[:, None] \
+        + dt * fft_coeffs(explicit)
+    c1_new = numer / (1.0 + dt * cbar * lam)[:, None]
+    c1_new[0] = 0.0
+    new_nodes = spectral_antiderivative(grid_values(c1_new)) \
+        + (state.curve.mean + dt * mean_velocity)[None]
+    return state.advanced(state.t + dt, Curve.from_nodes(new_nodes))
+
+
+@pytest.mark.parametrize("config", ["equilibrium", "perturbed", "power-law", "rough"])
+def test_coefficient_handoff_matches_the_nodal_rebuild(config):
+    # after one step X agrees to 5.3e-16; the oracle's X' is the spectral
+    # derivative of rounded X nodes, which scales their rounding by up to
+    # n/2, and sits 1.1e-14 (n = 128) to 5.9e-14 (n = 512) from the new X'
+    cfg = config_from_file(CONFIGS / f"{config}.cfg")
+    start = SimState.make(make_initial_curve(cfg), law_from_config(cfg), m=cfg.m)
+    got = want = start
+    for i in range(1, 21):
+        got, want = step(got, cfg.dt, "imex"), nodal_step(want, cfg.dt)
+        for new, ref, first in ((got.curve, want.curve, 1e-14),
+                                (got.deriv, want.deriv, 1e-13)):
+            err = np.max(np.abs(new.nodes - ref.nodes)) / np.max(np.abs(ref.nodes))
+            assert err <= (first if i == 1 else 1e-12), (i, err)
+            nyquist = np.max(np.abs(new.coeffs[new.n // 2]))
+            assert nyquist <= 1e-15 * np.max(np.abs(new.coeffs)), i
+    assert got.t == want.t
+
+
+def test_imex_step_makes_five_fft_calls(monkeypatch):
+    # the nodal rebuild took 7 forward and 7 inverse transforms: one forward
+    # of the explicit term, and inverses for the frame's samples, both node
+    # sets and the two curves' node/coefficient checks
+    cfg = config_from_file(CONFIGS / "perturbed.cfg")
+    st = step(SimState.make(make_initial_curve(cfg), law_from_config(cfg),
+                            m=cfg.m), cfg.dt, "imex")
+    calls = []
+    for name in ("fft", "ifft"):
+        wrapped = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, _f=wrapped, _n=name, **kw:
+                            calls.append(_n) or _f(*a, **kw))
+    step(st, cfg.dt, "imex")
+    assert len(calls) <= 5, calls
+    assert calls.count("fft") == 1
 
 
 # --- simulate -----------------------------------------------------------------------
