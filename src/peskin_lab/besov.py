@@ -14,8 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .curve import (half_offset_grid, lp_norm, magnitude, parseval_norm,
-                    power_spectrum, shift_many, wavenumbers)
+from .curve import (half_offset_frame, half_offset_grid, lp_norm, magnitude,
+                    parseval_norm, power_spectrum, wavenumbers)
 from .operators import lp_block_norms, symbol
 
 __all__ = [
@@ -214,7 +214,7 @@ def besov_diff(values: np.ndarray, params: BesovParams,
         gain = folded_gain(beta_points, values.shape[0])
         norms = np.sqrt(2.0 * np.pi * (gain @ fold_power(power_spectrum(values))))
     else:
-        diffs = shift_many(values, betas) - values[None]
+        diffs = half_offset_frame(values, beta_points) - values[None]
         norms = lp_norm(magnitude(diffs, values.ndim == 2), params.p)
     return _diff_quadrature(norms, betas, params)
 

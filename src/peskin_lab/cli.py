@@ -138,11 +138,9 @@ def _verify_operators(samples: int, seed: int):
     rng = np.random.default_rng(seed)
     checks = {}
     n = 256
-    th = theta_grid(n)
-    worst = 0.0
-    for k in range(1, 65):
-        f = np.cos(k * th)
-        worst = max(worst, float(np.max(np.abs(ops.lambda_sine(f) - k * f))))
+    k = np.arange(1, 65)
+    f = np.cos(np.outer(theta_grid(n), k))  # column k - 1 holds cos(k theta)
+    worst = float(np.max(np.abs(ops.lambda_sine(f) - k * f)))
     checks["sine_eigenvalue_max_err"] = (worst, 1e-7)
     lam = ops.symbol(n, 8 * n).lam_tilde
     ks = np.abs(wavenumbers(n))

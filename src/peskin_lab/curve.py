@@ -13,9 +13,9 @@ sampled fields.  It imports nothing from the package.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import NamedTuple
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "lp_norm",
     "spectral_shift",
     "shift_many",
+    "half_offset_frame",
     "half_offset_samples",
     "half_offset_values",
     "half_offset_window",
@@ -158,6 +159,31 @@ def shift_many(values: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     shifted = phase.reshape(phase.shape + (1,) * (values.ndim - 1)) * c[None]
     ph = _phase(n).reshape((1, n) + (1,) * (values.ndim - 1))
     return np.fft.ifft(shifted * ph, axis=1).real * n
+
+
+def half_offset_frame(values: np.ndarray, m: int) -> np.ndarray:
+    """The (beta, theta) frame [i, j] = f(theta_j + beta_i) of grid samples
+    f over the half-offset m-grid beta_i, for any m: shift_many(values,
+    half_offset_grid(m)) from one inverse FFT.
+
+    Every theta_j + beta_i is a node of theta_grid(G), G = 2 lcm(n, m), at
+    index (j G/n + (2i + 1) G/(2m) - G/2) mod G.  The field is sampled
+    there once by an inverse real FFT of the zero-padded spectrum; the
+    Nyquist mode of an even grid is read as its real part, as in
+    shift_many.  Returns a read-only (m, n) + values.shape[1:] view over
+    those samples tiled three times.
+    """
+    values = np.asarray(values, dtype=float)
+    n = values.shape[0]
+    big = 2 * math.lcm(n, m)
+    spectrum = np.fft.rfft(values, axis=0, norm="forward")
+    if n % 2 == 0:
+        spectrum[n // 2] *= 0.5  # the real Nyquist bin feeds both of +-n/2
+    ext = np.concatenate((np.fft.irfft(spectrum, big, axis=0, norm="forward"),) * 3)
+    s = ext.strides
+    return np.lib.stride_tricks.as_strided(
+        ext[big + big // (2 * m) - big // 2:], (m, n) + ext.shape[1:],
+        (big // m * s[0], big // n * s[0]) + s[1:], writeable=False)
 
 
 def half_offset_samples(values: np.ndarray, m: int) -> np.ndarray:
@@ -385,11 +411,22 @@ def difference(values: np.ndarray, alpha: float, variant: str = "plain",
     return values - divided
 
 
-class ArcChord(NamedTuple):
-    """Grid approximation of the arc-chord number with a refinement estimate."""
+class ArcChord:
+    """Grid approximation of the arc-chord number with a refinement estimate.
 
-    value: float
-    estimate: float
+    value is the level-2m grid infimum.  estimate, twice its distance from
+    the level-m infimum, costs a second level search, so it is computed
+    when it is first read and kept."""
+
+    def __init__(self, value: float, curve: Curve, m: int):
+        self.value = value
+        self._coarse = (curve, m)
+
+    @cached_property
+    def estimate(self) -> float:
+        # first-order refinement: the level difference matches the remaining
+        # error asymptotically, so report it with a safety factor of two
+        return 2.0 * abs(self.value - _arc_chord_level(*self._coarse))
 
 
 _STRIDE, _BLOCK, _SLACK = 8, 64, 1e-9  # coarse row stride, rows per block, slack
@@ -433,19 +470,13 @@ def arc_chord(curve: Curve, m: int | None = None) -> ArcChord:
     """Arc-chord number: grid infimum of |X(theta+alpha)-X(theta)|/|alpha|.
 
     Sampled over theta on the N-grid and alpha on a half-offset grid of
-    size m >= 4N, with one refinement level (2m); estimate reports the
-    level difference.  Each level is the dense grid infimum to the bit, from
-    a Wiener-bound pruned row search.  Returns 0 exactly for degenerate curves.
+    size 2m, m >= 4N; estimate reports the difference from the level m,
+    which is searched only when estimate is read.  Each level is the dense
+    grid infimum to the bit, from a Wiener-bound pruned row search.
+    Returns 0 exactly for degenerate curves.
     """
-    n = curve.n
-    if m is None:
-        m = 4 * n
-    m = max(m, 4 * n)
-    v1 = _arc_chord_level(curve, m)
-    v2 = _arc_chord_level(curve, 2 * m)
-    # first-order refinement: the level difference matches the remaining
-    # error asymptotically, so report it with a safety factor of two
-    return ArcChord(value=v2, estimate=2.0 * abs(v2 - v1))
+    m = max(4 * curve.n if m is None else m, 4 * curve.n)
+    return ArcChord(_arc_chord_level(curve, 2 * m), curve, m)
 
 
 def enclosed_area(curve: Curve) -> float:

@@ -343,7 +343,7 @@ class _Frame:
         over alpha of its rows; one real (n, 2) field per integrand.
 
         The floor check is a coarse guard on the step's m alphas, the
-        per-record arc_chord (4n, 8n) the margin."""
+        per-record arc_chord (8n) the margin."""
         n, m = self.state.curve.n, self.state.m
         block = _Block(self)
         sums = np.empty((len(integrands), n), dtype=complex)

@@ -16,8 +16,9 @@ from peskin_lab.besov import (
     folded_gain,
     nu_from_mu,
 )
-from peskin_lab.curve import (fft_coeffs, grid_values, power_spectrum, shift_many,
-                              spectral_shift, theta_grid, wavenumbers)
+from peskin_lab.curve import (fft_coeffs, grid_values, half_offset_frame,
+                              power_spectrum, shift_many, spectral_shift,
+                              theta_grid, wavenumbers)
 from peskin_lab.operators import half_offset_grid, symbol
 from conftest import grid_lp, random_trig_field
 
@@ -96,6 +97,29 @@ def test_besov_diff_p2_matches_shift_oracle(n, rng):
         oracle = 2.0 * np.pi / beta_points * np.sum(mu(1.0 / ab) * norms / ab**1.5)
         got = besov_diff(f, BesovParams(0.5, 2, 1, mu), beta_points=beta_points)
         assert abs(got - oracle) <= 1e-12 * oracle
+
+
+@pytest.mark.parametrize("n, beta_points",
+                         [(128, 256), (128, 2048), (64, 100), (32, 16),
+                          (128, 1000), (48, 7)])
+def test_besov_diff_frame_matches_shift_oracle(n, beta_points, rng):
+    # the frame off p = 2 is sampled once on a 2 lcm(n, M) grid: odd M,
+    # M < n and M not a multiple of n included; white noise, so the Nyquist
+    # mode is non-zero
+    betas = half_offset_grid(beta_points)
+    ab = np.abs(betas)
+    for f in (rng.standard_normal(n), rng.standard_normal((n, 2))):
+        shifted = shift_many(f, betas)
+        frame = half_offset_frame(f, beta_points)
+        assert frame.shape == shifted.shape
+        assert np.max(np.abs(frame - shifted)) <= 1e-13 * np.max(np.abs(shifted))
+        if beta_points % 2:
+            continue  # an odd half-offset grid holds beta = 0
+        for p in (1.0, 4.0, np.inf):
+            norms = np.array([grid_lp(g - f, p) for g in shifted])
+            oracle = 2.0 * np.pi / beta_points * np.sum(norms / ab**1.5)
+            got = besov_diff(f, BesovParams(0.5, p, 1), beta_points=beta_points)
+            assert abs(got - oracle) <= 1e-13 * oracle
 
 
 def test_beta_gain_has_no_cancellation_at_small_beta():

@@ -353,6 +353,12 @@ ARC_CHORD_CURVES = {
     # that halves L, misses the wrap to row 0 or is one row short fails here
     "crossing-5": lambda: random_bandlimited_curve(np.random.default_rng(5), 64, 12, 1.0),
     "crossing-16": lambda: random_bandlimited_curve(np.random.default_rng(16), 64, 12, 1.0),
+    # crossing-5 moved 1e8 away: the rounding slack, relative to sum_k |c_k|
+    # and so to the mean, is 0.1 here, and rows whose Wiener bound lands
+    # within it of the threshold hold the crossing; a search that subtracted
+    # the slack instead of adding it would skip them
+    "far-crossing-5": lambda: Curve.from_nodes(
+        ARC_CHORD_CURVES["crossing-5"]().nodes + np.array([1e8, 0.0])),
 }
 
 
@@ -363,10 +369,32 @@ def test_arc_chord_levels_equal_dense_frame(name):
     v2 = dense_arc_chord_level(c, 8 * c.n)
     assert _arc_chord_level(c, 4 * c.n) == v1
     assert _arc_chord_level(c, 8 * c.n) == v2
-    assert arc_chord(c) == (v2, 2.0 * abs(v2 - v1))
+    res = arc_chord(c)
+    assert (res.value, res.estimate) == (v2, 2.0 * abs(v2 - v1))
     if name == "near-touching":
         # the coarser level's value is no valid threshold for the finer one
         assert v1 < v2
+
+
+def test_arc_chord_searches_the_estimate_level_on_first_read(monkeypatch):
+    import peskin_lab.curve as curve_module
+
+    levels = []
+
+    def counted(curve, m):
+        levels.append(m)
+        return _arc_chord_level(curve, m)
+
+    monkeypatch.setattr(curve_module, "_arc_chord_level", counted)
+    c = ARC_CHORD_CURVES["near-touching"]()
+    res = arc_chord(c)
+    assert isinstance(res, ArcChord)
+    assert res.value == dense_arc_chord_level(c, 8 * c.n)
+    assert levels == [8 * c.n]
+    estimate = res.estimate
+    assert levels == [8 * c.n, 4 * c.n]
+    assert res.estimate == estimate
+    assert levels == [8 * c.n, 4 * c.n]
 
 
 @settings(max_examples=25, deadline=None)

@@ -13,7 +13,7 @@ from peskin_lab.diagnostics import (
     smoothing_audit,
     stability_audit,
 )
-from peskin_lab.evolution import SimConfig, Trajectory, simulate
+from peskin_lab.evolution import SimConfig, Trajectory, make_initial_curve, simulate
 from peskin_lab.operators import half_offset_grid
 from peskin_lab.tension import hookean, power_law
 
@@ -192,15 +192,28 @@ def test_stability_identical_data_zero_ratio():
     cfg = SimConfig(n=32, m=128, dt=5e-3, horizon=0.05, output_stride=5)
     x0 = Curve.circle(32)
     rep = stability_audit(x0, hookean(1.0), 0.05, cfg=cfg, y0=x0)
-    assert rep.measured["ratios"]["given"] == 0.0
+    for key in ("ratios", "ratios_after_start", "final_ratios"):
+        assert rep.measured[key]["given"] == 0.0
+    assert rep.passed
+
+
+def test_stability_decaying_difference_shows_after_start():
+    # the sup over all outputs includes t = 0, where the distance is d0, so
+    # a decaying difference reads exactly 1 there and below 1 after the start
+    cfg = SimConfig(n=32, m=128, dt=5e-3, horizon=0.2, output_stride=5)
+    x0 = Curve.circle(32)
+    y0 = make_initial_curve(SimConfig(n=32, init_perturb_mode=3,
+                                      init_perturb_amp=0.05))
+    rep = stability_audit(x0, hookean(1.0), 0.2, cfg=cfg, y0=y0)
+    m = rep.measured
+    assert m["ratios"]["given"] == 1.0
+    assert 0.0 < m["final_ratios"]["given"] <= m["ratios_after_start"]["given"] < 1.0
     assert rep.passed
 
 
 def test_stability_sweep_near_circle():
     cfg = SimConfig(n=64, m=256, dt=2e-3, horizon=0.1, output_stride=5,
                     init_perturb_mode=3, init_perturb_amp=0.05)
-    from peskin_lab.evolution import make_initial_curve
-
     x0 = make_initial_curve(cfg)
     rep = stability_audit(x0, hookean(1.0), 0.1, cfg=cfg, k_range=range(3, 9))
     assert rep.passed, rep.measured
@@ -213,8 +226,6 @@ def test_stability_rotated_data_constant_difference():
     # norm stays constant in time
     cfg = SimConfig(n=64, m=256, dt=2e-3, horizon=0.1, output_stride=5,
                     init_perturb_mode=3, init_perturb_amp=0.05)
-    from peskin_lab.evolution import make_initial_curve
-
     x0 = make_initial_curve(cfg)
     phi = 0.02
     q = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
@@ -252,6 +263,30 @@ def test_equilibrium_audit_power_law():
 def test_chord_arc_lipschitz(perturbed_traj):
     rep = chord_arc_lipschitz_audit(perturbed_traj, slack=1e-4)
     assert rep.passed, rep.measured
+
+
+def test_chord_arc_lipschitz_reads_arc_chord_from_records(perturbed_traj,
+                                                         monkeypatch):
+    import peskin_lab.curve as curve_module
+
+    level = curve_module._arc_chord_level
+    levels = []
+
+    def counted(curve, m):
+        levels.append(m)
+        return level(curve, m)
+
+    monkeypatch.setattr(curve_module, "_arc_chord_level", counted)
+    traj = perturbed_traj
+    read = chord_arc_lipschitz_audit(traj)
+    assert levels == []
+    stripped = Trajectory(times=traj.times, curves=traj.curves,
+                          records=tuple({"t": r["t"]} for r in traj.records),
+                          scheme=traj.scheme)
+    computed = chord_arc_lipschitz_audit(stripped)
+    # one value level per snapshot, no estimate level
+    assert levels == [8 * traj.curves[0].n] * len(traj.curves)
+    assert read.measured["max_excess"] == computed.measured["max_excess"]
 
 
 def test_reports_are_deterministic(perturbed_traj):
