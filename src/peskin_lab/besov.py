@@ -52,7 +52,6 @@ class MuWeight:
     """
 
     table: np.ndarray
-    c0: float = 2.0
     label: str = "table"
     fn: object = None
 
@@ -67,13 +66,13 @@ class MuWeight:
     @classmethod
     def one(cls) -> "MuWeight":
         """Trivial weight; turns every weighted norm into the plain one."""
-        return cls(table=np.ones(2), c0=2.0, label="one",
+        return cls(table=np.ones(2), label="one",
                    fn=lambda r: np.ones_like(np.asarray(r, dtype=float)))
 
     @classmethod
     def log4(cls, j_top: int = 16) -> "MuWeight":
         js = np.arange(j_top + 1)
-        return cls(table=_log4(2.0**js), c0=2.0, label="log",
+        return cls(table=_log4(2.0**js), label="log",
                    fn=lambda r: _log4(np.maximum(np.asarray(r, dtype=float), 0.0)))
 
     @property
@@ -160,7 +159,7 @@ def construct_mu(values: np.ndarray, j_top: int = 14) -> MuWeight:
         mu[j] = min(mu[j], 2.0 * mu[j - 1])
     ratio = np.minimum.accumulate(mu / _log4(2.0 ** np.arange(len(mu))))
     mu = ratio * _log4(2.0 ** np.arange(len(mu)))
-    return MuWeight(table=mu, c0=2.0, label="constructed")
+    return MuWeight(table=mu, label="constructed")
 
 
 def nu_from_mu(mu: MuWeight, c3: float, big_m: float) -> MuWeight:
@@ -169,7 +168,7 @@ def nu_from_mu(mu: MuWeight, c3: float, big_m: float) -> MuWeight:
         raise ValueError("c3 must be at least 1")
     scale = c3 * max(1.0, big_m)
     fn = None if mu.fn is None else (lambda r: 1.0 + mu.fn(r) / scale)
-    return MuWeight(table=1.0 + np.asarray(mu.table) / scale, c0=mu.c0,
+    return MuWeight(table=1.0 + np.asarray(mu.table) / scale,
                     label=f"nu[{mu.label}]", fn=fn)
 
 
@@ -178,7 +177,7 @@ def sqrt_weight(mu: MuWeight) -> MuWeight:
     log ratio stays non-increasing since mu/log^2 is a product of two
     non-increasing factors)."""
     fn = None if mu.fn is None else (lambda r: np.sqrt(mu.fn(r)))
-    return MuWeight(table=np.sqrt(np.asarray(mu.table)), c0=mu.c0,
+    return MuWeight(table=np.sqrt(np.asarray(mu.table)),
                     label=f"sqrt[{mu.label}]", fn=fn)
 
 
@@ -204,7 +203,8 @@ def besov_diff(values: np.ndarray, params: BesovParams,
     norms ||delta_beta f||_2 come from Parseval (beta_gain times the power
     spectrum); other p shift the field spectrally.  The quadrature
     resolves the |beta|^(-1-sr) weight at O((pi/M)^((1-s)r)) accuracy, so
-    comparisons against closed forms should allow for that.
+    comparisons against closed forms should allow for that.  M =
+    beta_points must be even: an odd grid has a node at beta = 0.
     """
     if not (0.0 < params.s < 1.0):
         raise ValueError("difference form needs s in (0, 1)")
@@ -222,7 +222,10 @@ def besov_diff(values: np.ndarray, params: BesovParams,
 def _diff_quadrature(norms: np.ndarray, betas: np.ndarray,
                      params: BesovParams) -> float:
     """The beta integral of besov_diff from the grid norms ||delta_beta f||_p
-    on the half-offset beta grid."""
+    on the half-offset beta grid; an odd grid has a node at beta = 0."""
+    if len(betas) % 2:
+        raise ValueError(f"beta_points must be even, got {len(betas)}: an odd "
+                         "half-offset grid has a node at beta = 0")
     ab = np.abs(betas)
     weight = params.mu(1.0 / ab) if params.mu is not None else 1.0
     scaled = weight * norms / ab**params.s
@@ -297,36 +300,38 @@ def fold_power(power: np.ndarray) -> np.ndarray:
 def cl_norm(times: Sequence[float], snapshots: Sequence[np.ndarray],
             params: BesovParams, kind: str = "B",
             beta_points: int = DEFAULT_BETA_POINTS,
-            m: int | None = None) -> float:
+            dissipation: np.ndarray | None = None) -> float:
     """Mixed time-space norms with the time norm inside the beta integral.
 
-    kind "B": integral of mu(1/|beta|) |beta|^(-3/2) sup_t ||delta_beta f||_2;
-    kind "D": same with the L^2-in-time norm of the half-order dissipation
-    applied to delta_beta f (trapezoid in time).  Snapshots must share one
-    grid and uniform times.
+    kind "B": besov_diff's beta integral with sup_t ||delta_beta f||_2 as
+    the grid norm; kind "D": the same with the L^2-in-time norm
+    (trapezoid) of ||delta_beta f||_2 once the power at wavenumber k is
+    multiplied by dissipation[k], an FFT-order array even in k (default
+    symbol(n, 8n).lam_tilde: the half-order dissipation squared).  s, r
+    and mu come from params; p must be 2.  Snapshots must share one grid
+    and uniform times.
     """
     if len(snapshots) == 0:
         raise ValueError("empty trajectory")
     if len(times) != len(snapshots):
         raise ValueError("times and snapshots must align")
+    if params.p != 2:
+        raise ValueError(f"time norms need p = 2, got p = {params.p}")
     power = np.stack([power_spectrum(snap) for snap in snapshots])
     n = power.shape[1]
-    ab = np.abs(half_offset_grid(beta_points))
     gain = folded_gain(beta_points, n)
-    power = fold_power(power)
     if kind == "D":
-        lam = symbol(n, m if m is not None else 8 * n).lam_tilde
-        gain = gain * lam[None, :n // 2 + 1]
-    g = gain @ power.T  # (mb, t): squared L2 norms / 2pi
+        if dissipation is None:
+            dissipation = symbol(n, 8 * n).lam_tilde
+        gain = gain * np.asarray(dissipation)[:n // 2 + 1]
+    g = gain @ fold_power(power).T  # (mb, t): squared L2 norms / 2pi
     if kind == "B":
         norms = np.sqrt(2.0 * np.pi * g.max(axis=1))
     elif kind == "D":
         norms = np.sqrt(2.0 * np.pi * np.trapezoid(g, np.asarray(times), axis=1))
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    weight = params.mu(1.0 / ab) if params.mu is not None else 1.0
-    h = 2.0 * np.pi / beta_points
-    return float(h * np.sum(weight * norms / ab**1.5))
+    return _diff_quadrature(norms, half_offset_grid(beta_points), params)
 
 
 # ---------------------------------------------------------------------------

@@ -367,16 +367,12 @@ class Curve:
             raise ValueError("refinement only")
         if n_new == self.n:
             return self
-        k_old = wavenumbers(self.n)
         c_new = np.zeros((n_new, 2), dtype=complex)
+        c_new[wavenumbers(self.n) % n_new] = self.coeffs
+        # the grid is even: split its Nyquist mode (index N/2 holds -N/2)
+        # symmetrically onto +-N/2
         half = self.n // 2
-        for i, k in enumerate(k_old):
-            # split the old Nyquist mode symmetrically onto +-N/2
-            if k == -half:
-                c_new[half] = self.coeffs[i] / 2.0
-                c_new[n_new - half] = self.coeffs[i] / 2.0
-            else:
-                c_new[k % n_new] = self.coeffs[i]
+        c_new[half] = c_new[n_new - half] = self.coeffs[half] / 2.0
         return Curve.from_coeffs(c_new)
 
 

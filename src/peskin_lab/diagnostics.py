@@ -15,11 +15,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .besov import (BesovParams, MuWeight, _diff_quadrature, besov_diff,
-                    cl_norm, fold_power, folded_gain)
-from .curve import (Curve, arc_chord, half_offset_grid, magnitude, parseval_norm,
-                    power_spectrum, spectral_antiderivative, theta_grid,
-                    wavenumbers)
+from .besov import BesovParams, MuWeight, besov_diff, cl_norm
+from .curve import (Curve, arc_chord, magnitude, parseval_norm, power_spectrum,
+                    spectral_antiderivative, theta_grid, wavenumbers)
 from .evolution import SimConfig, Trajectory, simulate
 from .tension import TensionLaw
 
@@ -70,30 +68,19 @@ def apriori_audit(traj: Trajectory, mu: MuWeight, lam: float,
     """Energy-inequality check: weighted sup-in-time norm plus the scaled
     dissipation stays below four times the initial weighted norm.
 
-    The dissipation factor applies the quarter-power multiplier |k|^(1/2)
-    inside the beta integral; the time integral is trapezoidal.
+    lhs = cl_norm "B" + c sqrt(lam) cl_norm "D" with dissipation |k| (the
+    quarter-power multiplier |k|^(1/2) inside the beta integral, trapezoid
+    in time); rhs = 4 besov_diff(X'(0)).  Every norm is at (1/2; 2, 1) with
+    weight mu on the same beta grid.
     """
-    derivs = traj.derivs
-    # (t, |k|) power against the (mb, |k|) gain
-    powers = fold_power(np.stack([power_spectrum(d.nodes) for d in derivs]))
-    n = derivs[0].n
-    k = np.abs(wavenumbers(n)[:n // 2 + 1]).astype(float)
-    betas = half_offset_grid(beta_points)
-    ab = np.abs(betas)
-    gain = folded_gain(beta_points, n)
-    sq_norms = gain @ powers.T  # ||delta_beta X'(t)||^2 / (2 pi), (mb, t)
-    sup_part = np.sqrt(2.0 * np.pi * sq_norms.max(axis=1))
-    diss_gain = gain * k[None]
-    diss_sq = 2.0 * np.pi * np.trapezoid(diss_gain @ powers.T,
-                                         np.asarray(traj.times), axis=1)
-    diss_part = np.sqrt(np.maximum(diss_sq, 0.0))
-    weight = mu(1.0 / ab) / ab**1.5
-    h = 2.0 * np.pi / beta_points
-    lhs = float(h * np.sum(weight * (sup_part + c_const * np.sqrt(lam)
-                                     * diss_part)))
-    # besov_diff(derivs[0].nodes, BesovParams(0.5, 2, 1, mu)) from the same gain
-    rhs = 4.0 * _diff_quadrature(np.sqrt(2.0 * np.pi * sq_norms[:, 0]), betas,
-                                 BesovParams(0.5, 2, 1, mu))
+    derivs = [d.nodes for d in traj.derivs]
+    params = BesovParams(0.5, 2, 1, mu)
+    k = np.abs(wavenumbers(len(derivs[0]))).astype(float)
+    sup_part = cl_norm(traj.times, derivs, params, "B", beta_points)
+    diss_part = cl_norm(traj.times, derivs, params, "D", beta_points,
+                        dissipation=k)
+    lhs = float(sup_part + c_const * np.sqrt(lam) * diss_part)
+    rhs = 4.0 * besov_diff(derivs[0], params, beta_points)
     return AuditReport(
         name="apriori",
         inputs_digest=_digest(traj),
@@ -195,7 +182,7 @@ def stability_audit(x0: Curve, law: TensionLaw, horizon: float,
                         output_stride=5)
     cfg = SimConfig(**{**cfg.__dict__, "horizon": horizon})
     base = simulate(cfg, initial=x0, law=law)
-    base_l2 = parseval_norm(power_spectrum(x0.derivative().nodes))
+    base_l2 = parseval_norm(power_spectrum(base.derivs[0].nodes))
     pairs = []
     if y0 is not None:
         pairs.append(("given", y0))
@@ -209,19 +196,17 @@ def stability_audit(x0: Curve, law: TensionLaw, horizon: float,
     later = np.asarray(base.times) > 0
     for label, y in pairs:
         other = simulate(cfg, initial=y, law=law)
-        d0 = parseval_norm(power_spectrum(x0.derivative().nodes - y.derivative().nodes))
+        diffs = [a.nodes - b.nodes for a, b in zip(base.derivs, other.derivs)]
+        dists = np.array([parseval_norm(power_spectrum(d)) for d in diffs])
+        d0 = float(dists[0])
         if d0 == 0.0:
             ratios[label] = after_start[label] = final[label] = 0.0
             continue
-        dists = np.array([parseval_norm(power_spectrum(a.nodes - b.nodes))
-                          for a, b in zip(base.derivs, other.derivs)])
         ratios[label] = float(dists.max()) / d0
         after_start[label] = float(np.max(dists[later], initial=0.0)) / d0
         final[label] = float(dists[-1]) / d0
         if omega is not None:
-            tangent_diffs = [Curve.from_nodes(x.nodes - y.nodes).derivative().nodes
-                             for x, y in zip(base.curves, other.curves)]
-            omega_norms[label] = cl_norm(base.times, tangent_diffs,
+            omega_norms[label] = cl_norm(base.times, diffs,
                                          BesovParams(0.5, 2, 1, omega), "B",
                                          beta_points=1024)
     vals = [v for v in ratios.values() if v > 0]

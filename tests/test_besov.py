@@ -178,6 +178,15 @@ def test_besov_diff_rejects_bad_s():
         besov_diff(np.zeros((32, 2)), BesovParams(1.5, 2, 1))
 
 
+@pytest.mark.parametrize("p", [2.0, np.inf])
+def test_besov_diff_rejects_odd_beta_points(p):
+    # an odd half-offset grid has a node at beta = 0, where the weight
+    # |beta|^(-1-s) is infinite
+    f = unit_mode_field(32)
+    with pytest.raises(ValueError, match="513"):
+        besov_diff(f, BesovParams(0.5, p, 1), beta_points=513)
+
+
 # --- block form ---------------------------------------------------------------
 
 def test_besov_lp_single_block_mode():
@@ -227,13 +236,15 @@ def test_diff_lp_equivalence_bracket(rng):
 def test_cl_norm_constant_trajectory(rng):
     mu = MuWeight.log4()
     times = np.linspace(0, 1, 5)
-    # white noise carries a non-zero Nyquist mode
-    for f in (random_trig_field(rng, 64, 10), rng.standard_normal((64, 2))):
+    # white noise carries a non-zero Nyquist mode; (0.3; 2, 2) checks that
+    # s and r are read from the parameters
+    fields = (random_trig_field(rng, 64, 10), rng.standard_normal((64, 2)))
+    for f in fields:
         snaps = [f] * 5
-        b = cl_norm(times, snaps, BesovParams(0.5, 2, 1, mu), kind="B",
-                    beta_points=1024)
-        single = besov_diff(f, BesovParams(0.5, 2, 1, mu), beta_points=1024)
-        assert abs(b - single) < 1e-12 * max(1.0, single)
+        for params in (BesovParams(0.5, 2, 1, mu), BesovParams(0.3, 2, 2)):
+            b = cl_norm(times, snaps, params, kind="B", beta_points=1024)
+            single = besov_diff(f, params, beta_points=1024)
+            assert abs(b - single) < 1e-12 * max(1.0, single)
 
 
 def test_cl_norm_zero_trajectory():
@@ -249,9 +260,9 @@ def test_cl_norm_decaying_mode_oracle():
     times = np.linspace(0, 1, 2001)
     snaps = [np.exp(-t) * base for t in times]
     mu = MuWeight.log4()
-    m = 8 * n
+    m = 8 * n  # the default dissipation is symbol(n, 8n).lam_tilde
     got = cl_norm(times, snaps, BesovParams(0.5, 2, 1, mu), "D",
-                  beta_points=4096, m=m)
+                  beta_points=4096)
     lam1 = symbol(n, m).lam_tilde[1]
     time_factor = np.sqrt(np.trapezoid(np.exp(-2.0 * times), times))
     # matched discrete beta-sum closed form: validates the wiring exactly
@@ -274,6 +285,32 @@ def test_cl_norm_decaying_mode_oracle():
 def test_cl_norm_empty_rejected():
     with pytest.raises(ValueError):
         cl_norm([], [], BesovParams(0.5, 2, 1), "B")
+
+
+def test_cl_norm_rejects_p_other_than_2():
+    snaps = [unit_mode_field(32)] * 2
+    with pytest.raises(ValueError):
+        cl_norm([0, 1], snaps, BesovParams(0.5, 4, 1), "B")
+
+
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_cl_norm_rejects_odd_beta_points(kind):
+    snaps = [unit_mode_field(32)] * 2
+    with pytest.raises(ValueError, match="513"):
+        cl_norm([0, 1], snaps, BesovParams(0.5, 2, 1), kind, beta_points=513)
+
+
+def test_cl_norm_dissipation_weights_the_power(rng):
+    # a constant trajectory's D norm is its duration^(1/2) times the B norm
+    # of the field filtered by dissipation^(1/2)
+    n = 64
+    f = random_trig_field(rng, n, 10)
+    k = np.abs(wavenumbers(n)).astype(float)
+    filtered = grid_values(fft_coeffs(f) * np.sqrt(k)[:, None])
+    params = BesovParams(0.5, 2, 1)
+    d = cl_norm([0, 2], [f, f], params, "D", beta_points=512, dissipation=k)
+    b = cl_norm([0, 2], [filtered, filtered], params, "B", beta_points=512)
+    assert abs(d - np.sqrt(2.0) * b) < 1e-12 * b
 
 
 def test_cl_norm_dominates_snapshot_norms(rng):

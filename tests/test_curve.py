@@ -507,6 +507,8 @@ def test_resampled_preserves_values(rng):
     nyq = Curve.from_nodes(grid_values(coeffs))
     fine = nyq.resampled(64)
     assert np.max(np.abs(fine.nodes[::2] - nyq.nodes)) < 1e-12
+    # split evenly onto +-16, as the transform of the refined samples has it
+    assert np.max(np.abs(fine.coeffs - Curve.from_nodes(fine.nodes).coeffs)) < 1e-14
 
 
 def test_mean_tracked_separately(rng):

@@ -130,6 +130,16 @@ def test_cli_table_not_covering_initial_stretch_exits_2(tmp_path, capsys):
     assert "range [1.5, 3.0]" in err and "tension.globalize" in err
 
 
+def test_cli_odd_beta_points_exits_2_before_any_output(tmp_path, capsys):
+    # an odd half-offset beta grid has a node at beta = 0; the first
+    # record's Besov norm rejects it before any step or snapshot
+    cfg_path = _write_config(tmp_path, EQ_CONFIG + "diag.beta_points = 513\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "513" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_cli_simulate_file_curve_default_alpha_grid(tmp_path):
     # no grid.* keys: the alpha grid follows the file's node count (96),
     # not the default grid.n
