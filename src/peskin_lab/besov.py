@@ -208,8 +208,8 @@ def besov_diff(values: np.ndarray, params: BesovParams,
     """
     if not (0.0 < params.s < 1.0):
         raise ValueError("difference form needs s in (0, 1)")
+    betas = _beta_grid(beta_points)
     values = np.asarray(values, dtype=float)
-    betas = half_offset_grid(beta_points)
     if params.p == 2:
         gain = folded_gain(beta_points, values.shape[0])
         norms = np.sqrt(2.0 * np.pi * (gain @ fold_power(power_spectrum(values))))
@@ -219,13 +219,19 @@ def besov_diff(values: np.ndarray, params: BesovParams,
     return _diff_quadrature(norms, betas, params)
 
 
+def _beta_grid(beta_points: int) -> np.ndarray:
+    """The half-offset beta grid of besov_diff and cl_norm, checked before
+    any norm is computed: an odd grid has a node at beta = 0."""
+    if beta_points % 2:
+        raise ValueError(f"beta_points must be even, got {beta_points}: an odd "
+                         "half-offset grid has a node at beta = 0")
+    return half_offset_grid(beta_points)
+
+
 def _diff_quadrature(norms: np.ndarray, betas: np.ndarray,
                      params: BesovParams) -> float:
     """The beta integral of besov_diff from the grid norms ||delta_beta f||_p
-    on the half-offset beta grid; an odd grid has a node at beta = 0."""
-    if len(betas) % 2:
-        raise ValueError(f"beta_points must be even, got {len(betas)}: an odd "
-                         "half-offset grid has a node at beta = 0")
+    on the grid betas = _beta_grid(M)."""
     ab = np.abs(betas)
     weight = params.mu(1.0 / ab) if params.mu is not None else 1.0
     scaled = weight * norms / ab**params.s
@@ -317,6 +323,9 @@ def cl_norm(times: Sequence[float], snapshots: Sequence[np.ndarray],
         raise ValueError("times and snapshots must align")
     if params.p != 2:
         raise ValueError(f"time norms need p = 2, got p = {params.p}")
+    if kind not in ("B", "D"):
+        raise ValueError(f"unknown kind {kind!r}")
+    betas = _beta_grid(beta_points)
     power = np.stack([power_spectrum(snap) for snap in snapshots])
     n = power.shape[1]
     gain = folded_gain(beta_points, n)
@@ -327,11 +336,9 @@ def cl_norm(times: Sequence[float], snapshots: Sequence[np.ndarray],
     g = gain @ fold_power(power).T  # (mb, t): squared L2 norms / 2pi
     if kind == "B":
         norms = np.sqrt(2.0 * np.pi * g.max(axis=1))
-    elif kind == "D":
-        norms = np.sqrt(2.0 * np.pi * np.trapezoid(g, np.asarray(times), axis=1))
     else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return _diff_quadrature(norms, half_offset_grid(beta_points), params)
+        norms = np.sqrt(2.0 * np.pi * np.trapezoid(g, np.asarray(times), axis=1))
+    return _diff_quadrature(norms, betas, params)
 
 
 # ---------------------------------------------------------------------------

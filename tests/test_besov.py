@@ -181,10 +181,12 @@ def test_besov_diff_rejects_bad_s():
 @pytest.mark.parametrize("p", [2.0, np.inf])
 def test_besov_diff_rejects_odd_beta_points(p):
     # an odd half-offset grid has a node at beta = 0, where the weight
-    # |beta|^(-1-s) is infinite
+    # |beta|^(-1-s) is infinite; the count is checked before any gain is built
     f = unit_mode_field(32)
+    cached = folded_gain.cache_info().currsize
     with pytest.raises(ValueError, match="513"):
         besov_diff(f, BesovParams(0.5, p, 1), beta_points=513)
+    assert folded_gain.cache_info().currsize == cached
 
 
 # --- block form ---------------------------------------------------------------
@@ -296,8 +298,10 @@ def test_cl_norm_rejects_p_other_than_2():
 @pytest.mark.parametrize("kind", ["B", "D"])
 def test_cl_norm_rejects_odd_beta_points(kind):
     snaps = [unit_mode_field(32)] * 2
+    cached = folded_gain.cache_info().currsize
     with pytest.raises(ValueError, match="513"):
         cl_norm([0, 1], snaps, BesovParams(0.5, 2, 1), kind, beta_points=513)
+    assert folded_gain.cache_info().currsize == cached
 
 
 def test_cl_norm_dissipation_weights_the_power(rng):
