@@ -28,7 +28,6 @@ __all__ = [
     "besov_diff",
     "besov_lp",
     "cl_norm",
-    "beta_gain",
     "folded_gain",
     "fold_power",
     "EmbeddingReport",
@@ -200,11 +199,12 @@ def besov_diff(values: np.ndarray, params: BesovParams,
     """Difference-form seminorm on the half-offset beta grid.
 
     Valid for s in (0, 1); use besov_lp for general s.  At p = 2 the grid
-    norms ||delta_beta f||_2 come from Parseval (beta_gain times the power
-    spectrum); other p shift the field spectrally.  The quadrature
-    resolves the |beta|^(-1-sr) weight at O((pi/M)^((1-s)r)) accuracy, so
-    comparisons against closed forms should allow for that.  M =
-    beta_points must be even: an odd grid has a node at beta = 0.
+    norms ||delta_beta f||_2 come from Parseval: folded_gain times the power
+    spectrum folded onto |k| by fold_power; other p shift the field
+    spectrally.  The quadrature resolves the |beta|^(-1-sr) weight at
+    O((pi/M)^((1-s)r)) accuracy, so comparisons against closed forms should
+    allow for that.  M = beta_points must be even: an odd grid has a node at
+    beta = 0.
     """
     if not (0.0 < params.s < 1.0):
         raise ValueError("difference form needs s in (0, 1)")
@@ -252,43 +252,27 @@ def besov_lp(values: np.ndarray, params: BesovParams) -> float:
     return float(np.sum(terms**params.r) ** (1.0 / params.r))
 
 
-def beta_gain(betas: np.ndarray, n: int) -> np.ndarray:
-    """Grid gain of delta_beta per wavenumber of an n-point grid.
+@lru_cache(maxsize=16)
+def folded_gain(beta_points: int, n: int) -> np.ndarray:
+    """Grid gain of delta_beta per |k| of an n-point grid on the beta grid
+    half_offset_grid(beta_points): one read-only array per (beta_points, n).
 
-    Shape (len(betas), n) in FFT order; gain @ power_spectrum(f) is the
-    squared grid norm ||delta_beta f||_2^2 / (2 pi) for every beta at once.
-    Each column is the squared symbol |exp(i beta k) - 1|^2 = 4 sin^2(beta
-    k/2), except the Nyquist column of an even grid: the grid keeps only the
-    real part c s_j cos(beta n/2) of a shifted Nyquist mode c s_j, so its
-    gain is (1 - cos(beta n/2))^2 = 4 sin^4(beta n/4).  Odd grids have no
-    Nyquist mode.  Sines, unlike 1 - cos, do not cancel at small beta k.
-    The sines are evaluated for k >= 0 only: the column of -k is that of k
-    bit for bit, because sin is odd.
+    Shape (beta_points, n//2 + 1), columns k = 0 .. n//2 (FFT columns 0 ..
+    n//2); folded_gain @ fold_power(power_spectrum(f)) is the squared grid
+    norm ||delta_beta f||_2^2 / (2 pi) for every beta at once.  Each column
+    is the squared symbol |exp(i beta k) - 1|^2 = 4 sin^2(beta k/2), which
+    is also the column of -k, except the Nyquist column of an even grid:
+    the grid keeps only the real part c s_j cos(beta n/2) of a shifted
+    Nyquist mode c s_j, so its gain is (1 - cos(beta n/2))^2 = 4 sin^4(beta
+    n/4).  Odd grids have no Nyquist mode.  Sines, unlike 1 - cos, do not
+    cancel at small beta k.
     """
-    half = (n + 1) // 2  # columns 0 .. half - 1 hold k = 0 .. half - 1
-    gain = np.empty((len(betas), n))
-    gain[:, :n // 2 + 1] = _gain_columns(betas, n)
-    gain[:, n - half + 1:] = gain[:, half - 1:0:-1]
-    return gain
-
-
-def _gain_columns(betas: np.ndarray, n: int) -> np.ndarray:
-    """The first n//2 + 1 columns of beta_gain(betas, n): k = 0, 1, ...,
-    (n - 1)//2 and, for even n, the Nyquist column."""
+    betas = half_offset_grid(beta_points)
     half = (n + 1) // 2
-    gain = np.empty((len(betas), n // 2 + 1))
+    gain = np.empty((beta_points, n // 2 + 1))
     gain[:, :half] = 4.0 * np.sin(np.multiply.outer(betas, np.arange(half) / 2.0)) ** 2
     if n % 2 == 0:
         gain[:, n // 2] = 4.0 * np.sin(betas * (n / 4)) ** 4
-    return gain
-
-
-@lru_cache(maxsize=16)
-def folded_gain(beta_points: int, n: int) -> np.ndarray:
-    """The distinct columns of beta_gain(half_offset_grid(beta_points), n),
-    one per |k| (FFT columns 0 .. n//2): folded_gain @ fold_power(power)
-    is beta_gain @ power.  One read-only array per (beta_points, n)."""
-    gain = _gain_columns(half_offset_grid(beta_points), n)
     gain.flags.writeable = False
     return gain
 

@@ -14,14 +14,16 @@ import sys
 import numpy as np
 
 from . import __version__
-from .besov import BesovParams, MuWeight, besov_diff, besov_lp
+from .besov import BesovParams, MuWeight, besov_diff, besov_lp, sqrt_weight
 from .config import config_from_file, write_manifest, write_ndjson
 from .curve import (Curve, magnitude, parseval_norm, power_spectrum, read_curve,
                     spectral_derivative, theta_grid, wavenumbers, write_curve)
-from .evolution import SimulationAbort, simulate, law_from_config
+from .evolution import (FORMS, SimState, SimulationAbort, law_from_config,
+                        make_initial_curve, right_hand_sides, simulate)
 from . import diagnostics as diag
 from . import kernels
 from . import operators as ops
+from .tension import hookean
 
 
 def main(argv=None) -> int:
@@ -159,9 +161,6 @@ def _verify_operators(samples: int, seed: int):
 
 
 def _verify_formulation(seed: int):
-    from .evolution import FORMS, SimState, right_hand_sides
-    from .tension import hookean
-
     rng = np.random.default_rng(seed)
     n, m = 128, 512
     checks = {"bi_vs_reduced_rel": (0.0, 1e-6),
@@ -259,8 +258,6 @@ def _cmd_audit(args) -> int:
         raise ValueError(f"audit {args.audit} requires --config")
     cfg = config_from_file(args.config)
     if args.audit == "stability":
-        from .evolution import make_initial_curve
-
         report = diag.stability_audit(make_initial_curve(cfg),
                                       law_from_config(cfg), cfg.horizon,
                                       cfg=cfg)
@@ -282,8 +279,6 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from .besov import sqrt_weight
-
     cfg = config_from_file(args.config)
     x0 = read_curve(args.in_a)
     y0 = read_curve(args.in_b)

@@ -10,8 +10,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from dataclasses import fields
 from datetime import datetime, timezone
 
+from . import __version__
 from .evolution import SimConfig
 
 __all__ = [
@@ -59,35 +61,18 @@ def parse_flat(text: str) -> dict:
     return out
 
 
-_KEY_MAP = {
-    "grid.n": "n",
-    "grid.m": "m",
-    "time.dt": "dt",
-    "time.horizon": "horizon",
-    "time.scheme": "scheme",
-    "init.kind": "init_kind",
-    "init.radius": "init_radius",
-    "init.a": "init_a",
-    "init.b": "init_b",
-    "init.perturb_mode": "init_perturb_mode",
-    "init.perturb_amp": "init_perturb_amp",
-    "init.rough_exponent": "init_rough_exponent",
-    "init.rough_amp": "init_rough_amp",
-    "init.file": "init_file",
-    "tension.kind": "tension_kind",
-    "tension.k0": "tension_k0",
-    "tension.coef": "tension_coef",
-    "tension.p": "tension_p",
-    "tension.window": "tension_window",
-    "tension.globalize": "tension_globalize",
-    "tension.table": "tension_table",
-    "output.stride": "output_stride",
-    "output.dir": "output_dir",
-    "seed": "seed",
-    "rho.floor": "rho_floor",
-    "mu.kind": "mu_kind",
-    "diag.beta_points": "diag_beta_points",
-}
+def _dotted_key(name: str) -> str:
+    """The config key of a SimConfig field: grid.n, grid.m, time.dt,
+    time.horizon and time.scheme name the bare fields; any other key a.b
+    names the field a_b (the first underscore is the dot)."""
+    if name in ("n", "m"):
+        return f"grid.{name}"
+    if name in ("dt", "horizon", "scheme"):
+        return f"time.{name}"
+    return name.replace("_", ".", 1)
+
+
+_KEY_MAP = {_dotted_key(f.name): f.name for f in fields(SimConfig)}
 
 
 def sim_config_from_dict(flat: dict) -> SimConfig:
@@ -126,8 +111,6 @@ def write_manifest(out_dir, cfg: SimConfig, outputs) -> str:
     path = os.path.join(out_dir, "manifest.txt")
     if os.path.exists(path):
         raise FileExistsError(f"{path} already exists; manifests are immutable")
-    from . import __version__
-
     text = canonical_text(cfg)
     digest = hashlib.sha256(text.encode()).hexdigest()
     stamp = datetime.now(timezone.utc).isoformat()

@@ -81,14 +81,16 @@ from .curve import (
     magnitude,
     parseval_norm,
     power_spectrum,
+    read_curve,
     spectral_antiderivative,
     theta_grid,
     wavenumbers,
 )
-from .besov import BesovParams, MuWeight, besov_diff
+from .besov import BesovParams, MuWeight, besov_diff, construct_mu
 from .kernels import FOUR_PI
 from .operators import symbol
-from .tension import TensionLaw, tension_jacobian, tension_map, hookean, power_law, arctan_law, globalize
+from .tension import (TensionLaw, arctan_law, globalize, hookean, power_law,
+                      table_law, tension_jacobian, tension_map)
 
 __all__ = [
     "SimulationAbort",
@@ -804,8 +806,6 @@ def make_initial_curve(cfg: SimConfig) -> Curve:
     if cfg.init_kind == "ellipse":
         return Curve.ellipse(n, a=cfg.init_a, b=cfg.init_b)
     if cfg.init_kind == "fourier-file":
-        from .curve import read_curve
-
         if cfg.init_file is None:
             raise ValueError("init.kind=fourier-file requires init.file")
         return read_curve(cfg.init_file)
@@ -842,8 +842,6 @@ def law_from_config(cfg: SimConfig) -> TensionLaw:
     elif cfg.tension_kind == "arctan":
         law = arctan_law(tuple(cfg.tension_window))
     elif cfg.tension_kind == "table":
-        from .tension import table_law
-
         if cfg.tension_table is None:
             raise ValueError("tension.kind=table requires tension.table")
         data = np.loadtxt(cfg.tension_table)
@@ -862,8 +860,6 @@ def _mu_for_diag(cfg: SimConfig, deriv_nodes: np.ndarray) -> MuWeight:
     if cfg.mu_kind == "log":
         return MuWeight.log4()
     if cfg.mu_kind == "construct":
-        from .besov import construct_mu
-
         return construct_mu(deriv_nodes)
     raise ValueError(f"unknown mu kind {cfg.mu_kind!r}")
 
@@ -889,12 +885,20 @@ def _diag_record(state: SimState, arc: float, mu: MuWeight, scheme: str,
 def simulate(cfg: SimConfig, initial: Optional[Curve] = None,
              law: Optional[TensionLaw] = None) -> Trajectory:
     """Run the configured evolution; deterministic given the config."""
-    curve = initial if initial is not None else make_initial_curve(cfg)
-    the_law = law if law is not None else law_from_config(cfg)
+    for key, value in (("grid.n", cfg.n), ("grid.m", cfg.m),
+                       ("init.perturb_mode", cfg.init_perturb_mode),
+                       ("output.stride", cfg.output_stride), ("seed", cfg.seed),
+                       ("diag.beta_points", cfg.diag_beta_points)):
+        if value is not None and not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+    if cfg.output_stride < 1:
+        raise ValueError(f"output.stride must be at least 1, got {cfg.output_stride!r}")
     if not cfg.dt > 0:
         raise ValueError(f"time.dt must be positive, got {cfg.dt!r}")
     if not cfg.horizon >= 0:
         raise ValueError(f"time.horizon must be non-negative, got {cfg.horizon!r}")
+    curve = initial if initial is not None else make_initial_curve(cfg)
+    the_law = law if law is not None else law_from_config(cfg)
     n_steps = int(round(cfg.horizon / cfg.dt))
     if abs(cfg.horizon / cfg.dt - n_steps) > 1e-9 * n_steps:
         raise ValueError(f"horizon {cfg.horizon!r} is not a whole number of "

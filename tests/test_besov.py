@@ -7,7 +7,6 @@ from peskin_lab.besov import (
     MuWeight,
     besov_diff,
     besov_lp,
-    beta_gain,
     check_mu_admissible,
     cl_norm,
     construct_mu,
@@ -127,39 +126,31 @@ def test_beta_gain_has_no_cancellation_at_small_beta():
     n = 64
     betas = half_offset_grid(8192)
     f = np.cos(theta_grid(n))
-    got = np.sqrt(beta_gain(betas, n) @ power_spectrum(f))
+    got = np.sqrt(folded_gain(8192, n) @ fold_power(power_spectrum(f)))
     exact = np.abs(2.0 * np.sin(betas / 2.0)) * np.sqrt(np.mean(f**2))
     assert np.max(np.abs(got - exact) / exact) < 1e-14
 
 
 @pytest.mark.parametrize("n", [17, 33, 34, 64, 512])
-def test_beta_gain_matches_direct_form(n):
-    # the k < 0 columns are mirrored from k > 0 rather than evaluated
+def test_beta_gain_matches_direct_form(n, rng):
+    # folded_gain is the k = 0 .. n//2 columns of the full-width gain, one
+    # read-only array per (beta_points, n); against the folded power it
+    # gives the full product
     betas = half_offset_grid(1000)
     k = wavenumbers(n).astype(float)
     direct = 4.0 * np.sin(np.multiply.outer(betas, k / 2.0)) ** 2
     if n % 2 == 0:
         direct[:, n // 2] = 4.0 * np.sin(betas * (n / 4)) ** 4
-    got = beta_gain(betas, n)
-    assert got.shape == direct.shape
-    assert np.max(np.abs(got - direct)) <= 1e-14 * np.max(direct)
-
-
-@pytest.mark.parametrize("n", [17, 34, 64])
-def test_folded_gain_is_the_cached_distinct_columns_of_beta_gain(n, rng):
-    # one read-only array per (beta_points, n): the k >= 0 columns (and the
-    # Nyquist one) of beta_gain, against which the folded power gives the
-    # full product
-    gain = folded_gain(200, n)
-    full = beta_gain(half_offset_grid(200), n)
-    assert folded_gain(200, n) is gain
+    gain = folded_gain(1000, n)
+    assert folded_gain(1000, n) is gain
     assert not gain.flags.writeable
-    assert np.array_equal(gain, full[:, :n // 2 + 1])
+    assert gain.shape == (1000, n // 2 + 1)
+    assert np.max(np.abs(gain - direct[:, :n // 2 + 1])) <= 1e-14 * np.max(direct)
     power = rng.uniform(0.0, 1.0, (3, n))
     folded = fold_power(power)
     assert folded.shape == (3, n // 2 + 1)
     assert np.isclose(folded.sum(), power.sum(), rtol=1e-14)
-    want = full @ power.T
+    want = direct @ power.T
     assert np.max(np.abs(gain @ folded.T - want)) <= 1e-14 * np.max(want)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -58,6 +59,25 @@ def test_canonical_text_round_trip():
     assert again == cfg
 
 
+def test_canonical_text_round_trips_every_setting():
+    # every SimConfig field off its default comes back through the key table
+    changed = dict(
+        n=48, m=192, dt=2.5e-3, horizon=0.5, scheme="rk4",
+        init_kind="ellipse", init_radius=1.5, init_a=3.0, init_b=0.5,
+        init_perturb_mode=3, init_perturb_amp=0.1, init_rough_exponent=1.8,
+        init_rough_amp=0.2, init_file="start.curve", tension_kind="power",
+        tension_k0=2.0, tension_coef=0.5, tension_p=3.0,
+        tension_window=(0.25, 4.0), tension_globalize=True,
+        tension_table="table.txt", output_stride=3, output_dir="runs/a",
+        seed=7, rho_floor=0.05, mu_kind="construct", diag_beta_points=512)
+    assert set(changed) == {f.name for f in fields(SimConfig)}
+    cfg = SimConfig(**changed)
+    assert all(getattr(cfg, f.name) != f.default for f in fields(SimConfig))
+    text = canonical_text(cfg)
+    assert len(text.splitlines()) == len(changed)
+    assert sim_config_from_dict(parse_flat(text)) == cfg
+
+
 def test_manifest_immutable(tmp_path):
     cfg = SimConfig(n=32)
     write_manifest(tmp_path, cfg, ["x"])
@@ -109,13 +129,22 @@ def test_cli_bad_config_exit_code(tmp_path):
 @pytest.mark.parametrize("bad, message", [
     ("grid.m = 100", "multiple"), ("grid.m = 0", "multiple"),
     ("time.horizon = 0.0225", "whole number"), ("time.dt = 0", "time.dt"),
-    ("time.dt = -0.005", "time.dt"), ("time.horizon = -0.02", "time.horizon")])
+    ("time.dt = -0.005", "time.dt"), ("time.horizon = -0.02", "time.horizon"),
+    ("grid.m = 128.0", "grid.m"),
+    ("grid.n = 32.0\ninit.kind = random-sobolev", "grid.n"),
+    ("output.stride = 0", "output.stride"), ("output.stride = -2", "output.stride"),
+    ("output.stride = 1.5", "output.stride"),
+    ("init.perturb_mode = 2.5", "init.perturb_mode"),
+    ("seed = 1.5\ninit.kind = random-sobolev", "seed"),
+    ("diag.beta_points = 1024.0", "diag.beta_points")])
 def test_cli_rejects_inconsistent_grid_and_horizon(tmp_path, capsys, bad, message):
-    # the appended line overrides the key (last one wins)
+    # the appended lines override their keys (last one wins); the run is
+    # rejected before any snapshot is written
     cfg_path = _write_config(tmp_path, EQ_CONFIG + bad + "\n")
-    assert main(["simulate", "--config", cfg_path, "--out",
-                 str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_cli_table_not_covering_initial_stretch_exits_2(tmp_path, capsys):
