@@ -131,26 +131,38 @@ def test_beta_gain_has_no_cancellation_at_small_beta():
     assert np.max(np.abs(got - exact) / exact) < 1e-14
 
 
-@pytest.mark.parametrize("n", [17, 33, 34, 64, 512])
-def test_beta_gain_matches_direct_form(n, rng):
-    # folded_gain is the k = 0 .. n//2 columns of the full-width gain, one
-    # read-only array per (beta_points, n); against the folded power it
-    # gives the full product
-    betas = half_offset_grid(1000)
+def _direct_gain(betas, n):
+    # the full-width gain 4 sin^2(beta k / 2), Nyquist column 4 sin^4(beta n / 4)
     k = wavenumbers(n).astype(float)
     direct = 4.0 * np.sin(np.multiply.outer(betas, k / 2.0)) ** 2
     if n % 2 == 0:
         direct[:, n // 2] = 4.0 * np.sin(betas * (n / 4)) ** 4
+    return direct
+
+
+@pytest.mark.parametrize("n", [17, 33, 34, 64, 512])
+def test_beta_gain_matches_direct_form(n):
+    direct = _direct_gain(half_offset_grid(1000), n)
     gain = folded_gain(1000, n)
-    assert folded_gain(1000, n) is gain
-    assert not gain.flags.writeable
     assert gain.shape == (1000, n // 2 + 1)
     assert np.max(np.abs(gain - direct[:, :n // 2 + 1])) <= 1e-14 * np.max(direct)
+
+
+@pytest.mark.parametrize("n", [17, 34, 64])
+def test_folded_gain_is_the_cached_distinct_columns_of_beta_gain(n, rng):
+    # one read-only array per (beta_points, n): the k >= 0 columns (and the
+    # Nyquist one) of the full-width gain, against which the folded power
+    # gives the full product
+    gain = folded_gain(200, n)
+    full = _direct_gain(half_offset_grid(200), n)
+    assert folded_gain(200, n) is gain
+    assert not gain.flags.writeable
+    assert np.max(np.abs(gain - full[:, :n // 2 + 1])) <= 1e-14 * np.max(full)
     power = rng.uniform(0.0, 1.0, (3, n))
     folded = fold_power(power)
     assert folded.shape == (3, n // 2 + 1)
     assert np.isclose(folded.sum(), power.sum(), rtol=1e-14)
-    want = direct @ power.T
+    want = full @ power.T
     assert np.max(np.abs(gain @ folded.T - want)) <= 1e-14 * np.max(want)
 
 
