@@ -14,7 +14,7 @@ from dataclasses import fields
 from datetime import datetime, timezone
 
 from . import __version__
-from .evolution import SimConfig
+from .evolution import SimConfig, _dotted_key
 
 __all__ = [
     "parse_flat",
@@ -61,17 +61,6 @@ def parse_flat(text: str) -> dict:
     return out
 
 
-def _dotted_key(name: str) -> str:
-    """The config key of a SimConfig field: grid.n, grid.m, time.dt,
-    time.horizon and time.scheme name the bare fields; any other key a.b
-    names the field a_b (the first underscore is the dot)."""
-    if name in ("n", "m"):
-        return f"grid.{name}"
-    if name in ("dt", "horizon", "scheme"):
-        return f"time.{name}"
-    return name.replace("_", ".", 1)
-
-
 _KEY_MAP = {_dotted_key(f.name): f.name for f in fields(SimConfig)}
 
 
@@ -80,10 +69,7 @@ def sim_config_from_dict(flat: dict) -> SimConfig:
     for key, value in flat.items():
         if key not in _KEY_MAP:
             raise ValueError(f"unknown config key {key!r}")
-        field = _KEY_MAP[key]
-        if field == "tension_window":
-            value = tuple(float(v) for v in value)
-        kwargs[field] = value
+        kwargs[_KEY_MAP[key]] = value
     return SimConfig(**kwargs)
 
 

@@ -18,7 +18,8 @@ from one pass over blocks of max(1, _BLOCK // m) theta rows, so that the
 buffers stay in cache: a block fills the chord, |chord|^2, 1/chord and
 1/chord^2, and checks the arc-chord floor on its rows, only when a
 requested integrand reads them, and each row's alpha integral is one
-contiguous row reduction, summed once.  The block buffers are allocated
+contiguous row reduction, summed once.  One _Frame object is the walk,
+and every integrand a closure over it; its block buffers are allocated
 once per thread and refilled with out= by every block of every pass.  An
 IMEX step gets the K integral and the position velocity from one pass;
 the public rhs_* functions are single-form passes.
@@ -59,10 +60,11 @@ basis:
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -161,36 +163,6 @@ class SimState:
                        deriv=curve.derivative() if deriv is None else deriv)
 
 
-class _Scratch:
-    """Named block buffers.  Each name is a C-order view, of the current
-    shape ((rows, m) in a frame walk), of one flat array, so a shorter last
-    block reads a prefix of the same memory.
-    flat holds the arrays; a frame walk passes its thread's _BUFFERS.flat,
-    so every walk refills the memory of the one before.  Memory allocated
-    per walk would be handed back to the OS between calls outside long
-    runs, and faulted in again by the next."""
-
-    def __init__(self, shape: tuple, flat: Optional[dict] = None):
-        self._flat = {} if flat is None else flat
-        self._views = {}
-        self.shape, self.size = shape, math.prod(shape)
-
-    def resize(self, shape: tuple):
-        if shape != self.shape:
-            self.shape, self.size = shape, math.prod(shape)
-            self._views.clear()
-
-    def __call__(self, name: str, dtype=complex) -> np.ndarray:
-        view = self._views.get(name)
-        if view is None:
-            size = self.size
-            flat = self._flat.get((name, dtype))
-            if flat is None or flat.size < size:
-                flat = self._flat[name, dtype] = np.empty(size, dtype)
-            view = self._views[name] = flat[:size].reshape(self.shape)
-        return view
-
-
 class _Buffers(threading.local):
     """Each thread's frame-walk buffers, at most max(_BLOCK, m) elements
     apiece."""
@@ -260,35 +232,76 @@ def _real_row_dots(g: np.ndarray, z: np.ndarray) -> np.ndarray:
     return pairs[:, 0, 0] + 1j * pairs[:, 0, 1]
 
 
-class _Block:
-    """One block of theta rows of a frame walk: row j pairs the node
-    X(theta_j) with all m half-offset samples X(phi_p), phi_p = theta_j +
-    alpha, in C order.
+class _Frame:
+    """The (theta, alpha) quadrature frame of one state, and its walk.
 
-    The geometry (c = conj(X_p - X_j), |c|^2, its reciprocal, t = c/|c|^2 =
-    1/(X_p - X_j), W = t^2 and the arc-chord floor check), the rotor
-    conj(dz)/dz = t c and the tension jump T(X')_p - T(X')_j are built on
-    their first read in each block, into buffers of the frame's _Scratch,
-    so a pass that reads none of them builds none."""
+    A band-limited field is sampled once on the half-offset m-grid; row j
+    pairs theta_j with every sample phi_p, at alpha = phi_p - theta_j, and
+    every alpha factor is a read-only circulant view (curve.alpha_rows).
+    No (n, m) array is ever formed: integrate walks blocks of max(1,
+    _BLOCK // m) theta rows and sums each row's alpha integral once,
+    contiguously.  The current block's geometry, rotor and jump are built
+    on their first read, so a pass that reads none of them builds none.
+    buf views the thread's flat arrays (_BUFFERS) in the block's C-order
+    shape: a shorter last block reads a prefix, and each walk refills the
+    memory of the one before, which arrays made per walk would fault in
+    again.  X and X' are sampled from the state's coefficients, so a state
+    the IMEX step hands over is never transformed forward again.
+    """
 
-    def __init__(self, frame: "_Frame"):
-        self.frame = frame
-        self.buf = frame.buf
+    def __init__(self, state: SimState):
+        n, m = state.curve.n, state.m
+        self.state = state
+        self.height = min(n, max(1, _BLOCK // m))  # theta rows per block
+        self._views = {}
+        self._shape = None
 
-    def move(self, rows: slice):
-        self.rows = rows
-        self.buf.resize((rows.stop - rows.start, self.frame.state.m))
-        self._geometry = self._rot = self._jump = None
+    def alpha_factor(self, name: str) -> np.ndarray:
+        """The (n, m) circulant view of one of _ALPHA_TABLES."""
+        return _alpha_factor(name, self.state.curve.n, self.state.m)
+
+    def integrate(self, integrands) -> list:
+        """Half-offset rule over alpha, (2 pi / m) sum_p integrand[j, p], of
+        each integrand, a function of no argument returning the complex sums
+        over alpha of the current block's rows; one real (n, 2) field per
+        integrand.
+
+        The floor check is a coarse guard on the step's m alphas, the
+        per-record arc_chord (8n) the margin."""
+        n, m = self.state.curve.n, self.state.m
+        sums = np.empty((len(integrands), n), dtype=complex)
+        for start in range(0, n, self.height):
+            self.rows = slice(start, min(start + self.height, n))
+            shape = (self.rows.stop - start, m)
+            if shape != self._shape:
+                self._shape = shape
+                self._views.clear()
+            self._geometry = self._rot = self._jump = None
+            for acc, integrand in zip(sums, integrands):
+                acc[self.rows] = integrand()
+        sums *= 2.0 * np.pi / m
+        return [np.stack([z.real, z.imag], axis=-1) for z in sums]
+
+    def buf(self, name: str, dtype=complex) -> np.ndarray:
+        """The named buffer of the current block."""
+        view = self._views.get(name)
+        if view is None:
+            size = math.prod(self._shape)
+            flat = _BUFFERS.flat.get((name, dtype))
+            if flat is None or flat.size < size:
+                flat = _BUFFERS.flat[name, dtype] = np.empty(size, dtype)
+            view = self._views[name] = flat[:size].reshape(self._shape)
+        return view
 
     def geometry(self):
-        """c, |c|^2, 1/|c|^2, t and W of the block."""
+        """c = conj(dz), |c|^2, 1/|c|^2, t = 1/dz and W = t^2 of the block."""
         if self._geometry is None:
-            frame, buf = self.frame, self.buf
-            c = frame.chords(self.rows, buf("c"))
+            buf = self.buf
+            c = self.chords(self.rows, buf("c"))
             r2 = np.square(c.real, out=buf("r2", float))
             inv_r2 = np.square(c.imag, out=buf("inv_r2", float))
             r2 += inv_r2
-            frame.check_floor(r2, self.rows, inv_r2)
+            self.check_floor(r2, self.rows, inv_r2)
             np.divide(1.0, r2, out=inv_r2)
             t = np.multiply(c, inv_r2, out=buf("t"))
             w = np.square(t, out=buf("w"))
@@ -305,56 +318,8 @@ class _Block:
     def jump(self) -> np.ndarray:
         """T(X'(theta + alpha)) - T(X'(theta)) for the vector tension map."""
         if self._jump is None:
-            self._jump = self.frame.jumps(self.rows, self.buf("jump"))
+            self._jump = self.jumps(self.rows, self.buf("jump"))
         return self._jump
-
-
-class _Frame:
-    """The (theta, alpha) quadrature frame of one state.
-
-    A band-limited field is sampled once on the half-offset m-grid; row j
-    of the frame pairs theta_j with every sample phi_p, at alpha = phi_p -
-    theta_j, so the samples are plain m-vectors broadcast against a
-    block's node values.  Every alpha-dependent factor is read from the
-    read-only circulant view curve.alpha_rows of an m-table.  No (n, m)
-    array is ever formed: integrate walks blocks of max(1, _BLOCK // m)
-    theta rows, reuses one set of block buffers for the whole walk and sums
-    each row's alpha integral once, contiguously.  Vectors are complex
-    from sampling to integration.  X and X' are sampled from the state's
-    coefficients, so a state the IMEX step hands over is never transformed
-    forward again.
-    """
-
-    def __init__(self, state: SimState):
-        n, m = state.curve.n, state.m
-        self.state = state
-        self.height = min(n, max(1, _BLOCK // m))  # theta rows per block
-        self.buf = _Scratch((self.height, m), _BUFFERS.flat)
-
-    def alpha_factor(self, name: str) -> np.ndarray:
-        """The (n, m) circulant view of one of _ALPHA_TABLES."""
-        return _alpha_factor(name, self.state.curve.n, self.state.m)
-
-    def samples(self, values: np.ndarray) -> np.ndarray:
-        """Complex samples of a real (n, 2) field on the half-offset m-grid."""
-        return as_complex(half_offset_samples(values, self.state.m))
-
-    def integrate(self, integrands) -> list:
-        """Half-offset rule over alpha, (2 pi / m) sum_p integrand[j, p], of
-        each integrand, a function of one _Block returning the complex sums
-        over alpha of its rows; one real (n, 2) field per integrand.
-
-        The floor check is a coarse guard on the step's m alphas, the
-        per-record arc_chord (8n) the margin."""
-        n, m = self.state.curve.n, self.state.m
-        block = _Block(self)
-        sums = np.empty((len(integrands), n), dtype=complex)
-        for start in range(0, n, self.height):
-            block.move(slice(start, min(start + self.height, n)))
-            for acc, integrand in zip(sums, integrands):
-                acc[block.rows] = integrand(block)
-        sums *= 2.0 * np.pi / m
-        return [np.stack([z.real, z.imag], axis=-1) for z in sums]
 
     def check_floor(self, r2: np.ndarray, rows: slice, scratch: np.ndarray):
         """Abort if min sqrt(r2)/|alpha| over the block's rows is below the
@@ -362,17 +327,12 @@ class _Frame:
         within 1e-12 of the floor takes the quotient itself, which is then
         the arc_chord level's quotient bit for bit."""
         st = self.state
-        screen = np.multiply(r2, self.inv_alpha2[rows], out=scratch)
+        screen = np.multiply(r2, self.alpha_factor("inv_alpha2")[rows], out=scratch)
         if np.sqrt(screen.min()) <= st.rho_floor * (1.0 + 1e-12):
             worst = float(np.min(np.sqrt(r2) / self.alpha_factor("abs_alpha")[rows]))
             if worst < st.rho_floor:
                 raise SimulationAbort(st.t, f"arc-chord {worst:.3e} below "
                                             f"floor {st.rho_floor:.3e}")
-
-    @property
-    def inv_alpha2(self) -> np.ndarray:
-        """1/alpha^2 over the frame (see curve.alpha_rows)."""
-        return self.alpha_factor("inv_alpha2")
 
     @cached_property
     def _state_samples(self) -> tuple:
@@ -421,14 +381,14 @@ def _bi_form(frame: _Frame):
     force_fine = (tension_jacobian(state.law, x1_fine) @ x2_fine[..., None])[..., 0]
     # force values at theta_j + alpha from the trigonometric interpolant
     # of the padded samples
-    fs = frame.samples(force_fine)
+    fs = as_complex(half_offset_samples(force_fine, state.m))
     s_al = frame.alpha_factor("abs_2sin")
 
-    def integrand(block):
-        _, r2, _, _, _ = block.geometry()
-        rot, buf = block.rot(), block.buf
+    def integrand():
+        _, r2, _, _, _ = frame.geometry()
+        rot, buf = frame.rot(), frame.buf
         smooth_log = np.sqrt(r2, out=buf("r0", float))
-        smooth_log /= s_al[block.rows]
+        smooth_log /= s_al[frame.rows]
         np.log(smooth_log, out=smooth_log)
         # the G2 part (dhat.f) dhat is (f + P(d) f) / 2
         out = np.multiply(rot, fs, out=buf("c0"))
@@ -460,9 +420,9 @@ def _position_form(frame: _Frame):
         raise SimulationAbort(state.t, "tangent vector vanished")
     q = x1f * x1f * (state.law.eval(mag) / mag / FOUR_PI)
 
-    def integrand(block):
-        _, _, _, t, _ = block.geometry()
-        t_rot = np.multiply(t, block.rot(), out=block.buf("c0"))
+    def integrand():
+        _, _, _, t, _ = frame.geometry()
+        t_rot = np.multiply(t, frame.rot(), out=frame.buf("c0"))
         return 0.5 * (_row_dots(t, q) + np.conj(_row_dots(t_rot, q)))
 
     return integrand, None
@@ -485,24 +445,24 @@ def _kernel_form(frame: _Frame):
     a_conj = np.conj(a)
     b = as_complex(frame.state.deriv.nodes)
 
-    def integrand(block):
-        _, _, _, _, w = block.geometry()
-        jump, buf = block.jump(), block.buf
+    def integrand():
+        _, _, _, _, w = frame.geometry()
+        jump, buf = frame.jump(), frame.buf
         aj = np.multiply(a, jump, out=buf("c0"))
-        v_conj = np.multiply(w, block.rot(), out=buf("c1"))
+        v_conj = np.multiply(w, frame.rot(), out=buf("c1"))
         s_w = _row_dots(w, aj)
         s_v = _row_dots(v_conj, aj)
         # Im(conj(a) J), copied contiguous so that its row dots run in BLAS
         g = buf("r0", float)
         np.copyto(g, np.multiply(a_conj, jump, out=v_conj).imag)
         s_g = _real_row_dots(g, w)
-        rows = b[block.rows]
+        rows = b[frame.rows]
         return (1j * rows * s_w.imag + np.conj(rows * (s_v - 1j * s_g))) / FOUR_PI
 
     return integrand, None
 
 
-def _kernel_A_apply(a, b, d, rot, inv_q2, vec, buf=None):
+def _kernel_A_apply(a, b, d, rot, inv_q2, vec, buf):
     """The remainder kernel A applied to vec, with every 2-vector a complex
     number.
 
@@ -511,12 +471,10 @@ def _kernel_A_apply(a, b, d, rot, inv_q2, vec, buf=None):
     conj(rot v), R(d)v = i conj(rot v) and u.P(d)w + i u.R(d)w = rot u w,
     A reduces to coef_i vec + coef_c conj(rot vec).  It is built from
     dp = a - d and dm = b - d (never as K - I/4pi), so every term carries a
-    plus or minus difference.  The temporaries and the result are buffers
-    of buf, a _Scratch (by default a fresh one of the broadcast shape).
+    plus or minus difference.  The temporaries and the result are the
+    arrays buf(name) or buf(name, float) of the broadcast shape (see
+    _Frame.buf).
     """
-    if buf is None:
-        buf = _Scratch(np.broadcast_shapes(a.shape, b.shape, d.shape,
-                                           inv_q2.shape, vec.shape))
     c = buf("c0")
     dp = np.subtract(a, d, out=buf("c1"))
     dm = np.subtract(b, d, out=buf("c2"))
@@ -549,15 +507,15 @@ def _remainder_form(frame: _Frame):
     b = as_complex(frame.state.deriv.nodes)[:, None]
     inv_al = frame.alpha_factor("inv_alpha")
     al2 = frame.alpha_factor("alpha2")
-    inv_al2 = frame.inv_alpha2
+    inv_al2 = frame.alpha_factor("inv_alpha2")
 
-    def integrand(block):
-        c, _, inv_r2, _, _ = block.geometry()
-        rows, buf = block.rows, block.buf
+    def integrand():
+        c, _, inv_r2, _, _ = frame.geometry()
+        rows, buf = frame.rows, frame.buf
         d = np.conjugate(c, out=buf("d"))
         d *= inv_al[rows]
         inv_q2 = np.multiply(al2[rows], inv_r2, out=buf("inv_q2", float))
-        out = _kernel_A_apply(a, b[rows], d, block.rot(), inv_q2, block.jump(),
+        out = _kernel_A_apply(a, b[rows], d, frame.rot(), inv_q2, frame.jump(),
                               buf)
         out *= inv_al2[rows]
         return out.sum(axis=1)
@@ -567,18 +525,18 @@ def _remainder_form(frame: _Frame):
 
 def _dissipation_form(frame: _Frame):
     """The 1/alpha^2 integrand of the tension jump: it reads no geometry."""
-    inv_al2 = frame.inv_alpha2
+    inv_al2 = frame.alpha_factor("inv_alpha2")
 
-    def integrand(block):
-        out = np.multiply(block.jump(), inv_al2[block.rows], out=block.buf("c0"))
+    def integrand():
+        out = np.multiply(frame.jump(), inv_al2[frame.rows], out=frame.buf("c0"))
         return out.sum(axis=1)
 
     return integrand, lambda out: -out / FOUR_PI
 
 
-# form -> builder of (integrand, finish) for one frame: the integrand maps a
-# _Block to its (rows, n) values, finish the alpha integral to the field
-# (None: the integral is the field)
+# form -> builder of (integrand, finish) for one frame: the integrand returns
+# the alpha sums of the frame's current block rows, finish maps the alpha
+# integral to the field (None: the integral is the field)
 _FORM_BUILDERS = {
     "position_bi": _bi_form,
     "position_reduced": _position_form,
@@ -734,9 +692,32 @@ def _step_imex(state: SimState, dt: float) -> SimState:
 # ---------------------------------------------------------------------------
 # configuration-driven runs
 
+def _dotted_key(name: str) -> str:
+    """The config key of a SimConfig field: grid.n, grid.m, time.dt,
+    time.horizon and time.scheme name the bare fields; any other key a.b
+    names the field a_b (the first underscore is the dot)."""
+    if name in ("n", "m"):
+        return f"grid.{name}"
+    if name in ("dt", "horizon", "scheme"):
+        return f"time.{name}"
+    return name.replace("_", ".", 1)
+
+
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number"),
+          str: (str, "a string"), bool: (bool, "true or false")}
+
+
+def _is_kind(kind: type, value) -> bool:
+    """value is of the annotated kind; only a bool field takes a bool."""
+    return isinstance(value, bool) == (kind is bool) and isinstance(value, _KINDS[kind][0])
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """Run configuration (mirrors the flat config-file keys)."""
+    """Run configuration (mirrors the flat config-file keys).  Each value
+    is checked against its field's annotation (see _is_kind; Optional also
+    takes None, ints are kept as given) and a ValueError names its key;
+    tension_window is two reals, stored as floats."""
 
     n: int = 128
     m: Optional[int] = None
@@ -756,7 +737,7 @@ class SimConfig:
     tension_k0: float = 1.0
     tension_coef: float = 1.0
     tension_p: float = 2.0
-    tension_window: tuple = (0.5, 2.0)
+    tension_window: tuple[float, float] = (0.5, 2.0)
     tension_globalize: bool = False
     tension_table: Optional[str] = None
     output_stride: int = 10
@@ -765,6 +746,39 @@ class SimConfig:
     rho_floor: Optional[float] = None
     mu_kind: str = "log"
     diag_beta_points: int = 1024
+
+    def __post_init__(self):
+        for name, kind in _SIM_CONFIG_TYPES.items():
+            key, value = _dotted_key(name), getattr(self, name)
+            if type(None) in get_args(kind):  # Optional[...]
+                if value is None:
+                    continue
+                kind = get_args(kind)[0]
+            if kind != tuple[float, float]:
+                if not _is_kind(kind, value):
+                    raise ValueError(f"{key} must be {_KINDS[kind][1]}, got {value!r}")
+            elif isinstance(value, (tuple, list)) and len(value) == 2 \
+                    and all(_is_kind(float, v) for v in value):
+                object.__setattr__(self, name, tuple(float(v) for v in value))
+            else:
+                raise ValueError(f"{key} must be two real numbers, got {value!r}")
+        if self.output_stride < 1:
+            raise ValueError(f"output.stride must be at least 1, got {self.output_stride!r}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"time.dt must be positive and finite, got {self.dt!r}")
+        if not 0 <= self.horizon < math.inf:
+            raise ValueError(f"time.horizon must be finite and >= 0, got {self.horizon!r}")
+        if abs(self.horizon / self.dt - self.steps) > 1e-9 * self.steps:
+            raise ValueError(f"horizon {self.horizon!r} is not a whole number of "
+                             f"steps dt={self.dt!r}")
+
+    @property
+    def steps(self) -> int:
+        """The number of steps of length dt in the horizon."""
+        return int(round(self.horizon / self.dt))
+
+
+_SIM_CONFIG_TYPES = get_type_hints(SimConfig)  # field -> resolved annotation
 
 
 @dataclass(frozen=True)
@@ -838,9 +852,9 @@ def law_from_config(cfg: SimConfig) -> TensionLaw:
     if cfg.tension_kind == "hookean":
         law = hookean(cfg.tension_k0)
     elif cfg.tension_kind == "power":
-        law = power_law(cfg.tension_coef, cfg.tension_p, tuple(cfg.tension_window))
+        law = power_law(cfg.tension_coef, cfg.tension_p, cfg.tension_window)
     elif cfg.tension_kind == "arctan":
-        law = arctan_law(tuple(cfg.tension_window))
+        law = arctan_law(cfg.tension_window)
     elif cfg.tension_kind == "table":
         if cfg.tension_table is None:
             raise ValueError("tension.kind=table requires tension.table")
@@ -885,24 +899,9 @@ def _diag_record(state: SimState, arc: float, mu: MuWeight, scheme: str,
 def simulate(cfg: SimConfig, initial: Optional[Curve] = None,
              law: Optional[TensionLaw] = None) -> Trajectory:
     """Run the configured evolution; deterministic given the config."""
-    for key, value in (("grid.n", cfg.n), ("grid.m", cfg.m),
-                       ("init.perturb_mode", cfg.init_perturb_mode),
-                       ("output.stride", cfg.output_stride), ("seed", cfg.seed),
-                       ("diag.beta_points", cfg.diag_beta_points)):
-        if value is not None and not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{key} must be an integer, got {value!r}")
-    if cfg.output_stride < 1:
-        raise ValueError(f"output.stride must be at least 1, got {cfg.output_stride!r}")
-    if not cfg.dt > 0:
-        raise ValueError(f"time.dt must be positive, got {cfg.dt!r}")
-    if not cfg.horizon >= 0:
-        raise ValueError(f"time.horizon must be non-negative, got {cfg.horizon!r}")
     curve = initial if initial is not None else make_initial_curve(cfg)
     the_law = law if law is not None else law_from_config(cfg)
-    n_steps = int(round(cfg.horizon / cfg.dt))
-    if abs(cfg.horizon / cfg.dt - n_steps) > 1e-9 * n_steps:
-        raise ValueError(f"horizon {cfg.horizon!r} is not a whole number of "
-                         f"steps dt={cfg.dt!r}")
+    n_steps = cfg.steps
     # the initial arc-chord serves both the default floor and the first record
     arc = arc_chord(curve).value
     rho_floor = cfg.rho_floor if cfg.rho_floor is not None \

@@ -117,7 +117,12 @@ def test_kernel_apply_matches_matrix_kernels(rng):
         got = kernel_apply(za, zb, zd, rot, inv_q2, zv, which)
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(as_complex(ref) - got)) < 1e-12 * scale
-    assert np.array_equal(_kernel_A_apply(za, zb, zd, rot, inv_q2, zv),
+    bufs = {}
+
+    def buf(name, dtype=complex):
+        return bufs.setdefault(name, np.empty(zv.shape, dtype))
+
+    assert np.array_equal(_kernel_A_apply(za, zb, zd, rot, inv_q2, zv, buf),
                           kernel_apply(za, zb, zd, rot, inv_q2, zv, "A"))
 
 
@@ -261,6 +266,18 @@ def test_fields_do_not_depend_on_the_block_height(n, m, rng, monkeypatch):
         monkeypatch.setattr(evolution, "_BLOCK", block)
         for form, field, want in zip(FORMS, right_hand_sides(st, *FORMS), ref):
             assert np.array_equal(field, want), (block, form)
+
+
+def test_a_frame_walked_twice_gives_the_same_fields(rng):
+    # (96, 480) ends on a partial block, so the second walk's first block
+    # must not read the buffer views of the first walk's last block
+    from peskin_lab.evolution import _FORM_BUILDERS, _Frame
+
+    frame = _Frame(block_test_state(96, 480, rng))
+    integrands = [_FORM_BUILDERS[form](frame)[0] for form in FORMS]
+    first = frame.integrate(integrands)
+    for got, want in zip(frame.integrate(integrands), first):
+        assert np.array_equal(got, want)
 
 
 def test_right_hand_sides_rejects_forms_before_the_walk():
@@ -574,7 +591,7 @@ def test_floor_screen_defers_to_the_exact_quotient(rng):
     abs_alpha = alpha_rows(np.abs(half_offset_grid(m)), n)
     for r2 in rng.uniform(0.1, 2.0, 1000):
         quotient = np.sqrt(r2) / abs_alpha[j, p]
-        if np.sqrt(r2 * probe.inv_alpha2[j, p]) > quotient:
+        if np.sqrt(r2 * probe.alpha_factor("inv_alpha2")[j, p]) > quotient:
             break
     else:
         pytest.fail("no r2 whose screen rounds above its quotient")
@@ -604,6 +621,22 @@ def test_imex_step_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+def test_repeated_walks_refill_the_thread_buffers():
+    # a second walk writes into the first walk's flat arrays (same keys, same
+    # objects), so repeated calls fault no fresh memory in
+    from peskin_lab import evolution
+
+    cfg = config_from_file(CONFIGS / "rough.cfg")
+    st = SimState.make(make_initial_curve(cfg), law_from_config(cfg), m=cfg.m)
+    right_hand_sides(st, *FORMS)
+    first = dict(evolution._BUFFERS.flat)
+    assert first
+    right_hand_sides(st, *FORMS)
+    again = evolution._BUFFERS.flat
+    assert again.keys() == first.keys()
+    assert {k: id(v) for k, v in again.items()} == {k: id(v) for k, v in first.items()}
 
 
 def test_imex_elastic_energy_does_not_increase():

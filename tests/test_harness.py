@@ -52,6 +52,33 @@ def test_sim_config_mapping():
         sim_config_from_dict({"bogus.key": 1})
 
 
+@pytest.mark.parametrize("bad, key", [
+    (dict(n=32.0), "grid.n"), (dict(m=128.0), "grid.m"), (dict(seed=True), "seed"),
+    (dict(dt=True), "time.dt"), (dict(tension_k0="1"), "tension.k0"),
+    (dict(tension_globalize="false"), "tension.globalize"),
+    (dict(tension_globalize=1), "tension.globalize"),
+    (dict(scheme=None), "time.scheme"), (dict(init_file=3), "init.file"),
+    (dict(tension_window=(0.5,)), "tension.window"),
+    (dict(tension_window=(0.5, True)), "tension.window"),
+    (dict(output_stride=0), "output.stride"), (dict(horizon=float("inf")), "time.horizon"),
+    (dict(dt=float("nan")), "time.dt"), (dict(horizon=0.1005), "whole number")])
+def test_sim_config_checks_every_setting(bad, key):
+    with pytest.raises(ValueError, match=key):
+        SimConfig(**bad)
+
+
+def test_sim_config_keeps_the_given_numbers():
+    # an int stays an int (the manifest shows it as written); the window
+    # becomes a tuple of floats; Optional fields take None
+    cfg = SimConfig(n=np.int64(32), dt=1, horizon=2, tension_k0=2,
+                    tension_window=[1, 3], m=None, rho_floor=None)
+    assert (cfg.dt, cfg.horizon, cfg.tension_k0) == (1, 2, 2)
+    assert type(cfg.tension_k0) is int and cfg.steps == 2
+    assert cfg.tension_window == (1.0, 3.0)
+    assert all(type(v) is float for v in cfg.tension_window)
+    assert "tension.k0 = 2\n" in canonical_text(cfg)
+
+
 def test_canonical_text_round_trip():
     cfg = sim_config_from_dict(parse_flat(EQ_CONFIG))
     text = canonical_text(cfg)
@@ -136,15 +163,21 @@ def test_cli_bad_config_exit_code(tmp_path):
     ("output.stride = 1.5", "output.stride"),
     ("init.perturb_mode = 2.5", "init.perturb_mode"),
     ("seed = 1.5\ninit.kind = random-sobolev", "seed"),
-    ("diag.beta_points = 1024.0", "diag.beta_points")])
+    ("diag.beta_points = 1024.0", "diag.beta_points"),
+    ("tension.window = 0.5", "tension.window"), ("time.dt = abc", "time.dt"),
+    ("init.radius = abc", "init.radius"), ("rho.floor = abc", "rho.floor"),
+    ("time.horizon = true", "time.horizon"), ("tension.k0 = true", "tension.k0"),
+    ('tension.globalize = "false"', "tension.globalize"),
+    ("tension.globalize = 1", "tension.globalize")])
 def test_cli_rejects_inconsistent_grid_and_horizon(tmp_path, capsys, bad, message):
     # the appended lines override their keys (last one wins); the run is
-    # rejected before any snapshot is written
+    # rejected before any snapshot is written, a bad setting before the
+    # output directory is made
     cfg_path = _write_config(tmp_path, EQ_CONFIG + bad + "\n")
     out = tmp_path / "o"
     assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_cli_table_not_covering_initial_stretch_exits_2(tmp_path, capsys):
