@@ -221,10 +221,12 @@ def besov_diff(values: np.ndarray, params: BesovParams,
 
 def _beta_grid(beta_points: int) -> np.ndarray:
     """The half-offset beta grid of besov_diff and cl_norm, checked before
-    any norm is computed: an odd grid has a node at beta = 0."""
-    if beta_points % 2:
-        raise ValueError(f"beta_points must be even, got {beta_points}: an odd "
-                         "half-offset grid has a node at beta = 0")
+    any norm is computed: an odd grid has a node at beta = 0, and one of
+    fewer than 2 nodes no quadrature."""
+    if beta_points < 2 or beta_points % 2:
+        raise ValueError(f"beta_points must be even and at least 2, got "
+                         f"{beta_points}: an odd half-offset grid has a node at "
+                         "beta = 0")
     return half_offset_grid(beta_points)
 
 

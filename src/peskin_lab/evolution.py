@@ -17,12 +17,16 @@ from the read-only circulant view curve.alpha_rows of an m-table.  The
 from one pass over blocks of max(1, _BLOCK // m) theta rows, so that the
 buffers stay in cache: a block fills the chord, |chord|^2, 1/chord and
 1/chord^2, and checks the arc-chord floor on its rows, only when a
-requested integrand reads them, and each row's alpha integral is one
-contiguous row reduction, summed once.  One _Frame object is the walk,
-and every integrand a closure over it; its block buffers are allocated
-once per thread and refilled with out= by every block of every pass.  An
-IMEX step gets the K integral and the position velocity from one pass;
-the public rhs_* functions are single-form passes.
+requested integrand reads them.  A block does elementwise work and row
+reductions only: each row's alpha integral is one contiguous reduction
+within one block, written with out= into an (n,) accumulator that its
+form owns, and each form combines its accumulators into its field once
+per walk (its finish).  One _Frame object is the walk, and every
+integrand a closure over it; its block buffers are allocated once per
+thread and refilled with out= by every block of every pass.  An IMEX
+step gets the K integral and the position velocity from one pass, which
+reads t rot = W conj(dz) and no rotor; the public rhs_* functions are
+single-form passes.
 
 K has degree -2 in its chord argument, so K(a, b, dz/alpha)/alpha^2 =
 K(a, b, dz), and with W = 1/dz^2 and V = |dz|^2 conj(W)^2 the node value
@@ -200,6 +204,15 @@ def _alpha_factor(name: str, n: int, m: int) -> np.ndarray:
     return alpha_rows(_ALPHA_TABLES[name](half_offset_grid(m)), n)
 
 
+@lru_cache(maxsize=1)  # a run keeps its floor; other floors rebuild
+def _floor_screen(rho_floor: float, n: int, m: int) -> np.ndarray:
+    """The read-only (n, m) circulant view of (rho_floor (1 + 1e-12))^2
+    alpha^2 for one (rho_floor, n, m): r2 above it puts sqrt(r2)/|alpha|
+    above the floor by a margin far beyond rounding (see
+    _Frame.check_floor)."""
+    return alpha_rows((rho_floor * (1.0 + 1e-12)) ** 2 * half_offset_grid(m) ** 2, n)
+
+
 def _differences(fine: np.ndarray, base: np.ndarray):
     """fill(rows, out) writes out[j, p] = fine[p] - base[rows][j] for
     complex samples fine (m,) and nodes base (n,).
@@ -220,16 +233,18 @@ def _differences(fine: np.ndarray, base: np.ndarray):
     return fill
 
 
-def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum_p x[j, p] y[j, p] per row j, y of shape (rows, m) or (m,), as one
-    batched matrix product (one BLAS dot per row, whatever the block)."""
-    return np.matmul(x[:, None, :], y[..., None])[:, 0, 0]
+def _row_dots(x: np.ndarray, y: np.ndarray, out: np.ndarray):
+    """out[j] = sum_p x[j, p] y[j, p] per row j, y of shape (rows, m) or
+    (m,), as one batched matrix product (one BLAS dot per row, whatever the
+    block) written into the complex (rows,) out."""
+    np.matmul(x[:, None, :], y[..., None], out=out[:, None, None])
 
 
-def _real_row_dots(g: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_p g[j, p] z[j, p] per row j of a real g and a C-order complex z."""
-    pairs = np.matmul(g[:, None, :], z.view(float).reshape(z.shape + (2,)))
-    return pairs[:, 0, 0] + 1j * pairs[:, 0, 1]
+def _real_row_dots(g: np.ndarray, z: np.ndarray, out: np.ndarray):
+    """out[j] = sum_p g[j, p] z[j, p] per row j of a real g and a C-order
+    complex z: the (re, im) pair of each row lands in the complex out."""
+    np.matmul(g[:, None, :], z.view(float).reshape(z.shape + (2,)),
+              out=out.view(float).reshape(-1, 1, 2))
 
 
 class _Frame:
@@ -239,14 +254,16 @@ class _Frame:
     pairs theta_j with every sample phi_p, at alpha = phi_p - theta_j, and
     every alpha factor is a read-only circulant view (curve.alpha_rows).
     No (n, m) array is ever formed: integrate walks blocks of max(1,
-    _BLOCK // m) theta rows and sums each row's alpha integral once,
-    contiguously.  The current block's geometry, rotor and jump are built
-    on their first read, so a pass that reads none of them builds none.
-    buf views the thread's flat arrays (_BUFFERS) in the block's C-order
-    shape: a shorter last block reads a prefix, and each walk refills the
-    memory of the one before, which arrays made per walk would fault in
-    again.  X and X' are sampled from the state's coefficients, so a state
-    the IMEX step hands over is never transformed forward again.
+    _BLOCK // m) theta rows, and each integrand writes the alpha sums of
+    the block's rows with out= into (n,) accumulators its form owns, each
+    row's sum one contiguous reduction within one block.  The current
+    block's geometry, its t rot and rotor and its jump are built on their
+    first read, so a pass that reads none of them builds none.  buf views
+    the thread's flat arrays (_BUFFERS) in the block's C-order shape: a
+    shorter last block reads a prefix, and each walk refills the memory of
+    the one before, which arrays made per walk would fault in again.  X and
+    X' are sampled from the state's coefficients, so a state the IMEX step
+    hands over is never transformed forward again.
     """
 
     def __init__(self, state: SimState):
@@ -260,27 +277,33 @@ class _Frame:
         """The (n, m) circulant view of one of _ALPHA_TABLES."""
         return _alpha_factor(name, self.state.curve.n, self.state.m)
 
-    def integrate(self, integrands) -> list:
-        """Half-offset rule over alpha, (2 pi / m) sum_p integrand[j, p], of
-        each integrand, a function of no argument returning the complex sums
-        over alpha of the current block's rows; one real (n, 2) field per
-        integrand.
+    def accumulator(self) -> np.ndarray:
+        """An (n,) complex array for one form's alpha sums, every row of
+        which each walk writes."""
+        return np.empty(self.state.curve.n, dtype=complex)
+
+    def integrate(self, integrands):
+        """Walk the blocks, calling each integrand, a function of no
+        argument that writes the alpha sums of the current block's rows
+        into its form's accumulators.
 
         The floor check is a coarse guard on the step's m alphas, the
         per-record arc_chord (8n) the margin."""
         n, m = self.state.curve.n, self.state.m
-        sums = np.empty((len(integrands), n), dtype=complex)
         for start in range(0, n, self.height):
             self.rows = slice(start, min(start + self.height, n))
             shape = (self.rows.stop - start, m)
             if shape != self._shape:
                 self._shape = shape
                 self._views.clear()
-            self._geometry = self._rot = self._jump = None
-            for acc, integrand in zip(sums, integrands):
-                acc[self.rows] = integrand()
-        sums *= 2.0 * np.pi / m
-        return [np.stack([z.real, z.imag], axis=-1) for z in sums]
+            self._geometry = self._t_rot = self._rot = self._jump = None
+            for integrand in integrands:
+                integrand()
+
+    def field(self, sums: np.ndarray) -> np.ndarray:
+        """The half-offset rule over alpha, (2 pi / m) sums, of an (n,)
+        complex accumulator, as a real (n, 2) field."""
+        return (sums * (2.0 * np.pi / self.state.m)).view(float).reshape(-1, 2)
 
     def buf(self, name: str, dtype=complex) -> np.ndarray:
         """The named buffer of the current block."""
@@ -301,12 +324,20 @@ class _Frame:
             r2 = np.square(c.real, out=buf("r2", float))
             inv_r2 = np.square(c.imag, out=buf("inv_r2", float))
             r2 += inv_r2
-            self.check_floor(r2, self.rows, inv_r2)
+            # inv_r2 is free until its division: its bytes hold the screen
+            self.check_floor(r2, self.rows, inv_r2.view(bool)[:, :r2.shape[1]])
             np.divide(1.0, r2, out=inv_r2)
             t = np.multiply(c, inv_r2, out=buf("t"))
             w = np.square(t, out=buf("w"))
             self._geometry = c, r2, inv_r2, t, w
         return self._geometry
+
+    def t_rot(self) -> np.ndarray:
+        """t rot = W conj(dz) = W c, built from W without the rotor."""
+        if self._t_rot is None:
+            c, _, _, _, w = self.geometry()
+            self._t_rot = np.multiply(w, c, out=self.buf("t_rot"))
+        return self._t_rot
 
     def rot(self) -> np.ndarray:
         """The rotor conj(dz)/dz = conj(dz)^2/|dz|^2 = t c."""
@@ -321,14 +352,15 @@ class _Frame:
             self._jump = self.jumps(self.rows, self.buf("jump"))
         return self._jump
 
-    def check_floor(self, r2: np.ndarray, rows: slice, scratch: np.ndarray):
+    def check_floor(self, r2: np.ndarray, rows: slice, screen: np.ndarray):
         """Abort if min sqrt(r2)/|alpha| over the block's rows is below the
-        floor.  r2/alpha^2 screens the block; only a block whose screen comes
-        within 1e-12 of the floor takes the quotient itself, which is then
-        the arc_chord level's quotient bit for bit."""
+        floor.  r2 at or below (floor (1 + 1e-12))^2 alpha^2 (_floor_screen),
+        written into the bool block screen, screens the block; only a block
+        with such an entry takes the quotient itself, which is then the
+        arc_chord level's quotient bit for bit."""
         st = self.state
-        screen = np.multiply(r2, self.alpha_factor("inv_alpha2")[rows], out=scratch)
-        if np.sqrt(screen.min()) <= st.rho_floor * (1.0 + 1e-12):
+        table = _floor_screen(st.rho_floor, st.curve.n, st.m)
+        if np.less_equal(r2, table[rows], out=screen).any():
             worst = float(np.min(np.sqrt(r2) / self.alpha_factor("abs_alpha")[rows]))
             if worst < st.rho_floor:
                 raise SimulationAbort(st.t, f"arc-chord {worst:.3e} below "
@@ -383,6 +415,7 @@ def _bi_form(frame: _Frame):
     # of the padded samples
     fs = as_complex(half_offset_samples(force_fine, state.m))
     s_al = frame.alpha_factor("abs_2sin")
+    sums = frame.accumulator()
 
     def integrand():
         _, r2, _, _, _ = frame.geometry()
@@ -396,13 +429,13 @@ def _bi_form(frame: _Frame):
         np.add(fs, out, out=out)
         out *= 0.5
         out -= np.multiply(smooth_log, fs, out=buf("c1"))
-        return out.sum(axis=1)
+        np.sum(out, axis=1, out=sums[frame.rows])
 
     # exact product quadrature for the periodic log kernel
     k = wavenumbers(2 * n).astype(float)
     w = np.where(k == 0.0, 0.0, -np.pi / np.where(k == 0.0, 1.0, np.abs(k)))
     log_part = -apply_multiplier(force_fine, w)[::2]
-    return integrand, lambda quad: (quad + log_part) / FOUR_PI
+    return integrand, lambda: (frame.field(sums) + log_part) / FOUR_PI
 
 
 def _position_form(frame: _Frame):
@@ -411,7 +444,7 @@ def _position_form(frame: _Frame):
 
     With Re(z) = (z + conj z)/2, W dz = t and W conj(dz) = t rot, a row is
     (sum q t + conj(sum q t rot))/2 over the fine m-vector q = a^2 weight:
-    two row dots and one elementwise product."""
+    two row dots per block, combined once per walk."""
     state = frame.state
     x1f = as_complex(frame.x1_samples)
     mag = np.abs(x1f)
@@ -419,13 +452,15 @@ def _position_form(frame: _Frame):
     if float(mag.min()) == 0.0:
         raise SimulationAbort(state.t, "tangent vector vanished")
     q = x1f * x1f * (state.law.eval(mag) / mag / FOUR_PI)
+    s_t, s_t_rot = frame.accumulator(), frame.accumulator()
 
     def integrand():
         _, _, _, t, _ = frame.geometry()
-        t_rot = np.multiply(t, frame.rot(), out=frame.buf("c0"))
-        return 0.5 * (_row_dots(t, q) + np.conj(_row_dots(t_rot, q)))
+        rows = frame.rows
+        _row_dots(t, q, s_t[rows])
+        _row_dots(frame.t_rot(), q, s_t_rot[rows])
 
-    return integrand, None
+    return integrand, lambda: frame.field(0.5 * (s_t + np.conj(s_t_rot)))
 
 
 def _kernel_form(frame: _Frame):
@@ -440,26 +475,30 @@ def _kernel_form(frame: _Frame):
 
     The chord dz and the jump J stay exact differences; the sums are row
     dots, with sum conj(W) g = conj(sum W g) for real g and sum V conj(aJ) =
-    conj(sum conj(V) a J), conj(V) = W rot."""
+    conj(sum conj(V) a J), conj(V) = W rot = t (t rot).  A block writes the
+    three row sums; the node values join them once per walk."""
     a = as_complex(frame.x1_samples)
     a_conj = np.conj(a)
     b = as_complex(frame.state.deriv.nodes)
+    s_w, s_v, s_g = frame.accumulator(), frame.accumulator(), frame.accumulator()
 
     def integrand():
-        _, _, _, _, w = frame.geometry()
-        jump, buf = frame.jump(), frame.buf
+        _, _, _, t, w = frame.geometry()
+        jump, buf, rows = frame.jump(), frame.buf, frame.rows
         aj = np.multiply(a, jump, out=buf("c0"))
-        v_conj = np.multiply(w, frame.rot(), out=buf("c1"))
-        s_w = _row_dots(w, aj)
-        s_v = _row_dots(v_conj, aj)
+        v_conj = np.multiply(t, frame.t_rot(), out=buf("c1"))
+        _row_dots(w, aj, s_w[rows])
+        _row_dots(v_conj, aj, s_v[rows])
         # Im(conj(a) J), copied contiguous so that its row dots run in BLAS
         g = buf("r0", float)
         np.copyto(g, np.multiply(a_conj, jump, out=v_conj).imag)
-        s_g = _real_row_dots(g, w)
-        rows = b[frame.rows]
-        return (1j * rows * s_w.imag + np.conj(rows * (s_v - 1j * s_g))) / FOUR_PI
+        _real_row_dots(g, w, s_g[rows])
 
-    return integrand, None
+    def finish():
+        return frame.field((1j * b * s_w.imag + np.conj(b * (s_v - 1j * s_g)))
+                           / FOUR_PI)
+
+    return integrand, finish
 
 
 def _kernel_A_apply(a, b, d, rot, inv_q2, vec, buf):
@@ -473,7 +512,8 @@ def _kernel_A_apply(a, b, d, rot, inv_q2, vec, buf):
     dp = a - d and dm = b - d (never as K - I/4pi), so every term carries a
     plus or minus difference.  The temporaries and the result are the
     arrays buf(name) or buf(name, float) of the broadcast shape (see
-    _Frame.buf).
+    _Frame.buf); conj(d), d's last read, goes to buf("c4"), so d may be
+    that buffer itself.
     """
     c = buf("c0")
     dp = np.subtract(a, d, out=buf("c1"))
@@ -508,35 +548,37 @@ def _remainder_form(frame: _Frame):
     inv_al = frame.alpha_factor("inv_alpha")
     al2 = frame.alpha_factor("alpha2")
     inv_al2 = frame.alpha_factor("inv_alpha2")
+    sums = frame.accumulator()
 
     def integrand():
         c, _, inv_r2, _, _ = frame.geometry()
         rows, buf = frame.rows, frame.buf
-        d = np.conjugate(c, out=buf("d"))
+        d = np.conjugate(c, out=buf("c4"))
         d *= inv_al[rows]
         inv_q2 = np.multiply(al2[rows], inv_r2, out=buf("inv_q2", float))
         out = _kernel_A_apply(a, b[rows], d, frame.rot(), inv_q2, frame.jump(),
                               buf)
         out *= inv_al2[rows]
-        return out.sum(axis=1)
+        np.sum(out, axis=1, out=sums[rows])
 
-    return integrand, None
+    return integrand, lambda: frame.field(sums)
 
 
 def _dissipation_form(frame: _Frame):
     """The 1/alpha^2 integrand of the tension jump: it reads no geometry."""
     inv_al2 = frame.alpha_factor("inv_alpha2")
+    sums = frame.accumulator()
 
     def integrand():
         out = np.multiply(frame.jump(), inv_al2[frame.rows], out=frame.buf("c0"))
-        return out.sum(axis=1)
+        np.sum(out, axis=1, out=sums[frame.rows])
 
-    return integrand, lambda out: -out / FOUR_PI
+    return integrand, lambda: -frame.field(sums) / FOUR_PI
 
 
-# form -> builder of (integrand, finish) for one frame: the integrand returns
-# the alpha sums of the frame's current block rows, finish maps the alpha
-# integral to the field (None: the integral is the field)
+# form -> builder of (integrand, finish) for one frame: the integrand writes
+# the alpha sums of the frame's current block rows into the form's
+# accumulators, and finish, called once after the walk, returns the field
 _FORM_BUILDERS = {
     "position_bi": _bi_form,
     "position_reduced": _position_form,
@@ -568,9 +610,8 @@ def right_hand_sides(state: SimState, *forms: str) -> tuple:
     frame = _Frame(state)
     distinct = list(dict.fromkeys(forms))
     integrands, finishes = zip(*(_FORM_BUILDERS[f](frame) for f in distinct))
-    fields = {}
-    for form, finish, out in zip(distinct, finishes, frame.integrate(integrands)):
-        fields[form] = out if finish is None else finish(out)
+    frame.integrate(integrands)
+    fields = {form: finish() for form, finish in zip(distinct, finishes)}
     return tuple(fields[f] for f in forms)
 
 

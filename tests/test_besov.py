@@ -192,6 +192,14 @@ def test_besov_diff_rejects_odd_beta_points(p):
     assert folded_gain.cache_info().currsize == cached
 
 
+@pytest.mark.parametrize("beta_points", [0, -2])
+def test_besov_diff_rejects_beta_points_below_2(beta_points):
+    # a grid of fewer than 2 nodes has no quadrature: 0 divided by zero
+    with pytest.raises(ValueError, match="at least 2"):
+        besov_diff(unit_mode_field(32), BesovParams(0.5, 2, 1),
+                   beta_points=beta_points)
+
+
 # --- block form ---------------------------------------------------------------
 
 def test_besov_lp_single_block_mode():

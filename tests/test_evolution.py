@@ -274,10 +274,12 @@ def test_a_frame_walked_twice_gives_the_same_fields(rng):
     from peskin_lab.evolution import _FORM_BUILDERS, _Frame
 
     frame = _Frame(block_test_state(96, 480, rng))
-    integrands = [_FORM_BUILDERS[form](frame)[0] for form in FORMS]
-    first = frame.integrate(integrands)
-    for got, want in zip(frame.integrate(integrands), first):
-        assert np.array_equal(got, want)
+    integrands, finishes = zip(*(_FORM_BUILDERS[form](frame) for form in FORMS))
+    frame.integrate(integrands)
+    first = [finish() for finish in finishes]
+    frame.integrate(integrands)
+    for form, finish, want in zip(FORMS, finishes, first):
+        assert np.array_equal(finish(), want), form
 
 
 def test_right_hand_sides_rejects_forms_before_the_walk():
@@ -579,32 +581,39 @@ def test_floor_check_agrees_with_arc_chord_level(rng):
 
 
 def test_floor_screen_defers_to_the_exact_quotient(rng):
-    # r2/alpha^2 only screens a block: where its square root rounds above
-    # the quotient sqrt(r2)/|alpha| that arc_chord takes, a floor between
-    # the two must still abort, and a floor at the quotient must not
+    # r2 <= (floor (1 + 1e-12))^2 alpha^2 only screens a block, and the
+    # quotient sqrt(r2)/|alpha| that arc_chord takes decides.  The r2 is one
+    # where sqrt(r2/alpha^2) rounds above that quotient and the screen
+    # without its margin passes a floor just above it: that floor must
+    # still abort, and a floor at the quotient must not
     from peskin_lab.curve import alpha_rows, half_offset_grid
-    from peskin_lab.evolution import _Frame
+    from peskin_lab.evolution import _floor_screen, _Frame
 
     n = m = 16
-    j, p = 3, 5
-    probe = _Frame(make_state(Curve.circle(n), m=m))
-    abs_alpha = alpha_rows(np.abs(half_offset_grid(m)), n)
+    j, p = 3, 11
+    alpha = alpha_rows(half_offset_grid(m), n)[j, p]
     for r2 in rng.uniform(0.1, 2.0, 1000):
-        quotient = np.sqrt(r2) / abs_alpha[j, p]
-        if np.sqrt(r2 * probe.alpha_factor("inv_alpha2")[j, p]) > quotient:
+        quotient = np.sqrt(r2) / np.abs(alpha)
+        if np.sqrt(r2 / alpha**2) > quotient \
+                and r2 > np.nextafter(quotient, np.inf) ** 2 * alpha**2:
             break
     else:
-        pytest.fail("no r2 whose screen rounds above its quotient")
+        pytest.fail("no r2 whose screens round above its quotient")
     field = np.full((n, m), 100.0)  # quotients of 3 and more elsewhere
     field[j, p] = r2
-    for floor, aborts in ((np.nextafter(quotient, np.inf), True), (quotient, False)):
+    # a floor of half the quotient, whose screen passes every entry, comes
+    # first, so its table handed to the next floor would let that floor pass
+    _floor_screen.cache_clear()
+    for floor, aborts in ((0.5 * quotient, False),
+                          (np.nextafter(quotient, np.inf), True), (quotient, False)):
         frame = _Frame(SimState.make(Curve.circle(n), hookean(1.0), m=m,
                                      rho_floor=floor))
+        screen = np.empty((n, m), dtype=bool)
         if aborts:
             with pytest.raises(SimulationAbort):
-                frame.check_floor(field, slice(0, n), np.empty((n, m)))
+                frame.check_floor(field, slice(0, n), screen)
         else:
-            frame.check_floor(field, slice(0, n), np.empty((n, m)))
+            frame.check_floor(field, slice(0, n), screen)
 
 
 def test_imex_step_memory_is_bounded():
@@ -621,6 +630,24 @@ def test_imex_step_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+@pytest.mark.parametrize("forms, complex_blocks, float_blocks",
+                         [(("derivative", "position_reduced"), 7, 3), (FORMS, 11, 5)],
+                         ids=["imex", "every_form"])
+def test_walk_buffers_are_bounded(forms, complex_blocks, float_blocks, monkeypatch):
+    # the IMEX walk fills 7 complex and 3 float blocks, its floor screen
+    # inside one of them, and a walk of every form 11 and 5; one more block
+    # would raise the peak memory of every step or every verify
+    from peskin_lab import evolution
+
+    cfg = config_from_file(CONFIGS / "rough.cfg")
+    st = SimState.make(make_initial_curve(cfg), law_from_config(cfg), m=cfg.m)
+    monkeypatch.setattr(evolution._BUFFERS, "flat", {})
+    right_hand_sides(st, *forms)
+    block = evolution._Frame(st).height * st.m
+    used = sum(flat.nbytes for flat in evolution._BUFFERS.flat.values())
+    assert 0 < used <= block * (16 * complex_blocks + 8 * float_blocks)
 
 
 def test_repeated_walks_refill_the_thread_buffers():

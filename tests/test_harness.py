@@ -202,6 +202,15 @@ def test_cli_odd_beta_points_exits_2_before_any_output(tmp_path, capsys):
     assert not any(out.iterdir())
 
 
+def test_cli_zero_beta_points_exits_2_before_any_output(tmp_path, capsys):
+    # an empty beta grid crashed the first record with ZeroDivisionError
+    cfg_path = _write_config(tmp_path, EQ_CONFIG + "diag.beta_points = 0\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "beta_points must be even and at least 2, got 0" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_cli_simulate_file_curve_default_alpha_grid(tmp_path):
     # no grid.* keys: the alpha grid follows the file's node count (96),
     # not the default grid.n
