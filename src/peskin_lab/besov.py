@@ -303,28 +303,41 @@ def cl_norm(times: Sequence[float], snapshots: Sequence[np.ndarray],
     and mu come from params; p must be 2.  Snapshots must share one grid
     and uniform times.
     """
+    return _cl_norms(times, snapshots, params, (kind,), beta_points, dissipation)[0]
+
+
+def _cl_norms(times: Sequence[float], snapshots: Sequence[np.ndarray],
+              params: BesovParams, kinds: Sequence[str], beta_points: int,
+              dissipation: np.ndarray | None) -> list:
+    """cl_norm of each of kinds, in order, from one stack of the snapshots'
+    power spectra (dissipation weights kind "D" only)."""
     if len(snapshots) == 0:
         raise ValueError("empty trajectory")
     if len(times) != len(snapshots):
         raise ValueError("times and snapshots must align")
     if params.p != 2:
         raise ValueError(f"time norms need p = 2, got p = {params.p}")
-    if kind not in ("B", "D"):
-        raise ValueError(f"unknown kind {kind!r}")
+    for kind in kinds:
+        if kind not in ("B", "D"):
+            raise ValueError(f"unknown kind {kind!r}")
     betas = _beta_grid(beta_points)
     power = np.stack([power_spectrum(snap) for snap in snapshots])
     n = power.shape[1]
-    gain = folded_gain(beta_points, n)
-    if kind == "D":
-        if dissipation is None:
-            dissipation = symbol(n, 8 * n).lam_tilde
-        gain = gain * np.asarray(dissipation)[:n // 2 + 1]
-    g = gain @ fold_power(power).T  # (mb, t): squared L2 norms / 2pi
-    if kind == "B":
-        norms = np.sqrt(2.0 * np.pi * g.max(axis=1))
-    else:
-        norms = np.sqrt(2.0 * np.pi * np.trapezoid(g, np.asarray(times), axis=1))
-    return _diff_quadrature(norms, betas, params)
+    folded = fold_power(power).T
+    out = []
+    for kind in kinds:
+        gain = folded_gain(beta_points, n)
+        if kind == "D":
+            if dissipation is None:
+                dissipation = symbol(n, 8 * n).lam_tilde
+            gain = gain * np.asarray(dissipation)[:n // 2 + 1]
+        g = gain @ folded  # (mb, t): squared L2 norms / 2pi
+        if kind == "B":
+            norms = np.sqrt(2.0 * np.pi * g.max(axis=1))
+        else:
+            norms = np.sqrt(2.0 * np.pi * np.trapezoid(g, np.asarray(times), axis=1))
+        out.append(_diff_quadrature(norms, betas, params))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -187,13 +187,13 @@ def _verify_formulation(seed: int):
 
 
 def _random_bandlimited_curve(rng, n: int, modes: int, amp: float) -> Curve:
-    th = theta_grid(n)
-    pert = np.zeros((n, 2))
-    for k in range(1, modes + 1):
-        scale = amp * k**-3.0
-        for c in range(2):
-            pert[:, c] += scale * (rng.standard_normal() * np.cos(k * th)
-                                   + rng.standard_normal() * np.sin(k * th))
+    """The unit circle plus sum_k amp k^-3 (a cos(k theta) + b sin(k theta))
+    per component, k = 1 .. modes, with a and b standard normal, drawn k by
+    k, component by component, a before b."""
+    k = np.arange(1, modes + 1)
+    draws = rng.standard_normal((modes, 2, 2)) * (amp * k**-3.0)[:, None, None]
+    kth = np.multiply.outer(theta_grid(n), k)
+    pert = np.cos(kth) @ draws[..., 0] + np.sin(kth) @ draws[..., 1]
     return Curve.from_nodes(Curve.circle(n).nodes + pert)
 
 

@@ -217,7 +217,14 @@ def half_offset_values(coeffs: np.ndarray, m: int) -> np.ndarray:
     if n % 2 == 0:
         c[n // 2] = coeffs[n // 2].real * factor[n // 2]
     folded = np.zeros((m,) + coeffs.shape[1:], dtype=complex)
-    np.add.at(folded, wavenumbers(n) % m, c)
+    if m >= n:
+        # no two wavenumbers share a slot: k >= 0 at k, k < 0 at m + k;
+        # added into the zeros, as np.add.at does, for the same bits
+        half = (n + 1) // 2
+        folded[:half] += c[:half]
+        folded[m - n // 2:] += c[half:]
+    else:
+        np.add.at(folded, wavenumbers(n) % m, c)
     return np.fft.ifft(folded, axis=0).real * m
 
 

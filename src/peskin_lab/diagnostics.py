@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .besov import BesovParams, MuWeight, besov_diff, cl_norm
+from .besov import BesovParams, MuWeight, _cl_norms, besov_diff, cl_norm
 from .curve import (Curve, arc_chord, magnitude, parseval_norm, power_spectrum,
                     spectral_antiderivative, theta_grid, wavenumbers)
 from .evolution import SimConfig, Trajectory, simulate
@@ -76,9 +76,8 @@ def apriori_audit(traj: Trajectory, mu: MuWeight, lam: float,
     derivs = [d.nodes for d in traj.derivs]
     params = BesovParams(0.5, 2, 1, mu)
     k = np.abs(wavenumbers(len(derivs[0]))).astype(float)
-    sup_part = cl_norm(traj.times, derivs, params, "B", beta_points)
-    diss_part = cl_norm(traj.times, derivs, params, "D", beta_points,
-                        dissipation=k)
+    sup_part, diss_part = _cl_norms(traj.times, derivs, params, ("B", "D"),
+                                    beta_points, dissipation=k)
     lhs = float(sup_part + c_const * np.sqrt(lam) * diss_part)
     rhs = 4.0 * besov_diff(derivs[0], params, beta_points)
     return AuditReport(

@@ -8,36 +8,38 @@ cancel by symmetric pairing.  Each band-limited field (X, X', T(X'), the
 padded force) is sampled exactly once on the half-offset m-grid phi_p,
 and nonlinear functions are evaluated on the samples.
 
-The frame is walked by theta rows: row j pairs the node theta_j with every
-sample phi_p, at alpha = phi_p - theta_j, so the samples are plain
+The frame is walked by theta rows: row j pairs the node theta_j with
+every sample phi_p, at alpha = phi_p - theta_j, so the samples are plain
 m-vectors broadcast against a block's node values, and every
-alpha-dependent factor (1/alpha, 1/alpha^2, |2 sin(alpha/2)|) is read
-from the read-only circulant view curve.alpha_rows of an m-table.  The
-(n, m) frame is never formed.  right_hand_sides serves any set of FORMS
-from one pass over blocks of max(1, _BLOCK // m) theta rows, so that the
-buffers stay in cache: a block fills the chord, |chord|^2, 1/chord and
-1/chord^2, and checks the arc-chord floor on its rows, only when a
-requested integrand reads them.  A block does elementwise work and row
-reductions only: each row's alpha integral is one contiguous reduction
-within one block, written with out= into an (n,) accumulator that its
-form owns, and each form combines its accumulators into its field once
-per walk (its finish).  One _Frame object is the walk, and every
-integrand a closure over it; its block buffers are allocated once per
-thread and refilled with out= by every block of every pass.  An IMEX
-step gets the K integral and the position velocity from one pass, which
-reads t rot = W conj(dz) and no rotor; the public rhs_* functions are
-single-form passes.
+alpha-dependent factor (1/alpha, 1/alpha^2, log 4 sin^2(alpha/2)) is
+read from the read-only circulant view curve.alpha_rows of an m-table.
+The (n, m) frame is never formed.  right_hand_sides serves any set of
+FORMS from one pass over blocks of max(1, _BLOCK // m) theta rows, so
+that the buffers stay in cache: a block fills the chord, |chord|^2,
+1/chord and 1/chord^2, and checks the arc-chord floor on its rows, only
+when a requested integrand reads them.  A block does only the
+elementwise work the singular structure needs; every form sums its rows
+by row dots, against fixed sample vectors or the jump, with out= into
+(n,) accumulators it owns, and combines them into its field once per
+walk (its finish).  One _Frame object is the walk, and every integrand
+a closure over it; its block buffers are allocated once per thread and
+refilled with out= by every block of every pass.
 
-K has degree -2 in its chord argument, so K(a, b, dz/alpha)/alpha^2 =
-K(a, b, dz), and with W = 1/dz^2 and V = |dz|^2 conj(W)^2 the node value
-b = X'(theta) leaves the alpha sum (see _kernel_form):
+With the chord dz, W = 1/dz^2, t = 1/dz and the tension jump J, which
+stay exact elementwise differences, the row sums are:
 
-    4 pi sum K J = i b Im sum W a J
-                   + conj(b) [i sum conj(W) Im(conj(a) J) + sum V conj(a J)],
-
-where a = X'(theta + alpha) and the chord dz and the tension jump J stay
-exact elementwise differences; the sums are batched row dots.  A is not
-homogeneous and keeps the divided difference.
+- K (see _kernel_form) has degree -2 in the chord, K(a, b, dz/alpha) /
+  alpha^2 = K(a, b, dz), so the node value b = X'(theta) leaves the sum:
+  three dots, b joined in the finish.  An IMEX step gets K and the
+  position velocity from one pass, which reads t rot = W conj(dz).
+- A (see _remainder_form) keeps the divided difference d = dz/alpha in
+  dp = a - d and dm = b - d, and the rule's 1/alpha^2 goes into the chord
+  quantities: its coefficients are dp dm W, (dp + dm) t / alpha and
+  Re(conj(dp) dm) / |dz|^2, and a row is one real and one complex dot.
+- The full Stokeslet (see _bi_form): log(|dz| / |2 sin(alpha/2)|) =
+  (log |dz|^2 - log 4 sin^2(alpha/2)) / 2 and sum (f + conj(rot f)) / 2 =
+  (sum f + conj(sum rot f)) / 2 over the force samples f: two dots.
+- The dissipation is one real dot of the 1/alpha^2 rows with J.
 
 The IMEX step keeps the state in Fourier coefficients from one step to
 the next.  Its implicit part is a per-wavenumber solve, so it ends with the
@@ -191,9 +193,8 @@ def _pattern(m: int) -> np.ndarray:
 _ALPHA_TABLES = {  # name -> table over the half-offset alpha grid
     "abs_alpha": np.abs,
     "inv_alpha": lambda al: 1.0 / al,
-    "alpha2": lambda al: al**2,
     "inv_alpha2": lambda al: 1.0 / al**2,
-    "abs_2sin": lambda al: np.abs(2.0 * np.sin(al / 2.0)),
+    "log_4sin2": lambda al: np.log(4.0 * np.sin(al / 2.0) ** 2),
 }
 
 
@@ -405,7 +406,13 @@ def _bi_form(frame: _Frame):
     Fourier weights -pi/|k| acting on the force samples.  The force
     D T(X') X'' is rational in X', so it is sampled on a doubled grid
     before being treated spectrally (padding factor 2; exact dealiasing is
-    impossible for non-polynomial nonlinearities)."""
+    impossible for non-polynomial nonlinearities).
+
+    Over the force samples f, a row sums to (s_f + conj(s_rot) - s_log)/2:
+    the smooth log is (log |dz|^2 - log 4 sin^2(a/2))/2, whose sum s_log is
+    a real row dot, and the G2 part (dhat.f) dhat = (f + conj(rot f))/2
+    sums to (s_f + conj(s_rot))/2, with s_f = sum f one constant per walk
+    and s_rot = sum rot f a row dot."""
     state = frame.state
     n = state.curve.n
     x1_fine = state.deriv.resampled(2 * n).nodes
@@ -414,28 +421,27 @@ def _bi_form(frame: _Frame):
     # force values at theta_j + alpha from the trigonometric interpolant
     # of the padded samples
     fs = as_complex(half_offset_samples(force_fine, state.m))
-    s_al = frame.alpha_factor("abs_2sin")
-    sums = frame.accumulator()
+    log_s2 = frame.alpha_factor("log_4sin2")
+    s_log, s_rot = frame.accumulator(), frame.accumulator()
 
     def integrand():
         _, r2, _, _, _ = frame.geometry()
-        rot, buf = frame.rot(), frame.buf
-        smooth_log = np.sqrt(r2, out=buf("r0", float))
-        smooth_log /= s_al[frame.rows]
-        np.log(smooth_log, out=smooth_log)
-        # the G2 part (dhat.f) dhat is (f + P(d) f) / 2
-        out = np.multiply(rot, fs, out=buf("c0"))
-        np.conjugate(out, out=out)
-        np.add(fs, out, out=out)
-        out *= 0.5
-        out -= np.multiply(smooth_log, fs, out=buf("c1"))
-        np.sum(out, axis=1, out=sums[frame.rows])
+        rows = frame.rows
+        smooth_log = np.log(r2, out=frame.buf("r0", float))
+        smooth_log -= log_s2[rows]
+        _real_row_dots(smooth_log, fs, s_log[rows])
+        _row_dots(frame.rot(), fs, s_rot[rows])
 
     # exact product quadrature for the periodic log kernel
     k = wavenumbers(2 * n).astype(float)
     w = np.where(k == 0.0, 0.0, -np.pi / np.where(k == 0.0, 1.0, np.abs(k)))
     log_part = -apply_multiplier(force_fine, w)[::2]
-    return integrand, lambda: (frame.field(sums) + log_part) / FOUR_PI
+
+    def finish():
+        sums = 0.5 * (fs.sum() + np.conj(s_rot) - s_log)
+        return (frame.field(sums) + log_part) / FOUR_PI
+
+    return integrand, finish
 
 
 def _position_form(frame: _Frame):
@@ -501,77 +507,69 @@ def _kernel_form(frame: _Frame):
     return integrand, finish
 
 
-def _kernel_A_apply(a, b, d, rot, inv_q2, vec, buf):
-    """The remainder kernel A applied to vec, with every 2-vector a complex
-    number.
-
-    a = X'(theta + alpha), b = X'(theta), d the divided difference,
-    rot = conj(d)/d its rotor and inv_q2 = 1/|d|^2.  With P(d)v =
-    conj(rot v), R(d)v = i conj(rot v) and u.P(d)w + i u.R(d)w = rot u w,
-    A reduces to coef_i vec + coef_c conj(rot vec).  It is built from
-    dp = a - d and dm = b - d (never as K - I/4pi), so every term carries a
-    plus or minus difference.  The temporaries and the result are the
-    arrays buf(name) or buf(name, float) of the broadcast shape (see
-    _Frame.buf); conj(d), d's last read, goes to buf("c4"), so d may be
-    that buffer itself.
-    """
-    c = buf("c0")
-    dp = np.subtract(a, d, out=buf("c1"))
-    dm = np.subtract(b, d, out=buf("c2"))
-    np.multiply(rot, dp, out=c)
-    c *= dm
-    c *= inv_q2
-    # rot (dp + dm) d = conj(d) (dp + dm)
-    e = np.add(dp, dm, out=buf("c3"))
-    np.multiply(np.conjugate(d, out=buf("c4")), e, out=e)
-    e *= inv_q2
-    coef_i = np.add(c.real, e.real, out=buf("r1", float))
+def _remainder_coefficients(a, b, c, inv_al, inv_r2, t, w, buf):
+    """coef_i and conj(coef_c) of A(a, b, d) v / alpha^2 = (coef_i v +
+    coef_c conj(rot v)) / 4 pi at the chord dz = alpha d (see
+    _remainder_form), from c = conj(dz), 1/alpha, 1/|dz|^2, t = 1/dz and
+    W = t^2, in the arrays buf(name) or buf(name, float) (see _Frame.buf)."""
+    d = np.conjugate(c, out=buf("c2"))
+    d *= inv_al
+    dp = np.subtract(a, d, out=buf("c0"))
+    dm = np.subtract(b, d, out=d)
+    e = np.add(dp, dm, out=buf("c1"))
+    e *= t
+    e *= inv_al
+    conj_c = np.multiply(dp, dm, out=buf("c3"))
+    conj_c *= w
+    coef_i = np.add(conj_c.real, e.real, out=buf("r0", float))
     np.conjugate(dp, out=dp)
     dp *= dm
-    coef_c = np.conjugate(c, out=c)
-    coef_c -= np.multiply(dp.real, inv_q2, out=buf("r0", float))
-    coef_c.imag -= e.imag
-    turned = np.multiply(rot, vec, out=buf("c1"))
-    np.conjugate(turned, out=turned)
-    np.multiply(coef_c, turned, out=turned)
-    out = np.multiply(coef_i, vec, out=buf("c2"))
-    out += turned
-    out *= 1.0 / FOUR_PI
-    return out
+    conj_c.real -= np.multiply(dp.real, inv_r2, out=buf("r1", float))
+    conj_c.imag += e.imag
+    return coef_i, conj_c
 
 
 def _remainder_form(frame: _Frame):
-    """The A kernel over alpha^2 applied to the tension jump.  A is not
-    homogeneous and keeps the divided difference."""
+    """The A kernel over alpha^2 applied to the tension jump J.
+
+    A is not homogeneous and keeps the divided difference d = dz/alpha:
+    with P(d)v = conj(rot v), R(d)v = i conj(rot v) and u.P(d)w +
+    i u.R(d)w = rot u w, A v = coef_i v + coef_c conj(rot v), built from
+    dp = a - d and dm = b - d (never as K - I/4pi), so every term carries
+    a plus or minus difference.  The rule's 1/alpha^2 goes into the chord
+    quantities W = 1/dz^2 and t = 1/dz:
+
+        rot dp dm / (|d|^2 alpha^2) = dp dm W = C,
+        conj(d) (dp + dm) / (|d|^2 alpha^2) = (dp + dm) t / alpha = E,
+        Re(conj(dp) dm) / (|d|^2 alpha^2) = Re(conj(dp) dm) / |dz|^2 = R,
+
+    so coef_i = Re C + Re E and conj(coef_c) = C - R + i Im E, and a row
+    sums to sum coef_i J + conj(sum conj(coef_c) rot J): a real and a
+    complex row dot, joined and divided by 4 pi once per walk."""
     a = as_complex(frame.x1_samples)
     b = as_complex(frame.state.deriv.nodes)[:, None]
     inv_al = frame.alpha_factor("inv_alpha")
-    al2 = frame.alpha_factor("alpha2")
-    inv_al2 = frame.alpha_factor("inv_alpha2")
-    sums = frame.accumulator()
+    s_i, s_c = frame.accumulator(), frame.accumulator()
 
     def integrand():
-        c, _, inv_r2, _, _ = frame.geometry()
-        rows, buf = frame.rows, frame.buf
-        d = np.conjugate(c, out=buf("c4"))
-        d *= inv_al[rows]
-        inv_q2 = np.multiply(al2[rows], inv_r2, out=buf("inv_q2", float))
-        out = _kernel_A_apply(a, b[rows], d, frame.rot(), inv_q2, frame.jump(),
-                              buf)
-        out *= inv_al2[rows]
-        np.sum(out, axis=1, out=sums[rows])
+        c, _, inv_r2, t, w = frame.geometry()
+        rows, jump = frame.rows, frame.jump()
+        coef_i, conj_c = _remainder_coefficients(a, b[rows], c, inv_al[rows],
+                                                 inv_r2, t, w, frame.buf)
+        _real_row_dots(coef_i, jump, s_i[rows])
+        _row_dots(np.multiply(conj_c, frame.rot(), out=conj_c), jump, s_c[rows])
 
-    return integrand, lambda: frame.field(sums)
+    return integrand, lambda: frame.field((s_i + np.conj(s_c)) / FOUR_PI)
 
 
 def _dissipation_form(frame: _Frame):
-    """The 1/alpha^2 integrand of the tension jump: it reads no geometry."""
+    """The 1/alpha^2 integrand of the tension jump, one real row dot per
+    block: it reads no geometry."""
     inv_al2 = frame.alpha_factor("inv_alpha2")
     sums = frame.accumulator()
 
     def integrand():
-        out = np.multiply(frame.jump(), inv_al2[frame.rows], out=frame.buf("c0"))
-        np.sum(out, axis=1, out=sums[frame.rows])
+        _real_row_dots(inv_al2[frame.rows], frame.jump(), sums[frame.rows])
 
     return integrand, lambda: -frame.field(sums) / FOUR_PI
 

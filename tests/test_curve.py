@@ -488,6 +488,24 @@ def test_half_offset_values_sample_the_grid_field(rng):
     assert np.max(np.abs(got - half_offset_samples(curve.nodes, m))) > 0.1
 
 
+def test_half_offset_fold_by_slices_matches_add_at(rng):
+    # m >= n folds by two slice adds, m < n by np.add.at: the slice fold
+    # gives the bits of the np.add.at fold, for even and odd n
+    from peskin_lab.curve import _half_offset_factor, wavenumbers
+
+    for n in (32, 33):
+        coeffs = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        for m in (n, 2 * n, 4 * n, n // 2):
+            c = coeffs * _half_offset_factor(n, m)[:, None]
+            if n % 2 == 0:
+                c[n // 2] = coeffs[n // 2].real * _half_offset_factor(n, m)[n // 2]
+            folded = np.zeros((m, 2), dtype=complex)
+            np.add.at(folded, wavenumbers(n) % m, c)
+            want = np.fft.ifft(folded, axis=0).real * m
+            got = half_offset_values(coeffs, m)
+            assert np.array_equal(got, want), (n, m)
+
+
 def test_curve_file_bad_header(tmp_path):
     path = tmp_path / "bad.curve"
     path.write_text("not a curve\n0 0\n")

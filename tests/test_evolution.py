@@ -102,10 +102,11 @@ def kernel_apply(a, b, d, rot, inv_q2, vec, which: str):
 
 def test_kernel_apply_matches_matrix_kernels(rng):
     # the complex elementwise kernels (the oracle above and the production
-    # A) against the 2x2 matrix oracles
+    # A coefficients over alpha^2 at the chord alpha d) against the 2x2
+    # matrix oracles
     from peskin_lab.curve import as_complex
-    from peskin_lab.evolution import _kernel_A_apply
-    from peskin_lab.kernels import kernel_A, kernel_K
+    from peskin_lab.evolution import _remainder_coefficients
+    from peskin_lab.kernels import FOUR_PI, kernel_A, kernel_K
 
     a, b, d, v = (rng.standard_normal((500, 2)) for _ in range(4))
     d += np.sign(d) * 0.1
@@ -117,13 +118,19 @@ def test_kernel_apply_matches_matrix_kernels(rng):
         got = kernel_apply(za, zb, zd, rot, inv_q2, zv, which)
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(as_complex(ref) - got)) < 1e-12 * scale
+    alpha = rng.choice([-1.0, 1.0], 500) * rng.uniform(0.01, np.pi, 500)
+    dz = alpha * zd
     bufs = {}
 
     def buf(name, dtype=complex):
         return bufs.setdefault(name, np.empty(zv.shape, dtype))
 
-    assert np.array_equal(_kernel_A_apply(za, zb, zd, rot, inv_q2, zv, buf),
-                          kernel_apply(za, zb, zd, rot, inv_q2, zv, "A"))
+    coef_i, conj_c = _remainder_coefficients(za, zb, np.conj(dz), 1.0 / alpha,
+                                             1.0 / np.abs(dz) ** 2, 1.0 / dz,
+                                             1.0 / dz**2, buf)
+    got = (coef_i * zv + np.conj(conj_c * rot * zv)) / FOUR_PI
+    ref = as_complex(np.einsum("...ij,...j->...i", kernel_A(a, b, d), v)) / alpha**2
+    assert np.max(np.abs(ref - got)) < 1e-12 * np.max(np.abs(ref))
 
 
 def test_frame_matches_matrix_kernel_sum(rng):
@@ -633,11 +640,11 @@ def test_imex_step_memory_is_bounded():
 
 
 @pytest.mark.parametrize("forms, complex_blocks, float_blocks",
-                         [(("derivative", "position_reduced"), 7, 3), (FORMS, 11, 5)],
+                         [(("derivative", "position_reduced"), 7, 3), (FORMS, 10, 4)],
                          ids=["imex", "every_form"])
 def test_walk_buffers_are_bounded(forms, complex_blocks, float_blocks, monkeypatch):
     # the IMEX walk fills 7 complex and 3 float blocks, its floor screen
-    # inside one of them, and a walk of every form 11 and 5; one more block
+    # inside one of them, and a walk of every form 10 and 4; one more block
     # would raise the peak memory of every step or every verify
     from peskin_lab import evolution
 

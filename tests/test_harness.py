@@ -253,6 +253,27 @@ def test_cli_verify_all(capsys):
         assert float(rest.split()[0]) <= tolerances[name], line
 
 
+def test_verify_curves_match_their_mode_loop():
+    # verify's curves are sums over modes of drawn cos and sin terms; the
+    # outer-product form keeps the loop's draw order
+    from peskin_lab.cli import _random_bandlimited_curve
+    from peskin_lab.curve import theta_grid
+
+    n, modes, amp = 128, 16, 0.2
+    th = theta_grid(n)
+    loop_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(3):
+        pert = np.zeros((n, 2))
+        for k in range(1, modes + 1):
+            scale = amp * k**-3.0
+            for c in range(2):
+                pert[:, c] += scale * (loop_rng.standard_normal() * np.cos(k * th)
+                                       + loop_rng.standard_normal() * np.sin(k * th))
+        want = Curve.circle(n).nodes + pert
+        got = _random_bandlimited_curve(rng, n, modes, amp).nodes
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
 def test_cli_norms(tmp_path, capsys):
     path = tmp_path / "circle.curve"
     write_curve(Curve.circle(64), path)
