@@ -91,12 +91,13 @@ def _cmd_simulate(args) -> int:
     out_dir = args.out or cfg.output_dir
     if out_dir is None:
         raise ValueError("no output directory (set output.dir or --out)")
+    if os.path.exists(os.path.join(out_dir, "manifest.txt")):
+        raise FileExistsError(f"{out_dir} holds a finished run; reruns are refused")
     os.makedirs(out_dir, exist_ok=True)
     traj = simulate(cfg)
-    stride = cfg.output_stride
     names = []
-    for i, curve in enumerate(traj.curves):
-        name = f"snap_{i * stride:06d}.curve"
+    for t, curve in zip(traj.times, traj.curves):
+        name = f"snap_{round(t / cfg.dt):06d}.curve"
         write_curve(curve, os.path.join(out_dir, name))
         names.append(name)
     write_ndjson(os.path.join(out_dir, "diag.ndjson"), traj.records)

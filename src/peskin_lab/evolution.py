@@ -122,8 +122,6 @@ __all__ = [
 CFL_CONSTANT = 2.5  # classical four-stage explicit stability with margin
 _FLOOR_FRACTION = 0.5  # default rho_floor relative to the initial arc-chord
 _BLOCK = 8192  # frame elements per block of theta rows: a complex buffer is 128 KB
-FORMS = ("position_bi", "position_reduced", "derivative", "remainder",
-         "dissipation")  # the right-hand sides one frame walk serves
 
 
 class SimulationAbort(RuntimeError):
@@ -257,14 +255,19 @@ class _Frame:
     No (n, m) array is ever formed: integrate walks blocks of max(1,
     _BLOCK // m) theta rows, and each integrand writes the alpha sums of
     the block's rows with out= into (n,) accumulators its form owns, each
-    row's sum one contiguous reduction within one block.  The current
-    block's geometry, its t rot and rotor and its jump are built on their
-    first read, so a pass that reads none of them builds none.  buf views
-    the thread's flat arrays (_BUFFERS) in the block's C-order shape: a
-    shorter last block reads a prefix, and each walk refills the memory of
-    the one before, which arrays made per walk would fault in again.  X and
-    X' are sampled from the state's coefficients, so a state the IMEX step
-    hands over is never transformed forward again.
+    row's sum one contiguous reduction within one block.  buf views the
+    thread's flat arrays (_BUFFERS) in the block's C-order shape: a shorter
+    last block reads a prefix, and each walk refills the memory of the one
+    before, which arrays made per walk would fault in again.
+
+    The constructor builds what every form reads: X and X' from the
+    state's coefficients by one folded inverse transform, X' as real
+    samples x1 and as the complex a = X'(theta + alpha) and b =
+    X'(theta_j), and the chord filler.  The jump filler and each block's
+    geometry, t rot, rotor and jump wait for their first read: a
+    position-only walk runs no T(X'), so a vanished tangent reaches
+    _position_form's abort, and a dissipation-only walk no chord block or
+    floor check.
     """
 
     def __init__(self, state: SimState):
@@ -273,6 +276,14 @@ class _Frame:
         self.height = min(n, max(1, _BLOCK // m))  # theta rows per block
         self._views = {}
         self._shape = None
+        both = half_offset_values(
+            np.concatenate((state.curve.coeffs, state.deriv.coeffs), axis=1), m)
+        self.x1 = np.ascontiguousarray(both[:, 2:])
+        self.a = as_complex(self.x1)  # a view of x1
+        self.b = as_complex(state.deriv.nodes)
+        # fills a block with conj(X_p - X_j) (see _differences)
+        self.chords = _differences(np.conj(as_complex(both[:, :2])),
+                                   np.conj(as_complex(state.curve.nodes)))
 
     def alpha_factor(self, name: str) -> np.ndarray:
         """The (n, m) circulant view of one of _ALPHA_TABLES."""
@@ -368,32 +379,10 @@ class _Frame:
                                             f"floor {st.rho_floor:.3e}")
 
     @cached_property
-    def _state_samples(self) -> tuple:
-        """X as complex samples and X' as real (m, 2) samples on the
-        half-offset m-grid, from the state's coefficients by one inverse
-        transform (curve.half_offset_values)."""
-        st = self.state
-        both = half_offset_values(
-            np.concatenate((st.curve.coeffs, st.deriv.coeffs), axis=1), st.m)
-        return as_complex(both[:, :2]), np.ascontiguousarray(both[:, 2:])
-
-    @cached_property
-    def chords(self):
-        """Fills a block with conj(X_p - X_j) (see _differences)."""
-        x_samples = self._state_samples[0]
-        return _differences(np.conj(x_samples),
-                            np.conj(as_complex(self.state.curve.nodes)))
-
-    @property
-    def x1_samples(self) -> np.ndarray:
-        """X' on the half-offset m-grid as real (m, 2) samples."""
-        return self._state_samples[1]
-
-    @cached_property
     def jumps(self):
         """Fills a block with T(X')_p - T(X')_j (see _differences)."""
         law = self.state.law
-        return _differences(as_complex(tension_map(law, self.x1_samples)),
+        return _differences(as_complex(tension_map(law, self.x1)),
                             as_complex(tension_map(law, self.state.deriv.nodes)))
 
 
@@ -451,13 +440,12 @@ def _position_form(frame: _Frame):
     With Re(z) = (z + conj z)/2, W dz = t and W conj(dz) = t rot, a row is
     (sum q t + conj(sum q t rot))/2 over the fine m-vector q = a^2 weight:
     two row dots per block, combined once per walk."""
-    state = frame.state
-    x1f = as_complex(frame.x1_samples)
-    mag = np.abs(x1f)
+    state, a = frame.state, frame.a
+    mag = np.abs(a)
     # every half-offset sample is read at each theta_j
     if float(mag.min()) == 0.0:
         raise SimulationAbort(state.t, "tangent vector vanished")
-    q = x1f * x1f * (state.law.eval(mag) / mag / FOUR_PI)
+    q = a * a * (state.law.eval(mag) / mag / FOUR_PI)
     s_t, s_t_rot = frame.accumulator(), frame.accumulator()
 
     def integrand():
@@ -483,9 +471,8 @@ def _kernel_form(frame: _Frame):
     dots, with sum conj(W) g = conj(sum W g) for real g and sum V conj(aJ) =
     conj(sum conj(V) a J), conj(V) = W rot = t (t rot).  A block writes the
     three row sums; the node values join them once per walk."""
-    a = as_complex(frame.x1_samples)
+    a, b = frame.a, frame.b
     a_conj = np.conj(a)
-    b = as_complex(frame.state.deriv.nodes)
     s_w, s_v, s_g = frame.accumulator(), frame.accumulator(), frame.accumulator()
 
     def integrand():
@@ -546,8 +533,7 @@ def _remainder_form(frame: _Frame):
     so coef_i = Re C + Re E and conj(coef_c) = C - R + i Im E, and a row
     sums to sum coef_i J + conj(sum conj(coef_c) rot J): a real and a
     complex row dot, joined and divided by 4 pi once per walk."""
-    a = as_complex(frame.x1_samples)
-    b = as_complex(frame.state.deriv.nodes)[:, None]
+    a, b = frame.a, frame.b[:, None]
     inv_al = frame.alpha_factor("inv_alpha")
     s_i, s_c = frame.accumulator(), frame.accumulator()
 
@@ -584,6 +570,7 @@ _FORM_BUILDERS = {
     "remainder": _remainder_form,
     "dissipation": _dissipation_form,
 }
+FORMS = tuple(_FORM_BUILDERS)  # the right-hand sides one frame walk serves
 
 
 def right_hand_sides(state: SimState, *forms: str) -> tuple:
@@ -671,18 +658,21 @@ def step(state: SimState, dt: float, scheme: str = "imex") -> SimState:
     the stabilized semi-implicit scheme (stiff half-Laplacian implicit)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if scheme == "rk4":
-        if dt > cfl_limit(state):
-            raise ValueError(
-                f"dt={dt:.3e} exceeds the explicit stability limit "
-                f"{cfl_limit(state):.3e}")
-        return _step_rk4(state, dt)
-    if scheme == "imex":
-        return _step_imex(state, dt)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    _check_choice("scheme", scheme, _SCHEMES)
+    return _SCHEMES[scheme](state, dt)
+
+
+def _check_choice(key: str, value, table: dict):
+    """Raise a ValueError naming key unless value is a key of table."""
+    if value not in table:
+        raise ValueError(f"{key} must be one of {', '.join(table)}, got {value!r}")
 
 
 def _step_rk4(state: SimState, dt: float) -> SimState:
+    limit = cfl_limit(state)
+    if dt > limit:
+        raise ValueError(f"dt={dt:.3e} exceeds the explicit stability limit "
+                         f"{limit:.3e}")
     x0 = state.curve.nodes
 
     def rhs_at(nodes, t):
@@ -726,6 +716,9 @@ def _step_imex(state: SimState, dt: float) -> SimState:
     _check_finite(state, nodes)
     return state.advanced(state.t + dt, Curve(nodes=nodes[:, :2], coeffs=cx),
                           Curve(nodes=nodes[:, 2:], coeffs=c1_new))
+
+
+_SCHEMES = {"imex": _step_imex, "rk4": _step_rk4}  # time.scheme -> step
 
 
 # ---------------------------------------------------------------------------
@@ -810,6 +803,13 @@ class SimConfig:
         if abs(self.horizon / self.dt - self.steps) > 1e-9 * self.steps:
             raise ValueError(f"horizon {self.horizon!r} is not a whole number of "
                              f"steps dt={self.dt!r}")
+        for name, table in (("scheme", _SCHEMES), ("init_kind", _INITIAL_CURVES),
+                            ("tension_kind", _LAWS), ("mu_kind", _MU_WEIGHTS)):
+            _check_choice(_dotted_key(name), getattr(self, name), table)
+        if self.init_kind == "fourier-file" and self.init_file is None:
+            raise ValueError("init.kind = fourier-file requires init.file")
+        if self.tension_kind == "table" and self.tension_table is None:
+            raise ValueError("tension.kind = table requires tension.table")
 
     @property
     def steps(self) -> int:
@@ -845,27 +845,15 @@ class Trajectory:
         return tuple(c.derivative() for c in self.curves)
 
 
-def make_initial_curve(cfg: SimConfig) -> Curve:
-    n = cfg.n
-    if cfg.init_kind == "circle":
-        base = Curve.circle(n, radius=cfg.init_radius)
-        if cfg.init_perturb_amp == 0.0 or cfg.init_perturb_mode == 0:
-            return base
-        th = theta_grid(n)
-        radial = cfg.init_radius * (1.0 + cfg.init_perturb_amp
-                                    * np.cos(cfg.init_perturb_mode * th))
-        return Curve.from_nodes(np.stack([radial * np.cos(th),
-                                          radial * np.sin(th)], axis=1))
-    if cfg.init_kind == "ellipse":
-        return Curve.ellipse(n, a=cfg.init_a, b=cfg.init_b)
-    if cfg.init_kind == "fourier-file":
-        if cfg.init_file is None:
-            raise ValueError("init.kind=fourier-file requires init.file")
-        return read_curve(cfg.init_file)
-    if cfg.init_kind == "random-sobolev":
-        return _rough_curve(n, cfg.init_rough_exponent, cfg.init_rough_amp,
-                            cfg.init_radius, cfg.seed)
-    raise ValueError(f"unknown init.kind {cfg.init_kind!r}")
+def _circle(cfg: SimConfig) -> Curve:
+    base = Curve.circle(cfg.n, radius=cfg.init_radius)
+    if cfg.init_perturb_amp == 0.0 or cfg.init_perturb_mode == 0:
+        return base
+    th = theta_grid(cfg.n)
+    radial = cfg.init_radius * (1.0 + cfg.init_perturb_amp
+                                * np.cos(cfg.init_perturb_mode * th))
+    return Curve.from_nodes(np.stack([radial * np.cos(th),
+                                      radial * np.sin(th)], axis=1))
 
 
 def _rough_curve(n: int, sigma: float, amp: float, radius: float,
@@ -887,34 +875,43 @@ def _rough_curve(n: int, sigma: float, amp: float, radius: float,
     return Curve.from_nodes(base.nodes + pert)
 
 
+def _table_from_file(cfg: SimConfig) -> TensionLaw:
+    data = np.loadtxt(cfg.tension_table)
+    return table_law(data[:, 0], data[:, 1])
+
+
+# init.kind -> initial curve, tension.kind -> law and mu.kind -> the
+# diagnostics weight of the initial X' nodes; SimConfig accepts their keys
+_INITIAL_CURVES = {
+    "circle": _circle,
+    "ellipse": lambda cfg: Curve.ellipse(cfg.n, a=cfg.init_a, b=cfg.init_b),
+    "fourier-file": lambda cfg: read_curve(cfg.init_file),
+    "random-sobolev": lambda cfg: _rough_curve(
+        cfg.n, cfg.init_rough_exponent, cfg.init_rough_amp, cfg.init_radius, cfg.seed),
+}
+_LAWS = {
+    "hookean": lambda cfg: hookean(cfg.tension_k0),
+    "power": lambda cfg: power_law(cfg.tension_coef, cfg.tension_p, cfg.tension_window),
+    "arctan": lambda cfg: arctan_law(cfg.tension_window),
+    "table": _table_from_file,
+}
+_MU_WEIGHTS = {
+    "one": lambda deriv_nodes: MuWeight.one(),
+    "log": lambda deriv_nodes: MuWeight.log4(),
+    "construct": construct_mu,
+}
+
+
+def make_initial_curve(cfg: SimConfig) -> Curve:
+    return _INITIAL_CURVES[cfg.init_kind](cfg)
+
+
 def law_from_config(cfg: SimConfig) -> TensionLaw:
-    if cfg.tension_kind == "hookean":
-        law = hookean(cfg.tension_k0)
-    elif cfg.tension_kind == "power":
-        law = power_law(cfg.tension_coef, cfg.tension_p, cfg.tension_window)
-    elif cfg.tension_kind == "arctan":
-        law = arctan_law(cfg.tension_window)
-    elif cfg.tension_kind == "table":
-        if cfg.tension_table is None:
-            raise ValueError("tension.kind=table requires tension.table")
-        data = np.loadtxt(cfg.tension_table)
-        law = table_law(data[:, 0], data[:, 1])
-    else:
-        raise ValueError(f"unknown tension.kind {cfg.tension_kind!r}")
+    law = _LAWS[cfg.tension_kind](cfg)
     if cfg.tension_globalize and cfg.tension_kind != "hookean":
         a, b = cfg.tension_window
         law = globalize(law, a, b)
     return law
-
-
-def _mu_for_diag(cfg: SimConfig, deriv_nodes: np.ndarray) -> MuWeight:
-    if cfg.mu_kind == "one":
-        return MuWeight.one()
-    if cfg.mu_kind == "log":
-        return MuWeight.log4()
-    if cfg.mu_kind == "construct":
-        return construct_mu(deriv_nodes)
-    raise ValueError(f"unknown mu kind {cfg.mu_kind!r}")
 
 
 def _diag_record(state: SimState, arc: float, mu: MuWeight, scheme: str,
@@ -946,7 +943,7 @@ def simulate(cfg: SimConfig, initial: Optional[Curve] = None,
     rho_floor = cfg.rho_floor if cfg.rho_floor is not None \
         else _FLOOR_FRACTION * arc
     state = SimState.make(curve, the_law, t=0.0, m=cfg.m, rho_floor=rho_floor)
-    mu = _mu_for_diag(cfg, state.deriv.nodes)
+    mu = _MU_WEIGHTS[cfg.mu_kind](state.deriv.nodes)
     times = [state.t]
     curves = [state.curve]
     records = [_diag_record(state, arc, mu, cfg.scheme, cfg.diag_beta_points)]

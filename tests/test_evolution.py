@@ -850,11 +850,11 @@ def test_trajectory_derivs_computed_once(rng):
 
 def test_diag_record_norms_match_power_spectrum_expressions():
     from peskin_lab.curve import power_spectrum, wavenumbers
-    from peskin_lab.evolution import _diag_record, _mu_for_diag
+    from peskin_lab.evolution import _MU_WEIGHTS, _diag_record
 
     cfg = config_from_file(CONFIGS / "rough.cfg")
     state = SimState.make(make_initial_curve(cfg), law_from_config(cfg), m=cfg.m)
-    rec = _diag_record(state, 1.0, _mu_for_diag(cfg, state.deriv.nodes),
+    rec = _diag_record(state, 1.0, _MU_WEIGHTS[cfg.mu_kind](state.deriv.nodes),
                        cfg.scheme, cfg.diag_beta_points)
     power = power_spectrum(state.deriv.nodes)
     k = np.abs(wavenumbers(state.curve.n)).astype(float)

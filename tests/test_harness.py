@@ -61,7 +61,11 @@ def test_sim_config_mapping():
     (dict(tension_window=(0.5,)), "tension.window"),
     (dict(tension_window=(0.5, True)), "tension.window"),
     (dict(output_stride=0), "output.stride"), (dict(horizon=float("inf")), "time.horizon"),
-    (dict(dt=float("nan")), "time.dt"), (dict(horizon=0.1005), "whole number")])
+    (dict(dt=float("nan")), "time.dt"), (dict(horizon=0.1005), "whole number"),
+    (dict(scheme="foo"), "time.scheme"), (dict(init_kind="foo"), "init.kind"),
+    (dict(tension_kind="foo"), "tension.kind"), (dict(mu_kind="foo"), "mu.kind"),
+    (dict(init_kind="fourier-file"), "init.file"),
+    (dict(tension_kind="table"), "tension.table")])
 def test_sim_config_checks_every_setting(bad, key):
     with pytest.raises(ValueError, match=key):
         SimConfig(**bad)
@@ -178,6 +182,42 @@ def test_cli_rejects_inconsistent_grid_and_horizon(tmp_path, capsys, bad, messag
     assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("bad, key", [
+    ("time.scheme = foo", "time.scheme"), ("init.kind = foo", "init.kind"),
+    ("tension.kind = foo", "tension.kind"), ("mu.kind = foo", "mu.kind"),
+    ("init.kind = fourier-file", "init.file"), ("tension.kind = table", "tension.table")])
+def test_cli_rejects_unknown_choices_before_any_output(tmp_path, capsys, bad, key):
+    # every choice and its companion key is checked when the config loads,
+    # before the output directory is made
+    cfg_path = _write_config(tmp_path, EQ_CONFIG + bad + "\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_refused_rerun_keeps_the_first_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    first = _write_config(tmp_path, EQ_CONFIG)
+    assert main(["simulate", "--config", first, "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    other = tmp_path / "other.cfg"
+    other.write_text(EQ_CONFIG + "grid.n = 64\ngrid.m = 256\n")
+    assert main(["simulate", "--config", str(other), "--out", str(out)]) == 2
+    assert "refused" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_cli_names_snapshots_by_step(tmp_path):
+    # 25 steps at stride 10: the last step is written too, as snap_000025
+    cfg_path = _write_config(tmp_path, EQ_CONFIG + "time.horizon = 0.125\n"
+                             "output.stride = 10\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("snap_*.curve")) == [
+        f"snap_{i:06d}.curve" for i in (0, 10, 20, 25)]
 
 
 def test_cli_table_not_covering_initial_stretch_exits_2(tmp_path, capsys):
