@@ -272,7 +272,11 @@ def folded_gain(beta_points: int, n: int) -> np.ndarray:
     betas = half_offset_grid(beta_points)
     half = (n + 1) // 2
     gain = np.empty((beta_points, n // 2 + 1))
-    gain[:, :half] = 4.0 * np.sin(np.multiply.outer(betas, np.arange(half) / 2.0)) ** 2
+    body = gain[:, :half]  # built in place: no temporary of the gain's size
+    np.multiply.outer(betas, np.arange(half) / 2.0, out=body)
+    np.sin(body, out=body)
+    np.square(body, out=body)
+    body *= 4.0
     if n % 2 == 0:
         gain[:, n // 2] = 4.0 * np.sin(betas * (n / 4)) ** 4
     gain.flags.writeable = False

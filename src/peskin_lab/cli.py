@@ -93,8 +93,8 @@ def _cmd_simulate(args) -> int:
         raise ValueError("no output directory (set output.dir or --out)")
     if os.path.exists(os.path.join(out_dir, "manifest.txt")):
         raise FileExistsError(f"{out_dir} holds a finished run; reruns are refused")
+    traj = simulate(cfg)  # an input error or an abort leaves no directory
     os.makedirs(out_dir, exist_ok=True)
-    traj = simulate(cfg)
     names = []
     for t, curve in zip(traj.times, traj.curves):
         name = f"snap_{round(t / cfg.dt):06d}.curve"

@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 MIN_NODES = 16
+_BLOCK = 8192  # elements per scratch block of every blocked loop: 128 KB complex
 
 
 def theta_grid(n: int) -> np.ndarray:
@@ -432,7 +433,7 @@ class ArcChord:
         return 2.0 * abs(self.value - _arc_chord_level(*self._coarse))
 
 
-_STRIDE, _BLOCK, _SLACK = 8, 64, 1e-9  # coarse row stride, rows per block, slack
+_STRIDE, _SLACK = 8, 1e-9  # coarse row stride, slack
 
 
 def _arc_chord_level(curve: Curve, m: int) -> float:
@@ -441,17 +442,24 @@ def _arc_chord_level(curve: Curve, m: int) -> float:
     frame's min: row i is skipped only if min_j |delta X(theta_j, alpha_c)|
     - |alpha_i - alpha_c| L (c a coarse row next to i, L = sum_k |k| |c_k|
     >= max |X'|) exceeds |alpha_i| times this level's best so far plus a
-    slack, relative to sum_k |c_k|, that absorbs rounding."""
-    z = as_complex(curve.nodes)
+    slack, relative to sum_k |c_k|, that absorbs rounding.  Rows are
+    searched max(1, _BLOCK // n) at a time: a block of chords is squared
+    in place and x^2 + y^2 written into one float block."""
+    xy = curve.nodes.reshape(-1)  # x0, y0, x1, ...: the window's doubles
     window = half_offset_window(as_complex(half_offset_samples(curve.nodes, m)), curve.n)
     alphas = np.abs(half_offset_grid(m))
+    height = max(1, _BLOCK // curve.n)  # alpha rows per block
+    r2 = np.empty((height, curve.n))
 
     def chords(rows):  # min_j |delta X(theta_j, alpha_i)| per row i, in blocks
         out = np.empty(len(rows))
-        for b in range(0, len(rows), _BLOCK):
-            dz = window[rows[b:b + _BLOCK]] - z
-            out[b:b + _BLOCK] = np.sqrt((dz.real**2 + dz.imag**2).min(axis=1))
-        return out
+        for b in range(0, len(rows), height):
+            d = window[rows[b:b + height]].view(float)  # a copy of the rows
+            d -= xy
+            np.square(d, out=d)
+            s = np.add(d[:, 0::2], d[:, 1::2], out=r2[:len(d)])
+            s.min(axis=1, out=out[b:b + height])
+        return np.sqrt(out, out=out)
 
     size = np.linalg.norm(curve.coeffs, axis=1)
     lip = np.abs(wavenumbers(curve.n)) @ size * (2.0 * np.pi / m)  # L per row
@@ -464,7 +472,7 @@ def _arc_chord_level(curve: Curve, m: int) -> float:
                        dc[c + 1] - np.minimum(_STRIDE - off, m - rows) * lip)
     rest, tol = rows[off != 0], _SLACK * size.sum()
     while (rest := rest[bound[rest] <= best * alphas[rest] + tol]).size:
-        block, rest = rest[:_BLOCK], rest[_BLOCK:]
+        block, rest = rest[:height], rest[height:]
         best = min(best, float(np.min(chords(block) / alphas[block])))
     return best
 

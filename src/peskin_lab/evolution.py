@@ -75,6 +75,7 @@ from typing import Optional, get_args, get_type_hints
 import numpy as np
 
 from .curve import (
+    _BLOCK,
     Curve,
     alpha_rows,
     antiderivative_multiplier,
@@ -121,7 +122,6 @@ __all__ = [
 
 CFL_CONSTANT = 2.5  # classical four-stage explicit stability with margin
 _FLOOR_FRACTION = 0.5  # default rho_floor relative to the initial arc-chord
-_BLOCK = 8192  # frame elements per block of theta rows: a complex buffer is 128 KB
 
 
 class SimulationAbort(RuntimeError):
@@ -860,12 +860,12 @@ def _rough_curve(n: int, sigma: float, amp: float, radius: float,
                  seed: int) -> Curve:
     """Circle plus a perturbation whose tangent spectrum decays like |k|^-sigma
     with random phases; amp sets the relative tangent-field L2 size."""
-    rng = np.random.default_rng(seed)
-    c1 = np.zeros((n, 2), dtype=complex)
-    for k in range(1, n // 2):  # positive modes, mirrored for a real field
-        mag = float(k) ** (-sigma)
-        c1[k] = mag * np.exp(2j * np.pi * rng.random(2))
-        c1[n - k] = np.conj(c1[k])
+    phases = np.random.default_rng(seed).random((n // 2 - 1, 2))  # row k - 1
+    # scalar powers: an array power may round the last bit differently
+    mags = np.array([float(k) ** (-sigma) for k in range(1, n // 2)])
+    c1 = np.zeros((n, 2), dtype=complex)  # positive modes, mirrored for a real field
+    c1[1:n // 2] = mags[:, None] * np.exp(2j * np.pi * phases)
+    c1[n - 1:n // 2:-1] = np.conj(c1[1:n // 2])
     pert_deriv = grid_values(c1)
     base = Curve.circle(n, radius=radius)
     base_l2 = np.sqrt(2.0 * np.pi) * radius

@@ -15,9 +15,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curve import (apply_multiplier, fft_coeffs, grid_values, half_offset_grid,
-                    lp_norm, magnitude, parseval_norm, power_spectrum,
-                    wavenumbers)
+from .curve import (_BLOCK, apply_multiplier, fft_coeffs, grid_values,
+                    half_offset_grid, lp_norm, magnitude, parseval_norm,
+                    power_spectrum, wavenumbers)
 
 __all__ = [
     "OperatorSymbol",
@@ -53,13 +53,28 @@ class OperatorSymbol:
 
 @lru_cache(maxsize=64)
 def symbol(n: int, m: int) -> OperatorSymbol:
-    """Build (and cache) the quadrature symbol tables for grid size n."""
+    """Build (and cache) the quadrature symbol tables for grid size n.
+
+    Blocks of max(1, _BLOCK // m) wavenumbers fill one scratch buffer with
+    (2/m)(1 - cos(k alpha)) and take its row products, so no (n, m) table
+    is formed.  lam_tilde's factor 0.5/m is a quarter of lam_sine's 2/m,
+    a power of two, so it is applied exactly at the end."""
     k = np.abs(wavenumbers(n)).astype(float)
     al = half_offset_grid(m)
-    s2 = (2.0 * np.sin(al / 2.0)) ** 2
-    one_minus_cos = 1.0 - np.cos(np.multiply.outer(k, al))  # (n, m)
-    lam_sine = (2.0 / m) * one_minus_cos @ (1.0 / s2)
-    lam_tilde = (0.5 / m) * one_minus_cos @ (1.0 / al**2)
+    w_sine, w_tilde = 1.0 / (2.0 * np.sin(al / 2.0)) ** 2, 1.0 / al**2
+    lam_sine, lam_tilde = np.empty(n), np.empty(n)
+    rows = max(1, _BLOCK // m)  # wavenumbers per block
+    buf = np.empty((min(rows, n), m))
+    for b in range(0, n, rows):
+        kb = k[b:b + rows]
+        block = buf[:len(kb)]
+        np.multiply.outer(kb, al, out=block)
+        np.cos(block, out=block)
+        np.subtract(1.0, block, out=block)
+        block *= 2.0 / m
+        np.matmul(block, w_sine, out=lam_sine[b:b + rows])
+        np.matmul(block, w_tilde, out=lam_tilde[b:b + rows])
+    lam_tilde *= 0.25
     lam_sine.flags.writeable = False
     lam_tilde.flags.writeable = False
     return OperatorSymbol(n=n, m=m, lam_sine=lam_sine, lam_tilde=lam_tilde)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -146,6 +148,19 @@ def test_beta_gain_matches_direct_form(n):
     gain = folded_gain(1000, n)
     assert gain.shape == (1000, n // 2 + 1)
     assert np.max(np.abs(gain - direct[:, :n // 2 + 1])) <= 1e-14 * np.max(direct)
+
+
+def test_folded_gain_memory_is_the_gain():
+    # the gain is built in place: a product or a power of its size as a
+    # temporary peaked near three times its bytes
+    folded_gain.cache_clear()
+    tracemalloc.start()
+    try:
+        gain = folded_gain(2048, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * gain.nbytes
 
 
 @pytest.mark.parametrize("n", [17, 34, 64])

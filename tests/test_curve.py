@@ -416,7 +416,8 @@ def test_enclosed_area_of_conics(rng):
 
 
 def test_arc_chord_memory_is_bounded():
-    # the dense (8n, n) frame of this n = 512 curve peaks near 67 MB
+    # the dense (8n, n) frame of this n = 512 curve peaks near 67 MB, and
+    # 64-row blocks with whole-block temporaries near 2 MB
     c = config_curve("rough.cfg")
     tracemalloc.start()
     try:
@@ -424,7 +425,7 @@ def test_arc_chord_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16e6
+    assert peak < 1e6
 
 
 @settings(max_examples=20, deadline=None)

@@ -624,19 +624,20 @@ def test_floor_screen_defers_to_the_exact_quotient(rng):
 
 
 def test_imex_step_memory_is_bounded():
-    # the whole (m, n) frame of this n = 512, m = 1024 curve peaked near 84 MB
+    # the whole (m, n) frame of this n = 512, m = 1024 curve peaked near 84 MB,
+    # and a cold symbol's dense (n, m) tables near 8.4 MB
     from peskin_lab.operators import symbol
 
     cfg = config_from_file(CONFIGS / "rough.cfg")
     st = SimState.make(make_initial_curve(cfg), law_from_config(cfg), m=cfg.m)
-    symbol(st.curve.n, st.m)  # the cached solve tables are not step memory
+    symbol.cache_clear()  # the first step builds its solve tables
     tracemalloc.start()
     try:
         step(st, cfg.dt, "imex")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16e6
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("forms, complex_blocks, float_blocks",
@@ -904,6 +905,25 @@ def test_rough_curve_spectrum():
     ks = np.arange(2, 33)
     slope = np.polyfit(np.log(ks), np.log(mags[2:33]), 1)[0]
     assert -1.6 < slope < -1.2  # |k|^-1.4 envelope
+
+
+def test_rough_curve_phases_follow_the_per_mode_draws():
+    # the reference draws two phases per mode k = 1 .. n/2 - 1 in turn
+    from peskin_lab.curve import grid_values, parseval_norm, power_spectrum
+    from peskin_lab.curve import spectral_antiderivative
+    from peskin_lab.evolution import _rough_curve
+
+    n, sigma, amp, radius, seed = 512, 1.5, 0.3, 1.2, 11
+    rng = np.random.default_rng(seed)
+    c1 = np.zeros((n, 2), dtype=complex)
+    for k in range(1, n // 2):
+        c1[k] = float(k) ** (-sigma) * np.exp(2j * np.pi * rng.random(2))
+        c1[n - k] = np.conj(c1[k])
+    pert = grid_values(c1)
+    scale = amp * np.sqrt(2.0 * np.pi) * radius / parseval_norm(power_spectrum(pert))
+    want = Curve.circle(n, radius=radius).nodes + spectral_antiderivative(pert * scale)
+    assert np.array_equal(_rough_curve(n, sigma, amp, radius, seed).nodes,
+                          Curve.from_nodes(want).nodes)
 
 
 def test_law_from_config_kinds():

@@ -175,13 +175,12 @@ def test_cli_bad_config_exit_code(tmp_path):
     ("tension.globalize = 1", "tension.globalize")])
 def test_cli_rejects_inconsistent_grid_and_horizon(tmp_path, capsys, bad, message):
     # the appended lines override their keys (last one wins); the run is
-    # rejected before any snapshot is written, a bad setting before the
-    # output directory is made
+    # rejected before the output directory is made
     cfg_path = _write_config(tmp_path, EQ_CONFIG + bad + "\n")
     out = tmp_path / "o"
     assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad, key", [
@@ -239,7 +238,7 @@ def test_cli_odd_beta_points_exits_2_before_any_output(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
     assert "513" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_cli_zero_beta_points_exits_2_before_any_output(tmp_path, capsys):
@@ -248,7 +247,23 @@ def test_cli_zero_beta_points_exits_2_before_any_output(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
     assert "beta_points must be even and at least 2, got 0" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad, code, message", [
+    ("tension.kind = table\ntension.table = {missing}", 2, "not found"),
+    ("rho.floor = 2.0", 3, "numerical abort")], ids=["missing-table", "abort"])
+def test_cli_failed_run_leaves_no_output_directory(tmp_path, capsys, bad, code,
+                                                   message):
+    # found while the law is built, or by the first step (a floor above the
+    # circle's grid arc-chord number, 0.64); test_cli_rejects_inconsistent_grid_and_horizon
+    # covers a grid found inconsistent when the state is built
+    bad = bad.format(missing=tmp_path / "missing.txt")
+    cfg_path = _write_config(tmp_path, EQ_CONFIG + bad + "\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_simulate_file_curve_default_alpha_grid(tmp_path):

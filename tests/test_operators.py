@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -89,6 +91,49 @@ def test_lambda_tilde_bracket():
     ratio = lam[mask] / k[mask]
     assert np.all(ratio >= 1.0 / np.pi**2)
     assert np.all(ratio <= 0.25)
+
+
+def dense_symbol(n, m):
+    """The whole (n, m) table of 1 - cos(k alpha) times each weight."""
+    al = half_offset_grid(m)
+    one_minus_cos = 1.0 - np.cos(np.multiply.outer(np.abs(wavenumbers(n)).astype(float), al))
+    return ((2.0 / m) * one_minus_cos @ (1.0 / (2.0 * np.sin(al / 2.0)) ** 2),
+            (0.5 / m) * one_minus_cos @ (1.0 / al**2))
+
+
+@pytest.mark.parametrize("n, m", [(128, 512), (128, 1024), (256, 2048), (512, 1024),
+                                  (32, 64), (32, 128), (32, 256)])
+def test_symbol_equals_the_dense_product(n, m):
+    # the shipped configs', the verify suite's and the benchmark's sizes
+    symbol.cache_clear()
+    got = symbol(n, m)
+    sine, tilde = dense_symbol(n, m)
+    assert np.array_equal(got.lam_sine, sine) and np.array_equal(got.lam_tilde, tilde)
+
+
+@pytest.mark.parametrize("n, m", [(33, 264), (65, 520), (129, 1032), (257, 2056),
+                                  (64, 320), (128, 640), (256, 1280), (512, 2560)])
+def test_symbol_matches_the_dense_product_to_rounding(n, m):
+    # BLAS may group the row products of a block differently from those of
+    # the whole table; each is a sum of m positive terms, so the error is
+    # measured against the table's size
+    symbol.cache_clear()
+    got = symbol(n, m)
+    for g, want in zip((got.lam_sine, got.lam_tilde), dense_symbol(n, m)):
+        assert np.max(np.abs(g - want)) <= 1e-14 * np.max(want)
+
+
+@pytest.mark.parametrize("n, m", [(512, 1024), (256, 2048)])
+def test_cold_symbol_memory_is_bounded(n, m):
+    # the dense (n, m) tables peaked near 8.4 MB
+    symbol.cache_clear()
+    tracemalloc.start()
+    try:
+        symbol(n, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_lambda_tilde_constant_zero():
