@@ -10,20 +10,17 @@ and nonlinear functions are evaluated on the samples.
 
 The frame is walked by theta rows: row j pairs the node theta_j with
 every sample phi_p, at alpha = phi_p - theta_j, so the samples are plain
-m-vectors broadcast against a block's node values, and every
-alpha-dependent factor (1/alpha, 1/alpha^2, log 4 sin^2(alpha/2)) is
-read from the read-only circulant view curve.alpha_rows of an m-table.
-The (n, m) frame is never formed.  right_hand_sides serves any set of
-FORMS from one pass over blocks of max(1, _BLOCK // m) theta rows, so
-that the buffers stay in cache: a block fills the chord, |chord|^2,
-1/chord and 1/chord^2, and checks the arc-chord floor on its rows, only
-when a requested integrand reads them.  A block does only the
-elementwise work the singular structure needs; every form sums its rows
-by row dots, against fixed sample vectors or the jump, with out= into
-(n,) accumulators it owns, and combines them into its field once per
-walk (its finish).  One _Frame object is the walk, and every integrand
-a closure over it; its block buffers are allocated once per thread and
-refilled with out= by every block of every pass.
+m-vectors, and every alpha-dependent factor (1/alpha, 1/alpha^2,
+log 4 sin^2(alpha/2)) is read from the read-only circulant view
+curve.alpha_rows of an m-table.  The (n, m) frame is never formed.
+right_hand_sides serves any set of FORMS from one walk (_Frame) over
+blocks of max(1, _BLOCK // m) theta rows, whose buffers stay in cache.
+Each block runs one ordered pipeline, chord, |chord|^2 and the floor
+check, 1/|chord|^2, t, W, rotor, t rot, jump, as far as the requested
+forms read it, in a fixed set of thread buffers that each take a new
+quantity once the old one is dead.  Every form sums its rows by row dots
+issued at the stage where their operands are live, with out= into (n,)
+accumulators it owns, and combines them into its field once per walk.
 
 With the chord dz, W = 1/dz^2, t = 1/dz and the tension jump J, which
 stay exact elementwise differences, the row sums are:
@@ -70,6 +67,7 @@ import numbers
 import threading
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from types import SimpleNamespace
 from typing import Optional, get_args, get_type_hints
 
 import numpy as np
@@ -167,15 +165,61 @@ class SimState:
                        deriv=curve.derivative() if deriv is None else deriv)
 
 
+class _Block:
+    """The views of one (rows, m) block z that a walk reads, built once per
+    thread buffer and block shape (_Buffers.block).  Row j of a row dot,
+    one BLAS dot, is x.lhs[j] @ y.rhs[j] (or x.lhs[j] @ q[:, None] for a
+    fixed m-vector q); a real row dot g.lhs @ z.pairs lands as (re, im) in
+    a complex out.  flat_pairs is what _differences fills, and a float
+    block's screen is the bool view of its first bytes."""
+
+    def __init__(self, z: np.ndarray):
+        self.z = z
+        self.lhs = z[:, None, :]
+        if z.dtype == complex:
+            self.rhs = z[..., None]
+            self.flat_pairs = z.view(float)
+            self.pairs = self.flat_pairs.reshape(z.shape + (2,))
+            self.re, self.im = z.real, z.imag
+        else:
+            self.screen = z.reshape(-1).view(bool)[:z.size].reshape(z.shape)
+
+
 class _Buffers(threading.local):
-    """Each thread's frame-walk buffers, at most max(_BLOCK, m) elements
-    apiece."""
+    """Each thread's walk buffers: zeroed flat arrays by name, of at most
+    max(_BLOCK, m) elements each, and their _Block views by (name, block
+    shape).  An array that grows drops every view of the one it replaces,
+    so the arrays in flat are all the memory the views hold."""
 
     def __init__(self):
         self.flat = {}
+        self.views = {}
+
+    def block(self, name: str, shape: tuple) -> _Block:
+        view = self.views.get((name, shape))
+        if view is None:
+            size = math.prod(shape)
+            flat = self.flat.get(name)
+            if flat is None or flat.size < size:
+                dtype = float if name in ("r2", "f1") else complex
+                flat = self.flat[name] = np.zeros(size, dtype)
+                self.views = {key: v for key, v in self.views.items() if key[0] != name}
+            view = self.views[name, shape] = _Block(flat[:size].reshape(shape))
+        return view
 
 
 _BUFFERS = _Buffers()
+
+# role -> the role whose thread buffer it takes; every other role has a
+# buffer of its own name.  With the remainder, its dp and E take the blocks
+# of v and aJ, dead once the K form has read them.  Without it, nothing
+# reads the chord or t at the jump stage, so t rot (then v) overwrites the
+# chord, the jump t and aJ the rotor block.
+_SHARED = {True: {"dp": "t_rot", "e": "aj"},
+           False: {"t_rot": "c", "jump": "t", "aj": "rot"}}
+# the pipeline's stages, in order: a form's hook at a stage runs after the
+# stage has written its block and before the next one does
+_STAGES = ("r2", "t", "rot", "t_rot", "jump")
 
 
 @lru_cache(maxsize=16)
@@ -214,68 +258,62 @@ def _floor_screen(rho_floor: float, n: int, m: int) -> np.ndarray:
 
 def _differences(fine: np.ndarray, base: np.ndarray):
     """fill(rows, out) writes out[j, p] = fine[p] - base[rows][j] for
-    complex samples fine (m,) and nodes base (n,).
+    complex samples fine (m,) and nodes base (n,) into the (rows, 2m)
+    float view out of a complex block.
 
     The block is one real matrix product [1, -Re base_j, -Im base_j] @
-    [fine as (re, im) pairs; 1 0 1 0 ...; 0 1 0 1 ...] written into the
-    complex out.  Every product is exact, so each entry is the difference
-    rounded once, bit for bit the broadcast subtraction, which numpy runs
-    about three times slower on complex rows."""
+    [fine as (re, im) pairs; 1 0 1 0 ...; 0 1 0 1 ...].  Every product is
+    exact, so each entry is the difference rounded once, bit for bit the
+    broadcast subtraction, which numpy runs about three times slower on
+    complex rows."""
     fine = np.ascontiguousarray(fine).view(float)
     right = np.concatenate((fine[None], _pattern(len(fine) // 2)))
     left = np.stack([np.ones(len(base)), -base.real, -base.imag], axis=1)
 
-    def fill(rows: slice, out: np.ndarray) -> np.ndarray:
-        np.matmul(left[rows], right, out=out.view(float))
-        return out
+    def fill(rows: slice, out: np.ndarray):
+        np.matmul(left[rows], right, out=out)
 
     return fill
 
 
-def _row_dots(x: np.ndarray, y: np.ndarray, out: np.ndarray):
-    """out[j] = sum_p x[j, p] y[j, p] per row j, y of shape (rows, m) or
-    (m,), as one batched matrix product (one BLAS dot per row, whatever the
-    block) written into the complex (rows,) out."""
-    np.matmul(x[:, None, :], y[..., None], out=out[:, None, None])
+def _dot_out(sums: np.ndarray) -> np.ndarray:
+    """The (n, 1, 1) out of complex row dots into an (n,) accumulator."""
+    return sums[:, None, None]
 
 
-def _real_row_dots(g: np.ndarray, z: np.ndarray, out: np.ndarray):
-    """out[j] = sum_p g[j, p] z[j, p] per row j of a real g and a C-order
-    complex z: the (re, im) pair of each row lands in the complex out."""
-    np.matmul(g[:, None, :], z.view(float).reshape(z.shape + (2,)),
-              out=out.view(float).reshape(-1, 1, 2))
+def _pair_out(sums: np.ndarray) -> np.ndarray:
+    """The (n, 1, 2) out of real row dots into an (n,) complex accumulator."""
+    return sums.view(float).reshape(-1, 1, 2)
 
 
 class _Frame:
     """The (theta, alpha) quadrature frame of one state, and its walk.
 
-    A band-limited field is sampled once on the half-offset m-grid; row j
-    pairs theta_j with every sample phi_p, at alpha = phi_p - theta_j, and
-    every alpha factor is a read-only circulant view (curve.alpha_rows).
-    No (n, m) array is ever formed: integrate walks blocks of max(1,
-    _BLOCK // m) theta rows, and each integrand writes the alpha sums of
-    the block's rows with out= into (n,) accumulators its form owns, each
-    row's sum one contiguous reduction within one block.  buf views the
-    thread's flat arrays (_BUFFERS) in the block's C-order shape: a shorter
-    last block reads a prefix, and each walk refills the memory of the one
-    before, which arrays made per walk would fault in again.
+    integrate walks blocks of max(1, _BLOCK // m) theta rows through one
+    ordered pipeline (_STAGES), and the forms' hooks write the alpha sums
+    of the block's rows with out= into (n,) accumulators their forms own,
+    each row's sum one contiguous reduction within one block.  Every stage
+    writes into the thread's block buffers (_BUFFERS), placed once per
+    walk from the requested forms (_SHARED): the IMEX pair fills four
+    complex working blocks and a walk of every form seven, besides the
+    complex 1/|dz|^2 block, the same-shape tiles of a and conj(a) and two
+    float blocks.  A shorter last block reads prefixes of the same
+    buffers, the tiles' rows included, and each walk refills the memory of
+    the one before, which arrays made per walk would fault in again.
 
     The constructor builds what every form reads: X and X' from the
     state's coefficients by one folded inverse transform, X' as real
     samples x1 and as the complex a = X'(theta + alpha) and b =
-    X'(theta_j), and the chord filler.  The jump filler and each block's
-    geometry, t rot, rotor and jump wait for their first read: a
-    position-only walk runs no T(X'), so a vanished tangent reaches
-    _position_form's abort, and a dissipation-only walk no chord block or
-    floor check.
+    X'(theta_j), and the chord filler.  The jump filler waits for the
+    first walk that reads the jump: a position-only walk runs no T(X'), so
+    a vanished tangent reaches _position_form's abort, and a
+    dissipation-only walk builds no chord block and runs no floor check.
     """
 
     def __init__(self, state: SimState):
         n, m = state.curve.n, state.m
         self.state = state
         self.height = min(n, max(1, _BLOCK // m))  # theta rows per block
-        self._views = {}
-        self._shape = None
         both = half_offset_values(
             np.concatenate((state.curve.coeffs, state.deriv.coeffs), axis=1), m)
         self.x1 = np.ascontiguousarray(both[:, 2:])
@@ -294,75 +332,75 @@ class _Frame:
         which each walk writes."""
         return np.empty(self.state.curve.n, dtype=complex)
 
-    def integrate(self, integrands):
-        """Walk the blocks, calling each integrand, a function of no
-        argument that writes the alpha sums of the current block's rows
-        into its form's accumulators.
+    def integrate(self, forms, hooks):
+        """Walk the blocks through the pipeline for the forms (names from
+        FORMS, in FORMS order), whose hooks are one dict stage ->
+        hook(plan, rows) per form: plan holds the block's _Block views by
+        role.  Per block, the stages a form reads run in order:
+
+        - "r2": the chord c = conj(dz), |dz|^2 (c.imag^2 and the floor
+          screen in the second float block), the floor check and 1/|dz|^2
+          in the real half of a complex block, whose imaginary half stays
+          zero, so that t = c (1/|dz|^2) is a complex product;
+        - "t": t = 1/dz, then W = t^2;
+        - "rot": the rotor t c;
+        - "t_rot": t rot = W c;
+        - "jump": J = T(X'(theta + alpha)) - T(X'(theta)).
 
         The floor check is a coarse guard on the step's m alphas, the
         per-record arc_chord (8n) the margin."""
         n, m = self.state.curve.n, self.state.m
+        roles = set().union(*(_FORM_ROLES[form] for form in forms))
+        shared = _SHARED["remainder" in forms]
+        places = {role: shared.get(role, role) for role in sorted(roles)}
+        r2_hooks, t_hooks, rot_hooks, t_rot_hooks, jump_hooks = (
+            [h[stage] for h in hooks if stage in h] for stage in _STAGES)
+        chord, w, rot, t_rot, jump = (
+            role in roles for role in ("c", "w", "rot", "t_rot", "jump"))
+        plans = {}
         for start in range(0, n, self.height):
-            self.rows = slice(start, min(start + self.height, n))
-            shape = (self.rows.stop - start, m)
-            if shape != self._shape:
-                self._shape = shape
-                self._views.clear()
-            self._geometry = self._t_rot = self._rot = self._jump = None
-            for integrand in integrands:
-                integrand()
+            rows = slice(start, min(start + self.height, n))
+            plan = plans.get(rows.stop - start)
+            if plan is None:
+                shape = (rows.stop - start, m)
+                plan = plans[shape[0]] = SimpleNamespace(**{
+                    role: _BUFFERS.block(name, shape) for role, name in places.items()})
+                if start == 0:  # a shorter last block reads these rows
+                    if "a" in places:
+                        np.copyto(plan.a.z, self.a)
+                    if "conj_a" in places:
+                        np.conjugate(self.a, out=plan.conj_a.z)
+            if chord:
+                c, t = plan.c.z, plan.t.z
+                self.chords(rows, plan.c.flat_pairs)
+                r2 = np.square(plan.c.re, out=plan.r2.z)
+                r2 += np.square(plan.c.im, out=plan.f1.z)
+                self.check_floor(r2, rows, plan.f1.screen)
+                np.divide(1.0, r2, out=plan.inv.re)
+                for hook in r2_hooks:
+                    hook(plan, rows)
+                np.multiply(c, plan.inv.z, out=t)
+                if w:
+                    np.square(t, out=plan.w.z)
+                for hook in t_hooks:
+                    hook(plan, rows)
+                if rot:
+                    np.multiply(t, c, out=plan.rot.z)
+                for hook in rot_hooks:
+                    hook(plan, rows)
+                if t_rot:
+                    np.multiply(plan.w.z, c, out=plan.t_rot.z)
+                for hook in t_rot_hooks:
+                    hook(plan, rows)
+            if jump:
+                self.jumps(rows, plan.jump.flat_pairs)
+                for hook in jump_hooks:
+                    hook(plan, rows)
 
     def field(self, sums: np.ndarray) -> np.ndarray:
         """The half-offset rule over alpha, (2 pi / m) sums, of an (n,)
         complex accumulator, as a real (n, 2) field."""
         return (sums * (2.0 * np.pi / self.state.m)).view(float).reshape(-1, 2)
-
-    def buf(self, name: str, dtype=complex) -> np.ndarray:
-        """The named buffer of the current block."""
-        view = self._views.get(name)
-        if view is None:
-            size = math.prod(self._shape)
-            flat = _BUFFERS.flat.get((name, dtype))
-            if flat is None or flat.size < size:
-                flat = _BUFFERS.flat[name, dtype] = np.empty(size, dtype)
-            view = self._views[name] = flat[:size].reshape(self._shape)
-        return view
-
-    def geometry(self):
-        """c = conj(dz), |c|^2, 1/|c|^2, t = 1/dz and W = t^2 of the block."""
-        if self._geometry is None:
-            buf = self.buf
-            c = self.chords(self.rows, buf("c"))
-            r2 = np.square(c.real, out=buf("r2", float))
-            inv_r2 = np.square(c.imag, out=buf("inv_r2", float))
-            r2 += inv_r2
-            # inv_r2 is free until its division: its bytes hold the screen
-            self.check_floor(r2, self.rows, inv_r2.view(bool)[:, :r2.shape[1]])
-            np.divide(1.0, r2, out=inv_r2)
-            t = np.multiply(c, inv_r2, out=buf("t"))
-            w = np.square(t, out=buf("w"))
-            self._geometry = c, r2, inv_r2, t, w
-        return self._geometry
-
-    def t_rot(self) -> np.ndarray:
-        """t rot = W conj(dz) = W c, built from W without the rotor."""
-        if self._t_rot is None:
-            c, _, _, _, w = self.geometry()
-            self._t_rot = np.multiply(w, c, out=self.buf("t_rot"))
-        return self._t_rot
-
-    def rot(self) -> np.ndarray:
-        """The rotor conj(dz)/dz = conj(dz)^2/|dz|^2 = t c."""
-        if self._rot is None:
-            c, _, _, t, _ = self.geometry()
-            self._rot = np.multiply(t, c, out=self.buf("rot"))
-        return self._rot
-
-    def jump(self) -> np.ndarray:
-        """T(X'(theta + alpha)) - T(X'(theta)) for the vector tension map."""
-        if self._jump is None:
-            self._jump = self.jumps(self.rows, self.buf("jump"))
-        return self._jump
 
     def check_floor(self, r2: np.ndarray, rows: slice, screen: np.ndarray):
         """Abort if min sqrt(r2)/|alpha| over the block's rows is below the
@@ -387,8 +425,8 @@ class _Frame:
 
 
 def _bi_form(frame: _Frame):
-    """The full-Stokeslet position form: its integrand, and a finish that
-    adds the spectral log part and divides by 4 pi.
+    """The full-Stokeslet position form: its hooks, and a finish that adds
+    the spectral log part and divides by 4 pi.
 
     The log part of the kernel is split into log(|delta X| / |2 sin(a/2)|)
     (smooth, quadrature) plus the periodic log kernel handled by its exact
@@ -410,16 +448,19 @@ def _bi_form(frame: _Frame):
     # force values at theta_j + alpha from the trigonometric interpolant
     # of the padded samples
     fs = as_complex(half_offset_samples(force_fine, state.m))
+    fs_col, fs_pairs = fs[:, None], fs.view(float).reshape(-1, 2)
     log_s2 = frame.alpha_factor("log_4sin2")
     s_log, s_rot = frame.accumulator(), frame.accumulator()
+    log_out, rot_out = _pair_out(s_log), _dot_out(s_rot)
 
-    def integrand():
-        _, r2, _, _, _ = frame.geometry()
-        rows = frame.rows
-        smooth_log = np.log(r2, out=frame.buf("r0", float))
+    def at_r2(plan, rows):
+        # the smooth log over |dz|^2, which nothing reads after 1/|dz|^2
+        smooth_log = np.log(plan.r2.z, out=plan.r2.z)
         smooth_log -= log_s2[rows]
-        _real_row_dots(smooth_log, fs, s_log[rows])
-        _row_dots(frame.rot(), fs, s_rot[rows])
+        np.matmul(plan.r2.lhs, fs_pairs, out=log_out[rows])
+
+    def at_rot(plan, rows):
+        np.matmul(plan.rot.lhs, fs_col, out=rot_out[rows])
 
     # exact product quadrature for the periodic log kernel
     k = wavenumbers(2 * n).astype(float)
@@ -430,7 +471,7 @@ def _bi_form(frame: _Frame):
         sums = 0.5 * (fs.sum() + np.conj(s_rot) - s_log)
         return (frame.field(sums) + log_part) / FOUR_PI
 
-    return integrand, finish
+    return {"r2": at_r2, "rot": at_rot}, finish
 
 
 def _position_form(frame: _Frame):
@@ -446,15 +487,18 @@ def _position_form(frame: _Frame):
     if float(mag.min()) == 0.0:
         raise SimulationAbort(state.t, "tangent vector vanished")
     q = a * a * (state.law.eval(mag) / mag / FOUR_PI)
+    q_col = q[:, None]
     s_t, s_t_rot = frame.accumulator(), frame.accumulator()
+    t_out, t_rot_out = _dot_out(s_t), _dot_out(s_t_rot)
 
-    def integrand():
-        _, _, _, t, _ = frame.geometry()
-        rows = frame.rows
-        _row_dots(t, q, s_t[rows])
-        _row_dots(frame.t_rot(), q, s_t_rot[rows])
+    def at_t(plan, rows):
+        np.matmul(plan.t.lhs, q_col, out=t_out[rows])
 
-    return integrand, lambda: frame.field(0.5 * (s_t + np.conj(s_t_rot)))
+    def at_t_rot(plan, rows):
+        np.matmul(plan.t_rot.lhs, q_col, out=t_rot_out[rows])
+
+    return ({"t": at_t, "t_rot": at_t_rot},
+            lambda: frame.field(0.5 * (s_t + np.conj(s_t_rot))))
 
 
 def _kernel_form(frame: _Frame):
@@ -471,49 +515,54 @@ def _kernel_form(frame: _Frame):
     dots, with sum conj(W) g = conj(sum W g) for real g and sum V conj(aJ) =
     conj(sum conj(V) a J), conj(V) = W rot = t (t rot).  A block writes the
     three row sums; the node values join them once per walk."""
-    a, b = frame.a, frame.b
-    a_conj = np.conj(a)
+    b = frame.b
     s_w, s_v, s_g = frame.accumulator(), frame.accumulator(), frame.accumulator()
+    w_out, v_out, g_out = _dot_out(s_w), _dot_out(s_v), _pair_out(s_g)
 
-    def integrand():
-        _, _, _, t, w = frame.geometry()
-        jump, buf, rows = frame.jump(), frame.buf, frame.rows
-        aj = np.multiply(a, jump, out=buf("c0"))
-        v_conj = np.multiply(t, frame.t_rot(), out=buf("c1"))
-        _row_dots(w, aj, s_w[rows])
-        _row_dots(v_conj, aj, s_v[rows])
-        # Im(conj(a) J), copied contiguous so that its row dots run in BLAS
-        g = buf("r0", float)
-        np.copyto(g, np.multiply(a_conj, jump, out=v_conj).imag)
-        _real_row_dots(g, w, s_g[rows])
+    def at_t_rot(plan, rows):
+        # conj(V) over t rot, which the position form has read by now
+        np.multiply(plan.t.z, plan.t_rot.z, out=plan.t_rot.z)
+
+    def at_jump(plan, rows):
+        aj = plan.aj
+        np.multiply(plan.a.z, plan.jump.z, out=aj.z)
+        np.matmul(plan.w.lhs, aj.rhs, out=w_out[rows])
+        np.matmul(plan.t_rot.lhs, aj.rhs, out=v_out[rows])
+        # Im(conj(a) J) over aJ, copied contiguous into the dead |dz|^2
+        # block so that its row dots run in BLAS
+        np.multiply(plan.conj_a.z, plan.jump.z, out=aj.z)
+        np.copyto(plan.r2.z, aj.im)
+        np.matmul(plan.r2.lhs, plan.w.pairs, out=g_out[rows])
 
     def finish():
         return frame.field((1j * b * s_w.imag + np.conj(b * (s_v - 1j * s_g)))
                            / FOUR_PI)
 
-    return integrand, finish
+    return {"t_rot": at_t_rot, "jump": at_jump}, finish
 
 
-def _remainder_coefficients(a, b, c, inv_al, inv_r2, t, w, buf):
+def _remainder_coefficients(a, b, inv_al, c, inv_r2, t, w, dp, e, coef_i, scratch):
     """coef_i and conj(coef_c) of A(a, b, d) v / alpha^2 = (coef_i v +
     coef_c conj(rot v)) / 4 pi at the chord dz = alpha d (see
     _remainder_form), from c = conj(dz), 1/alpha, 1/|dz|^2, t = 1/dz and
-    W = t^2, in the arrays buf(name) or buf(name, float) (see _Frame.buf)."""
-    d = np.conjugate(c, out=buf("c2"))
+    W = t^2.  coef_i is written into the real array coef_i and conj(coef_c)
+    into t, which it returns; c ends as b - d, dp as conj(dp) dm, and e
+    and the real scratch are scratch."""
+    d = np.conjugate(c, out=c)
     d *= inv_al
-    dp = np.subtract(a, d, out=buf("c0"))
+    np.subtract(a, d, out=dp)
     dm = np.subtract(b, d, out=d)
-    e = np.add(dp, dm, out=buf("c1"))
+    np.add(dp, dm, out=e)
     e *= t
     e *= inv_al
-    conj_c = np.multiply(dp, dm, out=buf("c3"))
+    conj_c = np.multiply(dp, dm, out=t)
     conj_c *= w
-    coef_i = np.add(conj_c.real, e.real, out=buf("r0", float))
+    np.add(conj_c.real, e.real, out=coef_i)
     np.conjugate(dp, out=dp)
     dp *= dm
-    conj_c.real -= np.multiply(dp.real, inv_r2, out=buf("r1", float))
+    conj_c.real -= np.multiply(dp.real, inv_r2, out=scratch)
     conj_c.imag += e.imag
-    return coef_i, conj_c
+    return conj_c
 
 
 def _remainder_form(frame: _Frame):
@@ -532,37 +581,41 @@ def _remainder_form(frame: _Frame):
 
     so coef_i = Re C + Re E and conj(coef_c) = C - R + i Im E, and a row
     sums to sum coef_i J + conj(sum conj(coef_c) rot J): a real and a
-    complex row dot, joined and divided by 4 pi once per walk."""
-    a, b = frame.a, frame.b[:, None]
+    complex row dot, joined and divided by 4 pi once per walk.  At the
+    jump stage it runs after the K form, in the blocks of the chord, t,
+    |dz|^2, v and aJ, none of which is read after it."""
+    b = frame.b[:, None]
     inv_al = frame.alpha_factor("inv_alpha")
     s_i, s_c = frame.accumulator(), frame.accumulator()
+    i_out, c_out = _pair_out(s_i), _dot_out(s_c)
 
-    def integrand():
-        c, _, inv_r2, t, w = frame.geometry()
-        rows, jump = frame.rows, frame.jump()
-        coef_i, conj_c = _remainder_coefficients(a, b[rows], c, inv_al[rows],
-                                                 inv_r2, t, w, frame.buf)
-        _real_row_dots(coef_i, jump, s_i[rows])
-        _row_dots(np.multiply(conj_c, frame.rot(), out=conj_c), jump, s_c[rows])
+    def at_jump(plan, rows):
+        conj_c = _remainder_coefficients(
+            plan.a.z, b[rows], inv_al[rows], plan.c.z, plan.inv.re, plan.t.z, plan.w.z,
+            plan.dp.z, plan.e.z, plan.r2.z, plan.f1.z)
+        np.multiply(conj_c, plan.rot.z, out=conj_c)
+        np.matmul(plan.r2.lhs, plan.jump.pairs, out=i_out[rows])
+        np.matmul(plan.t.lhs, plan.jump.rhs, out=c_out[rows])
 
-    return integrand, lambda: frame.field((s_i + np.conj(s_c)) / FOUR_PI)
+    return {"jump": at_jump}, lambda: frame.field((s_i + np.conj(s_c)) / FOUR_PI)
 
 
 def _dissipation_form(frame: _Frame):
     """The 1/alpha^2 integrand of the tension jump, one real row dot per
     block: it reads no geometry."""
-    inv_al2 = frame.alpha_factor("inv_alpha2")
+    inv_al2 = frame.alpha_factor("inv_alpha2")[:, None, :]
     sums = frame.accumulator()
+    out = _pair_out(sums)
 
-    def integrand():
-        _real_row_dots(inv_al2[frame.rows], frame.jump(), sums[frame.rows])
+    def at_jump(plan, rows):
+        np.matmul(inv_al2[rows], plan.jump.pairs, out=out[rows])
 
-    return integrand, lambda: -frame.field(sums) / FOUR_PI
+    return {"jump": at_jump}, lambda: -frame.field(sums) / FOUR_PI
 
 
-# form -> builder of (integrand, finish) for one frame: the integrand writes
-# the alpha sums of the frame's current block rows into the form's
-# accumulators, and finish, called once after the walk, returns the field
+# form -> builder of (hooks, finish) for one frame: each hook writes the
+# alpha sums of a block's rows into the form's accumulators at its stage,
+# and finish, called once after the walk, returns the field
 _FORM_BUILDERS = {
     "position_bi": _bi_form,
     "position_reduced": _position_form,
@@ -571,6 +624,14 @@ _FORM_BUILDERS = {
     "dissipation": _dissipation_form,
 }
 FORMS = tuple(_FORM_BUILDERS)  # the right-hand sides one frame walk serves
+_CHORD = {"c", "r2", "f1", "inv", "t"}  # the roles of the "r2" and "t" stages
+_FORM_ROLES = {  # form -> the roles of its walk (see _SHARED)
+    "position_bi": _CHORD | {"rot"},
+    "position_reduced": _CHORD | {"w", "t_rot"},
+    "derivative": _CHORD | {"w", "t_rot", "jump", "aj", "a", "conj_a"},
+    "remainder": _CHORD | {"w", "rot", "jump", "dp", "e", "a"},
+    "dissipation": {"jump"},
+}
 
 
 def right_hand_sides(state: SimState, *forms: str) -> tuple:
@@ -593,10 +654,10 @@ def right_hand_sides(state: SimState, *forms: str) -> tuple:
         raise ValueError(f"rhs_position_bi needs m >= 2n = {2 * n} to sample "
                          f"its 2n-band force without aliasing, got m={state.m}")
     frame = _Frame(state)
-    distinct = list(dict.fromkeys(forms))
-    integrands, finishes = zip(*(_FORM_BUILDERS[f](frame) for f in distinct))
-    frame.integrate(integrands)
-    fields = {form: finish() for form, finish in zip(distinct, finishes)}
+    walked = [form for form in FORMS if form in forms]  # in pipeline order
+    hooks, finishes = zip(*(_FORM_BUILDERS[form](frame) for form in walked))
+    frame.integrate(walked, hooks)
+    fields = {form: finish() for form, finish in zip(walked, finishes)}
     return tuple(fields[f] for f in forms)
 
 

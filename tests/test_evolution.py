@@ -120,14 +120,11 @@ def test_kernel_apply_matches_matrix_kernels(rng):
         assert np.max(np.abs(as_complex(ref) - got)) < 1e-12 * scale
     alpha = rng.choice([-1.0, 1.0], 500) * rng.uniform(0.01, np.pi, 500)
     dz = alpha * zd
-    bufs = {}
-
-    def buf(name, dtype=complex):
-        return bufs.setdefault(name, np.empty(zv.shape, dtype))
-
-    coef_i, conj_c = _remainder_coefficients(za, zb, np.conj(dz), 1.0 / alpha,
-                                             1.0 / np.abs(dz) ** 2, 1.0 / dz,
-                                             1.0 / dz**2, buf)
+    coef_i = np.empty(zv.shape)
+    conj_c = _remainder_coefficients(za, zb, 1.0 / alpha, np.conj(dz),
+                                     1.0 / np.abs(dz) ** 2, 1.0 / dz, 1.0 / dz**2,
+                                     np.empty_like(zv), np.empty_like(zv), coef_i,
+                                     np.empty(zv.shape))
     got = (coef_i * zv + np.conj(conj_c * rot * zv)) / FOUR_PI
     ref = as_complex(np.einsum("...ij,...j->...i", kernel_A(a, b, d), v)) / alpha**2
     assert np.max(np.abs(ref - got)) < 1e-12 * np.max(np.abs(ref))
@@ -281,12 +278,51 @@ def test_a_frame_walked_twice_gives_the_same_fields(rng):
     from peskin_lab.evolution import _FORM_BUILDERS, _Frame
 
     frame = _Frame(block_test_state(96, 480, rng))
-    integrands, finishes = zip(*(_FORM_BUILDERS[form](frame) for form in FORMS))
-    frame.integrate(integrands)
+    hooks, finishes = zip(*(_FORM_BUILDERS[form](frame) for form in FORMS))
+    frame.integrate(FORMS, hooks)
     first = [finish() for finish in finishes]
-    frame.integrate(integrands)
+    frame.integrate(FORMS, hooks)
     for form, finish, want in zip(FORMS, finishes, first):
         assert np.array_equal(finish(), want), form
+
+
+IMEX_PAIR = ("derivative", "position_reduced")
+
+
+@pytest.mark.parametrize("n, m", [(512, 1024), (96, 480)])
+def test_a_walk_reads_nothing_of_another_states_walk(n, m, rng, monkeypatch):
+    # the thread buffers hold the tiles of the last walk's X': a walk of
+    # state B after one of state A must refill them, in the last, shorter
+    # block too
+    from peskin_lab import evolution
+
+    st = block_test_state(n, m, rng)
+    other = make_state(random_bandlimited_curve(rng, n), hookean(2.0), m=m)
+    for forms in (FORMS, IMEX_PAIR):
+        monkeypatch.setattr(evolution, "_BUFFERS", evolution._Buffers())
+        fresh = right_hand_sides(st, *forms)
+        monkeypatch.setattr(evolution, "_BUFFERS", evolution._Buffers())
+        right_hand_sides(other, *forms)
+        for form, got, want in zip(forms, right_hand_sides(st, *forms), fresh):
+            assert np.array_equal(got, want), form
+
+
+@pytest.mark.parametrize("n, m", [(512, 1024), (96, 480)])
+def test_a_walk_reads_nothing_of_another_form_sets_walk(n, m, rng, monkeypatch):
+    # a walk of every form places its quantities in other blocks than the
+    # IMEX pair and writes blocks the pair never does: the pair after it
+    # (and it after the pair) must still read a zero imaginary half of the
+    # 1/|dz|^2 block and only blocks it wrote itself
+    from peskin_lab import evolution
+
+    st = block_test_state(n, m, rng)
+    fresh = {}
+    for forms in (IMEX_PAIR, FORMS):
+        monkeypatch.setattr(evolution, "_BUFFERS", evolution._Buffers())
+        fresh[forms] = right_hand_sides(st, *forms)
+    for forms in (FORMS, IMEX_PAIR, FORMS):
+        for form, got, want in zip(forms, right_hand_sides(st, *forms), fresh[forms]):
+            assert np.array_equal(got, want), form
 
 
 def test_right_hand_sides_rejects_forms_before_the_walk():
@@ -641,21 +677,31 @@ def test_imex_step_memory_is_bounded():
 
 
 @pytest.mark.parametrize("forms, complex_blocks, float_blocks",
-                         [(("derivative", "position_reduced"), 7, 3), (FORMS, 10, 4)],
+                         [(IMEX_PAIR, 7, 2), (FORMS, 10, 2)],
                          ids=["imex", "every_form"])
 def test_walk_buffers_are_bounded(forms, complex_blocks, float_blocks, monkeypatch):
-    # the IMEX walk fills 7 complex and 3 float blocks, its floor screen
-    # inside one of them, and a walk of every form 10 and 4; one more block
-    # would raise the peak memory of every step or every verify
+    # the IMEX walk fills 7 complex blocks (four working blocks, the 1/|dz|^2
+    # block and the tiles of a and conj(a)) and 2 float ones, its floor
+    # screen inside one of them, and a walk of every form 10 and 2; one more
+    # block would raise the peak memory of every step or every verify.  The
+    # cached views hold no array but those counted, also after the arrays
+    # grow for longer blocks
     from peskin_lab import evolution
 
     cfg = config_from_file(CONFIGS / "rough.cfg")
     st = SimState.make(make_initial_curve(cfg), law_from_config(cfg), m=cfg.m)
-    monkeypatch.setattr(evolution._BUFFERS, "flat", {})
+    buffers = evolution._Buffers()
+    monkeypatch.setattr(evolution, "_BUFFERS", buffers)
     right_hand_sides(st, *forms)
     block = evolution._Frame(st).height * st.m
-    used = sum(flat.nbytes for flat in evolution._BUFFERS.flat.values())
+    used = sum(flat.nbytes for flat in buffers.flat.values())
     assert 0 < used <= block * (16 * complex_blocks + 8 * float_blocks)
+    monkeypatch.setattr(evolution, "_BLOCK", 2 * evolution._BLOCK)
+    right_hand_sides(st, *forms)
+    flats = list(buffers.flat.values())
+    assert buffers.views
+    for view in buffers.views.values():
+        assert any(view.z.base is flat for flat in flats)
 
 
 def test_repeated_walks_refill_the_thread_buffers():
