@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .curve import Curve, arc_chord, difference
+from .curve import Curve, arc_chord
 from .tension import TensionLaw, hookean, power_law, arctan_law, globalize
 from .kernels import stokeslet, kernel_K, kernel_K0, kernel_A, cancellation_residual
 from .operators import lambda_fourier, lambda_sine, lambda_tilde, half_lambda_norm, lp_project
@@ -12,7 +12,6 @@ from .evolution import SimConfig, SimState, Trajectory, right_hand_sides, simula
 __all__ = [
     "Curve",
     "arc_chord",
-    "difference",
     "TensionLaw",
     "hookean",
     "power_law",

@@ -8,30 +8,26 @@ on dyadic arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .curve import (half_offset_frame, half_offset_grid, lp_norm, magnitude,
-                    parseval_norm, power_spectrum, wavenumbers)
+                    power_spectrum)
 from .operators import lp_block_norms, symbol
 
 __all__ = [
     "MuWeight",
-    "check_mu_admissible",
-    "MuCheck",
     "construct_mu",
-    "nu_from_mu",
+    "sqrt_weight",
     "BesovParams",
     "besov_diff",
     "besov_lp",
     "cl_norm",
     "folded_gain",
     "fold_power",
-    "EmbeddingReport",
-    "embedding_audit",
 ]
 
 DEFAULT_BETA_POINTS = 2048
@@ -97,43 +93,6 @@ class MuWeight:
         return out[0] if scalar else out
 
 
-@dataclass(frozen=True)
-class MuCheck:
-    monotone: bool
-    doubling: bool
-    log_ratio: bool
-    floor: bool
-    interp_deviation: float = 0.0
-
-    @property
-    def admissible(self) -> bool:
-        return self.monotone and self.doubling and self.log_ratio and self.floor
-
-
-def check_mu_admissible(mu: MuWeight, c0: float = 2.0, j_top: int = 20,
-                        tol: float = 1e-9) -> MuCheck:
-    """Check the three weight predicates (plus the floor mu >= 1) on dyadics.
-
-    Tabulated weights satisfy the definition on their dyadic table; between
-    dyadics the log-linear interpolant can overshoot the log-ratio clause
-    slightly, which is reported as interp_deviation (monitored, not
-    asserted).  The unbounded-growth clause is not a finite check.
-    """
-    rs = 2.0 ** np.arange(0, j_top + 1, dtype=float)
-    vals = mu(rs)
-    monotone = bool(np.all(np.diff(vals) >= -tol))
-    doubling = bool(np.all(vals[1:] <= c0 * vals[:-1] + tol))
-    ratio = vals / _log4(rs)
-    log_ratio = bool(np.all(np.diff(ratio) <= tol))
-    floor = bool(np.all(vals >= 1.0 - tol))
-    mids = 2.0 ** (np.arange(0, j_top) + 0.5)
-    mid_ratio = mu(mids) / _log4(mids)
-    # worst log-ratio increase introduced by interpolation at midpoints
-    deviation = float(max(0.0, np.max(mid_ratio - ratio[:-1])))
-    return MuCheck(monotone=monotone, doubling=doubling, log_ratio=log_ratio,
-                   floor=floor, interp_deviation=deviation)
-
-
 def construct_mu(values: np.ndarray, j_top: int = 14) -> MuWeight:
     """Build an admissible weight under which f keeps a finite weighted norm.
 
@@ -159,16 +118,6 @@ def construct_mu(values: np.ndarray, j_top: int = 14) -> MuWeight:
     ratio = np.minimum.accumulate(mu / _log4(2.0 ** np.arange(len(mu))))
     mu = ratio * _log4(2.0 ** np.arange(len(mu)))
     return MuWeight(table=mu, label="constructed")
-
-
-def nu_from_mu(mu: MuWeight, c3: float, big_m: float) -> MuWeight:
-    """Equivalent weight nu = 1 + mu / (c3 max(1, M)); c3 >= 1."""
-    if c3 < 1.0:
-        raise ValueError("c3 must be at least 1")
-    scale = c3 * max(1.0, big_m)
-    fn = None if mu.fn is None else (lambda r: 1.0 + mu.fn(r) / scale)
-    return MuWeight(table=1.0 + np.asarray(mu.table) / scale,
-                    label=f"nu[{mu.label}]", fn=fn)
 
 
 def sqrt_weight(mu: MuWeight) -> MuWeight:
@@ -343,80 +292,3 @@ def _cl_norms(times: Sequence[float], snapshots: Sequence[np.ndarray],
         out.append(_diff_quadrature(norms, betas, params))
     return out
 
-
-# ---------------------------------------------------------------------------
-# embedding and interpolation audits
-
-# Empirical constants frozen from a calibration sweep over random trig
-# polynomials (seed 0, 50+ fields, N = 256, spectral decays 0.6..2.5);
-# observed maxima 0.10 and 0.77.  Regression guards only.
-EMB_LINF_CONST = 0.15
-EMB_BLOCK_CONST = 1.00
-INTERP_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class EmbeddingReport:
-    n_fields: int
-    linf_max_ratio: float
-    block_max_ratio: float
-    interp_max_excess: float
-    block_interp_max_ratio: float = 0.0
-    constants: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.linf_max_ratio <= self.constants.get("linf", EMB_LINF_CONST)
-            and self.block_max_ratio <= self.constants.get("block", EMB_BLOCK_CONST)
-            and self.interp_max_excess <= INTERP_TOL
-            and self.block_interp_max_ratio <= 1.0 + INTERP_TOL
-        )
-
-
-def embedding_audit(fields: Sequence[np.ndarray],
-                    beta_points: int = DEFAULT_BETA_POINTS) -> EmbeddingReport:
-    """Measure the sup-norm, lift-the-integrability and interpolation bounds.
-
-    For every field: ||f||_inf vs the (1/2; 2, 1) difference norm; the
-    block norm at (1/4; 4, 2) vs (1/2; 2, 2); the exact Fourier
-    interpolation ||f||_{H^1/2} <= ||f||_2^1/2 ||f||_{H^1}^1/2; and the
-    block interpolation at mixed exponents (exact with constant 1 by
-    Hoelder on the dyadic sums).
-    """
-    if len(fields) == 0:
-        raise ValueError("empty family")
-    r_linf = 0.0
-    r_block = 0.0
-    excess = 0.0
-    r_interp = 0.0
-    interp_cases = ((0.3, 0.25, 0.75, 2.0, 2.0), (0.5, 0.1, 0.9, 2.0, 1.0))
-    for f in fields:
-        f = np.asarray(f, dtype=float)
-        linf = float(lp_norm(magnitude(f, f.ndim == 2), np.inf))
-        b21 = besov_diff(f, BesovParams(0.5, 2, 1), beta_points=beta_points)
-        if b21 > 0:
-            r_linf = max(r_linf, linf / b21)
-        lhs = besov_lp(f, BesovParams(0.25, 4, 2))
-        rhs = besov_lp(f, BesovParams(0.5, 2, 2))
-        if rhs > 0:
-            r_block = max(r_block, lhs / rhs)
-        pw = power_spectrum(f)
-        k = np.abs(wavenumbers(f.shape[0])).astype(float)
-        h_half = parseval_norm(pw, k)
-        l2_h1 = parseval_norm(pw) * parseval_norm(pw, k**2)
-        excess = max(excess, (h_half**2 - l2_h1) / (2.0 * np.pi))
-        for theta, s1, s2, p, r in interp_cases:
-            mid = besov_lp(f, BesovParams(theta * s1 + (1 - theta) * s2, p, r))
-            ends = (besov_lp(f, BesovParams(s1, p, r)) ** theta
-                    * besov_lp(f, BesovParams(s2, p, r)) ** (1 - theta))
-            if ends > 0:
-                r_interp = max(r_interp, mid / ends)
-    return EmbeddingReport(
-        n_fields=len(fields),
-        linf_max_ratio=float(r_linf),
-        block_max_ratio=float(r_block),
-        interp_max_excess=float(excess),
-        block_interp_max_ratio=float(r_interp),
-        constants={"linf": EMB_LINF_CONST, "block": EMB_BLOCK_CONST},
-    )

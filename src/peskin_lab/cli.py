@@ -55,10 +55,8 @@ def main(argv=None) -> int:
     p_aud = sub.add_parser("audit", help="run a trajectory audit")
     p_aud.add_argument("--audit", required=True,
                        choices=["apriori", "smoothing", "stability",
-                                "equilibrium", "kernels", "operators"])
-    p_aud.add_argument("--config")
-    p_aud.add_argument("--samples", type=int, default=1000)
-    p_aud.add_argument("--seed", type=int, default=0)
+                                "equilibrium"])
+    p_aud.add_argument("--config", required=True)
 
     p_cmp = sub.add_parser("compare", help="stability audit on two curve files")
     p_cmp.add_argument("--in-a", dest="in_a", required=True)
@@ -247,16 +245,6 @@ def _cmd_norms(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    if args.audit in ("kernels", "operators"):
-        checks = _verify_kernels(args.samples, args.seed) \
-            if args.audit == "kernels" else _verify_operators(args.samples, args.seed)
-        passed = all(v <= tol for v, tol in checks.values())
-        print(json.dumps({"audit": args.audit, "passed": passed,
-                          "measured": {k: v for k, (v, _) in checks.items()}},
-                         sort_keys=True))
-        return 0 if passed else 1
-    if args.config is None:
-        raise ValueError(f"audit {args.audit} requires --config")
     cfg = config_from_file(args.config)
     if args.audit == "stability":
         report = diag.stability_audit(make_initial_curve(cfg),

@@ -1,4 +1,4 @@
-"""Closed planar curves on a uniform periodic grid and the difference calculus.
+"""Closed planar curves on a uniform periodic grid.
 
 A curve is sampled at theta_j = -pi + 2*pi*j/N and kept in sync with its
 Fourier coefficients.  All shifts f(theta + alpha) are realized spectrally
@@ -43,7 +43,6 @@ __all__ = [
     "spectral_derivative",
     "spectral_antiderivative",
     "antiderivative_multiplier",
-    "difference",
     "arc_chord",
     "enclosed_area",
     "read_curve",
@@ -360,11 +359,6 @@ class Curve:
         """The k = 0 mode (curve average), tracked as a plain point."""
         return self.coeffs[0].real.copy()
 
-    def with_mean(self, mean) -> "Curve":
-        c = self.coeffs.copy()
-        c[0] = np.asarray(mean, dtype=float)
-        return Curve.from_coeffs(c)
-
     def derivative(self, order: int = 1) -> "Curve":
         """X' (or higher) via the ik multiplier; mean of X' is zero."""
         return Curve.from_nodes(spectral_derivative(self.nodes, order))
@@ -382,37 +376,6 @@ class Curve:
         half = self.n // 2
         c_new[half] = c_new[n_new - half] = self.coeffs[half] / 2.0
         return Curve.from_coeffs(c_new)
-
-
-_VARIANTS = ("plain", "divided", "plus", "minus")
-
-
-def difference(values: np.ndarray, alpha: float, variant: str = "plain",
-               primitive: np.ndarray | None = None) -> np.ndarray:
-    """Samples of one of the difference operators on the theta grid.
-
-    variant "plain" is f(theta+alpha) - f(theta); "divided" is that over
-    alpha; "plus" is X'(theta+alpha) - D_alpha X; "minus" is X'(theta) -
-    D_alpha X.  For "plus"/"minus", values must hold the derivative field
-    X' and primitive the position samples X (the divided difference
-    D_alpha X is formed from it).
-    """
-    if alpha == 0.0:
-        raise ValueError("offset alpha must be nonzero")
-    if variant not in _VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    values = np.asarray(values, dtype=float)
-    if variant == "plain":
-        return spectral_shift(values, alpha) - values
-    if variant == "divided":
-        return (spectral_shift(values, alpha) - values) / alpha
-    if primitive is None:
-        raise ValueError("plus/minus variants need the primitive samples")
-    primitive = np.asarray(primitive, dtype=float)
-    divided = (spectral_shift(primitive, alpha) - primitive) / alpha
-    if variant == "plus":
-        return spectral_shift(values, alpha) - divided
-    return values - divided
 
 
 class ArcChord:

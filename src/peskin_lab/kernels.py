@@ -8,14 +8,11 @@ quantity is invariant under flipping that choice (R enters quadratically).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
-
 import numpy as np
 
 from .curve import magnitude
 
 __all__ = [
-    "KernelInput",
     "perp",
     "unit",
     "reflection",
@@ -26,10 +23,6 @@ __all__ = [
     "kernel_K",
     "kernel_A",
     "kernel_K0",
-    "BoundReport",
-    "a_bound_audit",
-    "a_beta_bound_audit",
-    "a_pair_bound_audit",
 ]
 
 FOUR_PI = 4.0 * np.pi
@@ -135,40 +128,6 @@ def cancellation_residual(u: np.ndarray, z: np.ndarray) -> np.ndarray:
     return magnitude(res)
 
 
-@dataclass(frozen=True)
-class KernelInput:
-    """The vector triple feeding the evolution kernels at one (theta, alpha).
-
-    a = X'(theta+alpha), b = X'(theta), d = D_alpha X(theta); the derived
-    differences are delta_plus = a - d and delta_minus = b - d.  Arrays of
-    shape (..., 2) batch many samples.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    d: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        d = np.asarray(self.d, dtype=float)
-        if a.shape[-1] != 2 or b.shape != a.shape or d.shape != a.shape:
-            raise ValueError("a, b, d must share a (..., 2) shape")
-        if np.any(magnitude(d) == 0.0):
-            raise ValueError("divided difference vanishes: arc-chord failure")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
-
-    @property
-    def delta_plus(self) -> np.ndarray:
-        return self.a - self.d
-
-    @property
-    def delta_minus(self) -> np.ndarray:
-        return self.b - self.d
-
-
 def _quad(u, m, v):
     return np.einsum("...i,...ij,...j->...", u, m, v)
 
@@ -242,116 +201,3 @@ def kernel_K0(a: np.ndarray, b: np.ndarray, delta_x: np.ndarray,
     scale = alpha**2 if alpha.ndim else alpha * alpha
     return kernel_K(a, b, d) / (scale[..., None, None] if alpha.ndim else scale)
 
-
-def _frob(m):
-    return np.sqrt(np.einsum("...ij,...ij->...", m, m))
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Outcome of a pointwise kernel-bound sweep."""
-
-    name: str
-    n_samples: int
-    constant: float
-    max_ratio: float
-    n_violations: int
-    passed: bool = dfield(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "passed", self.n_violations == 0)
-
-
-# Bound constants fitted once over calibration sweeps (2e5 random triples,
-# |d| >= rho, offsets up to 10x rho) and frozen with ~2x margin; the audits
-# are regression guards, not proofs.  Observed max ratios of the
-# unit-constant bounds: 0.24, 0.18, 0.18.
-A_BOUND_CONST = 0.50
-A_BETA_BOUND_CONST = 0.40
-A_PAIR_BOUND_CONST = 0.40
-
-
-def _check_floor(rho: float, *inputs: KernelInput) -> None:
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    if any(np.any(magnitude(inp.d) < rho) for inp in inputs):
-        raise ValueError("sample violates the arc-chord floor rho")
-
-
-def _bound_report(name: str, lhs: np.ndarray, bound: np.ndarray,
-                  constant: float) -> BoundReport:
-    # a zero bound forces every difference it carries to vanish, so lhs is
-    # exactly 0 there and its ratio is 0
-    ratio = np.where(bound > 0, lhs / np.where(bound > 0, bound, 1.0), 0.0)
-    return BoundReport(
-        name=name,
-        n_samples=int(lhs.size),
-        constant=constant,
-        max_ratio=float(np.max(ratio)) if lhs.size else 0.0,
-        n_violations=int(np.sum(lhs > bound + 1e-14)),
-    )
-
-
-def a_bound_audit(inp: KernelInput, rho: float,
-                  constant: float = A_BOUND_CONST) -> BoundReport:
-    """Check |A| <= C (rho^-2 |dp||dm| + rho^-1 (|dp| + |dm|)) samplewise.
-
-    dp/dm are the plus/minus differences a - d and b - d (the quadratic
-    and linear difference content of the five kernel terms); requires
-    |d| >= rho at every sample.  This is the pointwise form of the
-    quadratic-plus-linear difference estimate; in integrated norms the
-    plus/minus operators are interchangeable with the plain difference.
-    """
-    _check_floor(rho, inp)
-    lhs = _frob(kernel_A(inp.a, inp.b, inp.d))
-    dp = magnitude(inp.delta_plus)
-    dm = magnitude(inp.delta_minus)
-    bound = constant * (dp * dm / rho**2 + (dp + dm) / rho)
-    return _bound_report("A-pointwise", lhs, bound, constant)
-
-
-def a_beta_bound_audit(inp: KernelInput, inp_beta: KernelInput, rho: float,
-                       constant: float = A_BETA_BOUND_CONST) -> BoundReport:
-    """Check the translated-difference bound on delta_beta A.
-
-    inp holds the kernel data at theta, inp_beta the data at theta+beta.
-    The right-hand side combines the two pointwise bounds for the pieces
-    where the difference falls on the X' factors and on the divided
-    difference.
-    """
-    _check_floor(rho, inp, inp_beta)
-    lhs = _frob(kernel_A(inp_beta.a, inp_beta.b, inp_beta.d)
-                - kernel_A(inp.a, inp.b, inp.d))
-    dpp, dmm = magnitude(inp.delta_plus), magnitude(inp.delta_minus)
-    tb_dm = magnitude(inp_beta.delta_minus)
-    db_dp = magnitude(inp_beta.delta_plus - inp.delta_plus)
-    db_dm = magnitude(inp_beta.delta_minus - inp.delta_minus)
-    db_d = magnitude(inp_beta.d - inp.d)
-    b1 = (db_dp * tb_dm + dpp * db_dm) / rho**2 + (db_dp + db_dm) / rho
-    b2 = dpp * (tb_dm + dmm) * db_d / rho**3 + (dpp + dmm) * db_d / rho**2
-    return _bound_report("A-translated-difference", lhs, constant * (b1 + b2),
-                         constant)
-
-
-def a_pair_bound_audit(inp_x: KernelInput, inp_y: KernelInput, rho: float,
-                       constant: float = A_PAIR_BOUND_CONST) -> BoundReport:
-    """Check the two-curve bound on A[X] - A[Y] at matched samples.
-
-    rho plays the role of the smaller of the two arc-chord floors.
-    """
-    _check_floor(rho, inp_x, inp_y)
-    lhs = _frob(kernel_A(inp_x.a, inp_x.b, inp_x.d)
-                - kernel_A(inp_y.a, inp_y.b, inp_y.d))
-    dp_diff = magnitude(inp_x.delta_plus - inp_y.delta_plus)
-    dm_diff = magnitude(inp_x.delta_minus - inp_y.delta_minus)
-    d_diff = magnitude(inp_x.d - inp_y.d)
-    dm_x = magnitude(inp_x.delta_minus)
-    dp_y = magnitude(inp_y.delta_plus)
-    dm_y = magnitude(inp_y.delta_minus)
-    bound = constant * (
-        (dp_diff + dm_diff) / rho
-        + (dp_diff * dm_x + dm_diff * dp_y) / rho**2
-        + d_diff * (dm_y + dp_y) / rho**2
-        + d_diff * dm_y * dp_y / rho**3
-    )
-    return _bound_report("A-two-curve-difference", lhs, bound, constant)

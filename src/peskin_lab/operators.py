@@ -27,8 +27,7 @@ __all__ = [
     "lambda_sine",
     "lambda_tilde",
     "half_lambda_norm",
-    "lambda_tilde_eigenvalue_exact",
-    "lambda_s_lattice_eigenvalue",
+    "phi_profile",
     "LPFamily",
     "lp_family",
     "lp_project",
@@ -113,44 +112,6 @@ def half_lambda_norm(values: np.ndarray, m: int | None = None) -> float:
     if m is None:
         m = 8 * n
     return parseval_norm(power_spectrum(values), symbol(n, m).lam_tilde)
-
-
-def lambda_tilde_eigenvalue_exact(k: int) -> float:
-    """Closed form for (1/4pi) int (1 - cos k a)/a^2 da via the sine integral."""
-    from scipy.special import sici
-
-    if k == 0:
-        return 0.0
-    k = abs(int(k))
-    si, _ = sici(k * np.pi)
-    return float((k * si - (1.0 - np.cos(k * np.pi)) / np.pi) / (2.0 * np.pi))
-
-
-def lambda_s_lattice_eigenvalue(k: int, s: float, m_trunc: int = 1000) -> float:
-    """Validation-only: |k|^s recovered from the periodized lattice kernel.
-
-    Sums |alpha + 2 pi m|^(-1-s) over |m| <= m_trunc with a midpoint tail
-    correction, then integrates 2 C_s (1 - cos k alpha) against it.
-    """
-    from scipy.integrate import quad
-    from scipy.special import gamma
-
-    if not (0.0 < s < 2.0):
-        raise ValueError("s must lie in (0, 2)")
-    c_s = 2.0**s * gamma((1.0 + s) / 2.0) / (2.0 * np.sqrt(np.pi)
-                                             * abs(gamma(-s / 2.0)))
-    ms = 2.0 * np.pi * np.arange(1, m_trunc + 1)
-    edge = 2.0 * np.pi * (m_trunc + 0.5)
-
-    def kernel(alpha: float) -> float:
-        main = np.abs(alpha) ** (-1.0 - s) \
-            + np.sum((ms + alpha) ** (-1.0 - s) + (ms - alpha) ** (-1.0 - s))
-        tail = ((edge + alpha) ** (-s) + (edge - alpha) ** (-s)) / (2.0 * np.pi * s)
-        return main + tail
-
-    val, _ = quad(lambda a: 2.0 * c_s * (1.0 - np.cos(k * a)) * kernel(a),
-                  0.0, np.pi, limit=200)
-    return float(2.0 * val)  # even integrand, both half-lines
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ eigenvalues T'(|z|) and T(|z|)/|z|.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -29,45 +29,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TensionLaw:
-    """Scalar tension with derivatives and quantitative constants.
+    """Scalar tension T and its derivative T' = d1.
 
     eval/d1 must accept numpy arrays.  lam is the ellipticity floor
-    inf T' > 0 on the window; c1..c3 bound |DT|, |D^2 T|, |D^3 T| (None
-    means "local only", finite values are computed for globalized laws).
-    window is the stretch interval on which the law is trusted.
+    inf T' > 0 on the window, the stretch interval on which the law is
+    trusted.
     """
 
     name: str
     eval: Callable[[np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray], np.ndarray]
-    d2: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    d3: Optional[Callable[[np.ndarray], np.ndarray]] = None
     lam: float = 0.0
-    c1: Optional[float] = None
-    c2: Optional[float] = None
-    c3: Optional[float] = None
     window: Tuple[float, float] = (0.0, np.inf)
     vanishes_at_zero: bool = True
 
     def __call__(self, r):
         return self.eval(r)
-
-    def deriv(self, r, order: int = 1):
-        if order == 1:
-            return self.d1(r)
-        if order == 2:
-            return self.d2(r) if self.d2 is not None else _fd(self.d1, r)
-        if order == 3:
-            if self.d3 is not None:
-                return self.d3(r)
-            base = self.d2 if self.d2 is not None else (lambda s: _fd(self.d1, s))
-            return _fd(base, r)
-        raise ValueError("order must be 1, 2 or 3")
-
-
-def _fd(fn, r, h: float = 1e-5):
-    r = np.asarray(r, dtype=float)
-    return (fn(r + h) - fn(r - h)) / (2.0 * h)
 
 
 def hookean(k0: float = 1.0) -> TensionLaw:
@@ -78,12 +55,7 @@ def hookean(k0: float = 1.0) -> TensionLaw:
         name=f"hookean(k0={k0})",
         eval=lambda r: k0 * np.asarray(r, dtype=float),
         d1=lambda r: np.full_like(np.asarray(r, dtype=float), k0),
-        d2=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        d3=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         lam=k0,
-        c1=k0,
-        c2=0.0,
-        c3=0.0,
         window=(0.0, np.inf),
     )
 
@@ -104,25 +76,22 @@ def power_law(coef: float = 1.0, p: float = 2.0,
         name=f"power(coef={coef},p={p})",
         eval=lambda r: coef * np.asarray(r, dtype=float) ** p,
         d1=d1,
-        d2=lambda r: coef * p * (p - 1.0) * np.asarray(r, dtype=float) ** (p - 2.0),
-        d3=lambda r: coef * p * (p - 1.0) * (p - 2.0)
-        * np.asarray(r, dtype=float) ** (p - 3.0),
         lam=lam,
         window=window,
     )
 
 
 def arctan_law(window: Tuple[float, float] = (0.5, 2.0)) -> TensionLaw:
-    """Bounded tension T(r) = arctan(r)."""
+    """Bounded tension T(r) = arctan(r), trusted on the given window."""
     a, b = window
+    if not (0 < a < b):
+        raise ValueError("window must satisfy 0 < a < b")
     # both T' = 1/(1+r^2) and T/r are decreasing, so the floor is at r = b
     lam = float(min(1.0 / (1.0 + b * b), np.arctan(b) / b))
     return TensionLaw(
         name="arctan",
         eval=lambda r: np.arctan(np.asarray(r, dtype=float)),
         d1=lambda r: 1.0 / (1.0 + np.asarray(r, dtype=float) ** 2),
-        d2=lambda r: -2.0 * np.asarray(r, dtype=float)
-        / (1.0 + np.asarray(r, dtype=float) ** 2) ** 2,
         lam=lam,
         window=window,
     )
@@ -131,7 +100,7 @@ def arctan_law(window: Tuple[float, float] = (0.5, 2.0)) -> TensionLaw:
 def table_law(r_values, t_values) -> TensionLaw:
     """Monotone tension interpolated from (r, T) samples (PCHIP).
 
-    The law is defined on the sampled stretch range only: eval, d1 and d2
+    The law is defined on the sampled stretch range only: eval and d1
     raise ValueError for a stretch outside it (globalize extends the law).
     """
     from scipy.interpolate import PchipInterpolator
@@ -142,7 +111,6 @@ def table_law(r_values, t_values) -> TensionLaw:
         raise ValueError("table must be strictly increasing in r and T")
     interp = PchipInterpolator(r_values, t_values)
     d1 = interp.derivative()
-    d2 = interp.derivative(2)
     lo, hi = float(r_values[0]), float(r_values[-1])
     rs = np.linspace(lo, hi, 2049)
     lam = float(min(np.min(d1(rs)), np.min(interp(rs) / rs)))
@@ -165,7 +133,6 @@ def table_law(r_values, t_values) -> TensionLaw:
         name="table",
         eval=on_table(interp),
         d1=on_table(d1),
-        d2=on_table(d2),
         lam=lam,
         window=(lo, hi),
         vanishes_at_zero=False,
@@ -236,11 +203,8 @@ def globalize(law: TensionLaw, a: float, b: float) -> TensionLaw:
             out[mask] = piece(r[mask])
         return out
 
-    lam = float(min(s0, np.min(d1_window), db))
     # eigenvalues of DT are T' and T/r; T(0)=0 makes T/r an average of T'
-    c1 = float(max(s0, np.max(d1_window), db))
-    d2_window = np.abs(np.asarray(law.deriv(rs, 2), dtype=float))
-    c2 = float(max(np.max(d2_window), abs(2.0 * q2)))
+    lam = float(min(s0, np.min(d1_window), db))
     return TensionLaw(
         name=f"globalized[{law.name};{a},{b}]",
         eval=lambda r: _piecewise(r, lambda x: s0 * x,
@@ -249,8 +213,6 @@ def globalize(law: TensionLaw, a: float, b: float) -> TensionLaw:
         d1=lambda r: _piecewise(r, lambda x: s0, lambda x: da + 2.0 * q2 * (x - a),
                                 law.d1, lambda x: db),
         lam=lam,
-        c1=c1,
-        c2=c2,
         window=(0.0, np.inf),
         vanishes_at_zero=True,
     )

@@ -28,6 +28,21 @@ def random_bandlimited_curve(rng, n, modes=16, amp=0.2):
                             + random_trig_field(rng, n, modes, decay=3.0) * amp)
 
 
+def mu_admissible(mu, c0=2.0, j_top=20, tol=1e-9):
+    """The three weight predicates plus the floor mu >= 1, on dyadics 2^j.
+
+    Monotone, doubling with constant c0, and mu(r)/log(4+r) non-increasing.
+    Tabulated weights satisfy the definition on their dyadic table; the
+    unbounded-growth clause is not a finite check.
+    """
+    rs = 2.0 ** np.arange(0, j_top + 1, dtype=float)
+    vals = mu(rs)
+    return bool(np.all(np.diff(vals) >= -tol)
+                and np.all(vals[1:] <= c0 * vals[:-1] + tol)
+                and np.all(np.diff(vals / np.log(4.0 + rs)) <= tol)
+                and np.all(vals >= 1.0 - tol))
+
+
 def grid_lp(values, p):
     mag = np.abs(values) if values.ndim == 1 else np.hypot(values[:, 0],
                                                            values[:, 1])

@@ -17,7 +17,6 @@ from peskin_lab.besov import (
     BesovParams,
     MuWeight,
     besov_diff,
-    check_mu_admissible,
     construct_mu,
 )
 from peskin_lab.curve import Curve, spectral_derivative, spectral_shift, theta_grid, wavenumbers
@@ -42,6 +41,7 @@ from peskin_lab.evolution import (
 from peskin_lab.operators import lp_family, lp_project, symbol
 from peskin_lab.tension import hookean, power_law
 from peskin_lab.evolution import Trajectory
+from conftest import mu_admissible
 
 FOUR_PI = 4.0 * np.pi
 
@@ -303,8 +303,8 @@ def test_c11_mu_machinery(rng=None):
 
     f = grid_values(c)
     mu = construct_mu(f)
-    constructed_ok = check_mu_admissible(mu, c0=2.0).admissible
-    log_ok = check_mu_admissible(MuWeight.log4(), c0=2.0).admissible
+    constructed_ok = mu_admissible(mu, c0=2.0)
+    log_ok = mu_admissible(MuWeight.log4(), c0=2.0)
     params = BesovParams(0.5, 2, 1, mu)
     val = besov_diff(f, params, beta_points=1024)
     shifted = besov_diff(spectral_shift(f, 0.7), params, beta_points=1024)

@@ -9,19 +9,17 @@ from peskin_lab.besov import (
     MuWeight,
     besov_diff,
     besov_lp,
-    check_mu_admissible,
     cl_norm,
     construct_mu,
-    embedding_audit,
     fold_power,
     folded_gain,
-    nu_from_mu,
+    sqrt_weight,
 )
 from peskin_lab.curve import (fft_coeffs, grid_values, half_offset_frame,
-                              power_spectrum, shift_many, spectral_shift,
-                              theta_grid, wavenumbers)
+                              parseval_norm, power_spectrum, shift_many,
+                              spectral_shift, theta_grid, wavenumbers)
 from peskin_lab.operators import half_offset_grid, symbol
-from conftest import grid_lp, random_trig_field
+from conftest import grid_lp, mu_admissible, random_trig_field
 
 
 def unit_mode_field(n, k=1):
@@ -358,7 +356,7 @@ def test_cl_norm_dominates_snapshot_norms(rng):
 # --- weights ---------------------------------------------------------------------
 
 def test_log_weight_admissible():
-    assert check_mu_admissible(MuWeight.log4(), c0=2.0).admissible
+    assert mu_admissible(MuWeight.log4(), c0=2.0)
     # explicit doubling margin: log(4+2r)/log(4+r) <= 1 + log2/log4 < 2
     rs = np.logspace(0, 8, 200)
     mu = MuWeight.log4()
@@ -366,13 +364,13 @@ def test_log_weight_admissible():
 
 
 def test_one_weight_passes_finite_checks():
-    assert check_mu_admissible(MuWeight.one()).admissible
+    assert mu_admissible(MuWeight.one())
 
 
 def test_construct_mu_admissible(rng):
     f = random_trig_field(rng, 128, 40, decay=1.4)
     mu = construct_mu(f)
-    assert check_mu_admissible(mu, c0=2.0).admissible
+    assert mu_admissible(mu, c0=2.0)
 
 
 def test_construct_mu_band_limited_log_branch():
@@ -385,7 +383,7 @@ def test_construct_mu_band_limited_log_branch():
         assert abs(mu.table[j] - np.log(4.0 + 2.0**j)) < 1e-9
     # larger amplitudes dip below the cap early on but stay admissible
     mu_big = construct_mu(5.0 * unit_mode_field(64, k=2), j_top=14)
-    assert check_mu_admissible(mu_big).admissible
+    assert mu_admissible(mu_big)
     assert mu_big.table[14] <= np.log(4.0 + 2.0**14) + 1e-12
 
 
@@ -408,25 +406,20 @@ def test_nu_weight_relations(rng):
     mu = MuWeight.log4()
     big_m = 3.0
     c3 = 2.0
-    nu = nu_from_mu(mu, c3, big_m)
-    assert check_mu_admissible(nu).admissible
+    # the equivalent weight nu = 1 + mu / (c3 max(1, M)), c3 >= 1
+    scale = c3 * max(1.0, big_m)
+    nu = MuWeight(table=1.0 + mu.table / scale, fn=lambda r: 1.0 + mu(r) / scale)
+    assert mu_admissible(nu)
     a_mu = besov_diff(f, BesovParams(0.5, 2, 1, mu), beta_points=512)
     a_nu = besov_diff(f, BesovParams(0.5, 2, 1, nu), beta_points=512)
     assert a_nu <= 2.0 * a_mu + 1e-12
     assert a_mu <= c3 * max(1.0, big_m) * a_nu + 1e-12
 
 
-def test_nu_requires_c3_at_least_one():
-    with pytest.raises(ValueError):
-        nu_from_mu(MuWeight.log4(), 0.5, 1.0)
-
-
 def test_sqrt_weight_admissible(rng):
-    from peskin_lab.besov import sqrt_weight
-
     for base in (MuWeight.log4(), construct_mu(random_trig_field(rng, 128, 40))):
         w = sqrt_weight(base)
-        assert check_mu_admissible(w, c0=2.0).admissible
+        assert mu_admissible(w, c0=2.0)
 
 
 def test_mu_evaluation_interpolation():
@@ -436,35 +429,82 @@ def test_mu_evaluation_interpolation():
     assert abs(mu(8.0) - np.log(12.0)) < 1e-12
     assert mu(1.0) == mu(0.25)  # constant below r = 1
     assert mu(2.0**15) > mu(2.0**10)  # log-growth extension keeps increasing
-    # interpolation overshoot of the log-ratio clause stays small
-    chk = check_mu_admissible(mu, j_top=10)
-    assert chk.admissible
-    assert chk.interp_deviation < 0.01
+    # interpolation overshoot of the log-ratio clause at the dyadic
+    # midpoints stays small
+    assert mu_admissible(mu, j_top=10)
+    rs = 2.0 ** np.arange(0, 11, dtype=float)
+    mids = 2.0 ** (np.arange(0, 10) + 0.5)
+    ratio = mu(rs) / np.log(4.0 + rs)
+    assert np.max(mu(mids) / np.log(4.0 + mids) - ratio[:-1]) < 0.01
     # closed-form weights evaluate exactly everywhere
     assert abs(MuWeight.log4()(0.25) - np.log(4.25)) < 1e-14
 
 
 # --- embeddings -------------------------------------------------------------------
 
+# Empirical constants frozen from a calibration sweep over random trig
+# polynomials (seed 0, 50+ fields, N = 256, spectral decays 0.6..2.5);
+# observed maxima 0.10 and 0.77.  Regression guards only.
+EMB_LINF_CONST = 0.15
+EMB_BLOCK_CONST = 1.00
+INTERP_TOL = 1e-10
+
+
+def embedding_ratios(fields, beta_points):
+    """Worst case over fields of the sup-norm, lift-the-integrability and
+    interpolation bounds: (||f||_inf / (1/2; 2, 1) difference norm, block
+    norm (1/4; 4, 2) / (1/2; 2, 2), excess of the exact Fourier
+    interpolation ||f||_{H^1/2}^2 - ||f||_2 ||f||_{H^1} over 2 pi, block
+    interpolation at mixed exponents, exact with constant 1 by Hoelder on
+    the dyadic sums).  A zero denominator leaves its ratio out."""
+    r_linf = r_block = excess = r_interp = 0.0
+    interp_cases = ((0.3, 0.25, 0.75, 2.0, 2.0), (0.5, 0.1, 0.9, 2.0, 1.0))
+    for f in fields:
+        linf = grid_lp(f, np.inf)
+        b21 = besov_diff(f, BesovParams(0.5, 2, 1), beta_points=beta_points)
+        if b21 > 0:
+            r_linf = max(r_linf, linf / b21)
+        lhs = besov_lp(f, BesovParams(0.25, 4, 2))
+        rhs = besov_lp(f, BesovParams(0.5, 2, 2))
+        if rhs > 0:
+            r_block = max(r_block, lhs / rhs)
+        pw = power_spectrum(f)
+        k = np.abs(wavenumbers(f.shape[0])).astype(float)
+        h_half = parseval_norm(pw, k)
+        l2_h1 = parseval_norm(pw) * parseval_norm(pw, k**2)
+        excess = max(excess, (h_half**2 - l2_h1) / (2.0 * np.pi))
+        for theta, s1, s2, p, r in interp_cases:
+            mid = besov_lp(f, BesovParams(theta * s1 + (1 - theta) * s2, p, r))
+            ends = (besov_lp(f, BesovParams(s1, p, r)) ** theta
+                    * besov_lp(f, BesovParams(s2, p, r)) ** (1 - theta))
+            if ends > 0:
+                r_interp = max(r_interp, mid / ends)
+    return r_linf, r_block, excess, r_interp
+
+
+def embeddings_hold(ratios):
+    r_linf, r_block, excess, r_interp = ratios
+    return (r_linf <= EMB_LINF_CONST and r_block <= EMB_BLOCK_CONST
+            and excess <= INTERP_TOL and r_interp <= 1.0 + INTERP_TOL)
+
+
 def test_embedding_single_mode():
-    rep = embedding_audit([unit_mode_field(64)], beta_points=1024)
-    assert rep.passed
-    assert rep.linf_max_ratio < 0.15
+    ratios = embedding_ratios([unit_mode_field(64)], beta_points=1024)
+    assert embeddings_hold(ratios)
+    assert ratios[0] < 0.15
 
 
 def test_interpolation_exactness(rng):
     # H^{1/2} <= L2^{1/2} H1^{1/2} is Cauchy-Schwarz on the Fourier side
     fields = [random_trig_field(rng, 64, 20) for _ in range(10)]
-    rep = embedding_audit(fields, beta_points=512)
-    assert rep.interp_max_excess <= 1e-10
+    assert embedding_ratios(fields, beta_points=512)[2] <= 1e-10
 
 
 def test_embedding_sweep(rng):
     fields = [random_trig_field(rng, 128, int(rng.integers(2, 60)),
                                 decay=rng.uniform(0.6, 2.5))
               for _ in range(50)]
-    rep = embedding_audit(fields, beta_points=1024)
-    assert rep.passed
+    assert embeddings_hold(embedding_ratios(fields, beta_points=1024))
 
 
 def test_besov_lp_translation_invariance(rng):

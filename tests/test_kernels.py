@@ -4,16 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import peskin_lab.kernels as kern
+from peskin_lab.curve import magnitude
 from peskin_lab.kernels import (
-    KernelInput,
-    a_beta_bound_audit,
-    a_bound_audit,
-    a_pair_bound_audit,
     cancellation_residual,
     kernel_A,
     kernel_K,
     kernel_K0,
-    perp,
     projection,
     reflection,
     stokeslet,
@@ -229,57 +225,98 @@ def test_kernel_split_property(ax, ay, bx, by, dr, dphi):
     assert np.max(np.abs(direct - direct.T)) < 1e-13  # symmetric matrix
 
 
-# --- pointwise bound audits --------------------------------------------------
+# --- pointwise bounds on A ---------------------------------------------------
+
+# Bound constants fitted once over calibration sweeps (2e5 random triples,
+# |d| >= rho, offsets up to 10x rho) and frozen with ~2x margin; the checks
+# are regression guards, not proofs.  Observed max ratios of the
+# unit-constant bounds: 0.24, 0.18, 0.18.
+A_BOUND_CONST = 0.50
+A_BETA_BOUND_CONST = 0.40
+A_PAIR_BOUND_CONST = 0.40
+
+
+def frob(m):
+    return np.sqrt(np.einsum("...ij,...ij->...", m, m))
+
+
+def bound_check(lhs, bound):
+    """(max ratio lhs / bound, number of samples with lhs > bound)."""
+    # a zero bound forces every difference it carries to vanish, so lhs is
+    # exactly 0 there and its ratio is 0
+    ratio = np.where(bound > 0, lhs / np.where(bound > 0, bound, 1.0), 0.0)
+    return float(np.max(ratio)), int(np.sum(lhs > bound + 1e-14))
+
+
+def a_bound(a, b, d, rho):
+    """C (rho^-2 |dp||dm| + rho^-1 (|dp| + |dm|)) with dp = a - d, dm = b - d.
+
+    The pointwise form of the quadratic-plus-linear difference estimate,
+    valid where |d| >= rho; in integrated norms the plus/minus operators
+    are interchangeable with the plain difference.
+    """
+    assert np.all(magnitude(d) >= rho)
+    dp, dm = magnitude(a - d), magnitude(b - d)
+    return A_BOUND_CONST * (dp * dm / rho**2 + (dp + dm) / rho)
+
 
 def test_a_bound_zero_difference():
     v = np.array([0.5, 0.2])
-    rep = a_bound_audit(KernelInput(a=v, b=v, d=v), rho=0.1)
-    assert rep.passed and rep.max_ratio == 0.0
+    ratio, violations = bound_check(frob(kernel_A(v, v, v)), a_bound(v, v, v, 0.1))
+    assert violations == 0 and ratio == 0.0
 
 
 def test_a_bound_hand_case():
-    inp = KernelInput(a=np.array([0.0, 1.0]), b=np.array([0.0, 1.0]),
-                      d=np.array([1.0, 0.0]))
-    rep = a_bound_audit(inp, rho=1.0)
-    assert rep.passed
+    a = b = np.array([0.0, 1.0])
+    d = np.array([1.0, 0.0])
+    amat = kernel_A(a, b, d)
+    assert bound_check(frob(amat), a_bound(a, b, d, 1.0))[1] == 0
     # |A|_F = |diag(-4, 0)| / 4 pi = 1/pi; bound C (2 + 2 sqrt 2)
-    amat = kernel_A(inp.a, inp.b, inp.d)
     assert abs(np.sqrt(np.sum(amat**2)) - 1.0 / np.pi) < 1e-14
 
 
 def test_a_bound_sweep(rng):
     a, b, d = _random_inputs(rng, 10_000)
-    rep = a_bound_audit(KernelInput(a=a, b=b, d=d), rho=0.1)
-    assert rep.n_violations == 0
-    assert rep.max_ratio <= 1.0
-
-
-def test_a_bound_rejects_floor_violation():
-    inp = KernelInput(a=np.ones(2), b=np.ones(2), d=np.array([0.05, 0.0]))
-    with pytest.raises(ValueError):
-        a_bound_audit(inp, rho=0.1)
+    ratio, violations = bound_check(frob(kernel_A(a, b, d)), a_bound(a, b, d, 0.1))
+    assert violations == 0
+    assert ratio <= 1.0
 
 
 def test_a_beta_bound_sweep(rng):
+    # delta_beta A from the data at theta (a1, b1, d1) and theta + beta
+    # (a2, b2, d2): the pieces where the difference falls on the X' factors
+    # and on the divided difference
+    rho = 0.1
     a1, b1, d1 = _random_inputs(rng, 10_000, spread=0.5)
     a2, b2, d2 = _random_inputs(rng, 10_000, spread=0.5)
-    rep = a_beta_bound_audit(KernelInput(a=a1, b=b1, d=d1),
-                             KernelInput(a=a2, b=b2, d=d2), rho=0.1)
-    assert rep.n_violations == 0
+    assert np.all(magnitude(d1) >= rho) and np.all(magnitude(d2) >= rho)
+    lhs = frob(kernel_A(a2, b2, d2) - kernel_A(a1, b1, d1))
+    dpp, dmm = magnitude(a1 - d1), magnitude(b1 - d1)
+    tb_dm = magnitude(b2 - d2)
+    db_dp = magnitude((a2 - d2) - (a1 - d1))
+    db_dm = magnitude((b2 - d2) - (b1 - d1))
+    db_d = magnitude(d2 - d1)
+    on_tangents = (db_dp * tb_dm + dpp * db_dm) / rho**2 + (db_dp + db_dm) / rho
+    on_chord = dpp * (tb_dm + dmm) * db_d / rho**3 + (dpp + dmm) * db_d / rho**2
+    assert bound_check(lhs, A_BETA_BOUND_CONST * (on_tangents + on_chord))[1] == 0
 
 
 def test_a_pair_bound_sweep(rng):
+    # A[X] - A[Y] at matched samples; rho is the smaller of the two floors
+    rho = 0.1
     ax, bx, dx = _random_inputs(rng, 10_000, spread=0.5)
     ay, by, dy = _random_inputs(rng, 10_000, spread=0.5)
-    rep = a_pair_bound_audit(KernelInput(a=ax, b=bx, d=dx),
-                             KernelInput(a=ay, b=by, d=dy), rho=0.1)
-    assert rep.n_violations == 0
-
-
-def test_kernel_input_derived_fields(rng):
-    a, b, d = _random_inputs(rng, 10)
-    inp = KernelInput(a=a, b=b, d=d)
-    assert np.allclose(inp.delta_plus, a - d)
-    assert np.allclose(inp.delta_minus, b - d)
-    with pytest.raises(ValueError):
-        KernelInput(a=a, b=b, d=np.zeros_like(d))
+    assert np.all(magnitude(dx) >= rho) and np.all(magnitude(dy) >= rho)
+    lhs = frob(kernel_A(ax, bx, dx) - kernel_A(ay, by, dy))
+    dp_diff = magnitude((ax - dx) - (ay - dy))
+    dm_diff = magnitude((bx - dx) - (by - dy))
+    d_diff = magnitude(dx - dy)
+    dm_x = magnitude(bx - dx)
+    dp_y, dm_y = magnitude(ay - dy), magnitude(by - dy)
+    bound = A_PAIR_BOUND_CONST * (
+        (dp_diff + dm_diff) / rho
+        + (dp_diff * dm_x + dm_diff * dp_y) / rho**2
+        + d_diff * (dm_y + dp_y) / rho**2
+        + d_diff * dm_y * dp_y / rho**3
+    )
+    assert bound_check(lhs, bound)[1] == 0

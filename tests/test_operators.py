@@ -9,10 +9,8 @@ from peskin_lab.operators import (
     half_lambda_norm,
     half_offset_grid,
     lambda_fourier,
-    lambda_s_lattice_eigenvalue,
     lambda_sine,
     lambda_tilde,
-    lambda_tilde_eigenvalue_exact,
     lp_block_norms,
     lp_family,
     lp_project,
@@ -76,7 +74,6 @@ def test_lambda_tilde_first_eigenvalue():
     val, _ = quad(lambda a: (1.0 - np.cos(a)) / a**2, 0.0, np.pi, limit=200)
     oracle = 2.0 * val / (4.0 * np.pi)
     assert abs(closed - oracle) < 1e-12
-    assert abs(lambda_tilde_eigenvalue_exact(1) - oracle) < 1e-12
     assert abs(closed - 0.19345) < 1e-4
     n = 64
     quad_eig = symbol(n, 8 * n).lam_tilde[1]
@@ -266,6 +263,30 @@ def test_bernstein_bracket(m_exp, p, rng):
                 continue
             ratio = grid_lp(lambda_fourier(piece, m_exp), p) / (2.0 ** (j * m_exp) * base)
             assert lo <= ratio <= hi
+
+
+def lambda_s_lattice_eigenvalue(k, s, m_trunc=1000):
+    """|k|^s recovered from the periodized lattice kernel.
+
+    Sums |alpha + 2 pi m|^(-1-s) over |m| <= m_trunc with a midpoint tail
+    correction, then integrates 2 C_s (1 - cos k alpha) against it.
+    """
+    from scipy.special import gamma
+
+    c_s = 2.0**s * gamma((1.0 + s) / 2.0) / (2.0 * np.sqrt(np.pi)
+                                             * abs(gamma(-s / 2.0)))
+    ms = 2.0 * np.pi * np.arange(1, m_trunc + 1)
+    edge = 2.0 * np.pi * (m_trunc + 0.5)
+
+    def kernel(alpha):
+        main = np.abs(alpha) ** (-1.0 - s) \
+            + np.sum((ms + alpha) ** (-1.0 - s) + (ms - alpha) ** (-1.0 - s))
+        tail = ((edge + alpha) ** (-s) + (edge - alpha) ** (-s)) / (2.0 * np.pi * s)
+        return main + tail
+
+    val, _ = quad(lambda a: 2.0 * c_s * (1.0 - np.cos(k * a)) * kernel(a),
+                  0.0, np.pi, limit=200)
+    return 2.0 * val  # even integrand, both half-lines
 
 
 @pytest.mark.parametrize("k,s", [(1, 0.5), (3, 0.5), (1, 1.0), (2, 1.5)])
