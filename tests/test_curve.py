@@ -92,6 +92,21 @@ def test_grid_size_validation():
         Curve.from_nodes(np.zeros((17, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_curve_rejects_non_finite_values(bad):
+    # a nan node passed the nodes-coeffs agreement check, whose comparison
+    # is False for nan, and a run started from it aborted at t = 0
+    circle = Curve.circle(32)
+    nodes = circle.nodes.copy()
+    nodes[5, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Curve.from_nodes(nodes)
+    coeffs = circle.coeffs.copy()
+    coeffs[3, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Curve(nodes=circle.nodes, coeffs=coeffs)
+
+
 def divided_difference(x, alpha):
     """D_alpha X = (X(theta + alpha) - X(theta)) / alpha."""
     return (spectral_shift(x, alpha) - x) / alpha

@@ -566,6 +566,18 @@ def test_rk4_rejects_large_dt():
         step(st, 10.0 * cfl_limit(st), "rk4")
 
 
+def test_rk4_non_finite_stage_aborts(monkeypatch):
+    # a stage's nodes go non-finite: a numerical abort, not the ValueError
+    # that Curve raises for bad input
+    from peskin_lab import evolution
+
+    st = make_state(Curve.circle(32), m=128)
+    monkeypatch.setattr(evolution, "rhs_position_reduced",
+                        lambda state: np.full((state.curve.n, 2), np.nan))
+    with pytest.raises(SimulationAbort, match="non-finite"):
+        step(st, 0.5 * cfl_limit(st), "rk4")
+
+
 def test_rk4_fourth_order(rng):
     c = random_bandlimited_curve(rng, 32, modes=4, amp=0.15)
     law = hookean(1.0)
@@ -683,9 +695,10 @@ def test_walk_buffers_are_bounded(forms, complex_blocks, float_blocks, monkeypat
     # the IMEX walk fills 7 complex blocks (four working blocks, the 1/|dz|^2
     # block and the tiles of a and conj(a)) and 2 float ones, its floor
     # screen inside one of them, and a walk of every form 10 and 2; one more
-    # block would raise the peak memory of every step or every verify.  The
-    # cached views hold no array but those counted, also after the arrays
-    # grow for longer blocks
+    # block would raise the peak memory of every step or every verify.  Each
+    # owning array may add one cache line of alignment slack.  The cached
+    # views hold no array but those counted, also after the arrays grow for
+    # longer blocks
     from peskin_lab import evolution
 
     cfg = config_from_file(CONFIGS / "rough.cfg")
@@ -695,13 +708,32 @@ def test_walk_buffers_are_bounded(forms, complex_blocks, float_blocks, monkeypat
     right_hand_sides(st, *forms)
     block = evolution._Frame(st).height * st.m
     used = sum(flat.nbytes for flat in buffers.flat.values())
-    assert 0 < used <= block * (16 * complex_blocks + 8 * float_blocks)
+    assert 0 < used <= (block * (16 * complex_blocks + 8 * float_blocks)
+                        + 64 * (complex_blocks + float_blocks))
     monkeypatch.setattr(evolution, "_BLOCK", 2 * evolution._BLOCK)
     right_hand_sides(st, *forms)
     flats = list(buffers.flat.values())
     assert buffers.views
     for view in buffers.views.values():
         assert any(view.z.base is flat for flat in flats)
+
+
+@pytest.mark.parametrize("forms", [IMEX_PAIR, FORMS], ids=["imex", "every_form"])
+@pytest.mark.parametrize("scale", [1, 2], ids=["block", "doubled_block"])
+def test_walk_blocks_start_on_a_cache_line(forms, scale, monkeypatch):
+    # numpy aligns its arrays to 16 bytes only, and an elementwise pass over
+    # a block that starts off a 64-byte cache line took about twice as long
+    from peskin_lab import evolution
+
+    cfg = config_from_file(CONFIGS / "perturbed.cfg")
+    st = SimState.make(make_initial_curve(cfg), law_from_config(cfg), m=cfg.m)
+    buffers = evolution._Buffers()
+    monkeypatch.setattr(evolution, "_BUFFERS", buffers)
+    monkeypatch.setattr(evolution, "_BLOCK", scale * evolution._BLOCK)
+    right_hand_sides(st, *forms)
+    assert buffers.views
+    for (name, shape), view in buffers.views.items():
+        assert view.z.ctypes.data % 64 == 0, name
 
 
 def test_repeated_walks_refill_the_thread_buffers():
