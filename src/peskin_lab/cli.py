@@ -35,12 +35,13 @@ def main(argv=None) -> int:
     p_sim = sub.add_parser("simulate", help="run a configured evolution")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", help="override output.dir")
+    p_sim.set_defaults(run=_cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="identity sweeps for kernels and operators")
-    p_ver.add_argument("--suite", default="all",
-                       choices=["kernels", "operators", "formulation", "all"])
+    p_ver.add_argument("--suite", default="all", choices=[*_SUITES, "all"])
     p_ver.add_argument("--samples", type=int, default=1000)
     p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.set_defaults(run=_cmd_verify)
 
     p_nrm = sub.add_parser("norms", help="Besov norms of a curve file")
     p_nrm.add_argument("--in", dest="infile", required=True)
@@ -51,37 +52,28 @@ def main(argv=None) -> int:
     p_nrm.add_argument("--method", default="diff", choices=["diff", "lp"])
     p_nrm.add_argument("--field", default="derivative",
                        choices=["derivative", "position"])
+    p_nrm.set_defaults(run=_cmd_norms)
 
     p_aud = sub.add_parser("audit", help="run a trajectory audit")
-    p_aud.add_argument("--audit", required=True,
-                       choices=["apriori", "smoothing", "stability",
-                                "equilibrium"])
+    p_aud.add_argument("--audit", required=True, choices=list(_AUDITS))
     p_aud.add_argument("--config", required=True)
+    p_aud.set_defaults(run=_cmd_audit)
 
     p_cmp = sub.add_parser("compare", help="stability audit on two curve files")
     p_cmp.add_argument("--in-a", dest="in_a", required=True)
     p_cmp.add_argument("--in-b", dest="in_b", required=True)
     p_cmp.add_argument("--config", required=True)
+    p_cmp.set_defaults(run=_cmd_compare)
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "norms":
-            return _cmd_norms(args)
-        if args.command == "audit":
-            return _cmd_audit(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
+        return args.run(args)
     except SimulationAbort as exc:
         print(f"numerical abort at t={exc.t:.6g}: {exc.reason}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 def _cmd_simulate(args) -> int:
@@ -202,17 +194,18 @@ def _rel_l2(diff: np.ndarray, ref: np.ndarray) -> float:
     return num / den if den > 0 else num
 
 
+_SUITES = {  # verify --suite -> checks(samples, seed), in the order "all" runs
+    "kernels": _verify_kernels,
+    "operators": _verify_operators,
+    "formulation": lambda samples, seed: _verify_formulation(seed),
+}
+
+
 def _cmd_verify(args) -> int:
-    suites = ["kernels", "operators", "formulation"] if args.suite == "all" \
-        else [args.suite]
+    suites = list(_SUITES) if args.suite == "all" else [args.suite]
     failed = False
     for suite in suites:
-        if suite == "kernels":
-            checks = _verify_kernels(args.samples, args.seed)
-        elif suite == "operators":
-            checks = _verify_operators(args.samples, args.seed)
-        else:
-            checks = _verify_formulation(args.seed)
+        checks = _SUITES[suite](args.samples, args.seed)
         for name, (value, tol) in checks.items():
             ok = value <= tol
             failed |= not ok
@@ -244,22 +237,19 @@ def _cmd_norms(args) -> int:
     return 0
 
 
+_AUDITS = {  # audit --audit -> the report for a config
+    "apriori": lambda cfg: diag.apriori_audit(simulate(cfg), MuWeight.log4(),
+                                              law_from_config(cfg).lam),
+    "smoothing": lambda cfg: diag.smoothing_audit(
+        simulate(cfg), mode="rough" if cfg.init_kind == "random-sobolev" else "smooth"),
+    "stability": lambda cfg: diag.stability_audit(
+        make_initial_curve(cfg), law_from_config(cfg), cfg.horizon, cfg),
+    "equilibrium": lambda cfg: diag.equilibrium_audit(simulate(cfg)),
+}
+
+
 def _cmd_audit(args) -> int:
-    cfg = config_from_file(args.config)
-    if args.audit == "stability":
-        report = diag.stability_audit(make_initial_curve(cfg),
-                                      law_from_config(cfg), cfg.horizon,
-                                      cfg=cfg)
-    else:
-        traj = simulate(cfg)
-        if args.audit == "apriori":
-            report = diag.apriori_audit(traj, MuWeight.log4(),
-                                        law_from_config(cfg).lam)
-        elif args.audit == "smoothing":
-            mode = "rough" if cfg.init_kind == "random-sobolev" else "smooth"
-            report = diag.smoothing_audit(traj, mode=mode)
-        else:
-            report = diag.equilibrium_audit(traj)
+    report = _AUDITS[args.audit](config_from_file(args.config))
     print(json.dumps({"audit": report.name, "passed": report.passed,
                       "measured": report.measured,
                       "thresholds": report.thresholds,

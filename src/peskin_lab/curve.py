@@ -12,10 +12,9 @@ sampled fields.  It imports nothing from the package.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,7 +31,6 @@ __all__ = [
     "parseval_norm",
     "magnitude",
     "lp_norm",
-    "spectral_shift",
     "shift_many",
     "half_offset_frame",
     "half_offset_samples",
@@ -151,12 +149,6 @@ def lp_norm(mag: np.ndarray, p: float) -> np.ndarray:
     return (2.0 * np.pi * np.mean(mag**p, axis=-1)) ** (1.0 / p)
 
 
-def spectral_shift(values: np.ndarray, alpha: float) -> np.ndarray:
-    """Samples of f(theta + alpha) from samples of f, exact for band-limited f."""
-    k = wavenumbers(np.asarray(values).shape[0])
-    return apply_multiplier(values, np.exp(1j * k * alpha))
-
-
 def shift_many(values: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """Batched spectral shifts: result[m] = samples of f(theta + alphas[m]).
 
@@ -171,6 +163,23 @@ def shift_many(values: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     shifted = phase.reshape(phase.shape + (1,) * (values.ndim - 1)) * c[None]
     ph = _phase(n).reshape((1, n) + (1,) * (values.ndim - 1))
     return np.fft.ifft(shifted * ph, axis=1).real * n
+
+
+def _circulant(samples: np.ndarray, start: int, shape: tuple, steps: tuple) -> np.ndarray:
+    """The read-only view of shape + samples.shape[1:] over the samples
+    tiled three times, from tiled row start, moving steps[a] rows per index
+    along axis a of shape: no index array and no copy."""
+    ext = np.concatenate((samples,) * 3)
+    s = ext.strides
+    return np.lib.stride_tricks.as_strided(
+        ext[start:], shape + ext.shape[1:], tuple(k * s[0] for k in steps) + s[1:],
+        writeable=False)
+
+
+def _check_multiple(m: int, n: int):
+    if m <= 0 or m % n != 0:
+        raise ValueError(f"alpha grid size {m} must be a positive multiple "
+                         f"of the curve grid size {n}")
 
 
 def half_offset_frame(values: np.ndarray, m: int) -> np.ndarray:
@@ -191,11 +200,8 @@ def half_offset_frame(values: np.ndarray, m: int) -> np.ndarray:
     spectrum = np.fft.rfft(values, axis=0, norm="forward")
     if n % 2 == 0:
         spectrum[n // 2] *= 0.5  # the real Nyquist bin feeds both of +-n/2
-    ext = np.concatenate((np.fft.irfft(spectrum, big, axis=0, norm="forward"),) * 3)
-    s = ext.strides
-    return np.lib.stride_tricks.as_strided(
-        ext[big + big // (2 * m) - big // 2:], (m, n) + ext.shape[1:],
-        (big // m * s[0], big // n * s[0]) + s[1:], writeable=False)
+    return _circulant(np.fft.irfft(spectrum, big, axis=0, norm="forward"),
+                      big + big // (2 * m) - big // 2, (m, n), (big // m, big // n))
 
 
 def half_offset_samples(values: np.ndarray, m: int) -> np.ndarray:
@@ -212,32 +218,34 @@ def _half_offset_factor(n: int, m: int) -> np.ndarray:
 
 
 def half_offset_values(coeffs: np.ndarray, m: int) -> np.ndarray:
-    """Samples at the half-offset nodes -pi + (s + 1/2) 2 pi / m of the real
-    field with true coefficients coeffs, shape (n,) or (n, c) in FFT order.
+    """Samples at the half-offset nodes -pi + (s + 1/2) 2 pi / m, m >= n,
+    of the real field with true coefficients coeffs, shape (n,) or (n, c)
+    in FFT order.
 
-    The coefficients are folded modulo m, so one size-m inverse FFT
-    evaluates the field exactly at every node for any m.  The Nyquist mode
-    sits at wavenumber -n/2, as in shift_many, and is read as its real
-    part, the part the grid sees: the samples are those of the field that
-    grid_values(coeffs) holds.  Returns shape (m,) + coeffs.shape[1:].
+    The coefficients are placed in a size-m spectrum (k >= 0 at k, k < 0
+    at m + k), so one size-m inverse FFT evaluates the field exactly at
+    every node.  The Nyquist mode sits at wavenumber -n/2, as in
+    shift_many, and is read as its real part, the part the grid sees: the
+    samples are those of the field that grid_values(coeffs) holds.
+    Returns shape (m,) + coeffs.shape[1:].
     """
     coeffs = np.asarray(coeffs)
     n = coeffs.shape[0]
+    if m < n:
+        raise ValueError(f"half-offset grid size {m} is below the coefficient "
+                         f"count {n}: wavenumbers would fold")
     lift = (n,) + (1,) * (coeffs.ndim - 1)
     factor = _half_offset_factor(n, m)
     c = coeffs * factor.reshape(lift)
     if n % 2 == 0:
         c[n // 2] = coeffs[n // 2].real * factor[n // 2]
-    folded = np.zeros((m,) + coeffs.shape[1:], dtype=complex)
-    if m >= n:
-        # no two wavenumbers share a slot: k >= 0 at k, k < 0 at m + k;
-        # added into the zeros, as np.add.at does, for the same bits
-        half = (n + 1) // 2
-        folded[:half] += c[:half]
-        folded[m - n // 2:] += c[half:]
-    else:
-        np.add.at(folded, wavenumbers(n) % m, c)
-    return np.fft.ifft(folded, axis=0).real * m
+    # added into zeros, not assigned: a -0.0 part enters as +0.0, the
+    # bits of an np.add.at scatter
+    spectrum = np.zeros((m,) + coeffs.shape[1:], dtype=complex)
+    half = (n + 1) // 2
+    spectrum[:half] += c[:half]
+    spectrum[m - n // 2:] += c[half:]
+    return np.fft.ifft(spectrum, axis=0).real * m
 
 
 def half_offset_window(samples: np.ndarray, n: int) -> np.ndarray:
@@ -246,14 +254,8 @@ def half_offset_window(samples: np.ndarray, n: int) -> np.ndarray:
     window over the samples tiled three times: no index array and no copy.
     m must be a multiple of n."""
     m = len(samples)
-    if m <= 0 or m % n != 0:
-        raise ValueError(f"alpha grid size {m} must be a positive multiple "
-                         f"of the curve grid size {n}")
-    ext = np.concatenate((samples,) * 3)
-    s = ext.strides
-    return np.lib.stride_tricks.as_strided(
-        ext[m // 2:], (m, n) + ext.shape[1:], (s[0], m // n * s[0]) + s[1:],
-        writeable=False)
+    _check_multiple(m, n)
+    return _circulant(samples, m // 2, (m, n), (1, m // n))
 
 
 def alpha_rows(table: np.ndarray, n: int) -> np.ndarray:
@@ -263,13 +265,8 @@ def alpha_rows(table: np.ndarray, n: int) -> np.ndarray:
     read-only (n, m) view over the table tiled three times, with row stride
     -(m/n): no index array and no copy.  m must be a multiple of n."""
     m = len(table)
-    if m <= 0 or m % n != 0:
-        raise ValueError(f"alpha grid size {m} must be a positive multiple "
-                         f"of the curve grid size {n}")
-    ext = np.concatenate((table,) * 3)
-    s = ext.strides[0]
-    return np.lib.stride_tricks.as_strided(
-        ext[m + m // 2:], (n, m), (-(m // n) * s, s), writeable=False)
+    _check_multiple(m, n)
+    return _circulant(table, m + m // 2, (n, m), (-(m // n), 1))
 
 
 def as_complex(values: np.ndarray) -> np.ndarray:
@@ -281,16 +278,15 @@ def as_complex(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=float).view(complex)[..., 0]
 
 
-def spectral_derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
-    """Derivative d^order/dtheta^order via the ik multiplier.
+def spectral_derivative(values: np.ndarray) -> np.ndarray:
+    """Derivative d/dtheta via the ik multiplier.
 
-    The Nyquist mode is zeroed for odd orders (its derivative is not
-    representable on the grid).
+    The Nyquist mode is zeroed (its derivative is not representable on the
+    grid).
     """
     n = np.asarray(values).shape[0]
-    mult = (1j * wavenumbers(n).astype(float)) ** order
-    if order % 2 == 1:
-        mult[n // 2] = 0.0
+    mult = 1j * wavenumbers(n).astype(float)
+    mult[n // 2] = 0.0
     return apply_multiplier(values, mult)
 
 
@@ -376,9 +372,9 @@ class Curve:
         """The k = 0 mode (curve average), tracked as a plain point."""
         return self.coeffs[0].real.copy()
 
-    def derivative(self, order: int = 1) -> "Curve":
-        """X' (or higher) via the ik multiplier; mean of X' is zero."""
-        return Curve.from_nodes(spectral_derivative(self.nodes, order))
+    def derivative(self) -> "Curve":
+        """X' via the ik multiplier; mean of X' is zero."""
+        return Curve.from_nodes(spectral_derivative(self.nodes))
 
     def resampled(self, n_new: int) -> "Curve":
         """Same trigonometric polynomial sampled on an n_new grid."""
@@ -395,22 +391,10 @@ class Curve:
         return Curve.from_coeffs(c_new)
 
 
+@dataclass(frozen=True)
 class ArcChord:
-    """Grid approximation of the arc-chord number with a refinement estimate.
-
-    value is the level-2m grid infimum.  estimate, twice its distance from
-    the level-m infimum, costs a second level search, so it is computed
-    when it is first read and kept."""
-
-    def __init__(self, value: float, curve: Curve, m: int):
-        self.value = value
-        self._coarse = (curve, m)
-
-    @cached_property
-    def estimate(self) -> float:
-        # first-order refinement: the level difference matches the remaining
-        # error asymptotically, so report it with a safety factor of two
-        return 2.0 * abs(self.value - _arc_chord_level(*self._coarse))
+    """The arc-chord number's grid infimum on the level-8N grid."""
+    value: float
 
 
 _STRIDE, _SLACK = 16, 1e-9  # coarse row stride (8 and 32 were slower), slack
@@ -457,17 +441,14 @@ def _arc_chord_level(curve: Curve, m: int) -> float:
     return best
 
 
-def arc_chord(curve: Curve, m: int | None = None) -> ArcChord:
+def arc_chord(curve: Curve) -> ArcChord:
     """Arc-chord number: grid infimum of |X(theta+alpha)-X(theta)|/|alpha|.
 
-    Sampled over theta on the N-grid and alpha on a half-offset grid of
-    size 2m, m >= 4N; estimate reports the difference from the level m,
-    which is searched only when estimate is read.  Each level is the dense
-    grid infimum to the bit, from a Wiener-bound pruned row search.
-    Returns 0 exactly for degenerate curves.
+    Sampled over theta on the N-grid and alpha on the half-offset grid of
+    size 8N: the dense grid infimum to the bit, from a Wiener-bound pruned
+    row search.  Returns 0 exactly for degenerate curves.
     """
-    m = max(4 * curve.n if m is None else m, 4 * curve.n)
-    return ArcChord(_arc_chord_level(curve, 2 * m), curve, m)
+    return ArcChord(_arc_chord_level(curve, 8 * curve.n))
 
 
 def enclosed_area(curve: Curve) -> float:
@@ -478,25 +459,16 @@ def enclosed_area(curve: Curve) -> float:
 
 
 # ---------------------------------------------------------------------------
-# curve snapshot files: header "peskin-curve v1 N=<n>", then N lines "x y",
-# optionally followed by Fourier lines "k re_x im_x re_y im_y"
+# curve snapshot files: header "peskin-curve v1 N=<n>", then exactly N
+# lines "x y"
 
 _HEADER = "peskin-curve v1"
 
 
-def write_curve(curve: Curve, path, fourier: bool = False) -> None:
-    buf = io.StringIO()
-    buf.write(f"{_HEADER} N={curve.n}\n")
-    buf.write("".join([f"{x!r} {y!r}\n" for x, y in curve.nodes.tolist()]))
-    if fourier:
-        ks = wavenumbers(curve.n)
-        order = np.argsort(ks)
-        for i in order:
-            c = curve.coeffs[i]
-            buf.write(f"{int(ks[i])} {float(c[0].real)!r} {float(c[0].imag)!r} "
-                      f"{float(c[1].real)!r} {float(c[1].imag)!r}\n")
+def write_curve(curve: Curve, path) -> None:
+    text = "".join([f"{x!r} {y!r}\n" for x, y in curve.nodes.tolist()])
     with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+        fh.write(f"{_HEADER} N={curve.n}\n{text}")
 
 
 def read_curve(path) -> Curve:
@@ -508,11 +480,9 @@ def read_curve(path) -> Curve:
         n = int(lines[0].split("N=")[1])
     except (IndexError, ValueError) as exc:
         raise ValueError(f"{path}: malformed header {lines[0]!r}") from exc
-    if len(lines) < 1 + n:
-        raise ValueError(f"{path}: expected {n} node lines")
-    nodes = np.array(
-        [[float(tok) for tok in ln.split()] for ln in lines[1 : 1 + n]]
-    )
+    if len(lines) != 1 + n:
+        raise ValueError(f"{path}: header N={n} but {len(lines) - 1} node lines")
+    nodes = np.array([[float(tok) for tok in ln.split()] for ln in lines[1:]])
     if nodes.shape != (n, 2):
         raise ValueError(f"{path}: node lines must be 'x y'")
     return Curve.from_nodes(nodes)

@@ -10,7 +10,7 @@ once at desk scale and then frozen as regression guards.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -158,28 +158,24 @@ def _perturbation_shape(n: int) -> np.ndarray:
     return spectral_antiderivative(deriv / parseval_norm(power_spectrum(deriv)))
 
 
-def stability_audit(x0: Curve, law: TensionLaw, horizon: float,
-                    cfg: Optional[SimConfig] = None,
+def stability_audit(x0: Curve, law: TensionLaw, horizon: float, cfg: SimConfig,
                     k_range: Sequence[int] = range(3, 9),
                     ratio_max: float = STABILITY_RATIO_MAX,
                     y0: Optional[Curve] = None,
                     omega: Optional[MuWeight] = None) -> AuditReport:
     """Amplification of initial tangent-field perturbations, swept over sizes.
 
-    For each k the perturbed curve starts at L2 tangent distance
-    2^-k ||X0'||; the sup-in-time amplification ratios must stay below a
-    frozen constant and within a factor 2 of each other (no blow-up as the
-    perturbation vanishes).  Passing y0 compares just that pair instead.
+    Each run takes cfg over the horizon.  For each k the perturbed curve
+    starts at L2 tangent distance 2^-k ||X0'||; the sup-in-time ratios must
+    stay below a frozen constant and within a factor 2 of each other (no
+    blow-up as the perturbation vanishes).  y0 compares just that pair.
 
     The sup runs over every output time, t = 0 included, so a difference
     that only decays reads exactly 1.  ratios_after_start (the sup over
     t > 0) and final_ratios (the last output) are measured alongside, so
     that contraction shows; the verdict reads neither.
     """
-    if cfg is None:
-        cfg = SimConfig(n=x0.n, dt=1e-3, horizon=horizon, scheme="imex",
-                        output_stride=5)
-    cfg = SimConfig(**{**cfg.__dict__, "horizon": horizon})
+    cfg = replace(cfg, horizon=horizon)
     base = simulate(cfg, initial=x0, law=law)
     base_l2 = parseval_norm(power_spectrum(base.derivs[0].nodes))
     pairs = []

@@ -43,7 +43,7 @@ the next.  Its implicit part is a per-wavenumber solve, so it ends with the
 coefficients of X'; X's are those over ik, with the mean advanced by the
 averaged position velocity, and both node sets come from one inverse
 transform.  The frame samples X and X' from the state's coefficients with
-one folded inverse transform (curve.half_offset_values), so a step takes
+one size-m inverse transform (curve.half_offset_values), so a step takes
 one forward FFT (of the explicit term) and four inverse ones, two of them
 the Curve checks that nodes and coefficients agree.  Per-grid constants
 (the alpha tables, the difference pattern rows) are cached read-only.
@@ -145,8 +145,9 @@ class SimState:
     rho_floor: float
 
     @classmethod
-    def make(cls, curve: Curve, law: TensionLaw, t: float = 0.0,
-             m: Optional[int] = None, rho_floor: Optional[float] = None) -> "SimState":
+    def make(cls, curve: Curve, law: TensionLaw, m: Optional[int] = None,
+             rho_floor: Optional[float] = None) -> "SimState":
+        """The state at t = 0 on curve."""
         if m is None:
             m = 4 * curve.n
         if m <= 0 or m % curve.n != 0:
@@ -156,7 +157,7 @@ class SimState:
         deriv = curve.derivative()
         if rho_floor is None:
             rho_floor = _FLOOR_FRACTION * arc_chord(curve).value
-        return cls(t=t, curve=curve, deriv=deriv, law=law, m=m,
+        return cls(t=0.0, curve=curve, deriv=deriv, law=law, m=m,
                    rho_floor=rho_floor)
 
     def advanced(self, t: float, curve: Curve,
@@ -310,7 +311,7 @@ class _Frame:
     per walk would fault in again.
 
     The constructor builds what every form reads: X and X' from the
-    state's coefficients by one folded inverse transform, X' as real
+    state's coefficients by one size-m inverse transform, X' as real
     samples x1 and as the complex a = X'(theta + alpha) and b =
     X'(theta_j), and the chord filler.  The jump filler waits for the
     first walk that reads the jump: a position-only walk runs no T(X'), so
@@ -685,14 +686,12 @@ def rhs_position_reduced(state: SimState) -> np.ndarray:
     return right_hand_sides(state, "position_reduced")[0]
 
 
-def rhs_derivative(state: SimState, project: bool = True) -> np.ndarray:
-    """Tangent-field velocity from the matrix-kernel equation.
-
-    The output is projected to mean zero by default (the continuum
-    operator annihilates constants; quadrature leaves a tiny drift).
-    """
+def rhs_derivative(state: SimState) -> np.ndarray:
+    """Tangent-field velocity from the matrix-kernel equation, projected to
+    mean zero (the continuum operator annihilates constants; quadrature
+    leaves a tiny drift): right_hand_sides gives the raw field."""
     out, = right_hand_sides(state, "derivative")
-    return out - out.mean(axis=0) if project else out
+    return out - out.mean(axis=0)
 
 
 def remainder_V(state: SimState) -> np.ndarray:
@@ -753,7 +752,7 @@ def _step_rk4(state: SimState, dt: float) -> SimState:
         st = state.advanced(t, Curve.from_nodes(nodes))
         return rhs_position_reduced(st)
 
-    k1 = rhs_at(x0, state.t)
+    k1 = rhs_position_reduced(state)  # the state holds X and X' already
     k2 = rhs_at(x0 + 0.5 * dt * k1, state.t + 0.5 * dt)
     k3 = rhs_at(x0 + 0.5 * dt * k2, state.t + 0.5 * dt)
     k4 = rhs_at(x0 + dt * k3, state.t + dt)
@@ -1016,7 +1015,7 @@ def simulate(cfg: SimConfig, initial: Optional[Curve] = None,
     arc = arc_chord(curve).value
     rho_floor = cfg.rho_floor if cfg.rho_floor is not None \
         else _FLOOR_FRACTION * arc
-    state = SimState.make(curve, the_law, t=0.0, m=cfg.m, rho_floor=rho_floor)
+    state = SimState.make(curve, the_law, m=cfg.m, rho_floor=rho_floor)
     mu = _MU_WEIGHTS[cfg.mu_kind](state.deriv.nodes)
     times = [state.t]
     curves = [state.curve]

@@ -29,7 +29,6 @@ from peskin_lab.curve import (
     read_curve,
     shift_many,
     spectral_derivative,
-    spectral_shift,
     theta_grid,
     wavenumbers,
     write_curve,
@@ -109,12 +108,12 @@ def test_curve_rejects_non_finite_values(bad):
 
 def divided_difference(x, alpha):
     """D_alpha X = (X(theta + alpha) - X(theta)) / alpha."""
-    return (spectral_shift(x, alpha) - x) / alpha
+    return (shift_many(x, [alpha])[0] - x) / alpha
 
 
 def test_difference_constant_zero():
     f = np.tile([2.0, 3.0], (32, 1))
-    out = spectral_shift(f, 0.7) - f
+    out = shift_many(f, [0.7])[0] - f
     assert np.max(np.abs(out)) < 1e-12
 
 
@@ -124,7 +123,7 @@ def test_difference_magnitude_identity():
     th = theta_grid(n)
     f = np.stack([np.cos(th), np.sin(th)], axis=1)
     for alpha in (0.3, -1.1, np.pi / 2):
-        out = spectral_shift(f, alpha) - f
+        out = shift_many(f, [alpha])[0] - f
         mags = np.hypot(out[:, 0], out[:, 1])
         assert np.allclose(mags, 2.0 * abs(np.sin(alpha / 2.0)), atol=1e-12)
 
@@ -146,12 +145,12 @@ def test_plus_minus_split(rng):
     alpha = 0.9
     divided = divided_difference(c.nodes, alpha)
     s, w = np.polynomial.legendre.leggauss(32)
-    mean = sum(wi * spectral_shift(d.nodes, alpha * (si + 1.0) / 2.0)
+    mean = sum(wi * shift_many(d.nodes, [alpha * (si + 1.0) / 2.0])[0]
                for si, wi in zip(s, w)) / 2.0
     assert np.max(np.abs(divided - mean)) < 1e-12
-    plus = spectral_shift(d.nodes, alpha) - divided
+    plus = shift_many(d.nodes, [alpha])[0] - divided
     minus = d.nodes - divided
-    plain = spectral_shift(d.nodes, alpha) - d.nodes
+    plain = shift_many(d.nodes, [alpha])[0] - d.nodes
     assert np.max(np.abs(plus - (plain + minus))) < 1e-12
 
 
@@ -175,7 +174,7 @@ def test_difference_linear_and_commutes(rng):
     alpha = 0.6
 
     def delta(h):
-        return spectral_shift(h, alpha) - h
+        return shift_many(h, [alpha])[0] - h
 
     lhs = delta(2.0 * f - 3.0 * g)
     rhs = 2.0 * delta(f) - 3.0 * delta(g)
@@ -187,7 +186,7 @@ def test_difference_linear_and_commutes(rng):
 
 def test_shift_at_grid_offsets_is_roll(rng):
     f = rng.standard_normal((32, 2))
-    shifted = spectral_shift(f, 2.0 * np.pi * 5 / 32)
+    shifted = shift_many(f, [2.0 * np.pi * 5 / 32])[0]
     assert np.max(np.abs(shifted - np.roll(f, -5, axis=0))) < 1e-12
 
 
@@ -201,10 +200,11 @@ def test_half_offset_gather_matches_shift_many(ratio, rng):
     f = rng.standard_normal((n, 2))
     f_2n = rng.standard_normal((2 * n, 2))
     assert np.max(np.abs(fft_coeffs(f)[n // 2])) > 1e-3
-    for got, ref in ((half_offset_window(half_offset_samples(f, m), n),
-                      shift_many(f, alphas)),
-                     (half_offset_window(half_offset_samples(f_2n, m), n),
-                      shift_many(f_2n, alphas)[:, ::2])):
+    pairs = [(half_offset_window(half_offset_samples(f, m), n), shift_many(f, alphas))]
+    if m >= 2 * n:  # the 2n pattern's 2n coefficients need m >= 2n samples
+        pairs.append((half_offset_window(half_offset_samples(f_2n, m), n),
+                      shift_many(f_2n, alphas)[:, ::2]))
+    for got, ref in pairs:
         assert got.shape == ref.shape
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(got - ref)) < 1e-13 * scale
@@ -288,13 +288,16 @@ def brute_force_arc_chord(curve, m):
 
 
 def test_arc_chord_circle():
-    result = arc_chord(Curve.circle(64))
+    c = Curve.circle(64)
+    result = arc_chord(c)
+    # twice the 8n level's distance from the 4n level's
+    estimate = 2.0 * abs(result.value - _arc_chord_level(c, 4 * c.n))
     exact = 2.0 / np.pi
     # dense search oracle confirms the infimum location at alpha = pi
     alphas = np.linspace(1e-4, np.pi, 20001)
     oracle = np.min(np.abs(2.0 * np.sin(alphas / 2.0) / alphas))
     assert abs(oracle - exact) < 1e-8
-    assert abs(result.value - exact) <= result.estimate + 1e-9
+    assert abs(result.value - exact) <= estimate + 1e-9
     assert result.value >= exact - 1e-12  # grid infimum cannot undershoot
 
 
@@ -308,8 +311,6 @@ def test_arc_chord_ellipse_brute_force():
     c = Curve.ellipse(32, 2.0, 1.0)
     m = 16 * 32
     oracle = brute_force_arc_chord(c, m)
-    from peskin_lab.curve import _arc_chord_level
-
     assert abs(_arc_chord_level(c, m) - oracle) < 1e-10
 
 
@@ -327,9 +328,9 @@ def test_arc_chord_invariances(rng):
 
 def test_arc_chord_refinement_estimate(rng):
     c = random_bandlimited_curve(rng, 64)
-    res = arc_chord(c)
-    finer = arc_chord(c, m=16 * c.n)
-    assert abs(res.value - finer.value) <= res.estimate + 1e-6
+    value = arc_chord(c).value
+    coarse, finer = (_arc_chord_level(c, k * c.n) for k in (4, 32))
+    assert abs(value - finer) <= 2.0 * abs(value - coarse) + 1e-6
 
 
 def test_arc_chord_degenerate_point():
@@ -390,14 +391,13 @@ def test_arc_chord_levels_equal_dense_frame(name):
     v2 = dense_arc_chord_level(c, 8 * c.n)
     assert _arc_chord_level(c, 4 * c.n) == v1
     assert _arc_chord_level(c, 8 * c.n) == v2
-    res = arc_chord(c)
-    assert (res.value, res.estimate) == (v2, 2.0 * abs(v2 - v1))
+    assert arc_chord(c).value == v2
     if name == "near-touching":
         # the coarser level's value is no valid threshold for the finer one
         assert v1 < v2
 
 
-def test_arc_chord_searches_the_estimate_level_on_first_read(monkeypatch):
+def test_arc_chord_searches_one_8n_level(monkeypatch):
     import peskin_lab.curve as curve_module
 
     levels = []
@@ -412,10 +412,6 @@ def test_arc_chord_searches_the_estimate_level_on_first_read(monkeypatch):
     assert isinstance(res, ArcChord)
     assert res.value == dense_arc_chord_level(c, 8 * c.n)
     assert levels == [8 * c.n]
-    estimate = res.estimate
-    assert levels == [8 * c.n, 4 * c.n]
-    assert res.estimate == estimate
-    assert levels == [8 * c.n, 4 * c.n]
 
 
 @settings(max_examples=25, deadline=None)
@@ -456,22 +452,21 @@ def test_shift_phase_property(k):
     th = theta_grid(n)
     f = np.cos(k * th)
     alpha = 0.37
-    shifted = spectral_shift(f, alpha)
+    shifted = shift_many(f, [alpha])[0]
     assert np.max(np.abs(shifted - np.cos(k * (th + alpha)))) < 1e-11
 
 
 def test_curve_file_round_trip(tmp_path, rng):
     c = random_bandlimited_curve(rng, 32)
     path = tmp_path / "c.curve"
-    write_curve(c, path, fourier=True)
+    write_curve(c, path)
     back = read_curve(path)
     assert np.max(np.abs(back.nodes - c.nodes)) < 1e-15
     header = path.read_text().splitlines()[0]
     assert header == "peskin-curve v1 N=32"
 
 
-@pytest.mark.parametrize("fourier", [False, True])
-def test_write_curve_bytes_equal_the_per_row_repr_format(tmp_path, fourier):
+def test_write_curve_bytes_equal_the_per_row_repr_format(tmp_path):
     # the writer formats nodes.tolist() in one join; the file is the one
     # the per-row repr loop wrote, also for -0.0, subnormals and 1e300
     nodes = Curve.circle(16).nodes.copy()
@@ -481,14 +476,8 @@ def test_write_curve_bytes_equal_the_per_row_repr_format(tmp_path, fourier):
     lines = [f"peskin-curve v1 N={curve.n}\n"]
     for x, y in curve.nodes:
         lines.append(f"{float(x)!r} {float(y)!r}\n")
-    if fourier:
-        ks = wavenumbers(curve.n)
-        for i in np.argsort(ks):
-            c = curve.coeffs[i]
-            lines.append(f"{int(ks[i])} {float(c[0].real)!r} {float(c[0].imag)!r} "
-                         f"{float(c[1].real)!r} {float(c[1].imag)!r}\n")
     path = tmp_path / "c.curve"
-    write_curve(curve, path, fourier=fourier)
+    write_curve(curve, path)
     assert path.read_bytes() == "".join(lines).encode()
     assert "-0.0 5e-324\n" in lines
 
@@ -511,13 +500,13 @@ def test_half_offset_values_sample_the_grid_field(rng):
 
 
 def test_half_offset_fold_by_slices_matches_add_at(rng):
-    # m >= n folds by two slice adds, m < n by np.add.at: the slice fold
-    # gives the bits of the np.add.at fold, for even and odd n
+    # the two slice adds give the bits of an np.add.at fold, for even and
+    # odd n
     from peskin_lab.curve import _half_offset_factor, wavenumbers
 
     for n in (32, 33):
         coeffs = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
-        for m in (n, 2 * n, 4 * n, n // 2):
+        for m in (n, 2 * n, 4 * n):
             c = coeffs * _half_offset_factor(n, m)[:, None]
             if n % 2 == 0:
                 c[n // 2] = coeffs[n // 2].real * _half_offset_factor(n, m)[n // 2]
@@ -526,6 +515,22 @@ def test_half_offset_fold_by_slices_matches_add_at(rng):
             want = np.fft.ifft(folded, axis=0).real * m
             got = half_offset_values(coeffs, m)
             assert np.array_equal(got, want), (n, m)
+
+
+def test_half_offset_values_rejects_a_grid_below_the_coefficient_count():
+    with pytest.raises(ValueError, match="size 16 is below the coefficient count 32"):
+        half_offset_values(np.zeros((32, 2), dtype=complex), 16)
+
+
+def test_read_curve_takes_exactly_the_header_count_of_node_lines(tmp_path):
+    # a 32-node circle under header N=16 loaded as half the circle
+    path = tmp_path / "c.curve"
+    write_curve(Curve.circle(32), path)
+    text = path.read_text()
+    for count in (16, 48):
+        path.write_text(text.replace("N=32", f"N={count}"))
+        with pytest.raises(ValueError, match=f"header N={count} but 32 node lines"):
+            read_curve(path)
 
 
 def test_curve_file_bad_header(tmp_path):

@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -149,7 +150,7 @@ def test_frame_matches_matrix_kernel_sum(rng):
     jump = tension_map(law, x1s) - tension_map(law, x1)[None]
     k0 = kernel_K0(x1s, b, dx, al[:, None])
     a0 = kernel_A(x1s, b, dx / al[:, None, None]) / (al**2)[:, None, None, None]
-    for got, kernel in ((rhs_derivative(st, project=False), k0),
+    for got, kernel in ((right_hand_sides(st, "derivative")[0], k0),
                         (remainder_V(st), a0)):
         ref = np.einsum("...ij,...j->...i", kernel, jump).sum(axis=0) * (2.0 * np.pi / m)
         assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
@@ -222,7 +223,7 @@ def block_test_state(n, m, rng):
 def test_row_blocks_match_dense_frame(n, m, rng):
     st = block_test_state(n, m, rng)
     ref = dense_rhs(st)
-    got = {"rhs_derivative": rhs_derivative(st, project=False),
+    got = {"rhs_derivative": right_hand_sides(st, "derivative")[0],
            "remainder_V": remainder_V(st),
            "dissipation_term": dissipation_term(st),
            "rhs_position_reduced": rhs_position_reduced(st),
@@ -242,7 +243,7 @@ def test_one_walk_matches_single_form_walks(n, m, rng):
     fields = dict(zip(FORMS, right_hand_sides(st, *FORMS)))
     single = {"position_bi": rhs_position_bi(st),
               "position_reduced": rhs_position_reduced(st),
-              "derivative": rhs_derivative(st, project=False),
+              "derivative": right_hand_sides(st, "derivative")[0],
               "remainder": remainder_V(st),
               "dissipation": dissipation_term(st)}
     for form in FORMS:
@@ -479,7 +480,7 @@ def test_split_identity(rng):
     c = random_bandlimited_curve(rng, 64)
     for law in (hookean(2.0), arctan_law((0.2, 3.0))):
         st = make_state(c, law, m=256)
-        lhs = rhs_derivative(st, project=False)
+        lhs, = right_hand_sides(st, "derivative")
         rhs_val = -dissipation_term(st) + remainder_V(st)
         assert np.max(np.abs(lhs - rhs_val)) <= 1e-10
 
@@ -576,6 +577,19 @@ def test_rk4_non_finite_stage_aborts(monkeypatch):
                         lambda state: np.full((state.curve.n, 2), np.nan))
     with pytest.raises(SimulationAbort, match="non-finite"):
         step(st, 0.5 * cfl_limit(st), "rk4")
+
+
+def test_rk4_first_stage_reads_the_state(monkeypatch, rng):
+    # k1 is the right-hand side of the state, which holds X and X': a step
+    # builds curves from nodes for its three later stages and its result
+    from peskin_lab import evolution
+
+    st = make_state(random_bandlimited_curve(rng, 32, modes=4, amp=0.15), m=128)
+    built = []
+    monkeypatch.setattr(evolution, "Curve", SimpleNamespace(
+        from_nodes=lambda nodes: built.append(nodes) or Curve.from_nodes(nodes)))
+    step(st, 0.5 * cfl_limit(st), "rk4")
+    assert len(built) == 4  # not 5
 
 
 def test_rk4_fourth_order(rng):

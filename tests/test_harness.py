@@ -254,20 +254,24 @@ def test_cli_zero_beta_points_exits_2_before_any_output(tmp_path, capsys):
 @pytest.mark.parametrize("bad, code, message", [
     ("tension.kind = table\ntension.table = {missing}", 2, "not found"),
     ("init.kind = fourier-file\ninit.file = {nan_curve}", 2, "must be finite"),
-    ("rho.floor = 2.0", 3, "numerical abort")], ids=["missing-table", "nan-node", "abort"])
+    ("init.kind = fourier-file\ninit.file = {short_curve}", 2, "header N=16 but 32"),
+    ("rho.floor = 2.0", 3, "numerical abort")],
+    ids=["missing-table", "nan-node", "truncated", "abort"])
 def test_cli_failed_run_leaves_no_output_directory(tmp_path, capsys, bad, code,
                                                    message):
     # found while the law or the initial curve is built (a curve file with a
-    # nan node once started a run that aborted at t = 0 with exit 3), or by
-    # the first step (a floor above the circle's grid arc-chord number,
-    # 0.64); test_cli_rejects_inconsistent_grid_and_horizon covers a grid
-    # found inconsistent when the state is built
-    nan_curve = tmp_path / "nan.curve"
+    # nan node, or with more nodes than its header's N, once started a run
+    # that aborted with exit 3), or by the first step (a floor above the
+    # circle's grid arc-chord number, 0.64); test_cli_rejects_inconsistent_
+    # grid_and_horizon covers a grid found inconsistent when the state is built
+    nan_curve, short_curve = tmp_path / "nan.curve", tmp_path / "short.curve"
     write_curve(Curve.circle(32), nan_curve)
+    short_curve.write_text(nan_curve.read_text().replace("N=32", "N=16"))
     lines = nan_curve.read_text().splitlines()
     lines[3] = "nan 0.0"
     nan_curve.write_text("\n".join(lines) + "\n")
-    bad = bad.format(missing=tmp_path / "missing.txt", nan_curve=nan_curve)
+    bad = bad.format(missing=tmp_path / "missing.txt", nan_curve=nan_curve,
+                     short_curve=short_curve)
     cfg_path = _write_config(tmp_path, EQ_CONFIG + bad + "\n")
     out = tmp_path / "o"
     assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == code
