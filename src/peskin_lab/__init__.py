@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .curve import Curve, arc_chord
 from .tension import TensionLaw, hookean, power_law, arctan_law, globalize
 from .kernels import stokeslet, kernel_K, kernel_K0, kernel_A, cancellation_residual
-from .operators import lambda_fourier, lambda_sine, lambda_tilde, half_lambda_norm, lp_project
+from .operators import lambda_sine, lp_project
 from .besov import MuWeight, BesovParams, besov_diff, besov_lp, cl_norm, construct_mu
 from .evolution import SimConfig, SimState, Trajectory, right_hand_sides, simulate, step
 
@@ -22,10 +22,7 @@ __all__ = [
     "kernel_K0",
     "kernel_A",
     "cancellation_residual",
-    "lambda_fourier",
     "lambda_sine",
-    "lambda_tilde",
-    "half_lambda_norm",
     "lp_project",
     "MuWeight",
     "BesovParams",

@@ -43,31 +43,29 @@ class MuWeight:
 
     Table-backed weights interpolate log-linearly between dyadics and
     extend with log(4+r) growth beyond the table; below r = 1 the weight
-    is constant.  Closed-form weights carry fn and evaluate exactly.
+    is constant.  Closed-form weights carry fn and evaluate exactly.  The
+    unit weight is mu = None.
     """
 
     table: np.ndarray
-    label: str = "table"
     fn: object = None
 
     def __post_init__(self):
         t = np.asarray(self.table, dtype=float)
         if t.ndim != 1 or len(t) < 2:
             raise ValueError("table must hold at least two dyadic values")
+        bad = ~(np.isfinite(t) & (t > 0))
+        if np.any(bad):
+            raise ValueError(f"weight table entries must be finite and positive, "
+                             f"entry {int(np.argmax(bad))} is {float(t[bad][0])!r}")
         t = t.copy()
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
 
     @classmethod
-    def one(cls) -> "MuWeight":
-        """Trivial weight; turns every weighted norm into the plain one."""
-        return cls(table=np.ones(2), label="one",
-                   fn=lambda r: np.ones_like(np.asarray(r, dtype=float)))
-
-    @classmethod
-    def log4(cls, j_top: int = 16) -> "MuWeight":
-        js = np.arange(j_top + 1)
-        return cls(table=_log4(2.0**js), label="log",
+    def log4(cls) -> "MuWeight":
+        """log(4 + r) in closed form, tabulated at 2^0 .. 2^16."""
+        return cls(table=_log4(2.0**np.arange(17)),
                    fn=lambda r: _log4(np.maximum(np.asarray(r, dtype=float), 0.0)))
 
     @property
@@ -93,7 +91,7 @@ class MuWeight:
         return out[0] if scalar else out
 
 
-def construct_mu(values: np.ndarray, j_top: int = 14) -> MuWeight:
+def construct_mu(values: np.ndarray) -> MuWeight:
     """Build an admissible weight under which f keeps a finite weighted norm.
 
     Dyadic tail sums of 2^(j/2) ||Delta_j f||_2 set the raw profile
@@ -105,7 +103,7 @@ def construct_mu(values: np.ndarray, j_top: int = 14) -> MuWeight:
     weighted = 2.0 ** (js / 2.0) * norms
     if not np.all(np.isfinite(weighted)):
         raise ValueError("base seminorm is not finite")
-    j_top = max(j_top, int(js[-1]) + 2)
+    j_top = max(14, int(js[-1]) + 2)
     raw = np.empty(j_top + 1)
     for j in range(j_top + 1):
         tail = float(np.sum(weighted[js >= j]))
@@ -117,7 +115,7 @@ def construct_mu(values: np.ndarray, j_top: int = 14) -> MuWeight:
         mu[j] = min(mu[j], 2.0 * mu[j - 1])
     ratio = np.minimum.accumulate(mu / _log4(2.0 ** np.arange(len(mu))))
     mu = ratio * _log4(2.0 ** np.arange(len(mu)))
-    return MuWeight(table=mu, label="constructed")
+    return MuWeight(table=mu)
 
 
 def sqrt_weight(mu: MuWeight) -> MuWeight:
@@ -125,8 +123,7 @@ def sqrt_weight(mu: MuWeight) -> MuWeight:
     log ratio stays non-increasing since mu/log^2 is a product of two
     non-increasing factors)."""
     fn = None if mu.fn is None else (lambda r: np.sqrt(mu.fn(r)))
-    return MuWeight(table=np.sqrt(np.asarray(mu.table)),
-                    label=f"sqrt[{mu.label}]", fn=fn)
+    return MuWeight(table=np.sqrt(np.asarray(mu.table)), fn=fn)
 
 
 @dataclass(frozen=True)

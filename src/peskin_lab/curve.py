@@ -350,18 +350,14 @@ class Curve:
         return cls(nodes=grid_values(coeffs), coeffs=coeffs)
 
     @classmethod
-    def circle(cls, n: int, radius: float = 1.0, center=(0.0, 0.0)) -> "Curve":
+    def circle(cls, n: int, radius: float = 1.0) -> "Curve":
         th = theta_grid(n)
-        nodes = np.stack(
-            [center[0] + radius * np.cos(th), center[1] + radius * np.sin(th)], axis=1
-        )
-        return cls.from_nodes(nodes)
+        return cls.from_nodes(np.stack([radius * np.cos(th), radius * np.sin(th)], axis=1))
 
     @classmethod
-    def ellipse(cls, n: int, a: float = 2.0, b: float = 1.0, center=(0.0, 0.0)) -> "Curve":
+    def ellipse(cls, n: int, a: float = 2.0, b: float = 1.0) -> "Curve":
         th = theta_grid(n)
-        nodes = np.stack([center[0] + a * np.cos(th), center[1] + b * np.sin(th)], axis=1)
-        return cls.from_nodes(nodes)
+        return cls.from_nodes(np.stack([a * np.cos(th), b * np.sin(th)], axis=1))
 
     @property
     def n(self) -> int:

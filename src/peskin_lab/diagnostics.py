@@ -1,8 +1,8 @@
 """Quantitative audits of the evolution: energy inequality, smoothing rate,
 stability under perturbed data, and relaxation to the circle equilibria.
 
-Audits are pure functions of trajectories plus parameters; they return
-append-only report records with measured values, thresholds and a verdict.
+Audits are pure functions of trajectories; they return append-only
+report records with measured values, thresholds and a verdict.
 Fit windows and tolerance constants are engineering choices calibrated
 once at desk scale and then frozen as regression guards.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -40,6 +40,8 @@ APRIORI_C = 5.0
 STABILITY_RATIO_MAX = 3.0
 CHALF_GROWTH_MAX = 3.0
 SMOOTH_SLOPE_RANGE = (-0.65, -0.35)
+EXACT_TOL = 1e-7  # stationary-circle distance bound
+LIPSCHITZ_SLACK = 1e-4
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,6 @@ def _digest(traj: Trajectory) -> str:
 
 
 def apriori_audit(traj: Trajectory, mu: MuWeight, lam: float,
-                  c_const: float = APRIORI_C,
                   beta_points: int = 2048) -> AuditReport:
     """Energy-inequality check: weighted sup-in-time norm plus the scaled
     dissipation stays below four times the initial weighted norm.
@@ -78,12 +79,12 @@ def apriori_audit(traj: Trajectory, mu: MuWeight, lam: float,
     k = np.abs(wavenumbers(len(derivs[0]))).astype(float)
     sup_part, diss_part = _cl_norms(traj.times, derivs, params, ("B", "D"),
                                     beta_points, dissipation=k)
-    lhs = float(sup_part + c_const * np.sqrt(lam) * diss_part)
+    lhs = float(sup_part + APRIORI_C * np.sqrt(lam) * diss_part)
     rhs = 4.0 * besov_diff(derivs[0], params, beta_points)
     return AuditReport(
         name="apriori",
         inputs_digest=_digest(traj),
-        measured={"lhs": lhs, "rhs": rhs, "c": c_const, "lambda": lam},
+        measured={"lhs": lhs, "rhs": rhs, "c": APRIORI_C, "lambda": lam},
         thresholds={"lhs<=rhs": True},
         passed=lhs <= rhs,
     )
@@ -97,21 +98,19 @@ def _h1_series(traj: Trajectory) -> np.ndarray:
     return out
 
 
-def _chalf_series(traj: Trajectory, beta_points: int = 256) -> np.ndarray:
+def _chalf_series(traj: Trajectory) -> np.ndarray:
     out = np.empty(len(traj.times))
     for i, d in enumerate(traj.derivs):
         out[i] = besov_diff(d.nodes, BesovParams(0.5, np.inf, np.inf),
-                            beta_points=beta_points)
+                            beta_points=256)
     return out
 
 
-def smoothing_audit(traj: Trajectory, mode: str = "rough",
-                    fit_start: Optional[float] = None,
-                    slope_range: tuple = SMOOTH_SLOPE_RANGE) -> AuditReport:
+def smoothing_audit(traj: Trajectory, mode: str = "rough") -> AuditReport:
     """Fit the decay exponent of the H^1 seminorm of the tangent field.
 
     mode "rough": log-log slope over one decade of t starting at the first
-    positive output (or fit_start) must land in slope_range, and the
+    positive output must land in SMOOTH_SLOPE_RANGE, and the
     half-Hoelder quotient sup must stay within a fixed factor of C t^(-1/2).
     mode "smooth": boundedness only.
     """
@@ -129,7 +128,7 @@ def smoothing_audit(traj: Trajectory, mode: str = "rough",
     if mode != "rough":
         raise ValueError(f"unknown mode {mode!r}")
     positive = times > 0
-    t0 = fit_start if fit_start is not None else float(times[positive][0])
+    t0 = float(times[positive][0])
     window = (times >= t0) & (times <= 10.0 * t0)
     if int(window.sum()) < 6:
         raise ValueError("fit window has fewer than 6 outputs; refine stride")
@@ -137,14 +136,14 @@ def smoothing_audit(traj: Trajectory, mode: str = "rough",
     chalf = _chalf_series(traj)
     scaled = chalf[window] * np.sqrt(times[window])
     chalf_factor = float(scaled.max() / np.median(scaled))
-    ok = (slope_range[0] <= slope <= slope_range[1]) \
+    ok = (SMOOTH_SLOPE_RANGE[0] <= slope <= SMOOTH_SLOPE_RANGE[1]) \
         and chalf_factor <= CHALF_GROWTH_MAX
     return AuditReport(
         name="smoothing[rough]",
         inputs_digest=_digest(traj),
         measured={"slope": slope, "chalf_factor": chalf_factor,
                   "fit_points": int(window.sum()), "fit_start": t0},
-        thresholds={"slope_range": slope_range,
+        thresholds={"slope_range": SMOOTH_SLOPE_RANGE,
                     "chalf_factor<=": CHALF_GROWTH_MAX},
         passed=ok,
     )
@@ -159,22 +158,24 @@ def _perturbation_shape(n: int) -> np.ndarray:
 
 
 def stability_audit(x0: Curve, law: TensionLaw, horizon: float, cfg: SimConfig,
-                    k_range: Sequence[int] = range(3, 9),
-                    ratio_max: float = STABILITY_RATIO_MAX,
                     y0: Optional[Curve] = None,
                     omega: Optional[MuWeight] = None) -> AuditReport:
     """Amplification of initial tangent-field perturbations, swept over sizes.
 
-    Each run takes cfg over the horizon.  For each k the perturbed curve
-    starts at L2 tangent distance 2^-k ||X0'||; the sup-in-time ratios must
-    stay below a frozen constant and within a factor 2 of each other (no
-    blow-up as the perturbation vanishes).  y0 compares just that pair.
+    Each run takes cfg over the horizon.  For each k = 3 .. 8 the perturbed
+    curve starts at L2 tangent distance 2^-k ||X0'||; the sup-in-time ratios
+    must stay below STABILITY_RATIO_MAX and within a factor 2 of each other
+    (no blow-up as the perturbation vanishes).  y0 compares just that pair;
+    it must have x0's node count.
 
     The sup runs over every output time, t = 0 included, so a difference
     that only decays reads exactly 1.  ratios_after_start (the sup over
     t > 0) and final_ratios (the last output) are measured alongside, so
     that contraction shows; the verdict reads neither.
     """
+    if y0 is not None and y0.n != x0.n:
+        raise ValueError(f"the curves to compare must share a node count, got "
+                         f"{x0.n} and {y0.n} nodes")
     cfg = replace(cfg, horizon=horizon)
     base = simulate(cfg, initial=x0, law=law)
     base_l2 = parseval_norm(power_spectrum(base.derivs[0].nodes))
@@ -183,7 +184,7 @@ def stability_audit(x0: Curve, law: TensionLaw, horizon: float, cfg: SimConfig,
         pairs.append(("given", y0))
     else:
         shape = _perturbation_shape(x0.n)
-        for k in k_range:
+        for k in range(3, 9):
             delta = 2.0**-k * base_l2
             pairs.append((f"2^-{k}", Curve.from_nodes(x0.nodes + delta * shape)))
     ratios, after_start, final = {}, {}, {}
@@ -206,7 +207,7 @@ def stability_audit(x0: Curve, law: TensionLaw, horizon: float, cfg: SimConfig,
                                          beta_points=1024)
     vals = [v for v in ratios.values() if v > 0]
     spread = (max(vals) / min(vals)) if len(vals) > 1 else 1.0
-    ok = (max(vals) <= ratio_max if vals else True) and spread <= 2.0
+    ok = (max(vals) <= STABILITY_RATIO_MAX if vals else True) and spread <= 2.0
     measured = {"ratios": ratios, "ratios_after_start": after_start,
                 "final_ratios": final, "spread": spread}
     if omega_norms:
@@ -215,7 +216,7 @@ def stability_audit(x0: Curve, law: TensionLaw, horizon: float, cfg: SimConfig,
         name="stability",
         inputs_digest=_digest(base),
         measured=measured,
-        thresholds={"ratio_max": ratio_max, "spread<=": 2.0},
+        thresholds={"ratio_max": STABILITY_RATIO_MAX, "spread<=": 2.0},
         passed=bool(ok),
     )
 
@@ -242,22 +243,22 @@ def circle_distance(deriv: Curve) -> float:
     return float(np.sqrt(max(best, 0.0)))
 
 
-def equilibrium_audit(traj: Trajectory, exact_tol: float = 1e-7) -> AuditReport:
+def equilibrium_audit(traj: Trajectory) -> AuditReport:
     """Relaxation to a uniformly parametrized circle.
 
-    Stationary start: distance stays below exact_tol throughout.  Perturbed
+    Stationary start: distance stays below EXACT_TOL throughout.  Perturbed
     start: the distance decays and a positive exponential rate fits the
     tail half of the outputs.
     """
     dists = np.array([circle_distance(d) for d in traj.derivs])
     times = np.asarray(traj.times)
-    if dists[0] <= exact_tol:
-        ok = bool(dists.max() <= exact_tol)
+    if dists[0] <= EXACT_TOL:
+        ok = bool(dists.max() <= EXACT_TOL)
         return AuditReport(
             name="equilibrium[stationary]",
             inputs_digest=_digest(traj),
             measured={"max_distance": float(dists.max())},
-            thresholds={"max_distance<=": exact_tol},
+            thresholds={"max_distance<=": EXACT_TOL},
             passed=ok,
         )
     tail = slice(len(times) // 2, None)
@@ -274,8 +275,9 @@ def equilibrium_audit(traj: Trajectory, exact_tol: float = 1e-7) -> AuditReport:
     )
 
 
-def chord_arc_lipschitz_audit(traj: Trajectory, slack: float = 1e-4) -> AuditReport:
-    """Pairwise |arc-chord difference| <= sup-norm tangent difference + slack.
+def chord_arc_lipschitz_audit(traj: Trajectory) -> AuditReport:
+    """Pairwise |arc-chord difference| <= sup-norm tangent difference
+    + LIPSCHITZ_SLACK.
 
     The arc-chord values are read from the records when every record
     carries one, as simulate's do, and computed from the curves otherwise."""
@@ -293,6 +295,6 @@ def chord_arc_lipschitz_audit(traj: Trajectory, slack: float = 1e-4) -> AuditRep
         name="chord-arc-lipschitz",
         inputs_digest=_digest(traj),
         measured={"max_excess": float(worst)},
-        thresholds={"max_excess<=": slack},
-        passed=bool(worst <= slack),
+        thresholds={"max_excess<=": LIPSCHITZ_SLACK},
+        passed=bool(worst <= LIPSCHITZ_SLACK),
     )

@@ -969,7 +969,7 @@ _LAWS = {
     "table": _table_from_file,
 }
 _MU_WEIGHTS = {
-    "one": lambda deriv_nodes: MuWeight.one(),
+    "one": lambda deriv_nodes: None,  # the unit weight
     "log": lambda deriv_nodes: MuWeight.log4(),
     "construct": construct_mu,
 }
@@ -987,7 +987,7 @@ def law_from_config(cfg: SimConfig) -> TensionLaw:
     return law
 
 
-def _diag_record(state: SimState, arc: float, mu: MuWeight, scheme: str,
+def _diag_record(state: SimState, arc: float, mu: Optional[MuWeight], scheme: str,
                  beta_points: int) -> dict:
     x1 = state.deriv.nodes
     power = power_spectrum(x1)
@@ -1013,6 +1013,8 @@ def simulate(cfg: SimConfig, initial: Optional[Curve] = None,
     n_steps = cfg.steps
     # the initial arc-chord serves both the default floor and the first record
     arc = arc_chord(curve).value
+    if arc == 0.0:
+        raise ValueError("the initial curve is degenerate: its arc-chord number is 0")
     rho_floor = cfg.rho_floor if cfg.rho_floor is not None \
         else _FLOOR_FRACTION * arc
     state = SimState.make(curve, the_law, m=cfg.m, rho_floor=rho_floor)

@@ -1,11 +1,13 @@
-"""Fractional Laplacians on the torus and Littlewood-Paley projections.
+"""Half-Laplacian symbols on the torus and Littlewood-Paley projections.
 
-Three realizations of the half-Laplacian family live here: the Fourier
-multiplier |k|^s, the sine-kernel singular integral (exact eigenvalue |k|
-on pure modes), and the 1/alpha^2 quadrature variant whose eigenvalues
-lam_tilde_k are cached per grid.  Singular integrals are discretized on a
-half-offset alpha grid, so alpha = 0 never appears and odd parts cancel
-by symmetric pairing.
+symbol(n, m) caches the eigenvalues of two quadrature realizations of the
+half-Laplacian: the sine-kernel singular integral (exact eigenvalue |k|
+on pure modes, applied by lambda_sine) and the 1/alpha^2 variant
+lam_tilde_k.  Singular integrals are discretized on a half-offset alpha
+grid, so alpha = 0 never appears and odd parts cancel by symmetric
+pairing.  Other multipliers (|k|^s, lam_tilde itself) are applied with
+curve.apply_multiplier, and the lam_tilde quadratic form is
+curve.parseval_norm.
 """
 
 from __future__ import annotations
@@ -16,17 +18,13 @@ from functools import lru_cache
 import numpy as np
 
 from .curve import (_BLOCK, apply_multiplier, fft_coeffs, grid_values,
-                    half_offset_grid, lp_norm, magnitude, parseval_norm,
-                    power_spectrum, wavenumbers)
+                    half_offset_grid, lp_norm, magnitude, wavenumbers)
 
 __all__ = [
     "OperatorSymbol",
     "symbol",
     "half_offset_grid",
-    "lambda_fourier",
     "lambda_sine",
-    "lambda_tilde",
-    "half_lambda_norm",
     "phi_profile",
     "LPFamily",
     "lp_family",
@@ -79,39 +77,10 @@ def symbol(n: int, m: int) -> OperatorSymbol:
     return OperatorSymbol(n=n, m=m, lam_sine=lam_sine, lam_tilde=lam_tilde)
 
 
-def lambda_fourier(values: np.ndarray, s: float) -> np.ndarray:
-    """Apply the |k|^s multiplier to grid samples; constants map to zero."""
+def lambda_sine(values: np.ndarray) -> np.ndarray:
+    """Sine-kernel half-Laplacian by half-offset quadrature on 8N nodes."""
     n = np.asarray(values).shape[0]
-    return apply_multiplier(values, np.abs(wavenumbers(n)).astype(float) ** s)
-
-
-def lambda_sine(values: np.ndarray, m: int | None = None) -> np.ndarray:
-    """Sine-kernel half-Laplacian by half-offset quadrature (m >= 8N nodes)."""
-    n = np.asarray(values).shape[0]
-    if m is None:
-        m = 8 * n
-    return apply_multiplier(values, symbol(n, m).lam_sine)
-
-
-def lambda_tilde(values: np.ndarray, m: int | None = None) -> np.ndarray:
-    """1/alpha^2-kernel variant; eigenvalues lam_tilde_k from the cached symbol."""
-    n = np.asarray(values).shape[0]
-    if m is None:
-        m = 8 * n
-    return apply_multiplier(values, symbol(n, m).lam_tilde)
-
-
-def half_lambda_norm(values: np.ndarray, m: int | None = None) -> float:
-    """Square root of the double integral (1/8pi) iint |delta_a f|^2 / a^2.
-
-    Equals the quadratic form <f, lam_tilde f> of the quadrature operator,
-    so it matches lambda_tilde applied with the same m exactly.
-    """
-    values = np.asarray(values, dtype=float)
-    n = values.shape[0]
-    if m is None:
-        m = 8 * n
-    return parseval_norm(power_spectrum(values), symbol(n, m).lam_tilde)
+    return apply_multiplier(values, symbol(n, 8 * n).lam_sine)
 
 
 # ---------------------------------------------------------------------------

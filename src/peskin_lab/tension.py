@@ -32,19 +32,13 @@ class TensionLaw:
     """Scalar tension T and its derivative T' = d1.
 
     eval/d1 must accept numpy arrays.  lam is the ellipticity floor
-    inf T' > 0 on the window, the stretch interval on which the law is
-    trusted.
+    inf T' > 0 on the stretch interval on which the law is trusted.
     """
 
-    name: str
     eval: Callable[[np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray], np.ndarray]
     lam: float = 0.0
-    window: Tuple[float, float] = (0.0, np.inf)
     vanishes_at_zero: bool = True
-
-    def __call__(self, r):
-        return self.eval(r)
 
 
 def hookean(k0: float = 1.0) -> TensionLaw:
@@ -52,11 +46,9 @@ def hookean(k0: float = 1.0) -> TensionLaw:
     if k0 <= 0:
         raise ValueError("k0 must be positive")
     return TensionLaw(
-        name=f"hookean(k0={k0})",
         eval=lambda r: k0 * np.asarray(r, dtype=float),
         d1=lambda r: np.full_like(np.asarray(r, dtype=float), k0),
         lam=k0,
-        window=(0.0, np.inf),
     )
 
 
@@ -73,11 +65,9 @@ def power_law(coef: float = 1.0, p: float = 2.0,
     # for a power law, so the window floor sits at an endpoint
     lam = float(min(d1(a), d1(b), coef * a ** (p - 1.0), coef * b ** (p - 1.0)))
     return TensionLaw(
-        name=f"power(coef={coef},p={p})",
         eval=lambda r: coef * np.asarray(r, dtype=float) ** p,
         d1=d1,
         lam=lam,
-        window=window,
     )
 
 
@@ -89,11 +79,9 @@ def arctan_law(window: Tuple[float, float] = (0.5, 2.0)) -> TensionLaw:
     # both T' = 1/(1+r^2) and T/r are decreasing, so the floor is at r = b
     lam = float(min(1.0 / (1.0 + b * b), np.arctan(b) / b))
     return TensionLaw(
-        name="arctan",
         eval=lambda r: np.arctan(np.asarray(r, dtype=float)),
         d1=lambda r: 1.0 / (1.0 + np.asarray(r, dtype=float) ** 2),
         lam=lam,
-        window=window,
     )
 
 
@@ -130,11 +118,9 @@ def table_law(r_values, t_values) -> TensionLaw:
         return ev
 
     return TensionLaw(
-        name="table",
         eval=on_table(interp),
         d1=on_table(d1),
         lam=lam,
-        window=(lo, hi),
         vanishes_at_zero=False,
     )
 
@@ -206,13 +192,10 @@ def globalize(law: TensionLaw, a: float, b: float) -> TensionLaw:
     # eigenvalues of DT are T' and T/r; T(0)=0 makes T/r an average of T'
     lam = float(min(s0, np.min(d1_window), db))
     return TensionLaw(
-        name=f"globalized[{law.name};{a},{b}]",
         eval=lambda r: _piecewise(r, lambda x: s0 * x,
                                   lambda x: ta + da * (x - a) + q2 * (x - a) ** 2,
                                   law.eval, lambda x: tb + db * (x - b)),
         d1=lambda r: _piecewise(r, lambda x: s0, lambda x: da + 2.0 * q2 * (x - a),
                                 law.d1, lambda x: db),
         lam=lam,
-        window=(0.0, np.inf),
-        vanishes_at_zero=True,
     )

@@ -76,13 +76,6 @@ def test_besov_diff_homogeneous(rng):
     assert abs(b - 2.5 * a) < 1e-12 * max(1.0, a)
 
 
-def test_besov_diff_mu_one_is_unweighted(rng):
-    f = random_trig_field(rng, 64, 12)
-    a = besov_diff(f, BesovParams(0.5, 2, 1), beta_points=512)
-    b = besov_diff(f, BesovParams(0.5, 2, 1, MuWeight.one()), beta_points=512)
-    assert a == b
-
-
 @pytest.mark.parametrize("n", [33, 34, 64, 512])
 def test_besov_diff_p2_matches_shift_oracle(n, rng):
     # white noise: on even grids the Nyquist mode is non-zero
@@ -363,10 +356,6 @@ def test_log_weight_admissible():
     assert np.all(mu(2 * rs) / mu(rs) <= 1.0 + np.log(2) / np.log(4) + 1e-9)
 
 
-def test_one_weight_passes_finite_checks():
-    assert mu_admissible(MuWeight.one())
-
-
 def test_construct_mu_admissible(rng):
     f = random_trig_field(rng, 128, 40, decay=1.4)
     mu = construct_mu(f)
@@ -378,11 +367,11 @@ def test_construct_mu_band_limited_log_branch():
     # log(4+2^j); a small amplitude keeps the early tail sums below the
     # cap so the log-ratio enforcement never trims the capped branch
     f = 0.05 * unit_mode_field(64, k=2)
-    mu = construct_mu(f, j_top=14)
+    mu = construct_mu(f)
     for j in (10, 12, 14):
         assert abs(mu.table[j] - np.log(4.0 + 2.0**j)) < 1e-9
     # larger amplitudes dip below the cap early on but stay admissible
-    mu_big = construct_mu(5.0 * unit_mode_field(64, k=2), j_top=14)
+    mu_big = construct_mu(5.0 * unit_mode_field(64, k=2))
     assert mu_admissible(mu_big)
     assert mu_big.table[14] <= np.log(4.0 + 2.0**14) + 1e-12
 

@@ -426,7 +426,8 @@ def test_arc_chord_level_equals_dense_frame_property(seed, n, modes, amp):
 
 def test_enclosed_area_of_conics(rng):
     assert abs(enclosed_area(Curve.circle(32, radius=1.5)) - 2.25 * np.pi) < 1e-13
-    ellipse = Curve.ellipse(64, a=2.0, b=0.5, center=(3.0, -1.0))
+    # an off-origin centre: the area does not see a translation
+    ellipse = Curve.from_nodes(Curve.ellipse(64, a=2.0, b=0.5).nodes + [3.0, -1.0])
     assert abs(enclosed_area(ellipse) - np.pi) < 1e-13
     flipped = Curve.from_nodes(ellipse.nodes[::-1].copy())
     assert abs(enclosed_area(flipped) + np.pi) < 1e-13  # clockwise

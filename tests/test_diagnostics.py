@@ -132,15 +132,18 @@ def test_smoothing_audit_fit_machinery():
         curves.append(Curve.from_nodes(base + spectral_antiderivative(deriv_extra)))
     traj = Trajectory(times=times, curves=tuple(curves),
                       records=tuple({} for _ in times), scheme="synthetic")
-    rep = smoothing_audit(traj, fit_start=0.01)
+    rep = smoothing_audit(traj)  # the fit starts at the first output, t = 0.01
+    assert rep.measured["fit_start"] == 0.01
     assert rep.thresholds["slope_range"] == (-0.65, -0.35)
     assert abs(rep.measured["slope"] + 0.5) < 0.02
     assert rep.passed
 
 
 def test_smoothing_audit_needs_enough_points(perturbed_traj):
-    with pytest.raises(ValueError):
-        smoothing_audit(perturbed_traj, fit_start=1e-6)
+    # outputs every 0.1: the decade [0.1, 1] from the first output holds
+    # only 0.1 .. 0.5
+    with pytest.raises(ValueError, match="fewer than 6 outputs"):
+        smoothing_audit(_truncated(perturbed_traj, 0.55))
 
 
 def _symbol_decay_trajectory(n, sigma, amp, base_radius, seed=9,
@@ -171,7 +174,7 @@ def test_h1_decay_rate_attained_at_critical_spectrum():
     # |k|^-1 tangent envelope with a negligible equilibrium floor: the
     # half-power blow-up rate is genuinely attained and the audit passes
     traj = _symbol_decay_trajectory(512, sigma=1.0, amp=1.0, base_radius=1e-6)
-    rep = smoothing_audit(traj, fit_start=0.02)
+    rep = smoothing_audit(traj)  # the fit starts at the first output, t0
     assert abs(rep.measured["slope"] + 0.5) < 0.12
     assert rep.passed
 
@@ -183,7 +186,7 @@ def test_h1_decay_rate_blocked_by_equilibrium_floor():
     # acceptance criterion cannot pass as stated
     traj = _symbol_decay_trajectory(512, sigma=1.4, amp=0.3 * np.sqrt(2 * np.pi),
                                     base_radius=1.0)
-    rep = smoothing_audit(traj, fit_start=0.02)
+    rep = smoothing_audit(traj)
     assert -0.25 < rep.measured["slope"] < -0.05
     assert not rep.passed
 
@@ -215,7 +218,7 @@ def test_stability_sweep_near_circle():
     cfg = SimConfig(n=64, m=256, dt=2e-3, horizon=0.1, output_stride=5,
                     init_perturb_mode=3, init_perturb_amp=0.05)
     x0 = make_initial_curve(cfg)
-    rep = stability_audit(x0, hookean(1.0), 0.1, cfg=cfg, k_range=range(3, 9))
+    rep = stability_audit(x0, hookean(1.0), 0.1, cfg=cfg)
     assert rep.passed, rep.measured
     vals = list(rep.measured["ratios"].values())
     assert max(vals) / min(vals) <= 2.0
@@ -261,7 +264,7 @@ def test_equilibrium_audit_power_law():
 
 
 def test_chord_arc_lipschitz(perturbed_traj):
-    rep = chord_arc_lipschitz_audit(perturbed_traj, slack=1e-4)
+    rep = chord_arc_lipschitz_audit(perturbed_traj)
     assert rep.passed, rep.measured
 
 

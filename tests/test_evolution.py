@@ -1026,6 +1026,7 @@ def test_law_from_config_kinds():
     g = law_from_config(SimConfig(tension_kind="power", tension_p=2.0,
                                   tension_window=(1.0, 2.0),
                                   tension_globalize=True))
-    assert g.window == (0.0, np.inf)
+    # globalized: linear above the window with slope T'(2) = 4, not r^2
+    assert abs(g.eval(np.array([3.0]))[0] - 8.0) < 1e-12
     with pytest.raises(ValueError):
         law_from_config(SimConfig(tension_kind="mystery"))

@@ -255,14 +255,16 @@ def test_cli_zero_beta_points_exits_2_before_any_output(tmp_path, capsys):
     ("tension.kind = table\ntension.table = {missing}", 2, "not found"),
     ("init.kind = fourier-file\ninit.file = {nan_curve}", 2, "must be finite"),
     ("init.kind = fourier-file\ninit.file = {short_curve}", 2, "header N=16 but 32"),
+    ("init.radius = 0.0", 2, "arc-chord number is 0"),
     ("rho.floor = 2.0", 3, "numerical abort")],
-    ids=["missing-table", "nan-node", "truncated", "abort"])
+    ids=["missing-table", "nan-node", "truncated", "degenerate", "abort"])
 def test_cli_failed_run_leaves_no_output_directory(tmp_path, capsys, bad, code,
                                                    message):
     # found while the law or the initial curve is built (a curve file with a
     # nan node, or with more nodes than its header's N, once started a run
-    # that aborted with exit 3), or by the first step (a floor above the
-    # circle's grid arc-chord number, 0.64); test_cli_rejects_inconsistent_
+    # that aborted with exit 3), by the initial arc-chord number (a circle of
+    # radius 0 once aborted with exit 3), or by the first step (a floor above
+    # the circle's grid arc-chord number, 0.64); test_cli_rejects_inconsistent_
     # grid_and_horizon covers a grid found inconsistent when the state is built
     nan_curve, short_curve = tmp_path / "nan.curve", tmp_path / "short.curve"
     write_curve(Curve.circle(32), nan_curve)
@@ -357,6 +359,19 @@ def test_cli_norms(tmp_path, capsys):
     assert abs(rec["value"] - oracle) / oracle < 0.02
 
 
+@pytest.mark.parametrize("table", ["1.0\nnan\n2.0\n", "1.0\n-3.0\n-2.0\n",
+                                   "0.0\n1.0\n"], ids=["nan", "negative", "zero"])
+def test_cli_norms_rejects_a_bad_weight_table(tmp_path, capsys, table):
+    # such tables once printed a NaN or a negative norm and exited 0
+    path, mu = tmp_path / "circle.curve", tmp_path / "mu.txt"
+    write_curve(Curve.circle(32), path)
+    mu.write_text(table)
+    assert main(["norms", "--in", str(path), "--mu", f"file:{mu}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite and positive" in captured.err
+
+
 def test_cli_audit_equilibrium(tmp_path, capsys):
     cfg_path = _write_config(tmp_path, EQ_CONFIG)
     rc = main(["audit", "--audit", "equilibrium", "--config", cfg_path])
@@ -379,3 +394,22 @@ def test_cli_compare(tmp_path, capsys):
     assert rc == 0
     rec = json.loads(capsys.readouterr().out)
     assert "ratios" in rec["measured"]
+
+
+def test_cli_compare_checks_node_counts_before_any_run(tmp_path, capsys,
+                                                       monkeypatch):
+    # curves of 32 and 64 nodes once ran both simulations and then failed
+    # on numpy's broadcast error
+    import peskin_lab.diagnostics as diag
+
+    runs = []
+    monkeypatch.setattr(diag, "simulate", lambda *a, **k: runs.append(a))
+    a, b = tmp_path / "a.curve", tmp_path / "b.curve"
+    write_curve(Curve.circle(32), a)
+    write_curve(Curve.circle(64), b)
+    cfg_path = _write_config(tmp_path, EQ_CONFIG)
+    rc = main(["compare", "--in-a", str(a), "--in-b", str(b),
+               "--config", cfg_path])
+    assert rc == 2
+    assert "32 and 64 nodes" in capsys.readouterr().err
+    assert runs == []

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from peskin_lab.curve import fft_coeffs, lp_norm, magnitude, theta_grid, wavenumbers
+from peskin_lab.curve import (apply_multiplier, fft_coeffs, lp_norm, magnitude,
+                              parseval_norm, power_spectrum, theta_grid, wavenumbers)
 from peskin_lab.operators import (
-    half_lambda_norm,
     half_offset_grid,
-    lambda_fourier,
     lambda_sine,
-    lambda_tilde,
     lp_block_norms,
     lp_family,
     lp_project,
@@ -25,17 +23,20 @@ def test_lambda_fourier_pure_mode():
     th = theta_grid(n)
     for k in (1, 5, 17):
         f = np.cos(k * th)
-        assert np.max(np.abs(lambda_fourier(f, 1.0) - k * f)) < 1e-11
+        assert np.max(np.abs(apply_multiplier(f, np.abs(wavenumbers(n)) ** 1.0)
+                             - k * f)) < 1e-11
 
 
 def test_lambda_fourier_constant_zero():
-    assert np.max(np.abs(lambda_fourier(np.full(32, 4.2), 1.0))) < 1e-13
+    f = np.full(32, 4.2)
+    assert np.max(np.abs(apply_multiplier(f, np.abs(wavenumbers(32)) ** 1.0))) < 1e-13
 
 
 def test_lambda_fourier_semigroup(rng):
     f = random_trig_field(rng, 64, 20, components=1)
-    twice = lambda_fourier(lambda_fourier(f, 0.5), 0.5)
-    assert np.max(np.abs(twice - lambda_fourier(f, 1.0))) < 1e-11
+    k = np.abs(wavenumbers(64))
+    twice = apply_multiplier(apply_multiplier(f, k**0.5), k**0.5)
+    assert np.max(np.abs(twice - apply_multiplier(f, k**1.0))) < 1e-11
 
 
 def test_lambda_sine_eigenvalues():
@@ -62,7 +63,7 @@ def test_lambda_sine_matches_direct_quadrature(rng):
         shifted = (np.exp(1j * np.outer(th + al, k)) @ c).real
         direct += (shifted - f) / (2.0 * np.sin(al / 2.0)) ** 2
     direct *= -(1.0 / np.pi) * (2.0 * np.pi / m)
-    assert np.max(np.abs(direct - lambda_sine(f, m=m))) < 1e-10
+    assert np.max(np.abs(direct - lambda_sine(f))) < 1e-10  # m = 8n
 
 
 def test_lambda_tilde_first_eigenvalue():
@@ -134,28 +135,30 @@ def test_cold_symbol_memory_is_bounded(n, m):
 
 
 def test_lambda_tilde_constant_zero():
-    assert np.max(np.abs(lambda_tilde(np.full(32, -1.3)))) < 1e-13
+    f = np.full(32, -1.3)
+    assert np.max(np.abs(apply_multiplier(f, symbol(32, 256).lam_tilde))) < 1e-13
 
 
 def test_half_lambda_norm_zero():
-    assert half_lambda_norm(np.zeros(32)) == 0.0
+    assert parseval_norm(power_spectrum(np.zeros(32)), symbol(32, 256).lam_tilde) == 0.0
 
 
 def test_half_lambda_norm_pure_mode():
     n = 64
     th = theta_grid(n)
+    lam = symbol(n, 8 * n).lam_tilde
     for k in (1, 3, 9):
         f = np.stack([np.cos(k * th), np.sin(k * th)], axis=1)
-        lam_k = symbol(n, 8 * n).lam_tilde[k]
-        assert abs(half_lambda_norm(f) - np.sqrt(2.0 * np.pi * lam_k)) < 1e-10
+        norm = parseval_norm(power_spectrum(f), lam)
+        assert abs(norm - np.sqrt(2.0 * np.pi * lam[k])) < 1e-10
 
 
 def test_half_lambda_norm_quadratic_form(rng):
     n = 64
     f = random_trig_field(rng, n, 20, components=1)
-    g = lambda_tilde(f, m=8 * n)
-    inner = 2.0 * np.pi * np.mean(f * g)
-    assert abs(half_lambda_norm(f, m=8 * n) ** 2 - inner) < 1e-8
+    lam = symbol(n, 8 * n).lam_tilde
+    inner = 2.0 * np.pi * np.mean(f * apply_multiplier(f, lam))
+    assert abs(parseval_norm(power_spectrum(f), lam) ** 2 - inner) < 1e-8
 
 
 def test_half_lambda_norm_double_quadrature_oracle(rng):
@@ -171,14 +174,16 @@ def test_half_lambda_norm_double_quadrature_oracle(rng):
         shifted = (np.exp(1j * np.outer(th + al, k)) @ c).real
         total += np.mean((shifted - f) ** 2) * 2.0 * np.pi / al**2
     total *= (2.0 * np.pi / m) / (8.0 * np.pi)
-    assert abs(np.sqrt(total) - half_lambda_norm(f, m=m)) < 1e-10
+    norm = parseval_norm(power_spectrum(f), symbol(n, m).lam_tilde)
+    assert abs(np.sqrt(total) - norm) < 1e-10
 
 
 def test_operator_self_adjoint_psd(rng):
     n = 64
     f = random_trig_field(rng, n, 20, components=1)
     g = random_trig_field(rng, n, 20, components=1)
-    for op in (lambda_sine, lambda_tilde):
+    lam = symbol(n, 8 * n).lam_tilde
+    for op in (lambda_sine, lambda v: apply_multiplier(v, lam)):
         lhs = np.mean(f * op(g))
         rhs = np.mean(op(f) * g)
         assert abs(lhs - rhs) < 1e-12
@@ -261,7 +266,8 @@ def test_bernstein_bracket(m_exp, p, rng):
             base = grid_lp(piece, p)
             if base < 1e-9:
                 continue
-            ratio = grid_lp(lambda_fourier(piece, m_exp), p) / (2.0 ** (j * m_exp) * base)
+            scaled = apply_multiplier(piece, np.abs(wavenumbers(n)) ** m_exp)
+            ratio = grid_lp(scaled, p) / (2.0 ** (j * m_exp) * base)
             assert lo <= ratio <= hi
 
 
