@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .curve import Curve, arc_chord
 from .tension import TensionLaw, hookean, power_law, arctan_law, globalize
-from .kernels import stokeslet, kernel_K, kernel_K0, kernel_A, cancellation_residual
+from .kernels import kernel_K, kernel_K0, kernel_A, cancellation_residual
 from .operators import lambda_sine, lp_project
 from .besov import MuWeight, BesovParams, besov_diff, besov_lp, cl_norm, construct_mu
 from .evolution import SimConfig, SimState, Trajectory, right_hand_sides, simulate, step
@@ -17,7 +17,6 @@ __all__ = [
     "power_law",
     "arctan_law",
     "globalize",
-    "stokeslet",
     "kernel_K",
     "kernel_K0",
     "kernel_A",

@@ -58,6 +58,12 @@ class MuWeight:
         if np.any(bad):
             raise ValueError(f"weight table entries must be finite and positive, "
                              f"entry {int(np.argmax(bad))} is {float(t[bad][0])!r}")
+        drop = np.diff(t) < 0
+        if np.any(drop):
+            j = int(np.argmax(drop))
+            raise ValueError(f"weight table must be non-decreasing, entry "
+                             f"{j + 1} ({float(t[j + 1])!r}) is below entry "
+                             f"{j} ({float(t[j])!r})")
         t = t.copy()
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
@@ -97,7 +103,8 @@ def construct_mu(values: np.ndarray) -> MuWeight:
     Dyadic tail sums of 2^(j/2) ||Delta_j f||_2 set the raw profile
     min(log(4+2^j), tail^(-1/2)); the admissibility constraints are then
     enforced in order (floor, running max, doubling clamp, log-ratio
-    running min).
+    running min), and a last running max takes out the ulp-sized dips that
+    rounding the log-ratio product back can leave.
     """
     js, norms = lp_block_norms(values, 2)
     weighted = 2.0 ** (js / 2.0) * norms
@@ -115,7 +122,7 @@ def construct_mu(values: np.ndarray) -> MuWeight:
         mu[j] = min(mu[j], 2.0 * mu[j - 1])
     ratio = np.minimum.accumulate(mu / _log4(2.0 ** np.arange(len(mu))))
     mu = ratio * _log4(2.0 ** np.arange(len(mu)))
-    return MuWeight(table=mu)
+    return MuWeight(table=np.maximum.accumulate(mu))
 
 
 def sqrt_weight(mu: MuWeight) -> MuWeight:

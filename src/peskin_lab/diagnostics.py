@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .besov import BesovParams, MuWeight, _cl_norms, besov_diff, cl_norm
+from .besov import (DEFAULT_BETA_POINTS, BesovParams, MuWeight, _cl_norms,
+                    besov_diff, cl_norm)
 from .curve import (Curve, arc_chord, magnitude, parseval_norm, power_spectrum,
                     spectral_antiderivative, theta_grid, wavenumbers)
 from .evolution import SimConfig, Trajectory, simulate
@@ -53,7 +54,6 @@ class AuditReport:
     measured: dict
     thresholds: dict
     passed: bool
-    notes: str = ""
 
 
 def _digest(traj: Trajectory) -> str:
@@ -64,23 +64,22 @@ def _digest(traj: Trajectory) -> str:
     return h.hexdigest()[:16]
 
 
-def apriori_audit(traj: Trajectory, mu: MuWeight, lam: float,
-                  beta_points: int = 2048) -> AuditReport:
+def apriori_audit(traj: Trajectory, mu: MuWeight, lam: float) -> AuditReport:
     """Energy-inequality check: weighted sup-in-time norm plus the scaled
     dissipation stays below four times the initial weighted norm.
 
     lhs = cl_norm "B" + c sqrt(lam) cl_norm "D" with dissipation |k| (the
     quarter-power multiplier |k|^(1/2) inside the beta integral, trapezoid
     in time); rhs = 4 besov_diff(X'(0)).  Every norm is at (1/2; 2, 1) with
-    weight mu on the same beta grid.
+    weight mu on the same beta grid of DEFAULT_BETA_POINTS nodes.
     """
     derivs = [d.nodes for d in traj.derivs]
     params = BesovParams(0.5, 2, 1, mu)
     k = np.abs(wavenumbers(len(derivs[0]))).astype(float)
     sup_part, diss_part = _cl_norms(traj.times, derivs, params, ("B", "D"),
-                                    beta_points, dissipation=k)
+                                    DEFAULT_BETA_POINTS, dissipation=k)
     lhs = float(sup_part + APRIORI_C * np.sqrt(lam) * diss_part)
-    rhs = 4.0 * besov_diff(derivs[0], params, beta_points)
+    rhs = 4.0 * besov_diff(derivs[0], params, DEFAULT_BETA_POINTS)
     return AuditReport(
         name="apriori",
         inputs_digest=_digest(traj),
@@ -128,6 +127,10 @@ def smoothing_audit(traj: Trajectory, mode: str = "rough") -> AuditReport:
     if mode != "rough":
         raise ValueError(f"unknown mode {mode!r}")
     positive = times > 0
+    if not positive.any():
+        raise ValueError(f"the smoothing fit needs an output at a positive "
+                         f"time, and the trajectory's outputs are at t = "
+                         f"{times.tolist()}")
     t0 = float(times[positive][0])
     window = (times >= t0) & (times <= 10.0 * t0)
     if int(window.sum()) < 6:
@@ -248,7 +251,7 @@ def equilibrium_audit(traj: Trajectory) -> AuditReport:
 
     Stationary start: distance stays below EXACT_TOL throughout.  Perturbed
     start: the distance decays and a positive exponential rate fits the
-    tail half of the outputs.
+    tail half of the outputs, which must hold at least two.
     """
     dists = np.array([circle_distance(d) for d in traj.derivs])
     times = np.asarray(traj.times)
@@ -262,6 +265,10 @@ def equilibrium_audit(traj: Trajectory) -> AuditReport:
             passed=ok,
         )
     tail = slice(len(times) // 2, None)
+    if len(times[tail]) < 2:
+        raise ValueError(f"the decay-rate fit needs at least two outputs in the "
+                         f"tail half of the trajectory, which holds "
+                         f"{len(times[tail])} of {len(times)}")
     safe = np.maximum(dists[tail], 1e-300)
     rate = -float(np.polyfit(times[tail], np.log(safe), 1)[0])
     ok = bool(dists[-1] < dists[0]) and rate > 0.0

@@ -1,4 +1,4 @@
-"""Stokeslet, reflection/projection matrices, and the evolution kernels.
+"""Stokeslet cancellation residual, reflection/projection matrices, K kernels.
 
 Everything here is a pure function of 2-vectors, vectorized over leading
 axes: inputs of shape (..., 2) produce matrices of shape (..., 2, 2).
@@ -17,8 +17,6 @@ __all__ = [
     "unit",
     "reflection",
     "projection",
-    "stokeslet",
-    "stokeslet_derivatives",
     "cancellation_residual",
     "kernel_K",
     "kernel_A",
@@ -68,63 +66,21 @@ def _eye_like(z):
     return out
 
 
-def stokeslet(z: np.ndarray, part: str = "G") -> np.ndarray:
-    """2D Stokeslet: G1 = -(log|z|/4pi) I, G2 = (zhat@zhat)/4pi, G = G1+G2."""
-    z = np.asarray(z, dtype=float)
-    r = magnitude(z)
-    if np.any(r == 0.0):
-        raise ValueError("Stokeslet is singular at z = 0")
-    if part == "G1":
-        return -(np.log(r) / FOUR_PI)[..., None, None] * _eye_like(z)
-    if part == "G2":
-        zh = z / r[..., None]
-        return _outer(zh, zh) / FOUR_PI
-    if part == "G":
-        return stokeslet(z, "G1") + stokeslet(z, "G2")
-    raise ValueError(f"unknown part {part!r}")
-
-
-def stokeslet_derivatives(u: np.ndarray, v: np.ndarray | None, z: np.ndarray,
-                          which: str) -> np.ndarray:
-    """Directional derivatives of the Stokeslet pieces.
-
-    which is one of "d_u G1", "d_u G2", "d_u d_v G1", "d_u d_v G2"; the
-    second-order forms require v.
-    """
+def cancellation_residual(u: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Norm of [d_u G1](z) z + G2(z) u, zero in exact arithmetic: the Stokeslet
+    pieces G1 = -(log|z|/4pi) I and G2 = zhat@zhat/4pi give
+    d_u G1 = -(u.zhat/|z|) I/4pi."""
     u = np.asarray(u, dtype=float)
     z = np.asarray(z, dtype=float)
     r = magnitude(z)
     if np.any(r == 0.0):
-        raise ValueError("Stokeslet derivatives are singular at z = 0")
+        raise ValueError("Stokeslet is singular at z = 0")
     zh = z / r[..., None]
-    if which == "d_u G1":
-        coef = -np.einsum("...i,...i->...", u, zh) / r
-        return coef[..., None, None] * _eye_like(z) / FOUR_PI
-    if which == "d_u G2":
-        zp = perp(zh)
-        coef = np.einsum("...i,...i->...", u, zp) / r
-        return coef[..., None, None] * reflection(z) / FOUR_PI
-    if v is None:
-        raise ValueError("second-order derivatives require v")
-    v = np.asarray(v, dtype=float)
-    p = projection(z)
-    if which == "d_u d_v G1":
-        coef = np.einsum("...i,...ij,...j->...", u, p, v) / r**2
-        return coef[..., None, None] * _eye_like(z) / FOUR_PI
-    if which == "d_u d_v G2":
-        rm = reflection(z)
-        c_r = np.einsum("...i,...ij,...j->...", u, rm, v) / r**2
-        c_p = np.einsum("...i,...ij,...j->...", u, p - _eye_like(z), v) / r**2
-        return (-c_r[..., None, None] * rm + c_p[..., None, None] * p) / FOUR_PI
-    raise ValueError(f"unknown derivative {which!r}")
-
-
-def cancellation_residual(u: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Norm of [d_u G1](z) z + G2(z) u; identically zero in exact arithmetic."""
-    du_g1 = stokeslet_derivatives(u, None, z, "d_u G1")
-    g2 = stokeslet(z, "G2")
-    res = np.einsum("...ij,...j->...i", du_g1, np.asarray(z, dtype=float)) \
-        + np.einsum("...ij,...j->...i", g2, np.asarray(u, dtype=float))
+    coef = -np.einsum("...i,...i->...", u, zh) / r
+    du_g1 = coef[..., None, None] * _eye_like(z) / FOUR_PI
+    g2 = _outer(zh, zh) / FOUR_PI
+    res = np.einsum("...ij,...j->...i", du_g1, z) \
+        + np.einsum("...ij,...j->...i", g2, u)
     return magnitude(res)
 
 

@@ -18,6 +18,7 @@ from peskin_lab.besov import (
 from peskin_lab.curve import (fft_coeffs, grid_values, half_offset_frame,
                               parseval_norm, power_spectrum, shift_many,
                               theta_grid, wavenumbers)
+from peskin_lab.evolution import SimConfig, make_initial_curve
 from peskin_lab.operators import half_offset_grid, symbol
 from conftest import grid_lp, mu_admissible, random_trig_field
 
@@ -360,6 +361,24 @@ def test_construct_mu_admissible(rng):
     f = random_trig_field(rng, 128, 40, decay=1.4)
     mu = construct_mu(f)
     assert mu_admissible(mu, c0=2.0)
+
+
+@pytest.mark.parametrize("mode", [5, 6, 7])
+def test_construct_mu_is_non_decreasing_on_perturbed_circles(mode):
+    # the log-ratio step once left one-ulp dips (-1.1e-16) in these tables
+    cfg = SimConfig(n=128, m=512, init_perturb_mode=mode, init_perturb_amp=0.05)
+    table = construct_mu(make_initial_curve(cfg).derivative().nodes).table
+    assert np.all(np.diff(table) >= 0.0)
+
+
+def test_mu_weight_rejects_a_decreasing_table():
+    # a decreasing table once gave norms --mu file: a value and exit 0
+    with pytest.raises(ValueError, match=r"non-decreasing, entry 1 \(1.0\) is "
+                                         r"below entry 0 \(50.0\)"):
+        MuWeight(table=np.array([50.0, 1.0]))
+    with pytest.raises(ValueError, match="entry 3"):
+        MuWeight(table=np.array([1.0, 2.0, 2.0, 1.5]))
+    assert MuWeight(table=np.array([1.0, 1.0, 2.0]))(0.5) == 1.0  # flat steps pass
 
 
 def test_construct_mu_band_limited_log_branch():

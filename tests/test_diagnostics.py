@@ -84,8 +84,7 @@ def test_apriori_lhs_monotone_in_horizon(perturbed_traj):
                          curves=perturbed_traj.curves[:upto],
                          records=perturbed_traj.records[:upto],
                          scheme=perturbed_traj.scheme)
-        lhs_values.append(apriori_audit(sub, mu, lam=1.0,
-                                        beta_points=512).measured["lhs"])
+        lhs_values.append(apriori_audit(sub, mu, lam=1.0).measured["lhs"])
     assert all(b >= a - 1e-10 for a, b in zip(lhs_values, lhs_values[1:]))
 
 
@@ -108,7 +107,7 @@ def test_apriori_audit_matches_two_gain_form(perturbed_traj):
                      * (sup_part + APRIORI_C * np.sqrt(np.maximum(diss_sq, 0.0))))
     norms = np.sqrt(2.0 * np.pi * (gain @ powers[0]))
     rhs = 4.0 * h * np.sum(mu(1.0 / ab) * norms / ab**1.5)
-    got = apriori_audit(traj, mu, lam=1.0, beta_points=beta_points).measured
+    got = apriori_audit(traj, mu, lam=1.0).measured
     assert abs(got["lhs"] - lhs) <= 1e-12 * lhs
     assert abs(got["rhs"] - rhs) <= 1e-12 * rhs
 
@@ -144,6 +143,12 @@ def test_smoothing_audit_needs_enough_points(perturbed_traj):
     # only 0.1 .. 0.5
     with pytest.raises(ValueError, match="fewer than 6 outputs"):
         smoothing_audit(_truncated(perturbed_traj, 0.55))
+
+
+def test_smoothing_audit_needs_a_positive_output_time(perturbed_traj):
+    # a zero-horizon run once ended in an IndexError traceback
+    with pytest.raises(ValueError, match=r"positive time.* t = \[0.0\]"):
+        smoothing_audit(_truncated(perturbed_traj, 0.0))
 
 
 def _symbol_decay_trajectory(n, sigma, amp, base_radius, seed=9,
@@ -253,6 +258,22 @@ def test_equilibrium_audit_perturbed(perturbed_traj):
     assert rep.measured["rate"] > 0
 
 
+@pytest.mark.parametrize("t_max, held", [(0.0, "1 of 1"), (0.15, "1 of 2")])
+def test_equilibrium_audit_needs_two_tail_outputs(perturbed_traj, t_max, held):
+    # outputs every 0.1: the tail half of (0, 0.1) is one point, through
+    # which a line once fitted a rate and passed
+    with pytest.raises(ValueError, match=f"at least two outputs.*holds {held}"):
+        equilibrium_audit(_truncated(perturbed_traj, t_max))
+    rep = equilibrium_audit(_truncated(perturbed_traj, 0.25))  # tail (0.1, 0.2)
+    assert rep.name == "equilibrium[perturbed]"
+
+
+def test_equilibrium_audit_stationary_needs_no_tail(equilibrium_traj):
+    rep = equilibrium_audit(_truncated(equilibrium_traj, 0.0))
+    assert rep.name == "equilibrium[stationary]"
+    assert rep.passed
+
+
 def test_equilibrium_audit_power_law():
     cfg = SimConfig(n=64, m=256, dt=5e-3, horizon=1.0, scheme="imex",
                     init_perturb_mode=2, init_perturb_amp=0.05,
@@ -294,6 +315,6 @@ def test_chord_arc_lipschitz_reads_arc_chord_from_records(perturbed_traj,
 
 def test_reports_are_deterministic(perturbed_traj):
     mu = MuWeight.log4()
-    a = apriori_audit(perturbed_traj, mu, lam=1.0, beta_points=512)
-    b = apriori_audit(perturbed_traj, mu, lam=1.0, beta_points=512)
+    a = apriori_audit(perturbed_traj, mu, lam=1.0)
+    b = apriori_audit(perturbed_traj, mu, lam=1.0)
     assert a == b

@@ -359,17 +359,40 @@ def test_cli_norms(tmp_path, capsys):
     assert abs(rec["value"] - oracle) / oracle < 0.02
 
 
-@pytest.mark.parametrize("table", ["1.0\nnan\n2.0\n", "1.0\n-3.0\n-2.0\n",
-                                   "0.0\n1.0\n"], ids=["nan", "negative", "zero"])
-def test_cli_norms_rejects_a_bad_weight_table(tmp_path, capsys, table):
-    # such tables once printed a NaN or a negative norm and exited 0
+@pytest.mark.parametrize("table, message", [
+    ("1.0\nnan\n2.0\n", "must be finite and positive"),
+    ("1.0\n-3.0\n-2.0\n", "must be finite and positive"),
+    ("0.0\n1.0\n", "must be finite and positive"),
+    ("50\n1\n", "must be non-decreasing")],
+    ids=["nan", "negative", "zero", "decreasing"])
+def test_cli_norms_rejects_a_bad_weight_table(tmp_path, capsys, table, message):
+    # such tables once printed a NaN, a negative norm or (50, 1) a weighted
+    # norm of 411.37, and exited 0
     path, mu = tmp_path / "circle.curve", tmp_path / "mu.txt"
     write_curve(Curve.circle(32), path)
     mu.write_text(table)
     assert main(["norms", "--in", str(path), "--mu", f"file:{mu}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "must be finite and positive" in captured.err
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("audit, extra, message", [
+    ("smoothing", "init.kind = random-sobolev\ntime.horizon = 0.0",
+     "positive time"),
+    ("equilibrium", "init.perturb_mode = 2\ninit.perturb_amp = 0.05\n"
+     "time.horizon = 0.01", "at least two outputs")],
+    ids=["smoothing-zero-horizon", "equilibrium-two-outputs"])
+def test_cli_audit_without_data_for_its_fit_exits_2(tmp_path, capsys, audit,
+                                                    extra, message):
+    # a zero-horizon smoothing audit once exited 1 with a traceback, and an
+    # equilibrium audit on outputs at t = 0 and 0.01 once passed on a line
+    # through one point
+    cfg_path = _write_config(tmp_path, EQ_CONFIG + extra + "\n")
+    assert main(["audit", "--audit", audit, "--config", cfg_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_cli_audit_equilibrium(tmp_path, capsys):

@@ -12,8 +12,6 @@ from peskin_lab.kernels import (
     kernel_K0,
     projection,
     reflection,
-    stokeslet,
-    stokeslet_derivatives,
 )
 
 FOUR_PI = 4.0 * np.pi
@@ -23,62 +21,6 @@ def rotation(phi):
     return np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
 
 
-# --- Stokeslet -------------------------------------------------------------
-
-def test_stokeslet_unit_x():
-    z = np.array([1.0, 0.0])
-    assert np.max(np.abs(stokeslet(z, "G1"))) < 1e-15  # log 1 = 0
-    assert np.max(np.abs(stokeslet(z, "G2") - np.diag([1.0, 0.0]) / FOUR_PI)) < 1e-15
-
-
-def test_stokeslet_diagonal_case():
-    z = np.array([1.0, 1.0])
-    expected = -(0.5 * np.log(2.0) / FOUR_PI) * np.eye(2) \
-        + np.full((2, 2), 1.0 / (8.0 * np.pi))
-    assert np.max(np.abs(stokeslet(z, "G") - expected)) < 1e-15
-
-
-def test_stokeslet_rejects_zero():
-    with pytest.raises(ValueError):
-        stokeslet(np.zeros(2))
-
-
-def fd_stokeslet_dir(u, z, part, h=1e-6):
-    return (stokeslet(z + h * u, part) - stokeslet(z - h * u, part)) / (2 * h)
-
-
-def fd_stokeslet_dir2(u, v, z, part, h=1e-4):
-    return (fd_stokeslet_dir(u, z + h * v, part)
-            - fd_stokeslet_dir(u, z - h * v, part)) / (2 * h)
-
-
-def test_derivative_orthogonal_case():
-    out = stokeslet_derivatives(np.array([0.0, 1.0]), None,
-                                np.array([2.0, 0.0]), "d_u G1")
-    assert np.max(np.abs(out)) < 1e-15
-
-
-def test_derivative_aligned_case():
-    out = stokeslet_derivatives(np.array([1.0, 0.0]), None,
-                                np.array([1.0, 0.0]), "d_u G1")
-    assert np.max(np.abs(out + np.eye(2) / FOUR_PI)) < 1e-15
-
-
-def test_derivatives_match_finite_differences(rng):
-    for _ in range(30):
-        u = rng.standard_normal(2)
-        v = rng.standard_normal(2)
-        z = rng.standard_normal(2)
-        if np.hypot(*z) < 0.3:
-            continue
-        for part, which in (("G1", "d_u G1"), ("G2", "d_u G2")):
-            exact = stokeslet_derivatives(u, None, z, which)
-            assert np.max(np.abs(exact - fd_stokeslet_dir(u, z, part))) < 1e-6
-        for part, which in (("G1", "d_u d_v G1"), ("G2", "d_u d_v G2")):
-            exact = stokeslet_derivatives(u, v, z, which)
-            assert np.max(np.abs(exact - fd_stokeslet_dir2(u, v, z, part))) < 1e-6
-
-
 # --- cancellation ----------------------------------------------------------
 
 def test_cancellation_orthogonal():
@@ -86,13 +28,14 @@ def test_cancellation_orthogonal():
 
 
 def test_cancellation_diagonal_hand_case():
+    # d_u G1 z = -(1, 1)/4pi and G2 u = (1, 1)/4pi
     u = z = np.array([1.0, 1.0])
-    du_g1 = stokeslet_derivatives(u, None, z, "d_u G1")
-    term1 = du_g1 @ z
-    term2 = stokeslet(z, "G2") @ u
-    assert np.max(np.abs(term1 + np.array([1.0, 1.0]) / FOUR_PI)) < 1e-15
-    assert np.max(np.abs(term2 - np.array([1.0, 1.0]) / FOUR_PI)) < 1e-15
     assert cancellation_residual(u, z) < 1e-15
+
+
+def test_stokeslet_rejects_zero():
+    with pytest.raises(ValueError, match="Stokeslet is singular at z = 0"):
+        cancellation_residual(np.ones(2), np.zeros(2))
 
 
 def test_cancellation_sweep(rng):
