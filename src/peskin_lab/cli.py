@@ -242,8 +242,7 @@ _AUDITS = {  # audit --audit -> the report for a config
                                               law_from_config(cfg).lam),
     "smoothing": lambda cfg: diag.smoothing_audit(
         simulate(cfg), mode="rough" if cfg.init_kind == "random-sobolev" else "smooth"),
-    "stability": lambda cfg: diag.stability_audit(
-        make_initial_curve(cfg), law_from_config(cfg), cfg.horizon, cfg),
+    "stability": lambda cfg: diag.stability_audit(make_initial_curve(cfg), cfg),
     "equilibrium": lambda cfg: diag.equilibrium_audit(simulate(cfg)),
 }
 
@@ -259,10 +258,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = config_from_file(args.config)
-    x0 = read_curve(args.in_a)
-    y0 = read_curve(args.in_b)
-    report = diag.stability_audit(x0, law_from_config(cfg), cfg.horizon,
-                                  cfg=cfg, y0=y0,
+    report = diag.stability_audit(read_curve(args.in_a), cfg, y0=read_curve(args.in_b),
                                   omega=sqrt_weight(MuWeight.log4()))
     print(json.dumps({"audit": report.name, "passed": report.passed,
                       "measured": report.measured}, sort_keys=True))

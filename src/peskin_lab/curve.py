@@ -303,51 +303,55 @@ def spectral_antiderivative(values: np.ndarray) -> np.ndarray:
     return apply_multiplier(values, antiderivative_multiplier(np.asarray(values).shape[0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Curve:
     """Closed curve X: T -> R^2 as nodal values plus Fourier coefficients.
 
     nodes[j] = X(theta_j) with theta_j = -pi + 2*pi*j/N; coeffs are the true
-    coefficients c_k in FFT order; the two stay in sync by construction.
+    coefficients c_k in FFT order.  from_nodes and from_coeffs each compute
+    one from the other, so the two agree by construction; from_nodes, where
+    outside data enters, also checks the round trip to 1e-12.
     """
 
     nodes: np.ndarray
     coeffs: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=float))
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a Curve is built by Curve.from_nodes or Curve.from_coeffs")
+
+    @classmethod
+    def _built(cls, nodes: np.ndarray, coeffs: np.ndarray) -> "Curve":
+        nodes = np.ascontiguousarray(nodes, dtype=float)
         if nodes.ndim != 2 or nodes.shape[1] != 2:
             raise ValueError("nodes must have shape (N, 2)")
         n = nodes.shape[0]
         if n < MIN_NODES or n % 2 != 0:
             raise ValueError(f"grid size must be even and >= {MIN_NODES}, got {n}")
-        coeffs = np.ascontiguousarray(np.asarray(self.coeffs, dtype=complex))
-        if coeffs.shape != nodes.shape:
-            raise ValueError("coeffs shape must match nodes shape")
-        # a nan passes the agreement check below: every comparison is False
+        coeffs = np.ascontiguousarray(coeffs, dtype=complex)
         if not (np.isfinite(nodes).all() and np.isfinite(coeffs).all()):
             raise ValueError("nodes and coeffs must be finite")
-        # the two representations must agree through the transform
-        back = grid_values(coeffs)
-        scale = max(1.0, float(np.max(np.abs(nodes))))
-        if float(np.max(np.abs(back - nodes))) > 1e-12 * scale:
-            raise ValueError("nodes and coeffs disagree beyond 1e-12")
         nodes.flags.writeable = False
         coeffs.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "coeffs", coeffs)
+        curve = object.__new__(cls)
+        object.__setattr__(curve, "nodes", nodes)
+        object.__setattr__(curve, "coeffs", coeffs)
+        return curve
 
     @classmethod
     def from_nodes(cls, nodes: np.ndarray) -> "Curve":
         nodes = np.asarray(nodes, dtype=float)
-        with np.errstate(invalid="ignore"):  # an inf node, which __post_init__ rejects
-            coeffs = fft_coeffs(nodes)
-        return cls(nodes=nodes, coeffs=coeffs)
+        with np.errstate(invalid="ignore"):  # an inf node, which _built rejects
+            curve = cls._built(nodes, fft_coeffs(nodes))
+        scale = max(1.0, float(np.max(np.abs(curve.nodes))))
+        if float(np.max(np.abs(grid_values(curve.coeffs) - curve.nodes))) > 1e-12 * scale:
+            raise ValueError("nodes and their coefficients disagree beyond 1e-12")
+        return curve
 
     @classmethod
     def from_coeffs(cls, coeffs: np.ndarray) -> "Curve":
         coeffs = np.asarray(coeffs, dtype=complex)
-        return cls(nodes=grid_values(coeffs), coeffs=coeffs)
+        with np.errstate(invalid="ignore"):  # an inf coefficient, which _built rejects
+            return cls._built(grid_values(coeffs), coeffs)
 
     @classmethod
     def circle(cls, n: int, radius: float = 1.0) -> "Curve":

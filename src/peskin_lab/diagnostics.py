@@ -10,7 +10,7 @@ once at desk scale and then frozen as regression guards.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -20,7 +20,6 @@ from .besov import (DEFAULT_BETA_POINTS, BesovParams, MuWeight, _cl_norms,
 from .curve import (Curve, arc_chord, magnitude, parseval_norm, power_spectrum,
                     spectral_antiderivative, theta_grid, wavenumbers)
 from .evolution import SimConfig, Trajectory, simulate
-from .tension import TensionLaw
 
 __all__ = [
     "AuditReport",
@@ -64,6 +63,16 @@ def _digest(traj: Trajectory) -> str:
     return h.hexdigest()[:16]
 
 
+def _after_start(times, audit: str) -> np.ndarray:
+    """times > 0; a ValueError naming the times unless some output is."""
+    times = np.asarray(times, dtype=float)
+    later = times > 0
+    if not later.any():
+        raise ValueError(f"the {audit} needs an output at a positive time, and "
+                         f"the outputs are at t = {times.tolist()}")
+    return later
+
+
 def apriori_audit(traj: Trajectory, mu: MuWeight, lam: float) -> AuditReport:
     """Energy-inequality check: weighted sup-in-time norm plus the scaled
     dissipation stays below four times the initial weighted norm.
@@ -71,8 +80,10 @@ def apriori_audit(traj: Trajectory, mu: MuWeight, lam: float) -> AuditReport:
     lhs = cl_norm "B" + c sqrt(lam) cl_norm "D" with dissipation |k| (the
     quarter-power multiplier |k|^(1/2) inside the beta integral, trapezoid
     in time); rhs = 4 besov_diff(X'(0)).  Every norm is at (1/2; 2, 1) with
-    weight mu on the same beta grid of DEFAULT_BETA_POINTS nodes.
+    weight mu on the same beta grid of DEFAULT_BETA_POINTS nodes; some
+    output must be at a positive time.
     """
+    _after_start(traj.times, "apriori audit")
     derivs = [d.nodes for d in traj.derivs]
     params = BesovParams(0.5, 2, 1, mu)
     k = np.abs(wavenumbers(len(derivs[0]))).astype(float)
@@ -111,9 +122,10 @@ def smoothing_audit(traj: Trajectory, mode: str = "rough") -> AuditReport:
     mode "rough": log-log slope over one decade of t starting at the first
     positive output must land in SMOOTH_SLOPE_RANGE, and the
     half-Hoelder quotient sup must stay within a fixed factor of C t^(-1/2).
-    mode "smooth": boundedness only.
+    mode "smooth": boundedness only.  Both need an output at t > 0.
     """
     times = np.asarray(traj.times)
+    positive = _after_start(times, "smoothing audit")
     h1 = _h1_series(traj)
     if mode == "smooth":
         bound = 1.25 * h1[0] + 1e-12
@@ -126,11 +138,6 @@ def smoothing_audit(traj: Trajectory, mode: str = "rough") -> AuditReport:
         )
     if mode != "rough":
         raise ValueError(f"unknown mode {mode!r}")
-    positive = times > 0
-    if not positive.any():
-        raise ValueError(f"the smoothing fit needs an output at a positive "
-                         f"time, and the trajectory's outputs are at t = "
-                         f"{times.tolist()}")
     t0 = float(times[positive][0])
     window = (times >= t0) & (times <= 10.0 * t0)
     if int(window.sum()) < 6:
@@ -160,16 +167,16 @@ def _perturbation_shape(n: int) -> np.ndarray:
     return spectral_antiderivative(deriv / parseval_norm(power_spectrum(deriv)))
 
 
-def stability_audit(x0: Curve, law: TensionLaw, horizon: float, cfg: SimConfig,
-                    y0: Optional[Curve] = None,
+def stability_audit(x0: Curve, cfg: SimConfig, y0: Optional[Curve] = None,
                     omega: Optional[MuWeight] = None) -> AuditReport:
     """Amplification of initial tangent-field perturbations, swept over sizes.
 
-    Each run takes cfg over the horizon.  For each k = 3 .. 8 the perturbed
-    curve starts at L2 tangent distance 2^-k ||X0'||; the sup-in-time ratios
-    must stay below STABILITY_RATIO_MAX and within a factor 2 of each other
-    (no blow-up as the perturbation vanishes).  y0 compares just that pair;
-    it must have x0's node count.
+    Each run is simulate(cfg) from its own initial curve, with cfg's law
+    and horizon; a zero horizon is refused before any run.  For each k =
+    3 .. 8 the perturbed curve starts at L2 tangent distance 2^-k ||X0'||;
+    the sup-in-time ratios must stay below STABILITY_RATIO_MAX and within
+    a factor 2 of each other (no blow-up as the perturbation vanishes).  y0
+    compares just that pair; it must have x0's node count.
 
     The sup runs over every output time, t = 0 included, so a difference
     that only decays reads exactly 1.  ratios_after_start (the sup over
@@ -179,8 +186,8 @@ def stability_audit(x0: Curve, law: TensionLaw, horizon: float, cfg: SimConfig,
     if y0 is not None and y0.n != x0.n:
         raise ValueError(f"the curves to compare must share a node count, got "
                          f"{x0.n} and {y0.n} nodes")
-    cfg = replace(cfg, horizon=horizon)
-    base = simulate(cfg, initial=x0, law=law)
+    _after_start([cfg.horizon], "stability audit")  # the last output time
+    base = simulate(cfg, initial=x0)
     base_l2 = parseval_norm(power_spectrum(base.derivs[0].nodes))
     pairs = []
     if y0 is not None:
@@ -190,11 +197,10 @@ def stability_audit(x0: Curve, law: TensionLaw, horizon: float, cfg: SimConfig,
         for k in range(3, 9):
             delta = 2.0**-k * base_l2
             pairs.append((f"2^-{k}", Curve.from_nodes(x0.nodes + delta * shape)))
-    ratios, after_start, final = {}, {}, {}
-    omega_norms = {}
+    ratios, after_start, final, omega_norms = {}, {}, {}, {}
     later = np.asarray(base.times) > 0
     for label, y in pairs:
-        other = simulate(cfg, initial=y, law=law)
+        other = simulate(cfg, initial=y)
         diffs = [a.nodes - b.nodes for a, b in zip(base.derivs, other.derivs)]
         dists = np.array([parseval_norm(power_spectrum(d)) for d in diffs])
         d0 = float(dists[0])

@@ -41,11 +41,11 @@ stay exact elementwise differences, the row sums are:
 The IMEX step keeps the state in Fourier coefficients from one step to
 the next.  Its implicit part is a per-wavenumber solve, so it ends with the
 coefficients of X'; X's are those over ik, with the mean advanced by the
-averaged position velocity, and both node sets come from one inverse
-transform.  The frame samples X and X' from the state's coefficients with
-one size-m inverse transform (curve.half_offset_values), so a step takes
-one forward FFT (of the explicit term) and four inverse ones, two of them
-the Curve checks that nodes and coefficients agree.  Per-grid constants
+averaged position velocity, and each curve takes its nodes from its
+coefficients (Curve.from_coeffs).  The frame samples X and X' from the
+state's coefficients with one size-m inverse transform
+(curve.half_offset_values), so a step takes one forward FFT (of the
+explicit term) and three inverse ones.  Per-grid constants
 (the alpha tables, the difference pattern rows) are cached read-only.
 
 Inside the frame every 2-vector is one complex number z = x + iy: real
@@ -720,8 +720,8 @@ def cfl_limit(state: SimState) -> float:
     return CFL_CONSTANT / (_cbar(state) * lam_max)
 
 
-def _check_finite(state: SimState, nodes: np.ndarray):
-    if not np.all(np.isfinite(nodes)):
+def _check_finite(state: SimState, *arrays: np.ndarray):
+    if not all(np.isfinite(a).all() for a in arrays):
         raise SimulationAbort(state.t, "non-finite values")
 
 
@@ -781,14 +781,11 @@ def _step_imex(state: SimState, dt: float) -> SimState:
     # mode: both stay zero, as X' = d/dtheta X leaves them
     c1_new[0] = c1_new[n // 2] = 0.0
     # X from X' by 1/(ik), the mean advanced by the averaged position
-    # velocity (the derivative equation cannot see translations); both node
-    # sets from one inverse transform
+    # velocity (the derivative equation cannot see translations)
     cx = c1_new * antiderivative_multiplier(n)[:, None]
     cx[0] = state.curve.mean + dt * mean_velocity
-    nodes = grid_values(np.concatenate((cx, c1_new), axis=1))
-    _check_finite(state, nodes)
-    return state.advanced(state.t + dt, Curve(nodes=nodes[:, :2], coeffs=cx),
-                          Curve(nodes=nodes[:, 2:], coeffs=c1_new))
+    _check_finite(state, cx, c1_new)  # before Curve rejects it as bad input
+    return state.advanced(state.t + dt, Curve.from_coeffs(cx), Curve.from_coeffs(c1_new))
 
 
 _SCHEMES = {"imex": _step_imex, "rk4": _step_rk4}  # time.scheme -> step
@@ -987,12 +984,11 @@ def law_from_config(cfg: SimConfig) -> TensionLaw:
     return law
 
 
-def _diag_record(state: SimState, arc: float, mu: Optional[MuWeight], scheme: str,
-                 beta_points: int) -> dict:
+def _diag_record(state: SimState, arc: float, mu: Optional[MuWeight], cfg: SimConfig) -> dict:
     x1 = state.deriv.nodes
     power = power_spectrum(x1)
     k = np.abs(wavenumbers(state.curve.n)).astype(float)
-    bes = besov_diff(x1, BesovParams(0.5, 2, 1, mu), beta_points=beta_points)
+    bes = besov_diff(x1, BesovParams(0.5, 2, 1, mu), beta_points=cfg.diag_beta_points)
     return {
         "schema": "peskin-lab/diag-v1",
         "t": float(state.t),
@@ -1001,33 +997,29 @@ def _diag_record(state: SimState, arc: float, mu: Optional[MuWeight], scheme: st
         "h_half": parseval_norm(power, k),
         "h1": parseval_norm(power, k**2),
         "besov_half_mu": float(bes),
-        "step_scheme": scheme,
+        "step_scheme": cfg.scheme,
     }
 
 
-def simulate(cfg: SimConfig, initial: Optional[Curve] = None,
-             law: Optional[TensionLaw] = None) -> Trajectory:
-    """Run the configured evolution; deterministic given the config."""
+def simulate(cfg: SimConfig, initial: Optional[Curve] = None) -> Trajectory:
+    """Run the configured evolution, from initial if given; deterministic
+    given the config."""
     curve = initial if initial is not None else make_initial_curve(cfg)
-    the_law = law if law is not None else law_from_config(cfg)
-    n_steps = cfg.steps
     # the initial arc-chord serves both the default floor and the first record
     arc = arc_chord(curve).value
     if arc == 0.0:
         raise ValueError("the initial curve is degenerate: its arc-chord number is 0")
     rho_floor = cfg.rho_floor if cfg.rho_floor is not None \
         else _FLOOR_FRACTION * arc
-    state = SimState.make(curve, the_law, m=cfg.m, rho_floor=rho_floor)
+    state = SimState.make(curve, law_from_config(cfg), m=cfg.m, rho_floor=rho_floor)
     mu = _MU_WEIGHTS[cfg.mu_kind](state.deriv.nodes)
-    times = [state.t]
-    curves = [state.curve]
-    records = [_diag_record(state, arc, mu, cfg.scheme, cfg.diag_beta_points)]
-    for i in range(1, n_steps + 1):
+    times, curves = [state.t], [state.curve]
+    records = [_diag_record(state, arc, mu, cfg)]
+    for i in range(1, cfg.steps + 1):
         state = step(state, cfg.dt, cfg.scheme)
-        if i % cfg.output_stride == 0 or i == n_steps:
+        if i % cfg.output_stride == 0 or i == cfg.steps:
             times.append(state.t)
             curves.append(state.curve)
-            records.append(_diag_record(state, arc_chord(state.curve).value, mu,
-                                        cfg.scheme, cfg.diag_beta_points))
+            records.append(_diag_record(state, arc_chord(state.curve).value, mu, cfg))
     return Trajectory(times=np.array(times), curves=tuple(curves),
                       records=tuple(records), scheme=cfg.scheme, config=cfg)

@@ -234,7 +234,7 @@ def test_c07_l2_stability():
     cfg = SimConfig(n=128, m=512, dt=2e-3, horizon=0.25, output_stride=10,
                     init_perturb_mode=3, init_perturb_amp=0.05)
     x0 = make_initial_curve(cfg)
-    rep = stability_audit(x0, hookean(1.0), 0.25, cfg=cfg)
+    rep = stability_audit(x0, cfg)
     vals = [v for v in rep.measured["ratios"].values() if v > 0]
     ok = rep.passed and max(vals) / min(vals) <= 2.0
     assert report("C7 l2-stability", ok,

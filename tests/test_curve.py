@@ -103,7 +103,14 @@ def test_curve_rejects_non_finite_values(bad):
     coeffs = circle.coeffs.copy()
     coeffs[3, 0] = bad
     with pytest.raises(ValueError, match="finite"):
-        Curve(nodes=circle.nodes, coeffs=coeffs)
+        Curve.from_coeffs(coeffs)
+
+
+def test_curve_takes_no_nodes_and_coefficients_together():
+    # a curve is built from one representation, so the two cannot disagree
+    circle = Curve.circle(32)
+    with pytest.raises(TypeError, match="from_nodes or Curve.from_coeffs"):
+        Curve(nodes=circle.nodes, coeffs=circle.coeffs)
 
 
 def divided_difference(x, alpha):

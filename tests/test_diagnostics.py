@@ -15,7 +15,6 @@ from peskin_lab.diagnostics import (
 )
 from peskin_lab.evolution import SimConfig, Trajectory, make_initial_curve, simulate
 from peskin_lab.operators import half_offset_grid
-from peskin_lab.tension import hookean, power_law
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +87,13 @@ def test_apriori_lhs_monotone_in_horizon(perturbed_traj):
     assert all(b >= a - 1e-10 for a, b in zip(lhs_values, lhs_values[1:]))
 
 
+def test_apriori_audit_needs_a_positive_output_time(perturbed_traj):
+    # a one-output run once compared the initial norm with four times itself
+    # and passed
+    with pytest.raises(ValueError, match=r"positive time.* t = \[0.0\]"):
+        apriori_audit(_truncated(perturbed_traj, 0.0), MuWeight.log4(), lam=1.0)
+
+
 def test_apriori_audit_matches_two_gain_form(perturbed_traj):
     # the former form: one gain matrix for lhs and a second one inside
     # besov_diff for rhs, both from the direct sine formula
@@ -151,6 +157,12 @@ def test_smoothing_audit_needs_a_positive_output_time(perturbed_traj):
         smoothing_audit(_truncated(perturbed_traj, 0.0))
 
 
+def test_smooth_smoothing_audit_needs_a_positive_output_time(perturbed_traj):
+    # h1_max once equalled h1_initial on a one-output run, and the audit passed
+    with pytest.raises(ValueError, match=r"positive time.* t = \[0.0\]"):
+        smoothing_audit(_truncated(perturbed_traj, 0.0), mode="smooth")
+
+
 def _symbol_decay_trajectory(n, sigma, amp, base_radius, seed=9,
                              t0=0.02, t1=0.2):
     # tangent spectrum |k|^-sigma decayed mode-by-mode under the cached
@@ -199,7 +211,7 @@ def test_h1_decay_rate_blocked_by_equilibrium_floor():
 def test_stability_identical_data_zero_ratio():
     cfg = SimConfig(n=32, m=128, dt=5e-3, horizon=0.05, output_stride=5)
     x0 = Curve.circle(32)
-    rep = stability_audit(x0, hookean(1.0), 0.05, cfg=cfg, y0=x0)
+    rep = stability_audit(x0, cfg, y0=x0)
     for key in ("ratios", "ratios_after_start", "final_ratios"):
         assert rep.measured[key]["given"] == 0.0
     assert rep.passed
@@ -212,7 +224,7 @@ def test_stability_decaying_difference_shows_after_start():
     x0 = Curve.circle(32)
     y0 = make_initial_curve(SimConfig(n=32, init_perturb_mode=3,
                                       init_perturb_amp=0.05))
-    rep = stability_audit(x0, hookean(1.0), 0.2, cfg=cfg, y0=y0)
+    rep = stability_audit(x0, cfg, y0=y0)
     m = rep.measured
     assert m["ratios"]["given"] == 1.0
     assert 0.0 < m["final_ratios"]["given"] <= m["ratios_after_start"]["given"] < 1.0
@@ -223,7 +235,7 @@ def test_stability_sweep_near_circle():
     cfg = SimConfig(n=64, m=256, dt=2e-3, horizon=0.1, output_stride=5,
                     init_perturb_mode=3, init_perturb_amp=0.05)
     x0 = make_initial_curve(cfg)
-    rep = stability_audit(x0, hookean(1.0), 0.1, cfg=cfg)
+    rep = stability_audit(x0, cfg)
     assert rep.passed, rep.measured
     vals = list(rep.measured["ratios"].values())
     assert max(vals) / min(vals) <= 2.0
@@ -238,11 +250,23 @@ def test_stability_rotated_data_constant_difference():
     phi = 0.02
     q = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
     y0 = Curve.from_nodes(x0.nodes @ q.T)
-    rep = stability_audit(x0, hookean(1.0), 0.1, cfg=cfg, y0=y0,
-                          omega=MuWeight.log4())
+    rep = stability_audit(x0, cfg, y0=y0, omega=MuWeight.log4())
     ratio = rep.measured["ratios"]["given"]
     assert abs(ratio - 1.0) < 0.05
     assert "omega_weighted" in rep.measured
+
+
+def test_stability_audit_refuses_a_zero_horizon(monkeypatch):
+    # every ratio once read exactly 1.0 and the audit passed, with no time
+    # for a perturbation to grow in; the refusal comes before any run
+    from peskin_lab import diagnostics
+
+    runs = []
+    monkeypatch.setattr(diagnostics, "simulate", lambda *a, **kw: runs.append(a))
+    cfg = SimConfig(n=32, m=128, dt=5e-3, horizon=0.0)
+    with pytest.raises(ValueError, match=r"positive time.* t = \[0.0\]"):
+        stability_audit(Curve.circle(32), cfg)
+    assert runs == []
 
 
 def test_equilibrium_audit_stationary(equilibrium_traj):

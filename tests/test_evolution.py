@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from peskin_lab.config import config_from_file
-from peskin_lab.curve import Curve, arc_chord, enclosed_area, spectral_derivative
+from peskin_lab.curve import (Curve, arc_chord, enclosed_area, grid_values,
+                              spectral_derivative)
 from peskin_lab.evolution import (
     FORMS,
     SimConfig,
@@ -579,6 +580,18 @@ def test_rk4_non_finite_stage_aborts(monkeypatch):
         step(st, 0.5 * cfl_limit(st), "rk4")
 
 
+def test_imex_non_finite_explicit_term_aborts(monkeypatch):
+    # the coefficients the step hands over go non-finite: a numerical abort,
+    # not the ValueError that Curve raises for bad input
+    from peskin_lab import evolution
+
+    st = make_state(Curve.circle(32), m=128)
+    monkeypatch.setattr(evolution, "right_hand_sides", lambda state, *forms: tuple(
+        np.full((state.curve.n, 2), np.nan) for _ in forms))
+    with pytest.raises(SimulationAbort, match="non-finite"):
+        step(st, 1e-3, "imex")
+
+
 def test_rk4_first_stage_reads_the_state(monkeypatch, rng):
     # k1 is the right-hand side of the state, which holds X and X': a step
     # builds curves from nodes for its three later stages and its result
@@ -846,10 +859,22 @@ def test_coefficient_handoff_matches_the_nodal_rebuild(config):
     assert got.t == want.t
 
 
-def test_imex_step_makes_five_fft_calls(monkeypatch):
-    # the nodal rebuild took 7 forward and 7 inverse transforms: one forward
-    # of the explicit term, and inverses for the frame's samples, both node
-    # sets and the two curves' node/coefficient checks
+@pytest.mark.parametrize("config", ["equilibrium", "perturbed", "power-law", "rough"])
+def test_imex_step_curves_are_their_coefficients_inverse_transforms(config):
+    # each new curve takes its nodes from its coefficients, so the two agree
+    # bit for bit, with no check
+    cfg = config_from_file(CONFIGS / f"{config}.cfg")
+    new = step(SimState.make(make_initial_curve(cfg), law_from_config(cfg),
+                             m=cfg.m), cfg.dt, "imex")
+    for curve in (new.curve, new.deriv):
+        assert np.array_equal(curve.nodes, grid_values(curve.coeffs))
+
+
+def test_imex_step_makes_four_fft_calls(monkeypatch):
+    # the nodal rebuild took 7 forward and 7 inverse transforms, and the two
+    # node/coefficient checks of the coefficient handoff one inverse more:
+    # one forward of the explicit term, and inverses for the frame's samples
+    # and each new curve's nodes
     cfg = config_from_file(CONFIGS / "perturbed.cfg")
     st = step(SimState.make(make_initial_curve(cfg), law_from_config(cfg),
                             m=cfg.m), cfg.dt, "imex")
@@ -859,7 +884,7 @@ def test_imex_step_makes_five_fft_calls(monkeypatch):
         monkeypatch.setattr(np.fft, name, lambda *a, _f=wrapped, _n=name, **kw:
                             calls.append(_n) or _f(*a, **kw))
     step(st, cfg.dt, "imex")
-    assert len(calls) <= 5, calls
+    assert len(calls) == 4, calls
     assert calls.count("fft") == 1
 
 
@@ -947,8 +972,7 @@ def test_diag_record_norms_match_power_spectrum_expressions():
 
     cfg = config_from_file(CONFIGS / "rough.cfg")
     state = SimState.make(make_initial_curve(cfg), law_from_config(cfg), m=cfg.m)
-    rec = _diag_record(state, 1.0, _MU_WEIGHTS[cfg.mu_kind](state.deriv.nodes),
-                       cfg.scheme, cfg.diag_beta_points)
+    rec = _diag_record(state, 1.0, _MU_WEIGHTS[cfg.mu_kind](state.deriv.nodes), cfg)
     power = power_spectrum(state.deriv.nodes)
     k = np.abs(wavenumbers(state.curve.n)).astype(float)
     assert rec["l2"] == float(np.sqrt(2.0 * np.pi * power.sum()))

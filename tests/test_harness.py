@@ -381,13 +381,19 @@ def test_cli_norms_rejects_a_bad_weight_table(tmp_path, capsys, table, message):
     ("smoothing", "init.kind = random-sobolev\ntime.horizon = 0.0",
      "positive time"),
     ("equilibrium", "init.perturb_mode = 2\ninit.perturb_amp = 0.05\n"
-     "time.horizon = 0.01", "at least two outputs")],
-    ids=["smoothing-zero-horizon", "equilibrium-two-outputs"])
+     "time.horizon = 0.01", "at least two outputs"),
+    ("apriori", "time.horizon = 0.0", "positive time"),
+    ("smoothing", "time.horizon = 0.0", "positive time"),
+    ("stability", "time.horizon = 0.0", "positive time")],
+    ids=["smoothing-zero-horizon", "equilibrium-two-outputs",
+         "apriori-zero-horizon", "smoothing-smooth-zero-horizon",
+         "stability-zero-horizon"])
 def test_cli_audit_without_data_for_its_fit_exits_2(tmp_path, capsys, audit,
                                                     extra, message):
-    # a zero-horizon smoothing audit once exited 1 with a traceback, and an
+    # a zero-horizon smoothing audit once exited 1 with a traceback, an
     # equilibrium audit on outputs at t = 0 and 0.01 once passed on a line
-    # through one point
+    # through one point, and the zero-horizon apriori, smooth-mode smoothing
+    # and stability audits once passed with no time in the run
     cfg_path = _write_config(tmp_path, EQ_CONFIG + extra + "\n")
     assert main(["audit", "--audit", audit, "--config", cfg_path]) == 2
     captured = capsys.readouterr()
