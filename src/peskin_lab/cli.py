@@ -18,8 +18,9 @@ from .besov import BesovParams, MuWeight, besov_diff, besov_lp, sqrt_weight
 from .config import config_from_file, write_manifest, write_ndjson
 from .curve import (Curve, magnitude, parseval_norm, power_spectrum, read_curve,
                     spectral_derivative, theta_grid, wavenumbers, write_curve)
-from .evolution import (FORMS, SimState, SimulationAbort, law_from_config,
-                        make_initial_curve, right_hand_sides, simulate)
+from .evolution import (_MU_WEIGHTS, FORMS, SimState, SimulationAbort,
+                        law_from_config, make_initial_curve, right_hand_sides,
+                        simulate)
 from . import diagnostics as diag
 from . import kernels
 from . import operators as ops
@@ -237,9 +238,16 @@ def _cmd_norms(args) -> int:
     return 0
 
 
+def _apriori(cfg) -> diag.AuditReport:
+    """The apriori audit of the configured run, weighted by mu.kind as the
+    run's records are."""
+    traj = simulate(cfg)
+    mu = _MU_WEIGHTS[cfg.mu_kind](traj.derivs[0].nodes)
+    return diag.apriori_audit(traj, mu, law_from_config(cfg).lam)
+
+
 _AUDITS = {  # audit --audit -> the report for a config
-    "apriori": lambda cfg: diag.apriori_audit(simulate(cfg), MuWeight.log4(),
-                                              law_from_config(cfg).lam),
+    "apriori": _apriori,
     "smoothing": lambda cfg: diag.smoothing_audit(
         simulate(cfg), mode="rough" if cfg.init_kind == "random-sobolev" else "smooth"),
     "stability": lambda cfg: diag.stability_audit(make_initial_curve(cfg), cfg),

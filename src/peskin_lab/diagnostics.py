@@ -73,15 +73,16 @@ def _after_start(times, audit: str) -> np.ndarray:
     return later
 
 
-def apriori_audit(traj: Trajectory, mu: MuWeight, lam: float) -> AuditReport:
+def apriori_audit(traj: Trajectory, mu: Optional[MuWeight],
+                  lam: float) -> AuditReport:
     """Energy-inequality check: weighted sup-in-time norm plus the scaled
     dissipation stays below four times the initial weighted norm.
 
     lhs = cl_norm "B" + c sqrt(lam) cl_norm "D" with dissipation |k| (the
     quarter-power multiplier |k|^(1/2) inside the beta integral, trapezoid
     in time); rhs = 4 besov_diff(X'(0)).  Every norm is at (1/2; 2, 1) with
-    weight mu on the same beta grid of DEFAULT_BETA_POINTS nodes; some
-    output must be at a positive time.
+    weight mu (None: the unit weight) on the same beta grid of
+    DEFAULT_BETA_POINTS nodes; some output must be at a positive time.
     """
     _after_start(traj.times, "apriori audit")
     derivs = [d.nodes for d in traj.derivs]

@@ -13,30 +13,66 @@ every sample phi_p, at alpha = phi_p - theta_j, so the samples are plain
 m-vectors, and every alpha-dependent factor (1/alpha, 1/alpha^2,
 log 4 sin^2(alpha/2)) is read from the read-only circulant view
 curve.alpha_rows of an m-table.  The (n, m) frame is never formed.
-right_hand_sides serves any set of FORMS from one walk (_Frame) over
-blocks of max(1, _BLOCK // m) theta rows, whose buffers stay in cache.
-Each block runs one ordered pipeline, chord, |chord|^2 and the floor
-check, 1/|chord|^2, t, W, rotor, t rot, jump, as far as the requested
-forms read it, in a fixed set of thread buffers that each take a new
-quantity once the old one is dead.  Every form sums its rows by row dots
-issued at the stage where their operands are live, with out= into (n,)
-accumulators it owns, and combines them into its field once per walk.
+right_hand_sides serves FORMS by one of three fixed walks (_walk) over
+blocks of max(1, _BLOCK // m) theta rows, whose buffers stay in cache:
+"position" (the reduced position form alone, each rk4 stage), "imex"
+(the K form and the reduced position form, each IMEX step) and "every"
+(all five forms, for verify and the checks of the paper's other
+formulations).  Each block runs its stages in one fixed order, chord,
+|chord|^2 and the floor check, 1/|chord|^2, t, W, rotor, t rot, jump, in
+a fixed set of thread buffers that each take a new quantity once the old
+one is dead.  Every form sums its rows by row dots issued where their
+operands are live, with out= into (n,) accumulators, and combines them
+into its field once per walk.
 
 With the chord dz, W = 1/dz^2, t = 1/dz and the tension jump J, which
 stay exact elementwise differences, the row sums are:
 
-- K (see _kernel_form) has degree -2 in the chord, K(a, b, dz/alpha) /
-  alpha^2 = K(a, b, dz), so the node value b = X'(theta) leaves the sum:
-  three dots, b joined in the finish.  An IMEX step gets K and the
-  position velocity from one pass, which reads t rot = W conj(dz).
-- A (see _remainder_form) keeps the divided difference d = dz/alpha in
-  dp = a - d and dm = b - d, and the rule's 1/alpha^2 goes into the chord
-  quantities: its coefficients are dp dm W, (dp + dm) t / alpha and
-  Re(conj(dp) dm) / |dz|^2, and a row is one real and one complex dot.
-- The full Stokeslet (see _bi_form): log(|dz| / |2 sin(alpha/2)|) =
-  (log |dz|^2 - log 4 sin^2(alpha/2)) / 2 and sum (f + conj(rot f)) / 2 =
-  (sum f + conj(sum rot f)) / 2 over the force samples f: two dots.
-- The dissipation is one real dot of the 1/alpha^2 rows with J.
+- The reduced position velocity is sum_alpha Re(W a^2) weight dz / (4 pi)
+  with a = X'(theta + alpha) and weight = T(|a|)/|a|.  With Re(z) =
+  (z + conj z)/2, W dz = t and W conj(dz) = t rot, a row is (sum q t +
+  conj(sum q t rot))/2 over the fine m-vector q = a^2 weight / (4 pi):
+  two row dots.
+- K, the kernel of the derivative equation, has degree -2 in the chord,
+  K(a, b, dz/alpha) / alpha^2 = K(a, b, dz).  With V = |dz|^2 conj(W)^2,
+  every term of K(a, b, dz) J is b or conj(b) times a term free of b, so
+  the node value b = X'(theta_j) leaves the alpha sum:
+
+      4 pi sum K J = i b Im sum W a J
+                     + conj(b) [i sum conj(W) Im(conj(a) J) + sum V conj(a J)],
+
+  with sum conj(W) g = conj(sum W g) for real g and sum V conj(aJ) =
+  conj(sum conj(V) a J), conj(V) = W rot = t (t rot): three row dots, b
+  joined once per walk.  An IMEX step gets K and the position velocity
+  from one walk, which reads t rot before it turns it into conj(V).
+- A, the remainder of the cancellation split K = I/4pi + A, is not
+  homogeneous and keeps the divided difference d = dz/alpha.  With P(d)v
+  = conj(rot v), R(d)v = i conj(rot v) and u.P(d)w + i u.R(d)w = rot u w,
+  A v = coef_i v + coef_c conj(rot v), built from dp = a - d and dm = b - d
+  (never as K - I/4pi), so every term carries a plus or minus
+  difference.  The rule's 1/alpha^2 goes into the chord quantities:
+
+      rot dp dm / (|d|^2 alpha^2) = dp dm W = C,
+      conj(d) (dp + dm) / (|d|^2 alpha^2) = (dp + dm) t / alpha = E,
+      Re(conj(dp) dm) / (|d|^2 alpha^2) = Re(conj(dp) dm) / |dz|^2 = R,
+
+  so coef_i = Re C + Re E and conj(coef_c) = C - R + i Im E, and a row
+  sums to sum coef_i J + conj(sum conj(coef_c) rot J): a real and a
+  complex row dot (_remainder_coefficients).
+- The full Stokeslet splits its log into log(|dz| / |2 sin(alpha/2)|)
+  (smooth, quadrature) plus the periodic log kernel, handled by its exact
+  Fourier weights -pi/|k| acting on the force samples.  The force
+  D T(X') X'' is rational in X', so it is sampled on a doubled grid
+  before being treated spectrally (padding factor 2; exact dealiasing is
+  impossible for non-polynomial nonlinearities), and the walk needs
+  m >= 2n to sample it without aliasing.  Over the force samples f, a
+  row sums to (s_f + conj(s_rot) - s_log)/2: the smooth log is
+  (log |dz|^2 - log 4 sin^2(alpha/2))/2, whose sum s_log is a real row
+  dot, and the G2 part (dhat.f) dhat = (f + conj(rot f))/2 sums to
+  (s_f + conj(s_rot))/2, with s_f = sum f one constant per walk and
+  s_rot = sum rot f a row dot.
+- The dissipation, the 1/alpha^2 integrand of J, is one real row dot of
+  the 1/alpha^2 rows with J: it reads no geometry.
 
 The IMEX step keeps the state in Fourier coefficients from one step to
 the next.  Its implicit part is a per-wavenumber solve, so it ends with the
@@ -218,16 +254,30 @@ class _Buffers(threading.local):
 
 _BUFFERS = _Buffers()
 
-# role -> the role whose thread buffer it takes; every other role has a
-# buffer of its own name.  With the remainder, its dp and E take the blocks
-# of v and aJ, dead once the K form has read them.  Without it, nothing
-# reads the chord or t at the jump stage, so t rot (then v) overwrites the
-# chord, the jump t and aJ the rotor block.
-_SHARED = {True: {"dp": "t_rot", "e": "aj"},
-           False: {"t_rot": "c", "jump": "t", "aj": "rot"}}
-# the pipeline's stages, in order: a form's hook at a stage runs after the
-# stage has written its block and before the next one does
-_STAGES = ("r2", "t", "rot", "t_rot", "jump")
+
+def _layout(roles: str, shared: dict) -> dict:
+    """role -> the thread buffer it takes, in sorted role order (a
+    deterministic layout: with numpy's 16-byte alignment the allocation
+    order decided which buffers started off a cache line, which moved the
+    walk by about 4%; with aligned buffers the orders tie within about
+    1%).  A role not in shared has a buffer of its own name."""
+    return {role: shared.get(role, role) for role in sorted(roles.split())}
+
+
+_CHORD_ROLES = "c r2 f1 inv t w t_rot"  # what every walk reads
+# walk -> role -> thread buffer.  Without the remainder nothing reads the
+# chord or t at the jump, so t rot (then v) overwrites the chord, the jump
+# t and aJ the rotor block: the position walk fills 4 complex and 2 float
+# blocks, the IMEX walk 7 and 2.  In the walk of every form the
+# remainder's dp and E take the blocks of v and aJ, dead once the K form
+# has read them: 10 and 2.
+_LAYOUTS = {
+    "position": _layout(_CHORD_ROLES, {"t_rot": "c"}),
+    "imex": _layout(_CHORD_ROLES + " a conj_a jump aj",
+                    {"t_rot": "c", "jump": "t", "aj": "rot"}),
+    "every": _layout(_CHORD_ROLES + " a conj_a jump aj rot dp e",
+                     {"dp": "t_rot", "e": "aj"}),
+}
 
 
 @lru_cache(maxsize=16)
@@ -251,7 +301,7 @@ _ALPHA_TABLES = {  # name -> table over the half-offset alpha grid
 @lru_cache(maxsize=64)
 def _alpha_factor(name: str, n: int, m: int) -> np.ndarray:
     """The read-only (n, m) circulant view curve.alpha_rows of the named
-    table of _ALPHA_TABLES: one per (name, n, m), shared by every frame."""
+    table of _ALPHA_TABLES: one per (name, n, m), shared by every walk."""
     return alpha_rows(_ALPHA_TABLES[name](half_offset_grid(m)), n)
 
 
@@ -259,8 +309,7 @@ def _alpha_factor(name: str, n: int, m: int) -> np.ndarray:
 def _floor_screen(rho_floor: float, n: int, m: int) -> np.ndarray:
     """The read-only (n, m) circulant view of (rho_floor (1 + 1e-12))^2
     alpha^2 for one (rho_floor, n, m): r2 above it puts sqrt(r2)/|alpha|
-    above the floor by a margin far beyond rounding (see
-    _Frame.check_floor)."""
+    above the floor by a margin far beyond rounding (see _check_floor)."""
     return alpha_rows((rho_floor * (1.0 + 1e-12)) ** 2 * half_offset_grid(m) ** 2, n)
 
 
@@ -294,270 +343,26 @@ def _pair_out(sums: np.ndarray) -> np.ndarray:
     return sums.view(float).reshape(-1, 1, 2)
 
 
-class _Frame:
-    """The (theta, alpha) quadrature frame of one state, and its walk.
-
-    integrate walks blocks of max(1, _BLOCK // m) theta rows through one
-    ordered pipeline (_STAGES), and the forms' hooks write the alpha sums
-    of the block's rows with out= into (n,) accumulators their forms own,
-    each row's sum one contiguous reduction within one block.  Every stage
-    writes into the thread's block buffers (_BUFFERS), placed once per
-    walk from the requested forms (_SHARED): the IMEX pair fills four
-    complex working blocks and a walk of every form seven, besides the
-    complex 1/|dz|^2 block, the same-shape tiles of a and conj(a) and two
-    float blocks, each starting on a 64-byte cache line.  A shorter last
-    block reads prefixes of the same buffers, the tiles' rows included,
-    and each walk refills the memory of the one before, which arrays made
-    per walk would fault in again.
-
-    The constructor builds what every form reads: X and X' from the
-    state's coefficients by one size-m inverse transform, X' as real
-    samples x1 and as the complex a = X'(theta + alpha) and b =
-    X'(theta_j), and the chord filler.  The jump filler waits for the
-    first walk that reads the jump: a position-only walk runs no T(X'), so
-    a vanished tangent reaches _position_form's abort, and a
-    dissipation-only walk builds no chord block and runs no floor check.
-    """
-
-    def __init__(self, state: SimState):
-        n, m = state.curve.n, state.m
-        self.state = state
-        self.height = min(n, max(1, _BLOCK // m))  # theta rows per block
-        both = half_offset_values(
-            np.concatenate((state.curve.coeffs, state.deriv.coeffs), axis=1), m)
-        self.x1 = np.ascontiguousarray(both[:, 2:])
-        self.a = as_complex(self.x1)  # a view of x1
-        self.b = as_complex(state.deriv.nodes)
-        # fills a block with conj(X_p - X_j) (see _differences)
-        self.chords = _differences(np.conj(as_complex(both[:, :2])),
-                                   np.conj(as_complex(state.curve.nodes)))
-
-    def alpha_factor(self, name: str) -> np.ndarray:
-        """The (n, m) circulant view of one of _ALPHA_TABLES."""
-        return _alpha_factor(name, self.state.curve.n, self.state.m)
-
-    def accumulator(self) -> np.ndarray:
-        """An (n,) complex array for one form's alpha sums, every row of
-        which each walk writes."""
-        return np.empty(self.state.curve.n, dtype=complex)
-
-    def integrate(self, forms, hooks):
-        """Walk the blocks through the pipeline for the forms (names from
-        FORMS, in FORMS order), whose hooks are one dict stage ->
-        hook(plan, rows) per form: plan holds the block's _Block views by
-        role.  Per block, the stages a form reads run in order:
-
-        - "r2": the chord c = conj(dz), |dz|^2 (c.imag^2 and the floor
-          screen in the second float block), the floor check and 1/|dz|^2
-          in the real half of a complex block, whose imaginary half stays
-          zero, so that t = c (1/|dz|^2) is a complex product;
-        - "t": t = 1/dz, then W = t^2;
-        - "rot": the rotor t c;
-        - "t_rot": t rot = W c;
-        - "jump": J = T(X'(theta + alpha)) - T(X'(theta)).
-
-        The floor check is a coarse guard on the step's m alphas, the
-        per-record arc_chord (8n) the margin."""
-        n, m = self.state.curve.n, self.state.m
-        roles = set().union(*(_FORM_ROLES[form] for form in forms))
-        shared = _SHARED["remainder" in forms]
-        # sorted for a deterministic layout.  With numpy's 16-byte
-        # alignment the allocation order decided which buffers started off
-        # a cache line, which moved the walk by about 4%; with aligned
-        # buffers the orders tie within about 1%
-        places = {role: shared.get(role, role) for role in sorted(roles)}
-        r2_hooks, t_hooks, rot_hooks, t_rot_hooks, jump_hooks = (
-            [h[stage] for h in hooks if stage in h] for stage in _STAGES)
-        chord, w, rot, t_rot, jump = (
-            role in roles for role in ("c", "w", "rot", "t_rot", "jump"))
-        plans = {}
-        for start in range(0, n, self.height):
-            rows = slice(start, min(start + self.height, n))
-            plan = plans.get(rows.stop - start)
-            if plan is None:
-                shape = (rows.stop - start, m)
-                plan = plans[shape[0]] = SimpleNamespace(**{
-                    role: _BUFFERS.block(name, shape) for role, name in places.items()})
-                if start == 0:  # a shorter last block reads these rows
-                    if "a" in places:
-                        np.copyto(plan.a.z, self.a)
-                    if "conj_a" in places:
-                        np.conjugate(self.a, out=plan.conj_a.z)
-            if chord:
-                c, t = plan.c.z, plan.t.z
-                self.chords(rows, plan.c.flat_pairs)
-                r2 = np.square(plan.c.re, out=plan.r2.z)
-                r2 += np.square(plan.c.im, out=plan.f1.z)
-                self.check_floor(r2, rows, plan.f1.screen)
-                np.divide(1.0, r2, out=plan.inv.re)
-                for hook in r2_hooks:
-                    hook(plan, rows)
-                np.multiply(c, plan.inv.z, out=t)
-                if w:
-                    np.square(t, out=plan.w.z)
-                for hook in t_hooks:
-                    hook(plan, rows)
-                if rot:
-                    np.multiply(t, c, out=plan.rot.z)
-                for hook in rot_hooks:
-                    hook(plan, rows)
-                if t_rot:
-                    np.multiply(plan.w.z, c, out=plan.t_rot.z)
-                for hook in t_rot_hooks:
-                    hook(plan, rows)
-            if jump:
-                self.jumps(rows, plan.jump.flat_pairs)
-                for hook in jump_hooks:
-                    hook(plan, rows)
-
-    def field(self, sums: np.ndarray) -> np.ndarray:
-        """The half-offset rule over alpha, (2 pi / m) sums, of an (n,)
-        complex accumulator, as a real (n, 2) field."""
-        return (sums * (2.0 * np.pi / self.state.m)).view(float).reshape(-1, 2)
-
-    def check_floor(self, r2: np.ndarray, rows: slice, screen: np.ndarray):
-        """Abort if min sqrt(r2)/|alpha| over the block's rows is below the
-        floor.  r2 at or below (floor (1 + 1e-12))^2 alpha^2 (_floor_screen),
-        written into the bool block screen, screens the block; only a block
-        with such an entry takes the quotient itself, which is then the
-        arc_chord level's quotient bit for bit."""
-        st = self.state
-        table = _floor_screen(st.rho_floor, st.curve.n, st.m)
-        if np.less_equal(r2, table[rows], out=screen).any():
-            worst = float(np.min(np.sqrt(r2) / self.alpha_factor("abs_alpha")[rows]))
-            if worst < st.rho_floor:
-                raise SimulationAbort(st.t, f"arc-chord {worst:.3e} below "
-                                            f"floor {st.rho_floor:.3e}")
-
-    @cached_property
-    def jumps(self):
-        """Fills a block with T(X')_p - T(X')_j (see _differences)."""
-        law = self.state.law
-        return _differences(as_complex(tension_map(law, self.x1)),
-                            as_complex(tension_map(law, self.state.deriv.nodes)))
-
-
-def _bi_form(frame: _Frame):
-    """The full-Stokeslet position form: its hooks, and a finish that adds
-    the spectral log part and divides by 4 pi.
-
-    The log part of the kernel is split into log(|delta X| / |2 sin(a/2)|)
-    (smooth, quadrature) plus the periodic log kernel handled by its exact
-    Fourier weights -pi/|k| acting on the force samples.  The force
-    D T(X') X'' is rational in X', so it is sampled on a doubled grid
-    before being treated spectrally (padding factor 2; exact dealiasing is
-    impossible for non-polynomial nonlinearities).
-
-    Over the force samples f, a row sums to (s_f + conj(s_rot) - s_log)/2:
-    the smooth log is (log |dz|^2 - log 4 sin^2(a/2))/2, whose sum s_log is
-    a real row dot, and the G2 part (dhat.f) dhat = (f + conj(rot f))/2
-    sums to (s_f + conj(s_rot))/2, with s_f = sum f one constant per walk
-    and s_rot = sum rot f a row dot."""
-    state = frame.state
-    n = state.curve.n
-    x1_fine = state.deriv.resampled(2 * n).nodes
-    x2_fine = state.deriv.derivative().resampled(2 * n).nodes
-    force_fine = (tension_jacobian(state.law, x1_fine) @ x2_fine[..., None])[..., 0]
-    # force values at theta_j + alpha from the trigonometric interpolant
-    # of the padded samples
-    fs = as_complex(half_offset_samples(force_fine, state.m))
-    fs_col, fs_pairs = fs[:, None], fs.view(float).reshape(-1, 2)
-    log_s2 = frame.alpha_factor("log_4sin2")
-    s_log, s_rot = frame.accumulator(), frame.accumulator()
-    log_out, rot_out = _pair_out(s_log), _dot_out(s_rot)
-
-    def at_r2(plan, rows):
-        # the smooth log over |dz|^2, which nothing reads after 1/|dz|^2
-        smooth_log = np.log(plan.r2.z, out=plan.r2.z)
-        smooth_log -= log_s2[rows]
-        np.matmul(plan.r2.lhs, fs_pairs, out=log_out[rows])
-
-    def at_rot(plan, rows):
-        np.matmul(plan.rot.lhs, fs_col, out=rot_out[rows])
-
-    # exact product quadrature for the periodic log kernel
-    k = wavenumbers(2 * n).astype(float)
-    w = np.where(k == 0.0, 0.0, -np.pi / np.where(k == 0.0, 1.0, np.abs(k)))
-    log_part = -apply_multiplier(force_fine, w)[::2]
-
-    def finish():
-        sums = 0.5 * (fs.sum() + np.conj(s_rot) - s_log)
-        return (frame.field(sums) + log_part) / FOUR_PI
-
-    return {"r2": at_r2, "rot": at_rot}, finish
-
-
-def _position_form(frame: _Frame):
-    """The reduced position velocity, sum_alpha Re(W a^2) weight dz / (4 pi)
-    with W = 1/dz^2, a = X'(theta + alpha) and weight = T(|a|)/|a|.
-
-    With Re(z) = (z + conj z)/2, W dz = t and W conj(dz) = t rot, a row is
-    (sum q t + conj(sum q t rot))/2 over the fine m-vector q = a^2 weight:
-    two row dots per block, combined once per walk."""
-    state, a = frame.state, frame.a
-    mag = np.abs(a)
-    # every half-offset sample is read at each theta_j
-    if float(mag.min()) == 0.0:
-        raise SimulationAbort(state.t, "tangent vector vanished")
-    q = a * a * (state.law.eval(mag) / mag / FOUR_PI)
-    q_col = q[:, None]
-    s_t, s_t_rot = frame.accumulator(), frame.accumulator()
-    t_out, t_rot_out = _dot_out(s_t), _dot_out(s_t_rot)
-
-    def at_t(plan, rows):
-        np.matmul(plan.t.lhs, q_col, out=t_out[rows])
-
-    def at_t_rot(plan, rows):
-        np.matmul(plan.t_rot.lhs, q_col, out=t_rot_out[rows])
-
-    return ({"t": at_t, "t_rot": at_t_rot},
-            lambda: frame.field(0.5 * (s_t + np.conj(s_t_rot))))
-
-
-def _kernel_form(frame: _Frame):
-    """The K kernel over alpha^2 applied to the tension jump J.
-
-    K has degree -2 in d, so K(a, b, dz/alpha)/alpha^2 = K(a, b, dz).  With
-    W = 1/dz^2 and V = |dz|^2 conj(W)^2, every term of K(a, b, dz) J is b or
-    conj(b) times a term free of b, so b = X'(theta_j) leaves the alpha sum:
-
-        4 pi sum K J = i b Im sum W a J
-                       + conj(b) [i sum conj(W) Im(conj(a) J) + sum V conj(a J)].
-
-    The chord dz and the jump J stay exact differences; the sums are row
-    dots, with sum conj(W) g = conj(sum W g) for real g and sum V conj(aJ) =
-    conj(sum conj(V) a J), conj(V) = W rot = t (t rot).  A block writes the
-    three row sums; the node values join them once per walk."""
-    b = frame.b
-    s_w, s_v, s_g = frame.accumulator(), frame.accumulator(), frame.accumulator()
-    w_out, v_out, g_out = _dot_out(s_w), _dot_out(s_v), _pair_out(s_g)
-
-    def at_t_rot(plan, rows):
-        # conj(V) over t rot, which the position form has read by now
-        np.multiply(plan.t.z, plan.t_rot.z, out=plan.t_rot.z)
-
-    def at_jump(plan, rows):
-        aj = plan.aj
-        np.multiply(plan.a.z, plan.jump.z, out=aj.z)
-        np.matmul(plan.w.lhs, aj.rhs, out=w_out[rows])
-        np.matmul(plan.t_rot.lhs, aj.rhs, out=v_out[rows])
-        # Im(conj(a) J) over aJ, copied contiguous into the dead |dz|^2
-        # block so that its row dots run in BLAS
-        np.multiply(plan.conj_a.z, plan.jump.z, out=aj.z)
-        np.copyto(plan.r2.z, aj.im)
-        np.matmul(plan.r2.lhs, plan.w.pairs, out=g_out[rows])
-
-    def finish():
-        return frame.field((1j * b * s_w.imag + np.conj(b * (s_v - 1j * s_g)))
-                           / FOUR_PI)
-
-    return {"t_rot": at_t_rot, "jump": at_jump}, finish
+def _check_floor(state: SimState, r2: np.ndarray, rows: slice, screen: np.ndarray):
+    """Abort if min sqrt(r2)/|alpha| over a block's rows is below the
+    state's floor.  r2 at or below (floor (1 + 1e-12))^2 alpha^2
+    (_floor_screen), written into the bool block screen, screens the block;
+    only a block with such an entry takes the quotient itself, which is
+    then the arc_chord level's quotient bit for bit.  The check is a coarse
+    guard on the step's m alphas, the per-record arc_chord (8n) the
+    margin."""
+    n, m = state.curve.n, state.m
+    if np.less_equal(r2, _floor_screen(state.rho_floor, n, m)[rows], out=screen).any():
+        worst = float(np.min(np.sqrt(r2) / _alpha_factor("abs_alpha", n, m)[rows]))
+        if worst < state.rho_floor:
+            raise SimulationAbort(state.t, f"arc-chord {worst:.3e} below "
+                                           f"floor {state.rho_floor:.3e}")
 
 
 def _remainder_coefficients(a, b, inv_al, c, inv_r2, t, w, dp, e, coef_i, scratch):
     """coef_i and conj(coef_c) of A(a, b, d) v / alpha^2 = (coef_i v +
-    coef_c conj(rot v)) / 4 pi at the chord dz = alpha d (see
-    _remainder_form), from c = conj(dz), 1/alpha, 1/|dz|^2, t = 1/dz and
+    coef_c conj(rot v)) / 4 pi at the chord dz = alpha d (see the module
+    docstring), from c = conj(dz), 1/alpha, 1/|dz|^2, t = 1/dz and
     W = t^2.  coef_i is written into the real array coef_i and conj(coef_c)
     into t, which it returns; c ends as b - d, dp as conj(dp) dm, and e
     and the real scratch are scratch."""
@@ -578,73 +383,154 @@ def _remainder_coefficients(a, b, inv_al, c, inv_r2, t, w, dp, e, coef_i, scratc
     return conj_c
 
 
-def _remainder_form(frame: _Frame):
-    """The A kernel over alpha^2 applied to the tension jump J.
+def _walk(state: SimState, walk: str) -> dict:
+    """The fields of one walk of _LAYOUTS over the state's (theta, alpha)
+    frame, by form: "position" gives position_reduced, "imex" adds
+    derivative and "every" gives every form of FORMS (see the module
+    docstring for each form's row sums).
 
-    A is not homogeneous and keeps the divided difference d = dz/alpha:
-    with P(d)v = conj(rot v), R(d)v = i conj(rot v) and u.P(d)w +
-    i u.R(d)w = rot u w, A v = coef_i v + coef_c conj(rot v), built from
-    dp = a - d and dm = b - d (never as K - I/4pi), so every term carries
-    a plus or minus difference.  The rule's 1/alpha^2 goes into the chord
-    quantities W = 1/dz^2 and t = 1/dz:
+    X and X' come from the state's coefficients by one size-m inverse
+    transform, X' as real samples x1 and as the complex a = X'(theta +
+    alpha) and b = X'(theta_j).  Blocks of max(1, _BLOCK // m) theta rows
+    run the stages in order, each writing into the thread's block buffers
+    (_BUFFERS) by the walk's layout, each buffer starting on a 64-byte
+    cache line:
 
-        rot dp dm / (|d|^2 alpha^2) = dp dm W = C,
-        conj(d) (dp + dm) / (|d|^2 alpha^2) = (dp + dm) t / alpha = E,
-        Re(conj(dp) dm) / (|d|^2 alpha^2) = Re(conj(dp) dm) / |dz|^2 = R,
+    - the chord c = conj(dz), |dz|^2 (c.imag^2 and the floor screen in the
+      second float block), the floor check and 1/|dz|^2 in the real half
+      of a complex block, whose imaginary half stays zero, so that
+      t = c (1/|dz|^2) is a complex product;
+    - t = 1/dz, then W = t^2;
+    - the rotor t c (every form only);
+    - t rot = W c;
+    - the jump J = T(X'(theta + alpha)) - T(X'(theta)) (not in the
+      position walk, which runs no T(X'), so that a vanished tangent
+      reaches its abort).
 
-    so coef_i = Re C + Re E and conj(coef_c) = C - R + i Im E, and a row
-    sums to sum coef_i J + conj(sum conj(coef_c) rot J): a real and a
-    complex row dot, joined and divided by 4 pi once per walk.  At the
-    jump stage it runs after the K form, in the blocks of the chord, t,
-    |dz|^2, v and aJ, none of which is read after it."""
-    b = frame.b[:, None]
-    inv_al = frame.alpha_factor("inv_alpha")
-    s_i, s_c = frame.accumulator(), frame.accumulator()
-    i_out, c_out = _pair_out(s_i), _dot_out(s_c)
+    The row dots write the alpha sums of the block's rows with out= into
+    (n,) accumulators, each row's sum one contiguous reduction within one
+    block, and each form combines its sums into its field once.  A shorter
+    last block reads prefixes of the same buffers, the rows of the tiles
+    of a and conj(a) included, and each walk refills the memory of the one
+    before, which arrays made per walk would fault in again."""
+    kernel, every = walk != "position", walk == "every"
+    n, m, law = state.curve.n, state.m, state.law
+    height = min(n, max(1, _BLOCK // m))  # theta rows per block
+    both = half_offset_values(
+        np.concatenate((state.curve.coeffs, state.deriv.coeffs), axis=1), m)
+    x1 = np.ascontiguousarray(both[:, 2:])
+    a = as_complex(x1)  # a view of x1
+    # fills a block with conj(X_p - X_j) (see _differences)
+    chords = _differences(np.conj(as_complex(both[:, :2])),
+                          np.conj(as_complex(state.curve.nodes)))
 
-    def at_jump(plan, rows):
-        conj_c = _remainder_coefficients(
-            plan.a.z, b[rows], inv_al[rows], plan.c.z, plan.inv.re, plan.t.z, plan.w.z,
-            plan.dp.z, plan.e.z, plan.r2.z, plan.f1.z)
-        np.multiply(conj_c, plan.rot.z, out=conj_c)
-        np.matmul(plan.r2.lhs, plan.jump.pairs, out=i_out[rows])
-        np.matmul(plan.t.lhs, plan.jump.rhs, out=c_out[rows])
+    mag = np.abs(a)
+    # every half-offset sample is read at each theta_j
+    if float(mag.min()) == 0.0:
+        raise SimulationAbort(state.t, "tangent vector vanished")
+    q_col = (a * a * (law.eval(mag) / mag / FOUR_PI))[:, None]
+    del both, mag  # the blocks read neither: free them before the walk
+    # (n,) complex alpha sums, every row of which the walk writes
+    s_t, s_t_rot = np.empty((2, n), dtype=complex)
+    t_out, t_rot_out = _dot_out(s_t), _dot_out(s_t_rot)
+    if kernel:
+        b = as_complex(state.deriv.nodes)
+        # fills a block with T(X')_p - T(X')_j (see _differences)
+        jumps = _differences(as_complex(tension_map(law, x1)),
+                             as_complex(tension_map(law, state.deriv.nodes)))
+        s_w, s_v, s_g = np.empty((3, n), dtype=complex)
+        w_out, v_out, g_out = _dot_out(s_w), _dot_out(s_v), _pair_out(s_g)
+    if every:
+        x1_fine = state.deriv.resampled(2 * n).nodes
+        x2_fine = state.deriv.derivative().resampled(2 * n).nodes
+        force_fine = (tension_jacobian(law, x1_fine) @ x2_fine[..., None])[..., 0]
+        # force values at theta_j + alpha from the trigonometric interpolant
+        # of the padded samples
+        fs = as_complex(half_offset_samples(force_fine, m))
+        fs_col, fs_pairs = fs[:, None], fs.view(float).reshape(-1, 2)
+        log_s2 = _alpha_factor("log_4sin2", n, m)
+        inv_al = _alpha_factor("inv_alpha", n, m)
+        inv_al2 = _alpha_factor("inv_alpha2", n, m)[:, None, :]
+        b_col = b[:, None]
+        s_log, s_rot, s_i, s_c, s_diss = np.empty((5, n), dtype=complex)
+        log_out, rot_out, i_out = _pair_out(s_log), _dot_out(s_rot), _pair_out(s_i)
+        c_out, diss_out = _dot_out(s_c), _pair_out(s_diss)
+    plans = {}
+    for start in range(0, n, height):
+        rows = slice(start, min(start + height, n))
+        p = plans.get(rows.stop - start)
+        if p is None:
+            shape = (rows.stop - start, m)
+            p = plans[shape[0]] = SimpleNamespace(**{
+                role: _BUFFERS.block(name, shape) for role, name in _LAYOUTS[walk].items()})
+            if kernel and start == 0:  # a shorter last block reads these rows
+                np.copyto(p.a.z, a)
+                np.conjugate(a, out=p.conj_a.z)
+        c, t, r2 = p.c.z, p.t.z, p.r2.z
+        chords(rows, p.c.flat_pairs)
+        np.square(p.c.re, out=r2)
+        r2 += np.square(p.c.im, out=p.f1.z)
+        _check_floor(state, r2, rows, p.f1.screen)
+        np.divide(1.0, r2, out=p.inv.re)
+        if every:
+            # the smooth log over |dz|^2, which nothing reads after 1/|dz|^2
+            smooth_log = np.log(r2, out=r2)
+            smooth_log -= log_s2[rows]
+            np.matmul(p.r2.lhs, fs_pairs, out=log_out[rows])
+        np.multiply(c, p.inv.z, out=t)
+        np.square(t, out=p.w.z)
+        np.matmul(p.t.lhs, q_col, out=t_out[rows])
+        if every:
+            np.multiply(t, c, out=p.rot.z)
+            np.matmul(p.rot.lhs, fs_col, out=rot_out[rows])
+        np.multiply(p.w.z, c, out=p.t_rot.z)
+        np.matmul(p.t_rot.lhs, q_col, out=t_rot_out[rows])
+        if not kernel:
+            continue
+        # conj(V) over t rot, which the position form has read by now
+        np.multiply(t, p.t_rot.z, out=p.t_rot.z)
+        jumps(rows, p.jump.flat_pairs)
+        aj = p.aj
+        np.multiply(p.a.z, p.jump.z, out=aj.z)
+        np.matmul(p.w.lhs, aj.rhs, out=w_out[rows])
+        np.matmul(p.t_rot.lhs, aj.rhs, out=v_out[rows])
+        # Im(conj(a) J) over aJ, copied contiguous into the dead |dz|^2
+        # block so that its row dots run in BLAS
+        np.multiply(p.conj_a.z, p.jump.z, out=aj.z)
+        np.copyto(r2, aj.im)
+        np.matmul(p.r2.lhs, p.w.pairs, out=g_out[rows])
+        if every:
+            # A after K, in the blocks of the chord, t, |dz|^2, v and aJ,
+            # none of which is read after it; then the dissipation
+            conj_c = _remainder_coefficients(
+                p.a.z, b_col[rows], inv_al[rows], c, p.inv.re, t, p.w.z,
+                p.dp.z, p.e.z, r2, p.f1.z)
+            np.multiply(conj_c, p.rot.z, out=conj_c)
+            np.matmul(p.r2.lhs, p.jump.pairs, out=i_out[rows])
+            np.matmul(p.t.lhs, p.jump.rhs, out=c_out[rows])
+            np.matmul(inv_al2[rows], p.jump.pairs, out=diss_out[rows])
 
-    return {"jump": at_jump}, lambda: frame.field((s_i + np.conj(s_c)) / FOUR_PI)
+    def field(sums: np.ndarray) -> np.ndarray:
+        # the half-offset rule over alpha, (2 pi / m) sums, as a real (n, 2) field
+        return (sums * (2.0 * np.pi / m)).view(float).reshape(-1, 2)
+
+    fields = {"position_reduced": field(0.5 * (s_t + np.conj(s_t_rot)))}
+    if kernel:
+        fields["derivative"] = field((1j * b * s_w.imag + np.conj(b * (s_v - 1j * s_g)))
+                                     / FOUR_PI)
+    if every:
+        # exact product quadrature for the periodic log kernel
+        k = wavenumbers(2 * n).astype(float)
+        weights = np.where(k == 0.0, 0.0, -np.pi / np.where(k == 0.0, 1.0, np.abs(k)))
+        log_part = -apply_multiplier(force_fine, weights)[::2]
+        fields["position_bi"] = (field(0.5 * (fs.sum() + np.conj(s_rot) - s_log))
+                                 + log_part) / FOUR_PI
+        fields["remainder"] = field((s_i + np.conj(s_c)) / FOUR_PI)
+        fields["dissipation"] = -field(s_diss) / FOUR_PI
+    return fields
 
 
-def _dissipation_form(frame: _Frame):
-    """The 1/alpha^2 integrand of the tension jump, one real row dot per
-    block: it reads no geometry."""
-    inv_al2 = frame.alpha_factor("inv_alpha2")[:, None, :]
-    sums = frame.accumulator()
-    out = _pair_out(sums)
-
-    def at_jump(plan, rows):
-        np.matmul(inv_al2[rows], plan.jump.pairs, out=out[rows])
-
-    return {"jump": at_jump}, lambda: -frame.field(sums) / FOUR_PI
-
-
-# form -> builder of (hooks, finish) for one frame: each hook writes the
-# alpha sums of a block's rows into the form's accumulators at its stage,
-# and finish, called once after the walk, returns the field
-_FORM_BUILDERS = {
-    "position_bi": _bi_form,
-    "position_reduced": _position_form,
-    "derivative": _kernel_form,
-    "remainder": _remainder_form,
-    "dissipation": _dissipation_form,
-}
-FORMS = tuple(_FORM_BUILDERS)  # the right-hand sides one frame walk serves
-_CHORD = {"c", "r2", "f1", "inv", "t"}  # the roles of the "r2" and "t" stages
-_FORM_ROLES = {  # form -> the roles of its walk (see _SHARED)
-    "position_bi": _CHORD | {"rot"},
-    "position_reduced": _CHORD | {"w", "t_rot"},
-    "derivative": _CHORD | {"w", "t_rot", "jump", "aj", "a", "conj_a"},
-    "remainder": _CHORD | {"w", "rot", "jump", "dp", "e", "a"},
-    "dissipation": {"jump"},
-}
+FORMS = ("position_bi", "position_reduced", "derivative", "remainder", "dissipation")
 
 
 def right_hand_sides(state: SimState, *forms: str) -> tuple:
@@ -653,31 +539,34 @@ def right_hand_sides(state: SimState, *forms: str) -> tuple:
 
     forms are names from FORMS: "position_bi" (rhs_position_bi),
     "position_reduced", "derivative" (rhs_derivative unprojected),
-    "remainder" (remainder_V) and "dissipation" (dissipation_term).  Each
-    field equals, bit for bit, the field of a walk serving only its form.
-    The geometry and the arc-chord floor check run only when a form reads
-    them: "dissipation" alone builds neither.
+    "remainder" (remainder_V) and "dissipation" (dissipation_term).  The
+    smallest walk of _walk that serves them all runs: "position" for
+    "position_reduced" alone, "imex" for "derivative" with or without it,
+    and the verification walk "every" for any set that names
+    "position_bi", "remainder" or "dissipation", which needs m >= 2n.  A
+    field is the same, bit for bit, whichever walk serves it.
     """
-    if not forms or not set(forms) <= set(FORMS):
+    requested = set(forms)
+    if not requested or not requested <= set(FORMS):
         raise ValueError(f"right_hand_sides takes one or more of {FORMS}, "
                          f"got {forms}")
+    walk = ("position" if requested == {"position_reduced"} else
+            "imex" if requested <= {"derivative", "position_reduced"} else "every")
     n = state.curve.n
-    if "position_bi" in forms and state.m < 2 * n:
-        # the 2n-band force would fold modulo m on the alpha grid
-        raise ValueError(f"rhs_position_bi needs m >= 2n = {2 * n} to sample "
-                         f"its 2n-band force without aliasing, got m={state.m}")
-    frame = _Frame(state)
-    walked = [form for form in FORMS if form in forms]  # in pipeline order
-    hooks, finishes = zip(*(_FORM_BUILDERS[form](frame) for form in walked))
-    frame.integrate(walked, hooks)
-    fields = {form: finish() for form, finish in zip(walked, finishes)}
-    return tuple(fields[f] for f in forms)
+    if walk == "every" and state.m < 2 * n:
+        # the full Stokeslet's 2n-band force would fold modulo m on the alpha grid
+        raise ValueError(f"the verification walk (position_bi, remainder, dissipation) "
+                         f"needs m >= 2n = {2 * n} to sample its 2n-band force "
+                         f"without aliasing, got m={state.m}")
+    fields = _walk(state, walk)
+    return tuple(fields[form] for form in forms)
 
 
 def rhs_position_bi(state: SimState) -> np.ndarray:
     """Position velocity from the full Stokeslet against the force
-    derivative (see _bi_form).  Its force has band 2n and would fold modulo
-    m on the alpha grid, so m must be at least 2n."""
+    derivative (see the module docstring), from the verification walk.
+    Its force has band 2n and would fold modulo m on the alpha grid, so m
+    must be at least 2n."""
     return right_hand_sides(state, "position_bi")[0]
 
 
@@ -695,7 +584,8 @@ def rhs_derivative(state: SimState) -> np.ndarray:
 
 
 def remainder_V(state: SimState) -> np.ndarray:
-    """Bounded remainder: the A-kernel part of the derivative equation."""
+    """Bounded remainder: the A-kernel part of the derivative equation,
+    from the verification walk (m >= 2n)."""
     return right_hand_sides(state, "remainder")[0]
 
 
@@ -704,7 +594,8 @@ def dissipation_term(state: SimState) -> np.ndarray:
 
     Evaluated with pointwise-exact shifted samples on the same alpha grid
     as the kernels, so rhs_derivative == -dissipation_term + remainder_V
-    holds to rounding.  It reads no chord, so it runs no floor check.
+    holds to rounding.  It comes from the verification walk, so it needs
+    m >= 2n and runs the floor check, though it reads no chord.
     """
     return right_hand_sides(state, "dissipation")[0]
 

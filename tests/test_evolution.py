@@ -11,7 +11,7 @@ import pytest
 
 from peskin_lab.config import config_from_file
 from peskin_lab.curve import (Curve, arc_chord, enclosed_area, grid_values,
-                              spectral_derivative)
+                              spectral_derivative, theta_grid)
 from peskin_lab.evolution import (
     FORMS,
     SimConfig,
@@ -237,7 +237,8 @@ def test_row_blocks_match_dense_frame(n, m, rng):
 @pytest.mark.parametrize("n, m", [(512, 1024), (96, 480)])
 def test_one_walk_matches_single_form_walks(n, m, rng):
     # the forms share one walk's geometry, jump and scratch buffers, yet
-    # each field is the one its form gets alone, bit for bit
+    # each field is the one the smallest walk serving it gives (the
+    # position walk, the IMEX walk), bit for bit
     from peskin_lab.evolution import _imex_increments
 
     st = block_test_state(n, m, rng)
@@ -277,18 +278,18 @@ def test_fields_do_not_depend_on_the_block_height(n, m, rng, monkeypatch):
 def test_a_frame_walked_twice_gives_the_same_fields(rng):
     # (96, 480) ends on a partial block, so the second walk's first block
     # must not read the buffer views of the first walk's last block
-    from peskin_lab.evolution import _FORM_BUILDERS, _Frame
+    from peskin_lab.evolution import _walk
 
-    frame = _Frame(block_test_state(96, 480, rng))
-    hooks, finishes = zip(*(_FORM_BUILDERS[form](frame) for form in FORMS))
-    frame.integrate(FORMS, hooks)
-    first = [finish() for finish in finishes]
-    frame.integrate(FORMS, hooks)
-    for form, finish, want in zip(FORMS, finishes, first):
-        assert np.array_equal(finish(), want), form
+    st = block_test_state(96, 480, rng)
+    first = _walk(st, "every")
+    again = _walk(st, "every")
+    assert again.keys() == first.keys() == set(FORMS)
+    for form in FORMS:
+        assert np.array_equal(again[form], first[form]), form
 
 
 IMEX_PAIR = ("derivative", "position_reduced")
+POSITION = ("position_reduced",)
 
 
 @pytest.mark.parametrize("n, m", [(512, 1024), (96, 480)])
@@ -311,18 +312,18 @@ def test_a_walk_reads_nothing_of_another_states_walk(n, m, rng, monkeypatch):
 
 @pytest.mark.parametrize("n, m", [(512, 1024), (96, 480)])
 def test_a_walk_reads_nothing_of_another_form_sets_walk(n, m, rng, monkeypatch):
-    # a walk of every form places its quantities in other blocks than the
-    # IMEX pair and writes blocks the pair never does: the pair after it
-    # (and it after the pair) must still read a zero imaginary half of the
-    # 1/|dz|^2 block and only blocks it wrote itself
+    # the three walks place their quantities in different blocks, and the
+    # walk of every form writes blocks the others never do: each walk after
+    # another must still read a zero imaginary half of the 1/|dz|^2 block
+    # and only blocks it wrote itself
     from peskin_lab import evolution
 
     st = block_test_state(n, m, rng)
     fresh = {}
-    for forms in (IMEX_PAIR, FORMS):
+    for forms in (POSITION, IMEX_PAIR, FORMS):
         monkeypatch.setattr(evolution, "_BUFFERS", evolution._Buffers())
         fresh[forms] = right_hand_sides(st, *forms)
-    for forms in (FORMS, IMEX_PAIR, FORMS):
+    for forms in (FORMS, POSITION, IMEX_PAIR, FORMS, POSITION):
         for form, got, want in zip(forms, right_hand_sides(st, *forms), fresh[forms]):
             assert np.array_equal(got, want), form
 
@@ -340,14 +341,17 @@ def test_right_hand_sides_rejects_forms_before_the_walk():
         right_hand_sides(st, "position_reduced")
 
 
-def test_dissipation_term_reads_no_chord(rng):
-    # the half-Laplacian of T(X') does not depend on X: no floor check
+def test_verification_forms_run_the_floor_check_and_need_2n(rng):
+    # remainder_V and dissipation_term run the walk of every form: a breached
+    # floor aborts them as it aborts rhs_derivative, and at m = n they raise
+    # the 2n error before the walk, whose first block would abort
     c = random_bandlimited_curve(rng, 64)
-    high = SimState.make(c, hookean(1.0), m=256, rho_floor=2.0 * arc_chord(c).value)
-    diss = dissipation_term(high)
-    assert np.all(np.isfinite(diss))
-    assert np.array_equal(diss, dissipation_term(make_state(c, m=256)))
-    with pytest.raises(SimulationAbort):
+    for m, error, match in ((256, SimulationAbort, "floor"), (64, ValueError, "2n")):
+        high = SimState.make(c, hookean(1.0), m=m, rho_floor=2.0 * arc_chord(c).value)
+        for rhs in (remainder_V, dissipation_term):
+            with pytest.raises(error, match=match):
+                rhs(high)
+    with pytest.raises(SimulationAbort, match="floor"):
         rhs_derivative(high)
 
 
@@ -547,6 +551,63 @@ def test_power_law_scaling(gamma, rng):
         assert np.max(np.abs(big_d - factor * base_d)) <= 1e-9 * max(1.0, factor * np.max(np.abs(base_d)))
 
 
+def symmetry_run(nodes, law, dt):
+    """The final nodes of 20 IMEX steps at m = 4n from nodes."""
+    st = SimState.make(Curve.from_nodes(nodes), law, m=4 * len(nodes))
+    for _ in range(20):
+        st = step(st, dt, "imex")
+    return st.curve.nodes
+
+
+def modes_3_5_nodes(n=64):
+    th = theta_grid(n)
+    radial = 1.0 + 0.1 * np.cos(3 * th) + 0.05 * np.sin(5 * th)
+    return np.stack([radial * np.cos(th), radial * np.sin(th)], axis=1)
+
+
+@pytest.mark.parametrize("law, p, exact", [
+    (hookean(1.0), 1.0, True),
+    (power_law(1.0, 2.0, (0.05, 40.0)), 2.0, True),
+    (power_law(1.0, 3.0, (0.05, 40.0)), 3.0, False),
+], ids=["hookean", "p2", "p3"])
+def test_whole_run_scales_with_a_homogeneous_law(law, p, exact):
+    # T(r) = c r^p gives u[lam X] = lam^p u[X], so the run from lam X0 is
+    # lam X(lam^(p-1) t): the implicit solve, cbar and the floor included.
+    # Scaling by powers of two is exact in every operation where r^p is
+    x0 = modes_3_5_nodes()
+    ref = symmetry_run(x0, law, 5e-3)
+    for lam in (2.0, 0.5):
+        got = symmetry_run(lam * x0, law, 5e-3 / lam ** (p - 1.0))
+        if exact:
+            assert np.array_equal(got, lam * ref), lam
+        else:
+            assert np.max(np.abs(got - lam * ref)) <= 1e-13 * np.max(np.abs(lam * ref)), lam
+    # the arctan law is not homogeneous: scaling is no symmetry of its run
+    arctan = arctan_law((0.05, 40.0))
+    off = symmetry_run(2.0 * x0, arctan, 5e-3) - 2.0 * symmetry_run(x0, arctan, 5e-3)
+    assert np.max(np.abs(off)) > 1e-6
+
+
+@pytest.mark.parametrize("law", [hookean(1.0), arctan_law((0.05, 40.0))],
+                         ids=["hookean", "arctan"])
+def test_whole_run_respects_rigid_motions_and_grid_shifts(law):
+    # rotation, translation, reflection with reversed orientation and a
+    # shift of the parametrization by whole grid cells map run to run
+    x0 = modes_3_5_nodes()
+    ref = symmetry_run(x0, law, 5e-3)
+    turn = rotation(0.3)
+    maps = {"shift 1": lambda x: np.roll(x, 1, axis=0),
+            "shift 5": lambda x: np.roll(x, 5, axis=0),
+            "shift 37": lambda x: np.roll(x, 37, axis=0),
+            "rotation": lambda x: x @ turn.T,
+            "translation": lambda x: x + np.array([0.7, -1.3]),
+            "reflection": lambda x: (x * np.array([1.0, -1.0]))[::-1]}
+    for name, symmetry in maps.items():
+        want = symmetry(ref)
+        got = symmetry_run(symmetry(x0), law, 5e-3)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
+
+
 # --- stepping ---------------------------------------------------------------------
 
 def test_rk4_keeps_equilibrium():
@@ -669,7 +730,7 @@ def test_floor_screen_defers_to_the_exact_quotient(rng):
     # without its margin passes a floor just above it: that floor must
     # still abort, and a floor at the quotient must not
     from peskin_lab.curve import alpha_rows, half_offset_grid
-    from peskin_lab.evolution import _floor_screen, _Frame
+    from peskin_lab.evolution import _check_floor, _floor_screen
 
     n = m = 16
     j, p = 3, 11
@@ -688,14 +749,13 @@ def test_floor_screen_defers_to_the_exact_quotient(rng):
     _floor_screen.cache_clear()
     for floor, aborts in ((0.5 * quotient, False),
                           (np.nextafter(quotient, np.inf), True), (quotient, False)):
-        frame = _Frame(SimState.make(Curve.circle(n), hookean(1.0), m=m,
-                                     rho_floor=floor))
+        st = SimState.make(Curve.circle(n), hookean(1.0), m=m, rho_floor=floor)
         screen = np.empty((n, m), dtype=bool)
         if aborts:
             with pytest.raises(SimulationAbort):
-                frame.check_floor(field, slice(0, n), screen)
+                _check_floor(st, field, slice(0, n), screen)
         else:
-            frame.check_floor(field, slice(0, n), screen)
+            _check_floor(st, field, slice(0, n), screen)
 
 
 def test_imex_step_memory_is_bounded():
@@ -716,13 +776,15 @@ def test_imex_step_memory_is_bounded():
 
 
 @pytest.mark.parametrize("forms, complex_blocks, float_blocks",
-                         [(IMEX_PAIR, 7, 2), (FORMS, 10, 2)],
-                         ids=["imex", "every_form"])
+                         [(POSITION, 4, 2), (IMEX_PAIR, 7, 2),
+                          (FORMS, 10, 2)],
+                         ids=["position", "imex", "every_form"])
 def test_walk_buffers_are_bounded(forms, complex_blocks, float_blocks, monkeypatch):
     # the IMEX walk fills 7 complex blocks (four working blocks, the 1/|dz|^2
     # block and the tiles of a and conj(a)) and 2 float ones, its floor
-    # screen inside one of them, and a walk of every form 10 and 2; one more
-    # block would raise the peak memory of every step or every verify.  Each
+    # screen inside one of them, the position walk 4 and 2 (three working
+    # blocks and the 1/|dz|^2 block) and a walk of every form 10 and 2; one
+    # more block would raise the peak memory of every step or every verify.  Each
     # owning array may add one cache line of alignment slack.  The cached
     # views hold no array but those counted, also after the arrays grow for
     # longer blocks
@@ -733,7 +795,7 @@ def test_walk_buffers_are_bounded(forms, complex_blocks, float_blocks, monkeypat
     buffers = evolution._Buffers()
     monkeypatch.setattr(evolution, "_BUFFERS", buffers)
     right_hand_sides(st, *forms)
-    block = evolution._Frame(st).height * st.m
+    block = min(st.curve.n, max(1, evolution._BLOCK // st.m)) * st.m
     used = sum(flat.nbytes for flat in buffers.flat.values())
     assert 0 < used <= (block * (16 * complex_blocks + 8 * float_blocks)
                         + 64 * (complex_blocks + float_blocks))

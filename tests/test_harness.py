@@ -442,3 +442,23 @@ def test_cli_compare_checks_node_counts_before_any_run(tmp_path, capsys,
     assert rc == 2
     assert "32 and 64 nodes" in capsys.readouterr().err
     assert runs == []
+
+
+def test_cli_apriori_audit_weights_by_mu_kind(tmp_path, capsys):
+    # the audit once used the log4 weight whatever mu.kind said
+    from pathlib import Path
+
+    from peskin_lab import diagnostics as diag
+    from peskin_lab.config import config_from_file
+    from peskin_lab.evolution import law_from_config, simulate
+
+    text = (Path(__file__).resolve().parent.parent / "configs" / "perturbed.cfg").read_text()
+    assert "time.horizon = 2.0\n" in text
+    text = text.replace("time.horizon = 2.0\n", "time.horizon = 0.1\n") + "mu.kind = one\n"
+    cfg_path = _write_config(tmp_path, text)
+    rc = main(["audit", "--audit", "apriori", "--config", cfg_path])
+    rec = json.loads(capsys.readouterr().out)
+    cfg = config_from_file(cfg_path)
+    want = diag.apriori_audit(simulate(cfg), None, law_from_config(cfg).lam)
+    assert rec["measured"] == want.measured
+    assert rc == (0 if want.passed else 1)
