@@ -310,7 +310,8 @@ class Curve:
     nodes[j] = X(theta_j) with theta_j = -pi + 2*pi*j/N; coeffs are the true
     coefficients c_k in FFT order.  from_nodes and from_coeffs each compute
     one from the other, so the two agree by construction; from_nodes, where
-    outside data enters, also checks the round trip to 1e-12.
+    outside data enters, also checks the round trip to 1e-12.  Both arrays
+    are read-only copies, never the caller's own.
     """
 
     nodes: np.ndarray
@@ -339,7 +340,7 @@ class Curve:
 
     @classmethod
     def from_nodes(cls, nodes: np.ndarray) -> "Curve":
-        nodes = np.asarray(nodes, dtype=float)
+        nodes = np.array(nodes, dtype=float)  # a copy: _built freezes it
         with np.errstate(invalid="ignore"):  # an inf node, which _built rejects
             curve = cls._built(nodes, fft_coeffs(nodes))
         scale = max(1.0, float(np.max(np.abs(curve.nodes))))
@@ -349,7 +350,7 @@ class Curve:
 
     @classmethod
     def from_coeffs(cls, coeffs: np.ndarray) -> "Curve":
-        coeffs = np.asarray(coeffs, dtype=complex)
+        coeffs = np.array(coeffs, dtype=complex)  # a copy: _built freezes it
         with np.errstate(invalid="ignore"):  # an inf coefficient, which _built rejects
             return cls._built(grid_values(coeffs), coeffs)
 

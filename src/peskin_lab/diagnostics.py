@@ -294,7 +294,11 @@ def chord_arc_lipschitz_audit(traj: Trajectory) -> AuditReport:
     + LIPSCHITZ_SLACK.
 
     The arc-chord values are read from the records when every record
-    carries one, as simulate's do, and computed from the curves otherwise."""
+    carries one, as simulate's do, and computed from the curves otherwise;
+    with fewer than two outputs a ValueError names the output times."""
+    if len(traj.times) < 2:
+        raise ValueError(f"the chord-arc Lipschitz audit needs two outputs to compare, "
+                         f"and the outputs are at t = {traj.times.tolist()}")
     if all("arc_chord" in rec for rec in traj.records):
         values = np.array([rec["arc_chord"] for rec in traj.records])
     else:

@@ -13,17 +13,16 @@ every sample phi_p, at alpha = phi_p - theta_j, so the samples are plain
 m-vectors, and every alpha-dependent factor (1/alpha, 1/alpha^2,
 log 4 sin^2(alpha/2)) is read from the read-only circulant view
 curve.alpha_rows of an m-table.  The (n, m) frame is never formed.
-right_hand_sides serves FORMS by one of three fixed walks (_walk) over
+right_hand_sides serves FORMS by one of two fixed walks (_walk) over
 blocks of max(1, _BLOCK // m) theta rows, whose buffers stay in cache:
-"position" (the reduced position form alone, each rk4 stage), "imex"
-(the K form and the reduced position form, each IMEX step) and "every"
-(all five forms, for verify and the checks of the paper's other
-formulations).  Each block runs its stages in one fixed order, chord,
-|chord|^2 and the floor check, 1/|chord|^2, t, W, rotor, t rot, jump, in
-a fixed set of thread buffers that each take a new quantity once the old
-one is dead.  Every form sums its rows by row dots issued where their
-operands are live, with out= into (n,) accumulators, and combines them
-into its field once per walk.
+"imex" (the K form and the reduced position form, each IMEX step and
+each rk4 stage) and "every" (all five forms, for verify and the checks
+of the paper's other formulations).  Each block runs its stages in one
+fixed order, chord, |chord|^2 and the floor check, 1/|chord|^2, t, W,
+rotor, t rot, jump, in a fixed set of thread buffers that each take a
+new quantity once the old one is dead.  Every form sums its rows by row
+dots issued where their operands are live, with out= into (n,)
+accumulators, and combines them into its field once per walk.
 
 With the chord dz, W = 1/dz^2, t = 1/dz and the tension jump J, which
 stay exact elementwise differences, the row sums are:
@@ -267,12 +266,10 @@ def _layout(roles: str, shared: dict) -> dict:
 _CHORD_ROLES = "c r2 f1 inv t w t_rot"  # what every walk reads
 # walk -> role -> thread buffer.  Without the remainder nothing reads the
 # chord or t at the jump, so t rot (then v) overwrites the chord, the jump
-# t and aJ the rotor block: the position walk fills 4 complex and 2 float
-# blocks, the IMEX walk 7 and 2.  In the walk of every form the
-# remainder's dp and E take the blocks of v and aJ, dead once the K form
-# has read them: 10 and 2.
+# t and aJ the rotor block: the IMEX walk fills 7 complex and 2 float
+# blocks.  In the walk of every form the remainder's dp and E take the
+# blocks of v and aJ, dead once the K form has read them: 10 and 2.
 _LAYOUTS = {
-    "position": _layout(_CHORD_ROLES, {"t_rot": "c"}),
     "imex": _layout(_CHORD_ROLES + " a conj_a jump aj",
                     {"t_rot": "c", "jump": "t", "aj": "rot"}),
     "every": _layout(_CHORD_ROLES + " a conj_a jump aj rot dp e",
@@ -385,9 +382,9 @@ def _remainder_coefficients(a, b, inv_al, c, inv_r2, t, w, dp, e, coef_i, scratc
 
 def _walk(state: SimState, walk: str) -> dict:
     """The fields of one walk of _LAYOUTS over the state's (theta, alpha)
-    frame, by form: "position" gives position_reduced, "imex" adds
-    derivative and "every" gives every form of FORMS (see the module
-    docstring for each form's row sums).
+    frame, by form: "imex" gives position_reduced and derivative, and
+    "every" gives every form of FORMS (see the module docstring for each
+    form's row sums).
 
     X and X' come from the state's coefficients by one size-m inverse
     transform, X' as real samples x1 and as the complex a = X'(theta +
@@ -403,9 +400,7 @@ def _walk(state: SimState, walk: str) -> dict:
     - t = 1/dz, then W = t^2;
     - the rotor t c (every form only);
     - t rot = W c;
-    - the jump J = T(X'(theta + alpha)) - T(X'(theta)) (not in the
-      position walk, which runs no T(X'), so that a vanished tangent
-      reaches its abort).
+    - the jump J = T(X'(theta + alpha)) - T(X'(theta)).
 
     The row dots write the alpha sums of the block's rows with out= into
     (n,) accumulators, each row's sum one contiguous reduction within one
@@ -413,7 +408,7 @@ def _walk(state: SimState, walk: str) -> dict:
     last block reads prefixes of the same buffers, the rows of the tiles
     of a and conj(a) included, and each walk refills the memory of the one
     before, which arrays made per walk would fault in again."""
-    kernel, every = walk != "position", walk == "every"
+    every = walk == "every"
     n, m, law = state.curve.n, state.m, state.law
     height = min(n, max(1, _BLOCK // m))  # theta rows per block
     both = half_offset_values(
@@ -430,16 +425,14 @@ def _walk(state: SimState, walk: str) -> dict:
         raise SimulationAbort(state.t, "tangent vector vanished")
     q_col = (a * a * (law.eval(mag) / mag / FOUR_PI))[:, None]
     del both, mag  # the blocks read neither: free them before the walk
+    b = as_complex(state.deriv.nodes)
+    # fills a block with T(X')_p - T(X')_j (see _differences)
+    jumps = _differences(as_complex(tension_map(law, x1)),
+                         as_complex(tension_map(law, state.deriv.nodes)))
     # (n,) complex alpha sums, every row of which the walk writes
-    s_t, s_t_rot = np.empty((2, n), dtype=complex)
+    s_t, s_t_rot, s_w, s_v, s_g = np.empty((5, n), dtype=complex)
     t_out, t_rot_out = _dot_out(s_t), _dot_out(s_t_rot)
-    if kernel:
-        b = as_complex(state.deriv.nodes)
-        # fills a block with T(X')_p - T(X')_j (see _differences)
-        jumps = _differences(as_complex(tension_map(law, x1)),
-                             as_complex(tension_map(law, state.deriv.nodes)))
-        s_w, s_v, s_g = np.empty((3, n), dtype=complex)
-        w_out, v_out, g_out = _dot_out(s_w), _dot_out(s_v), _pair_out(s_g)
+    w_out, v_out, g_out = _dot_out(s_w), _dot_out(s_v), _pair_out(s_g)
     if every:
         x1_fine = state.deriv.resampled(2 * n).nodes
         x2_fine = state.deriv.derivative().resampled(2 * n).nodes
@@ -463,7 +456,7 @@ def _walk(state: SimState, walk: str) -> dict:
             shape = (rows.stop - start, m)
             p = plans[shape[0]] = SimpleNamespace(**{
                 role: _BUFFERS.block(name, shape) for role, name in _LAYOUTS[walk].items()})
-            if kernel and start == 0:  # a shorter last block reads these rows
+            if start == 0:  # a shorter last block reads these rows
                 np.copyto(p.a.z, a)
                 np.conjugate(a, out=p.conj_a.z)
         c, t, r2 = p.c.z, p.t.z, p.r2.z
@@ -485,8 +478,6 @@ def _walk(state: SimState, walk: str) -> dict:
             np.matmul(p.rot.lhs, fs_col, out=rot_out[rows])
         np.multiply(p.w.z, c, out=p.t_rot.z)
         np.matmul(p.t_rot.lhs, q_col, out=t_rot_out[rows])
-        if not kernel:
-            continue
         # conj(V) over t rot, which the position form has read by now
         np.multiply(t, p.t_rot.z, out=p.t_rot.z)
         jumps(rows, p.jump.flat_pairs)
@@ -514,10 +505,9 @@ def _walk(state: SimState, walk: str) -> dict:
         # the half-offset rule over alpha, (2 pi / m) sums, as a real (n, 2) field
         return (sums * (2.0 * np.pi / m)).view(float).reshape(-1, 2)
 
-    fields = {"position_reduced": field(0.5 * (s_t + np.conj(s_t_rot)))}
-    if kernel:
-        fields["derivative"] = field((1j * b * s_w.imag + np.conj(b * (s_v - 1j * s_g)))
-                                     / FOUR_PI)
+    fields = {"position_reduced": field(0.5 * (s_t + np.conj(s_t_rot))),
+              "derivative": field((1j * b * s_w.imag + np.conj(b * (s_v - 1j * s_g)))
+                                  / FOUR_PI)}
     if every:
         # exact product quadrature for the periodic log kernel
         k = wavenumbers(2 * n).astype(float)
@@ -540,18 +530,15 @@ def right_hand_sides(state: SimState, *forms: str) -> tuple:
     forms are names from FORMS: "position_bi" (rhs_position_bi),
     "position_reduced", "derivative" (rhs_derivative unprojected),
     "remainder" (remainder_V) and "dissipation" (dissipation_term).  The
-    smallest walk of _walk that serves them all runs: "position" for
-    "position_reduced" alone, "imex" for "derivative" with or without it,
-    and the verification walk "every" for any set that names
-    "position_bi", "remainder" or "dissipation", which needs m >= 2n.  A
-    field is the same, bit for bit, whichever walk serves it.
+    walk "imex" of _walk serves any of "derivative" and "position_reduced";
+    a set that names another form runs the verification walk "every",
+    which needs m >= 2n.  A field is the same, bit for bit, from both.
     """
     requested = set(forms)
     if not requested or not requested <= set(FORMS):
         raise ValueError(f"right_hand_sides takes one or more of {FORMS}, "
                          f"got {forms}")
-    walk = ("position" if requested == {"position_reduced"} else
-            "imex" if requested <= {"derivative", "position_reduced"} else "every")
+    walk = "imex" if requested <= {"derivative", "position_reduced"} else "every"
     n = state.curve.n
     if walk == "every" and state.m < 2 * n:
         # the full Stokeslet's 2n-band force would fold modulo m on the alpha grid
@@ -710,7 +697,8 @@ class SimConfig:
     """Run configuration (mirrors the flat config-file keys).  Each value
     is checked against its field's annotation (see _is_kind; Optional also
     takes None, ints are kept as given) and a ValueError names its key;
-    tension_window is two reals, stored as floats."""
+    tension_window is two reals, stored as floats.  Every real value is
+    finite, and rho_floor, when given, positive."""
 
     n: int = 128
     m: Optional[int] = None
@@ -755,12 +743,18 @@ class SimConfig:
                 object.__setattr__(self, name, tuple(float(v) for v in value))
             else:
                 raise ValueError(f"{key} must be two real numbers, got {value!r}")
+            reals = value if kind == tuple[float, float] else (value,) if kind is float else ()
+            if not all(abs(v) < math.inf for v in reals):
+                raise ValueError(f"{key} must be finite, got {value!r}")
         if self.output_stride < 1:
             raise ValueError(f"output.stride must be at least 1, got {self.output_stride!r}")
-        if not 0 < self.dt < math.inf:
-            raise ValueError(f"time.dt must be positive and finite, got {self.dt!r}")
-        if not 0 <= self.horizon < math.inf:
-            raise ValueError(f"time.horizon must be finite and >= 0, got {self.horizon!r}")
+        if self.dt <= 0:
+            raise ValueError(f"time.dt must be positive, got {self.dt!r}")
+        if self.horizon < 0:
+            raise ValueError(f"time.horizon must be >= 0, got {self.horizon!r}")
+        if self.rho_floor is not None and self.rho_floor <= 0:
+            # a floor at or below 0 would switch the arc-chord abort off
+            raise ValueError(f"rho.floor must be positive, got {self.rho_floor!r}")
         if abs(self.horizon / self.dt - self.steps) > 1e-9 * self.steps:
             raise ValueError(f"horizon {self.horizon!r} is not a whole number of "
                              f"steps dt={self.dt!r}")
@@ -792,7 +786,7 @@ class Trajectory:
     config: Optional[SimConfig] = None
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        t = np.array(self.times, dtype=float)  # a copy, frozen below
         if len(t) != len(self.curves) or len(t) != len(self.records):
             raise ValueError("times, curves and records must align")
         if len(t) > 1 and not np.all(np.diff(t) > 0):

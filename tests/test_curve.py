@@ -113,6 +113,20 @@ def test_curve_takes_no_nodes_and_coefficients_together():
         Curve(nodes=circle.nodes, coeffs=circle.coeffs)
 
 
+def test_curve_copies_the_callers_array():
+    # the caller's float64 array was the curve's own, frozen in place
+    circle = Curve.circle(32)
+    for build, given in ((Curve.from_nodes, circle.nodes.copy()),
+                         (Curve.from_coeffs, circle.coeffs.copy())):
+        curve = build(given)
+        nodes, coeffs = curve.nodes.copy(), curve.coeffs.copy()
+        assert given.flags.writeable
+        assert not (curve.nodes.flags.writeable or curve.coeffs.flags.writeable)
+        given[3] = 7.0
+        assert np.array_equal(curve.nodes, nodes)
+        assert np.array_equal(curve.coeffs, coeffs)
+
+
 def divided_difference(x, alpha):
     """D_alpha X = (X(theta + alpha) - X(theta)) / alpha."""
     return (shift_many(x, [alpha])[0] - x) / alpha

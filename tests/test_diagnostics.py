@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from peskin_lab.diagnostics import (
     smoothing_audit,
     stability_audit,
 )
-from peskin_lab.evolution import SimConfig, Trajectory, make_initial_curve, simulate
+from peskin_lab.evolution import (SimConfig, Trajectory, law_from_config,
+                                  make_initial_curve, simulate)
 from peskin_lab.operators import half_offset_grid
 
 
@@ -308,9 +311,44 @@ def test_equilibrium_audit_power_law():
     assert rep.measured["rate"] > 0
 
 
+def test_audits_follow_the_scaling_of_a_p2_power_law():
+    # T(r) = r^2 maps the run from 2 X0 on the window 2 [a, b] to 2 X(2 t),
+    # bit for bit: so the apriori audit's lhs and rhs both double (lam
+    # doubles and the dissipation integral runs over half the time), the
+    # equilibrium rate doubles and the arc-chord number |chord| / |alpha|
+    # doubles.  The rate's log-linear fit rounds, to 1e-12 relative
+    cfg = SimConfig(n=64, m=256, dt=4e-3, horizon=0.4, init_perturb_mode=3,
+                    init_perturb_amp=0.05, tension_kind="power", tension_p=2.0,
+                    tension_window=(0.5, 2.0), tension_globalize=True,
+                    output_stride=10)
+    scaled = replace(cfg, init_radius=2.0, tension_window=(1.0, 4.0),
+                     dt=cfg.dt / 2, horizon=cfg.horizon / 2)
+    audits = []
+    for c in (cfg, scaled):
+        traj = simulate(c)
+        apriori = apriori_audit(traj, MuWeight.log4(), law_from_config(c).lam)
+        equilibrium = equilibrium_audit(traj)
+        assert equilibrium.name == "equilibrium[perturbed]"
+        audits.append((traj, apriori.measured, equilibrium.measured["rate"]))
+    (traj, apriori, rate), (traj2, apriori2, rate2) = audits
+    assert apriori2["lhs"] / apriori2["rhs"] == apriori["lhs"] / apriori["rhs"]
+    assert abs(rate2 - 2.0 * rate) <= 1e-12 * 2.0 * rate
+    assert [r["arc_chord"] / 2.0 for r in traj2.records] == \
+        [r["arc_chord"] for r in traj.records]
+
+
 def test_chord_arc_lipschitz(perturbed_traj):
     rep = chord_arc_lipschitz_audit(perturbed_traj)
     assert rep.passed, rep.measured
+
+
+def test_chord_arc_lipschitz_needs_two_outputs(equilibrium_traj):
+    # one output has no pair to compare: the audit once passed it with
+    # max_excess = -inf, which json.dumps writes as the invalid -Infinity
+    with pytest.raises(ValueError, match=r"two outputs to compare.*t = \[0\.0\]"):
+        chord_arc_lipschitz_audit(_truncated(equilibrium_traj, 0.0))
+    rep = chord_arc_lipschitz_audit(_truncated(equilibrium_traj, 0.05))
+    assert len(rep.measured) == 1 and np.isfinite(rep.measured["max_excess"])
 
 
 def test_chord_arc_lipschitz_reads_arc_chord_from_records(perturbed_traj,

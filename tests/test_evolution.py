@@ -237,8 +237,8 @@ def test_row_blocks_match_dense_frame(n, m, rng):
 @pytest.mark.parametrize("n, m", [(512, 1024), (96, 480)])
 def test_one_walk_matches_single_form_walks(n, m, rng):
     # the forms share one walk's geometry, jump and scratch buffers, yet
-    # each field is the one the smallest walk serving it gives (the
-    # position walk, the IMEX walk), bit for bit
+    # each field is the one the smaller walk serving it (the IMEX walk)
+    # gives, bit for bit
     from peskin_lab.evolution import _imex_increments
 
     st = block_test_state(n, m, rng)
@@ -312,10 +312,10 @@ def test_a_walk_reads_nothing_of_another_states_walk(n, m, rng, monkeypatch):
 
 @pytest.mark.parametrize("n, m", [(512, 1024), (96, 480)])
 def test_a_walk_reads_nothing_of_another_form_sets_walk(n, m, rng, monkeypatch):
-    # the three walks place their quantities in different blocks, and the
-    # walk of every form writes blocks the others never do: each walk after
-    # another must still read a zero imaginary half of the 1/|dz|^2 block
-    # and only blocks it wrote itself
+    # the two walks place their quantities in different blocks, and the
+    # walk of every form writes blocks the IMEX walk never does: each walk
+    # after the other must still read a zero imaginary half of the 1/|dz|^2
+    # block and only blocks it wrote itself
     from peskin_lab import evolution
 
     st = block_test_state(n, m, rng)
@@ -776,14 +776,12 @@ def test_imex_step_memory_is_bounded():
 
 
 @pytest.mark.parametrize("forms, complex_blocks, float_blocks",
-                         [(POSITION, 4, 2), (IMEX_PAIR, 7, 2),
-                          (FORMS, 10, 2)],
-                         ids=["position", "imex", "every_form"])
+                         [(IMEX_PAIR, 7, 2), (FORMS, 10, 2)],
+                         ids=["imex", "every_form"])
 def test_walk_buffers_are_bounded(forms, complex_blocks, float_blocks, monkeypatch):
     # the IMEX walk fills 7 complex blocks (four working blocks, the 1/|dz|^2
     # block and the tiles of a and conj(a)) and 2 float ones, its floor
-    # screen inside one of them, the position walk 4 and 2 (three working
-    # blocks and the 1/|dz|^2 block) and a walk of every form 10 and 2; one
+    # screen inside one of them, and a walk of every form 10 and 2; one
     # more block would raise the peak memory of every step or every verify.  Each
     # owning array may add one cache line of alignment slack.  The cached
     # views hold no array but those counted, also after the arrays grow for
@@ -1015,6 +1013,16 @@ def test_trajectory_validation():
     with pytest.raises(ValueError):
         Trajectory(times=np.array([0.0, 0.0]), curves=(c, c),
                    records=({}, {}), scheme="imex")
+
+
+def test_trajectory_copies_the_callers_times():
+    # the caller's float64 times were the trajectory's own, frozen in place
+    c = Curve.circle(32)
+    t = np.array([0.0, 0.1])
+    traj = Trajectory(times=t, curves=(c, c), records=({}, {}), scheme="imex")
+    assert t.flags.writeable and not traj.times.flags.writeable
+    t[1] = 5.0
+    assert traj.times.tolist() == [0.0, 0.1]
 
 
 def test_trajectory_derivs_computed_once(rng):

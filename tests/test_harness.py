@@ -63,7 +63,17 @@ def test_sim_config_mapping():
     (dict(scheme="foo"), "time.scheme"), (dict(init_kind="foo"), "init.kind"),
     (dict(tension_kind="foo"), "tension.kind"), (dict(mu_kind="foo"), "mu.kind"),
     (dict(init_kind="fourier-file"), "init.file"),
-    (dict(tension_kind="table"), "tension.table")])
+    (dict(tension_kind="table"), "tension.table"),
+    # a real value is finite, and a floor at or below 0 would switch the
+    # arc-chord abort off
+    (dict(tension_k0=float("nan")), "tension.k0 must be finite"),
+    (dict(init_radius=float("inf")), "init.radius must be finite"),
+    (dict(tension_p=-float("inf")), "tension.p must be finite"),
+    (dict(tension_window=(0.5, float("inf"))), "tension.window must be finite"),
+    (dict(tension_window=[float("nan"), 2]), "tension.window must be finite"),
+    (dict(rho_floor=float("nan")), "rho.floor must be finite"),
+    (dict(rho_floor=-1.0), "rho.floor must be positive"),
+    (dict(rho_floor=0.0), "rho.floor must be positive")])
 def test_sim_config_checks_every_setting(bad, key):
     with pytest.raises(ValueError, match=key):
         SimConfig(**bad)
@@ -256,16 +266,24 @@ def test_cli_zero_beta_points_exits_2_before_any_output(tmp_path, capsys):
     ("init.kind = fourier-file\ninit.file = {nan_curve}", 2, "must be finite"),
     ("init.kind = fourier-file\ninit.file = {short_curve}", 2, "header N=16 but 32"),
     ("init.radius = 0.0", 2, "arc-chord number is 0"),
-    ("rho.floor = 2.0", 3, "numerical abort")],
-    ids=["missing-table", "nan-node", "truncated", "degenerate", "abort"])
+    ("rho.floor = 2.0", 3, "numerical abort"),
+    ("rho.floor = -1.0", 2, "rho.floor must be positive"),
+    ("rho.floor = 0.0", 2, "rho.floor must be positive"),
+    ("rho.floor = nan", 2, "rho.floor must be finite"),
+    ("tension.k0 = nan", 2, "tension.k0 must be finite")],
+    ids=["missing-table", "nan-node", "truncated", "degenerate", "abort",
+         "negative-floor", "zero-floor", "nan-floor", "nan-k0"])
 def test_cli_failed_run_leaves_no_output_directory(tmp_path, capsys, bad, code,
                                                    message):
     # found while the law or the initial curve is built (a curve file with a
     # nan node, or with more nodes than its header's N, once started a run
     # that aborted with exit 3), by the initial arc-chord number (a circle of
     # radius 0 once aborted with exit 3), or by the first step (a floor above
-    # the circle's grid arc-chord number, 0.64); test_cli_rejects_inconsistent_
-    # grid_and_horizon covers a grid found inconsistent when the state is built
+    # the circle's grid arc-chord number, 0.64); a bad value is found when
+    # the config is read (a floor of -1, 0 or nan once ran on with the
+    # abort off, and a nan k0 once aborted with exit 3).
+    # test_cli_rejects_inconsistent_grid_and_horizon covers a grid found
+    # inconsistent when the state is built
     nan_curve, short_curve = tmp_path / "nan.curve", tmp_path / "short.curve"
     write_curve(Curve.circle(32), nan_curve)
     short_curve.write_text(nan_curve.read_text().replace("N=32", "N=16"))
