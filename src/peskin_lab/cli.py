@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +29,21 @@ from .tension import hookean
 
 
 def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    try:
+        return args.run(args)
+    except SimulationAbort as exc:
+        print(f"numerical abort at t={exc.t:.6g}: {exc.reason}", file=sys.stderr)
+        return 3
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps
+    no state in it."""
     parser = argparse.ArgumentParser(prog="peskin-lab",
                                      description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
@@ -65,16 +81,7 @@ def main(argv=None) -> int:
     p_cmp.add_argument("--in-b", dest="in_b", required=True)
     p_cmp.add_argument("--config", required=True)
     p_cmp.set_defaults(run=_cmd_compare)
-
-    args = parser.parse_args(argv)
-    try:
-        return args.run(args)
-    except SimulationAbort as exc:
-        print(f"numerical abort at t={exc.t:.6g}: {exc.reason}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return parser
 
 
 def _cmd_simulate(args) -> int:

@@ -401,6 +401,22 @@ class ArcChord:
 _STRIDE, _SLACK = 16, 1e-9  # coarse row stride (8 and 32 were slower), slack
 
 
+@lru_cache(maxsize=16)
+def _search_tables(m: int) -> tuple:
+    """The read-only tables of _arc_chord_level's row search over m
+    half-offset alphas: |alpha|, the coarse rows (every _STRIDE-th) and
+    their |alpha|, the index c of the coarse row below each row, the row's
+    offset from it and its distance to the next one (row m, row 0 shifted
+    by 2 pi, past the last gap), and the rows off the coarse ones."""
+    alphas = np.abs(half_offset_grid(m))
+    rows = np.arange(m)
+    c, off = np.divmod(rows, _STRIDE)
+    coarse = np.arange(0, m, _STRIDE)
+    return tuple(_read_only(table) for table in (
+        alphas, coarse, alphas[coarse], c, off, np.minimum(_STRIDE - off, m - rows),
+        rows[off != 0]))
+
+
 def _arc_chord_level(curve: Curve, m: int) -> float:
     """Min over grid theta and half-offset alpha (m of them, a multiple of
     the curve grid size) of |delta_alpha X| / |alpha|, bitwise the dense
@@ -412,7 +428,7 @@ def _arc_chord_level(curve: Curve, m: int) -> float:
     in place and x^2 + y^2 written into one float block."""
     xy = curve.nodes.reshape(-1)  # x0, y0, x1, ...: the window's doubles
     window = half_offset_window(as_complex(half_offset_samples(curve.nodes, m)), curve.n)
-    alphas = np.abs(half_offset_grid(m))
+    alphas, coarse, coarse_alphas, below, off, span, rest = _search_tables(m)
     height = max(1, _BLOCK // curve.n)  # alpha rows per block
     r2 = np.empty((height, curve.n))
 
@@ -428,14 +444,11 @@ def _arc_chord_level(curve: Curve, m: int) -> float:
 
     size = np.linalg.norm(curve.coeffs, axis=1)
     lip = np.abs(wavenumbers(curve.n)) @ size * (2.0 * np.pi / m)  # L per row
-    dc = chords(np.arange(0, m, _STRIDE))
-    best = float(np.min(dc / alphas[::_STRIDE]))
-    rows = np.arange(m)  # row m is row 0 shifted by 2 pi: the last gap wraps
-    c, off = np.divmod(rows, _STRIDE)
-    dc = np.append(dc, dc[0])
-    bound = np.maximum(dc[c] - off * lip,
-                       dc[c + 1] - np.minimum(_STRIDE - off, m - rows) * lip)
-    rest, tol = rows[off != 0], _SLACK * size.sum()
+    dc = chords(coarse)
+    best = float(np.min(dc / coarse_alphas))
+    dc = np.append(dc, dc[0])  # row m is row 0 shifted by 2 pi
+    bound = np.maximum(dc[below] - off * lip, dc[below + 1] - span * lip)
+    tol = _SLACK * size.sum()
     while (rest := rest[bound[rest] <= best * alphas[rest] + tol]).size:
         block, rest = rest[:height], rest[height:]
         best = min(best, float(np.min(chords(block) / alphas[block])))

@@ -22,7 +22,12 @@ fixed order, chord, |chord|^2 and the floor check, 1/|chord|^2, t, W,
 rotor, t rot, jump, in a fixed set of thread buffers that each take a
 new quantity once the old one is dead.  Every form sums its rows by row
 dots issued where their operands are live, with out= into (n,)
-accumulators, and combines them into its field once per walk.
+accumulators, and combines them into its field once per walk.  Each
+thread keeps one plan per walk and grid (_Plan): the block buffers, with
+W, t rot and t back to back, every view and out= the blocks read, and
+the fill matrices, so that a block only issues numpy calls, and two row
+dots that share an operand go out as one matmul: an IMEX block makes
+three row-dot calls.
 
 With the chord dz, W = 1/dz^2, t = 1/dz and the tension jump J, which
 stay exact elementwise differences, the row sums are:
@@ -31,7 +36,7 @@ stay exact elementwise differences, the row sums are:
   with a = X'(theta + alpha) and weight = T(|a|)/|a|.  With Re(z) =
   (z + conj z)/2, W dz = t and W conj(dz) = t rot, a row is (sum q t +
   conj(sum q t rot))/2 over the fine m-vector q = a^2 weight / (4 pi):
-  two row dots.
+  two row dots, one matmul over the stacked (t rot, t).
 - K, the kernel of the derivative equation, has degree -2 in the chord,
   K(a, b, dz/alpha) / alpha^2 = K(a, b, dz).  With V = |dz|^2 conj(W)^2,
   every term of K(a, b, dz) J is b or conj(b) times a term free of b, so
@@ -41,8 +46,9 @@ stay exact elementwise differences, the row sums are:
                      + conj(b) [i sum conj(W) Im(conj(a) J) + sum V conj(a J)],
 
   with sum conj(W) g = conj(sum W g) for real g and sum V conj(aJ) =
-  conj(sum conj(V) a J), conj(V) = W rot = t (t rot): three row dots, b
-  joined once per walk.  An IMEX step gets K and the position velocity
+  conj(sum conj(V) a J), conj(V) = W rot = t (t rot): three row dots, the
+  two against aJ one matmul over the stacked (W, conj(V)), b joined once
+  per walk.  An IMEX step gets K and the position velocity
   from one walk, which reads t rot before it turns it into conj(V).
 - A, the remainder of the cancellation split K = I/4pi + A, is not
   homogeneous and keeps the divided difference d = dz/alpha.  With P(d)v
@@ -76,12 +82,12 @@ stay exact elementwise differences, the row sums are:
 The IMEX step keeps the state in Fourier coefficients from one step to
 the next.  Its implicit part is a per-wavenumber solve, so it ends with the
 coefficients of X'; X's are those over ik, with the mean advanced by the
-averaged position velocity, and each curve takes its nodes from its
-coefficients (Curve.from_coeffs).  The frame samples X and X' from the
-state's coefficients with one size-m inverse transform
+averaged position velocity, and both curves take their nodes from one
+inverse transform of their stacked coefficients.  The frame samples X
+and X' from the state's coefficients with one size-m inverse transform
 (curve.half_offset_values), so a step takes one forward FFT (of the
-explicit term) and three inverse ones.  Per-grid constants
-(the alpha tables, the difference pattern rows) are cached read-only.
+explicit term) and two inverse ones.  Per-grid constants (the alpha
+tables) are cached read-only.
 
 Inside the frame every 2-vector is one complex number z = x + iy: real
 (n, 2) fields are sampled first (so the Nyquist convention is that of
@@ -189,27 +195,26 @@ class SimState:
             # the frame reads theta + alpha from the half-offset m-grid
             raise ValueError(f"alpha grid size m={m} must be a positive "
                              f"multiple of the curve grid size n={curve.n}")
+        if rho_floor is not None and not 0.0 < rho_floor < math.inf:
+            # a floor at or below 0 or nan would switch the arc-chord abort off
+            raise ValueError(f"rho_floor must be positive and finite, got {rho_floor!r}")
         deriv = curve.derivative()
         if rho_floor is None:
             rho_floor = _FLOOR_FRACTION * arc_chord(curve).value
         return cls(t=0.0, curve=curve, deriv=deriv, law=law, m=m,
                    rho_floor=rho_floor)
 
-    def advanced(self, t: float, curve: Curve,
-                 deriv: Optional[Curve] = None) -> "SimState":
-        """The state at time t on curve, whose X' is deriv (by default
-        curve.derivative())."""
-        return replace(self, t=t, curve=curve,
-                       deriv=curve.derivative() if deriv is None else deriv)
+    def advanced(self, t: float, curve: Curve) -> "SimState":
+        """The state at time t on curve."""
+        return replace(self, t=t, curve=curve, deriv=curve.derivative())
 
 
 class _Block:
-    """The views of one (rows, m) block z that a walk reads, built once per
-    thread buffer and block shape (_Buffers.block).  Row j of a row dot,
-    one BLAS dot, is x.lhs[j] @ y.rhs[j] (or x.lhs[j] @ q[:, None] for a
-    fixed m-vector q); a real row dot g.lhs @ z.pairs lands as (re, im) in
-    a complex out.  flat_pairs is what _differences fills, and a float
-    block's screen is the bool view of its first bytes."""
+    """The views of one (rows, m) block z that a walk reads.  Row j of a
+    row dot, one BLAS dot, is x.lhs[j] @ y.rhs[j] (or x.lhs[j] @ q[:, None]
+    for a fixed m-vector q); a real row dot g.lhs @ z.pairs lands as (re,
+    im) in a complex out.  flat_pairs is what _Differences fills, and a
+    float block's screen is the bool view of its first bytes."""
 
     def __init__(self, z: np.ndarray):
         self.z = z
@@ -223,35 +228,41 @@ class _Block:
             self.screen = z.reshape(-1).view(bool)[:z.size].reshape(z.shape)
 
 
-class _Buffers(threading.local):
-    """Each thread's walk buffers: zeroed flat byte arrays by name, each
-    owning one block of at most max(_BLOCK, m) elements that starts on a
-    64-byte cache line (curve._cache_aligned), so that the walk's speed
-    does not follow where the allocator puts a buffer, and their _Block
-    views by (name, block shape).  An array that grows drops every view of
-    the one it replaces, so the arrays in flat are all the memory the
-    views hold."""
+class _Differences:
+    """The two matrices of a plan's fill of differences: after set(fine,
+    base), for complex samples fine (m,) and nodes base (n,), the matrix
+    product left[rows] @ right into the (rows, 2m) float view of a complex
+    block writes [j, p] = fine[p] - base[rows][j].
 
-    def __init__(self):
-        self.flat = {}
-        self.views = {}
+    left holds the (n, 3) rows [1, -Re base_j, -Im base_j] and right the
+    (3, 2m) rows [fine as (re, im) pairs; 1 0 1 0 ...; 0 1 0 1 ...], so
+    that a walk writes only the base columns and the fine row.  Every
+    product is exact, so each entry is the difference rounded once, bit
+    for bit the broadcast subtraction, which numpy runs about three times
+    slower on complex rows."""
 
-    def block(self, name: str, shape: tuple) -> _Block:
-        view = self.views.get((name, shape))
-        if view is None:
-            size = math.prod(shape)
-            dtype = np.dtype(float if name in ("r2", "f1") else complex)
-            nbytes = size * dtype.itemsize + _LINE  # and the alignment slack
-            flat = self.flat.get(name)
-            if flat is None or flat.size < nbytes:
-                flat = self.flat[name] = np.zeros(nbytes, np.uint8)
-                self.views = {key: v for key, v in self.views.items() if key[0] != name}
-            z = _cache_aligned(flat, dtype)[:size].reshape(shape)
-            view = self.views[name, shape] = _Block(z)
-        return view
+    def __init__(self, n: int, m: int):
+        self.left = np.ones((n, 3))
+        self.right = np.zeros((3, 2 * m))
+        self.right[1, 0::2] = self.right[2, 1::2] = 1.0
+
+    def set(self, fine: np.ndarray, base: np.ndarray):
+        np.copyto(self.right[0], np.ascontiguousarray(fine).view(float))
+        np.negative(np.ascontiguousarray(base).view(float).reshape(-1, 2),
+                    out=self.left[:, 1:])
 
 
-_BUFFERS = _Buffers()
+def _dot_out(sums: np.ndarray) -> np.ndarray:
+    """The (..., rows, 1, 1) out of complex row dots into (..., rows) sums."""
+    return sums[..., None, None]
+
+
+def _pair_out(sums: np.ndarray) -> np.ndarray:
+    """The (rows, 1, 2) out of real row dots into (rows,) complex sums."""
+    return sums.view(float).reshape(-1, 1, 2)
+
+
+_STACKED = ("w", "t_rot", "t")  # the buffers of one 3-block owner, in order
 
 
 def _layout(roles: str, shared: dict) -> dict:
@@ -264,27 +275,121 @@ def _layout(roles: str, shared: dict) -> dict:
 
 
 _CHORD_ROLES = "c r2 f1 inv t w t_rot"  # what every walk reads
-# walk -> role -> thread buffer.  Without the remainder nothing reads the
-# chord or t at the jump, so t rot (then v) overwrites the chord, the jump
-# t and aJ the rotor block: the IMEX walk fills 7 complex and 2 float
-# blocks.  In the walk of every form the remainder's dp and E take the
-# blocks of v and aJ, dead once the K form has read them: 10 and 2.
+# walk -> role -> thread buffer.  W, t rot and t sit back to back in one
+# owner (_STACKED), so that the two position row dots against q, over (t
+# rot, t), are one matmul, and so are the two K row dots against aJ, over
+# (W, conj(V)).  Without the remainder nothing reads the chord or t at
+# the jump, so the chord becomes t rot (then conj(V)) in place, the jump
+# overwrites t and aJ takes the rotor's buffer: the IMEX walk fills 7
+# complex and 2 float blocks.  The walk of every form keeps the chord, the
+# jump and aJ apart for the remainder, whose dp and E take the blocks of
+# conj(V) and aJ, dead once the K form has read them: 10 and 2.
 _LAYOUTS = {
     "imex": _layout(_CHORD_ROLES + " a conj_a jump aj",
-                    {"t_rot": "c", "jump": "t", "aj": "rot"}),
-    "every": _layout(_CHORD_ROLES + " a conj_a jump aj rot dp e",
-                     {"dp": "t_rot", "e": "aj"}),
+                    {"c": "t_rot", "jump": "t", "aj": "rot"}),
+    "every": _layout(_CHORD_ROLES + " a conj_a jump aj rot", {}),
 }
 
 
-@lru_cache(maxsize=16)
-def _pattern(m: int) -> np.ndarray:
-    """The rows 1 0 1 0 ... and 0 1 0 1 ... of length 2m (see
-    _differences), read-only."""
-    rows = np.zeros((2, 2 * m))
-    rows[0, 0::2] = rows[1, 1::2] = 1.0
-    rows.flags.writeable = False
-    return rows
+class _Plan:
+    """Everything one walk over one grid reuses, built once per thread and
+    (walk, n, m, block height) by _Buffers.plan: the fills of the chord and
+    the jump (_Differences), the (k, n) complex alpha sums, every row of
+    which a walk writes, and per block of rows the _Block views of the
+    walk's buffers by role (_LAYOUTS) and the stacked views of the paired
+    row dots, which the blocks of one height share, the out= views into the
+    sums, the row slices of the fill matrices and of the alpha tables, and
+    the rows of the floor screen.  Each block starts on a 64-byte cache
+    line; a shorter last block views prefixes of the same buffers, the
+    rows of the tiles of a and conj(a) included."""
+
+    def __init__(self, walk: str, n: int, m: int, height: int, owner):
+        every = walk == "every"
+        layout = _LAYOUTS[walk]
+        self.floor = None  # the rho_floor of the blocks' screen rows
+        self.chords, self.jumps = _Differences(n, m), _Differences(n, m)
+        # w, v, t rot, t, g; then log, rot, i, c, diss: each pair of a
+        # stacked row dot in the order of its blocks
+        self.sums = np.empty((10 if every else 5, n), dtype=complex)
+        size = height * m
+        stacked = owner("wct", 3 * size, complex).reshape(3, size)
+        flats = {name: owner(name, size, float if name in ("r2", "f1") else complex)
+                 for name in sorted(set(layout.values()) - set(_STACKED))}
+        if every:
+            self.b = np.empty((n, 1), dtype=complex)  # X'(theta_j), for the remainder
+            log_4sin2 = _alpha_factor("log_4sin2", n, m)
+            inv_al = _alpha_factor("inv_alpha", n, m)
+            inv_al2 = _alpha_factor("inv_alpha2", n, m)[:, None, :]
+        s = self.sums
+        self.blocks = []
+        shared = {}  # rows -> what every block of that many rows reads alike
+        for start in range(0, n, height):
+            rows = slice(start, min(start + height, n))
+            count = rows.stop - start
+            if count not in shared:
+                wct = stacked[:, :count * m].reshape(3, count, m)
+                views = {name: _Block(z) for name, z in zip(_STACKED, wct)}
+                views.update((name, _Block(flat[:count * m].reshape(count, m)))
+                             for name, flat in flats.items())
+                shared[count] = {role: views[name] for role, name in layout.items()}
+                shared[count].update(position_lhs=wct[1:, :, None, :],
+                                     kernel_lhs=wct[:2, :, None, :])
+            block = dict(shared[count], rows=rows, limit=None,
+                         chord_rows=self.chords.left[rows],
+                         jump_rows=self.jumps.left[rows],
+                         position_out=_dot_out(s[2:4, rows]),
+                         kernel_out=_dot_out(s[:2, rows]), g_out=_pair_out(s[4, rows]))
+            if every:
+                block.update(
+                    log_4sin2=log_4sin2[rows], log_out=_pair_out(s[5, rows]),
+                    rot_out=_dot_out(s[6, rows]), i_out=_pair_out(s[7, rows]),
+                    c_out=_dot_out(s[8, rows]), diss_out=_pair_out(s[9, rows]),
+                    b=self.b[rows], inv_al=inv_al[rows], inv_al2=inv_al2[rows])
+            self.blocks.append(SimpleNamespace(**block))
+        self.a, self.conj_a = self.blocks[0].a.z, self.blocks[0].conj_a.z  # the tiles
+
+    def screen_rows(self, rho_floor: float, n: int, m: int):
+        """Give each block its rows of _floor_screen(rho_floor, n, m)."""
+        if rho_floor != self.floor:
+            table = _floor_screen(rho_floor, n, m)
+            for block in self.blocks:
+                block.limit = table[block.rows]
+            self.floor = rho_floor
+
+
+class _Buffers(threading.local):
+    """Each thread's walk memory: zeroed flat byte arrays by name, each
+    owning its blocks from a 64-byte cache line on (curve._cache_aligned),
+    so that the walk's speed does not follow where the allocator puts a
+    buffer, and the _Plans that view them by (walk, n, m, block height).
+    The walks of every grid share the flat arrays, which grow to the
+    longest block; one that grows drops every plan, so the arrays in flat
+    are all the memory the plans' blocks hold."""
+
+    def __init__(self):
+        self.flat = {}
+        self.plans = {}
+
+    def owner(self, name: str, size: int, dtype) -> np.ndarray:
+        """size elements of dtype from the cache line at the start of the
+        flat array name."""
+        nbytes = size * np.dtype(dtype).itemsize + _LINE  # and the alignment slack
+        flat = self.flat.get(name)
+        if flat is None or flat.size < nbytes:
+            flat = self.flat[name] = np.zeros(nbytes, np.uint8)
+            self.plans.clear()
+        return _cache_aligned(flat, dtype)[:size]
+
+    def plan(self, walk: str, n: int, m: int, height: int) -> _Plan:
+        key = (walk, n, m, height)
+        plan = self.plans.get(key)
+        if plan is None:
+            plan = _Plan(walk, n, m, height, self.owner)
+            self.plans[key] = plan
+        return plan
+
+
+_BUFFERS = _Buffers()
 
 
 _ALPHA_TABLES = {  # name -> table over the half-offset alpha grid
@@ -310,47 +415,18 @@ def _floor_screen(rho_floor: float, n: int, m: int) -> np.ndarray:
     return alpha_rows((rho_floor * (1.0 + 1e-12)) ** 2 * half_offset_grid(m) ** 2, n)
 
 
-def _differences(fine: np.ndarray, base: np.ndarray):
-    """fill(rows, out) writes out[j, p] = fine[p] - base[rows][j] for
-    complex samples fine (m,) and nodes base (n,) into the (rows, 2m)
-    float view out of a complex block.
-
-    The block is one real matrix product [1, -Re base_j, -Im base_j] @
-    [fine as (re, im) pairs; 1 0 1 0 ...; 0 1 0 1 ...].  Every product is
-    exact, so each entry is the difference rounded once, bit for bit the
-    broadcast subtraction, which numpy runs about three times slower on
-    complex rows."""
-    fine = np.ascontiguousarray(fine).view(float)
-    right = np.concatenate((fine[None], _pattern(len(fine) // 2)))
-    left = np.stack([np.ones(len(base)), -base.real, -base.imag], axis=1)
-
-    def fill(rows: slice, out: np.ndarray):
-        np.matmul(left[rows], right, out=out)
-
-    return fill
-
-
-def _dot_out(sums: np.ndarray) -> np.ndarray:
-    """The (n, 1, 1) out of complex row dots into an (n,) accumulator."""
-    return sums[:, None, None]
-
-
-def _pair_out(sums: np.ndarray) -> np.ndarray:
-    """The (n, 1, 2) out of real row dots into an (n,) complex accumulator."""
-    return sums.view(float).reshape(-1, 1, 2)
-
-
-def _check_floor(state: SimState, r2: np.ndarray, rows: slice, screen: np.ndarray):
+def _check_floor(state: SimState, r2: np.ndarray, rows: slice, screen: np.ndarray,
+                 limit: np.ndarray):
     """Abort if min sqrt(r2)/|alpha| over a block's rows is below the
-    state's floor.  r2 at or below (floor (1 + 1e-12))^2 alpha^2
-    (_floor_screen), written into the bool block screen, screens the block;
-    only a block with such an entry takes the quotient itself, which is
-    then the arc_chord level's quotient bit for bit.  The check is a coarse
-    guard on the step's m alphas, the per-record arc_chord (8n) the
-    margin."""
-    n, m = state.curve.n, state.m
-    if np.less_equal(r2, _floor_screen(state.rho_floor, n, m)[rows], out=screen).any():
-        worst = float(np.min(np.sqrt(r2) / _alpha_factor("abs_alpha", n, m)[rows]))
+    state's floor.  r2 at or below limit, the block's rows of the state's
+    _floor_screen (r2 at or below (floor (1 + 1e-12))^2 alpha^2), written
+    into the bool block screen, screens the block; only a block with such
+    an entry takes the quotient itself, which is then the arc_chord
+    level's quotient bit for bit.  The check is a coarse guard on the
+    step's m alphas, the per-record arc_chord (8n) the margin."""
+    if np.less_equal(r2, limit, out=screen).any():
+        abs_alpha = _alpha_factor("abs_alpha", state.curve.n, state.m)[rows]
+        worst = float(np.min(np.sqrt(r2) / abs_alpha))
         if worst < state.rho_floor:
             raise SimulationAbort(state.t, f"arc-chord {worst:.3e} below "
                                            f"floor {state.rho_floor:.3e}")
@@ -388,10 +464,11 @@ def _walk(state: SimState, walk: str) -> dict:
 
     X and X' come from the state's coefficients by one size-m inverse
     transform, X' as real samples x1 and as the complex a = X'(theta +
-    alpha) and b = X'(theta_j).  Blocks of max(1, _BLOCK // m) theta rows
-    run the stages in order, each writing into the thread's block buffers
-    (_BUFFERS) by the walk's layout, each buffer starting on a 64-byte
-    cache line:
+    alpha) and b = X'(theta_j).  The thread's _Plan for the walk, the
+    grid and blocks of max(1, _BLOCK // m) theta rows holds every buffer
+    and view the blocks read, so that a block only issues numpy calls.
+    Each block runs the stages in order, each writing into its buffers by
+    the walk's layout:
 
     - the chord c = conj(dz), |dz|^2 (c.imag^2 and the floor screen in the
       second float block), the floor check and 1/|dz|^2 in the real half
@@ -403,21 +480,22 @@ def _walk(state: SimState, walk: str) -> dict:
     - the jump J = T(X'(theta + alpha)) - T(X'(theta)).
 
     The row dots write the alpha sums of the block's rows with out= into
-    (n,) accumulators, each row's sum one contiguous reduction within one
-    block, and each form combines its sums into its field once.  A shorter
-    last block reads prefixes of the same buffers, the rows of the tiles
-    of a and conj(a) included, and each walk refills the memory of the one
+    the plan's sums, each row's sum one contiguous reduction within one
+    block: an IMEX block issues three row-dot calls, one for the two
+    position sums over (t rot, t), one for the two K sums over (W,
+    conj(V)) and one for Im(conj(a) J).  Each form combines its sums into
+    a fresh field once per walk.  Each walk refills the memory of the one
     before, which arrays made per walk would fault in again."""
     every = walk == "every"
     n, m, law = state.curve.n, state.m, state.law
-    height = min(n, max(1, _BLOCK // m))  # theta rows per block
+    plan = _BUFFERS.plan(walk, n, m, min(n, max(1, _BLOCK // m)))
     both = half_offset_values(
         np.concatenate((state.curve.coeffs, state.deriv.coeffs), axis=1), m)
     x1 = np.ascontiguousarray(both[:, 2:])
     a = as_complex(x1)  # a view of x1
-    # fills a block with conj(X_p - X_j) (see _differences)
-    chords = _differences(np.conj(as_complex(both[:, :2])),
-                          np.conj(as_complex(state.curve.nodes)))
+    # fills a block with conj(X_p - X_j)
+    plan.chords.set(np.conj(as_complex(both[:, :2])),
+                    np.conj(as_complex(state.curve.nodes)))
 
     mag = np.abs(a)
     # every half-offset sample is read at each theta_j
@@ -426,13 +504,12 @@ def _walk(state: SimState, walk: str) -> dict:
     q_col = (a * a * (law.eval(mag) / mag / FOUR_PI))[:, None]
     del both, mag  # the blocks read neither: free them before the walk
     b = as_complex(state.deriv.nodes)
-    # fills a block with T(X')_p - T(X')_j (see _differences)
-    jumps = _differences(as_complex(tension_map(law, x1)),
-                         as_complex(tension_map(law, state.deriv.nodes)))
-    # (n,) complex alpha sums, every row of which the walk writes
-    s_t, s_t_rot, s_w, s_v, s_g = np.empty((5, n), dtype=complex)
-    t_out, t_rot_out = _dot_out(s_t), _dot_out(s_t_rot)
-    w_out, v_out, g_out = _dot_out(s_w), _dot_out(s_v), _pair_out(s_g)
+    # fills a block with T(X')_p - T(X')_j
+    plan.jumps.set(as_complex(tension_map(law, x1)),
+                   as_complex(tension_map(law, state.deriv.nodes)))
+    np.copyto(plan.a, a)
+    np.conjugate(a, out=plan.conj_a)
+    plan.screen_rows(state.rho_floor, n, m)
     if every:
         x1_fine = state.deriv.resampled(2 * n).nodes
         x2_fine = state.deriv.derivative().resampled(2 * n).nodes
@@ -441,74 +518,60 @@ def _walk(state: SimState, walk: str) -> dict:
         # of the padded samples
         fs = as_complex(half_offset_samples(force_fine, m))
         fs_col, fs_pairs = fs[:, None], fs.view(float).reshape(-1, 2)
-        log_s2 = _alpha_factor("log_4sin2", n, m)
-        inv_al = _alpha_factor("inv_alpha", n, m)
-        inv_al2 = _alpha_factor("inv_alpha2", n, m)[:, None, :]
-        b_col = b[:, None]
-        s_log, s_rot, s_i, s_c, s_diss = np.empty((5, n), dtype=complex)
-        log_out, rot_out, i_out = _pair_out(s_log), _dot_out(s_rot), _pair_out(s_i)
-        c_out, diss_out = _dot_out(s_c), _pair_out(s_diss)
-    plans = {}
-    for start in range(0, n, height):
-        rows = slice(start, min(start + height, n))
-        p = plans.get(rows.stop - start)
-        if p is None:
-            shape = (rows.stop - start, m)
-            p = plans[shape[0]] = SimpleNamespace(**{
-                role: _BUFFERS.block(name, shape) for role, name in _LAYOUTS[walk].items()})
-            if start == 0:  # a shorter last block reads these rows
-                np.copyto(p.a.z, a)
-                np.conjugate(a, out=p.conj_a.z)
+        np.copyto(plan.b, b[:, None])
+    chords, jumps = plan.chords.right, plan.jumps.right
+    for p in plan.blocks:
         c, t, r2 = p.c.z, p.t.z, p.r2.z
-        chords(rows, p.c.flat_pairs)
+        np.matmul(p.chord_rows, chords, out=p.c.flat_pairs)
         np.square(p.c.re, out=r2)
         r2 += np.square(p.c.im, out=p.f1.z)
-        _check_floor(state, r2, rows, p.f1.screen)
+        _check_floor(state, r2, p.rows, p.f1.screen, p.limit)
         np.divide(1.0, r2, out=p.inv.re)
         if every:
             # the smooth log over |dz|^2, which nothing reads after 1/|dz|^2
             smooth_log = np.log(r2, out=r2)
-            smooth_log -= log_s2[rows]
-            np.matmul(p.r2.lhs, fs_pairs, out=log_out[rows])
+            smooth_log -= p.log_4sin2
+            np.matmul(p.r2.lhs, fs_pairs, out=p.log_out)
         np.multiply(c, p.inv.z, out=t)
         np.square(t, out=p.w.z)
-        np.matmul(p.t.lhs, q_col, out=t_out[rows])
         if every:
             np.multiply(t, c, out=p.rot.z)
-            np.matmul(p.rot.lhs, fs_col, out=rot_out[rows])
+            np.matmul(p.rot.lhs, fs_col, out=p.rot_out)
         np.multiply(p.w.z, c, out=p.t_rot.z)
-        np.matmul(p.t_rot.lhs, q_col, out=t_rot_out[rows])
+        np.matmul(p.position_lhs, q_col, out=p.position_out)
         # conj(V) over t rot, which the position form has read by now
         np.multiply(t, p.t_rot.z, out=p.t_rot.z)
-        jumps(rows, p.jump.flat_pairs)
+        np.matmul(p.jump_rows, jumps, out=p.jump.flat_pairs)
         aj = p.aj
         np.multiply(p.a.z, p.jump.z, out=aj.z)
-        np.matmul(p.w.lhs, aj.rhs, out=w_out[rows])
-        np.matmul(p.t_rot.lhs, aj.rhs, out=v_out[rows])
+        np.matmul(p.kernel_lhs, aj.rhs, out=p.kernel_out)
         # Im(conj(a) J) over aJ, copied contiguous into the dead |dz|^2
         # block so that its row dots run in BLAS
         np.multiply(p.conj_a.z, p.jump.z, out=aj.z)
         np.copyto(r2, aj.im)
-        np.matmul(p.r2.lhs, p.w.pairs, out=g_out[rows])
+        np.matmul(p.r2.lhs, p.w.pairs, out=p.g_out)
         if every:
-            # A after K, in the blocks of the chord, t, |dz|^2, v and aJ,
-            # none of which is read after it; then the dissipation
+            # A after K, in the blocks of the chord, t, |dz|^2, conj(V) (as
+            # dp) and aJ (as E), none of which is read after it; then the
+            # dissipation
             conj_c = _remainder_coefficients(
-                p.a.z, b_col[rows], inv_al[rows], c, p.inv.re, t, p.w.z,
-                p.dp.z, p.e.z, r2, p.f1.z)
+                p.a.z, p.b, p.inv_al, c, p.inv.re, t, p.w.z,
+                p.t_rot.z, aj.z, r2, p.f1.z)
             np.multiply(conj_c, p.rot.z, out=conj_c)
-            np.matmul(p.r2.lhs, p.jump.pairs, out=i_out[rows])
-            np.matmul(p.t.lhs, p.jump.rhs, out=c_out[rows])
-            np.matmul(inv_al2[rows], p.jump.pairs, out=diss_out[rows])
+            np.matmul(p.r2.lhs, p.jump.pairs, out=p.i_out)
+            np.matmul(p.t.lhs, p.jump.rhs, out=p.c_out)
+            np.matmul(p.inv_al2, p.jump.pairs, out=p.diss_out)
 
     def field(sums: np.ndarray) -> np.ndarray:
         # the half-offset rule over alpha, (2 pi / m) sums, as a real (n, 2) field
         return (sums * (2.0 * np.pi / m)).view(float).reshape(-1, 2)
 
+    s_w, s_v, s_t_rot, s_t, s_g = plan.sums[:5]
     fields = {"position_reduced": field(0.5 * (s_t + np.conj(s_t_rot))),
               "derivative": field((1j * b * s_w.imag + np.conj(b * (s_v - 1j * s_g)))
                                   / FOUR_PI)}
     if every:
+        s_log, s_rot, s_i, s_c, s_diss = plan.sums[5:]
         # exact product quadrature for the periodic log kernel
         k = wavenumbers(2 * n).astype(float)
         weights = np.where(k == 0.0, 0.0, -np.pi / np.where(k == 0.0, 1.0, np.abs(k)))
@@ -663,7 +726,11 @@ def _step_imex(state: SimState, dt: float) -> SimState:
     cx = c1_new * antiderivative_multiplier(n)[:, None]
     cx[0] = state.curve.mean + dt * mean_velocity
     _check_finite(state, cx, c1_new)  # before Curve rejects it as bad input
-    return state.advanced(state.t + dt, Curve.from_coeffs(cx), Curve.from_coeffs(c1_new))
+    # X and X' nodes from one inverse transform of the stacked coefficients
+    nodes = grid_values(np.concatenate((cx, c1_new), axis=1))
+    return SimState(t=state.t + dt, curve=Curve._built(nodes[:, :2], cx),
+                    deriv=Curve._built(nodes[:, 2:], c1_new), law=state.law,
+                    m=state.m, rho_floor=state.rho_floor)
 
 
 _SCHEMES = {"imex": _step_imex, "rk4": _step_rk4}  # time.scheme -> step

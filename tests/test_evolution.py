@@ -420,6 +420,14 @@ def test_state_rejects_alpha_grid_not_multiple_of_n():
         SimState.make(Curve.circle(64), hookean(1.0), m=96)
 
 
+@pytest.mark.parametrize("floor", [np.nan, np.inf, -1.0, 0.0])
+def test_state_rejects_a_floor_that_is_not_positive_and_finite(floor):
+    # a floor at or below 0 or nan switched the arc-chord abort off for
+    # library callers, whom no SimConfig check guards
+    with pytest.raises(ValueError, match="rho_floor"):
+        SimState.make(Curve.circle(64), hookean(1.0), m=256, rho_floor=floor)
+
+
 # --- equilibria ---------------------------------------------------------------
 
 @pytest.mark.parametrize("law", [hookean(1.0), power_law(1.0, 2.0, (0.5, 2.0))])
@@ -751,11 +759,12 @@ def test_floor_screen_defers_to_the_exact_quotient(rng):
                           (np.nextafter(quotient, np.inf), True), (quotient, False)):
         st = SimState.make(Curve.circle(n), hookean(1.0), m=m, rho_floor=floor)
         screen = np.empty((n, m), dtype=bool)
+        limit = _floor_screen(floor, n, m)
         if aborts:
             with pytest.raises(SimulationAbort):
-                _check_floor(st, field, slice(0, n), screen)
+                _check_floor(st, field, slice(0, n), screen, limit)
         else:
-            _check_floor(st, field, slice(0, n), screen)
+            _check_floor(st, field, slice(0, n), screen, limit)
 
 
 def test_imex_step_memory_is_bounded():
@@ -775,17 +784,25 @@ def test_imex_step_memory_is_bounded():
     assert peak < 4e6
 
 
+def plan_views(buffers):
+    """The _Block views of every block of every plan the buffers hold."""
+    from peskin_lab.evolution import _Block
+
+    return [view for plan in buffers.plans.values() for block in plan.blocks
+            for view in vars(block).values() if isinstance(view, _Block)]
+
+
 @pytest.mark.parametrize("forms, complex_blocks, float_blocks",
                          [(IMEX_PAIR, 7, 2), (FORMS, 10, 2)],
                          ids=["imex", "every_form"])
 def test_walk_buffers_are_bounded(forms, complex_blocks, float_blocks, monkeypatch):
-    # the IMEX walk fills 7 complex blocks (four working blocks, the 1/|dz|^2
-    # block and the tiles of a and conj(a)) and 2 float ones, its floor
-    # screen inside one of them, and a walk of every form 10 and 2; one
-    # more block would raise the peak memory of every step or every verify.  Each
-    # owning array may add one cache line of alignment slack.  The cached
-    # views hold no array but those counted, also after the arrays grow for
-    # longer blocks
+    # the IMEX walk fills 7 complex blocks (W, t rot and t in one owner, the
+    # 1/|dz|^2 block, aJ and the tiles of a and conj(a)) and 2 float ones,
+    # its floor screen inside one of them, and a walk of every form 10 and
+    # 2; one more block would raise the peak memory of every step or every
+    # verify.  Each owning array may add one cache line of alignment slack.
+    # The cached plans hold no array but those counted, also after the
+    # arrays grow for longer blocks
     from peskin_lab import evolution
 
     cfg = config_from_file(CONFIGS / "rough.cfg")
@@ -800,8 +817,10 @@ def test_walk_buffers_are_bounded(forms, complex_blocks, float_blocks, monkeypat
     monkeypatch.setattr(evolution, "_BLOCK", 2 * evolution._BLOCK)
     right_hand_sides(st, *forms)
     flats = list(buffers.flat.values())
-    assert buffers.views
-    for view in buffers.views.values():
+    assert len(buffers.plans) == 1  # the plan of the shorter blocks is dropped
+    views = plan_views(buffers)
+    assert views
+    for view in views:
         assert any(view.z.base is flat for flat in flats)
 
 
@@ -809,7 +828,8 @@ def test_walk_buffers_are_bounded(forms, complex_blocks, float_blocks, monkeypat
 @pytest.mark.parametrize("scale", [1, 2], ids=["block", "doubled_block"])
 def test_walk_blocks_start_on_a_cache_line(forms, scale, monkeypatch):
     # numpy aligns its arrays to 16 bytes only, and an elementwise pass over
-    # a block that starts off a 64-byte cache line took about twice as long
+    # a block that starts off a 64-byte cache line took about twice as long;
+    # each block of the 3-block owner starts on a line of its own
     from peskin_lab import evolution
 
     cfg = config_from_file(CONFIGS / "perturbed.cfg")
@@ -818,25 +838,73 @@ def test_walk_blocks_start_on_a_cache_line(forms, scale, monkeypatch):
     monkeypatch.setattr(evolution, "_BUFFERS", buffers)
     monkeypatch.setattr(evolution, "_BLOCK", scale * evolution._BLOCK)
     right_hand_sides(st, *forms)
-    assert buffers.views
-    for (name, shape), view in buffers.views.items():
-        assert view.z.ctypes.data % 64 == 0, name
+    views = plan_views(buffers)
+    assert len(views) >= 7 * len(next(iter(buffers.plans.values())).blocks)
+    for view in views:
+        assert view.z.ctypes.data % 64 == 0
 
 
 def test_repeated_walks_refill_the_thread_buffers():
-    # a second walk writes into the first walk's flat arrays (same keys, same
-    # objects), so repeated calls fault no fresh memory in
+    # a second walk reuses the first walk's plan, whose blocks view the
+    # same flat arrays (same keys, same objects), so repeated calls fault no
+    # fresh memory in
     from peskin_lab import evolution
 
     cfg = config_from_file(CONFIGS / "rough.cfg")
     st = SimState.make(make_initial_curve(cfg), law_from_config(cfg), m=cfg.m)
     right_hand_sides(st, *FORMS)
     first = dict(evolution._BUFFERS.flat)
-    assert first
+    plans = dict(evolution._BUFFERS.plans)
+    assert first and plans
     right_hand_sides(st, *FORMS)
     again = evolution._BUFFERS.flat
     assert again.keys() == first.keys()
     assert {k: id(v) for k, v in again.items()} == {k: id(v) for k, v in first.items()}
+    assert {k: id(v) for k, v in evolution._BUFFERS.plans.items()} \
+        == {k: id(v) for k, v in plans.items()}
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+def test_cached_plans_give_the_fields_of_fresh_plans(order, rng, monkeypatch):
+    # one thread's plans serve walks over two grids (one ending on a
+    # partial block), two laws, two floors (the higher one aborts, so a
+    # block screened by the other floor's rows would let it pass) and two
+    # block heights, in turn: every outcome is the one a fresh plan gives
+    from peskin_lab import evolution
+
+    def outcome(st, forms, block):
+        monkeypatch.setattr(evolution, "_BLOCK", block)
+        try:
+            return right_hand_sides(st, *forms)
+        except SimulationAbort as exc:
+            return exc.reason
+
+    cases = []
+    for n, m in ((64, 256), (96, 480)):
+        curve = random_bandlimited_curve(rng, n, modes=n // 4, amp=0.3)
+        arc = arc_chord(curve).value
+        for law in (hookean(1.0), arctan_law((0.2, 3.0))):
+            for floor in (0.5 * arc, 2.0 * arc):
+                st = SimState.make(curve, law, m=m, rho_floor=floor)
+                cases += [(st, forms, block) for forms in (IMEX_PAIR, FORMS)
+                          for block in (evolution._BLOCK, 2 * evolution._BLOCK)]
+    fresh = []
+    for case in cases:
+        monkeypatch.setattr(evolution, "_BUFFERS", evolution._Buffers())
+        fresh.append(outcome(*case))
+    assert sum(isinstance(want, str) for want in fresh) == len(cases) // 2
+    monkeypatch.setattr(evolution, "_BUFFERS", evolution._Buffers())
+    outcomes = [(outcome(*case), want) for _ in range(2)
+                for case, want in list(zip(cases, fresh))[::order]]
+    assert len(evolution._BUFFERS.plans) > 1
+    # checked after every walk: a field is a fresh array, which no later
+    # walk writes
+    for got, want in outcomes:
+        if isinstance(want, str):
+            assert got == want
+        else:
+            for field, ref in zip(got, want):
+                assert np.array_equal(field, ref)
 
 
 def test_imex_elastic_energy_does_not_increase():
@@ -930,11 +998,11 @@ def test_imex_step_curves_are_their_coefficients_inverse_transforms(config):
         assert np.array_equal(curve.nodes, grid_values(curve.coeffs))
 
 
-def test_imex_step_makes_four_fft_calls(monkeypatch):
+def test_imex_step_makes_three_fft_calls(monkeypatch):
     # the nodal rebuild took 7 forward and 7 inverse transforms, and the two
     # node/coefficient checks of the coefficient handoff one inverse more:
     # one forward of the explicit term, and inverses for the frame's samples
-    # and each new curve's nodes
+    # and the new nodes of X and X' together
     cfg = config_from_file(CONFIGS / "perturbed.cfg")
     st = step(SimState.make(make_initial_curve(cfg), law_from_config(cfg),
                             m=cfg.m), cfg.dt, "imex")
@@ -944,7 +1012,7 @@ def test_imex_step_makes_four_fft_calls(monkeypatch):
         monkeypatch.setattr(np.fft, name, lambda *a, _f=wrapped, _n=name, **kw:
                             calls.append(_n) or _f(*a, **kw))
     step(st, cfg.dt, "imex")
-    assert len(calls) == 4, calls
+    assert len(calls) == 3, calls
     assert calls.count("fft") == 1
 
 

