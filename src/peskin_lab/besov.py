@@ -14,8 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .curve import (half_offset_frame, half_offset_grid, lp_norm, magnitude,
-                    power_spectrum)
+from .curve import (as_complex, coeff_power, fft_coeffs, half_offset_frame,
+                    half_offset_grid, lp_norm, magnitude, power_spectrum)
 from .operators import lp_block_norms, symbol
 
 __all__ = [
@@ -153,10 +153,10 @@ def besov_diff(values: np.ndarray, params: BesovParams,
 
     Valid for s in (0, 1); use besov_lp for general s.  At p = 2 the grid
     norms ||delta_beta f||_2 come from Parseval: folded_gain times the power
-    spectrum folded onto |k| by fold_power; other p shift the field
-    spectrally.  The quadrature resolves the |beta|^(-1-sr) weight at
-    O((pi/M)^((1-s)r)) accuracy, so comparisons against closed forms should
-    allow for that.  M = beta_points must be even: an odd grid has a node at
+    spectrum folded onto |k| by fold_power; other p read the shifts from
+    half_offset_frame, a 2-vector field as one complex frame x + iy.  The
+    quadrature resolves the |beta|^(-1-sr) weight at O((pi/M)^((1-s)r))
+    accuracy, so comparisons against closed forms should allow for that.  M = beta_points must be even: an odd grid has a node at
     beta = 0.
     """
     if not (0.0 < params.s < 1.0):
@@ -166,9 +166,14 @@ def besov_diff(values: np.ndarray, params: BesovParams,
     if params.p == 2:
         gain = folded_gain(beta_points, values.shape[0])
         norms = np.sqrt(2.0 * np.pi * (gain @ fold_power(power_spectrum(values))))
+    elif values.ndim == 2:  # as x + iy: the inner loops run along theta
+        diffs = half_offset_frame(values, beta_points).view(complex)[..., 0] \
+            - as_complex(values)
+        # the (M, n, 2) real view of the differences: magnitude's hypot
+        norms = lp_norm(magnitude(diffs[..., None].view(float)), params.p)
     else:
-        diffs = half_offset_frame(values, beta_points) - values[None]
-        norms = lp_norm(magnitude(diffs, values.ndim == 2), params.p)
+        diffs = half_offset_frame(values, beta_points) - values
+        norms = lp_norm(magnitude(diffs, False), params.p)
     return _diff_quadrature(norms, betas, params)
 
 
@@ -267,7 +272,8 @@ def _cl_norms(times: Sequence[float], snapshots: Sequence[np.ndarray],
               params: BesovParams, kinds: Sequence[str], beta_points: int,
               dissipation: np.ndarray | None) -> list:
     """cl_norm of each of kinds, in order, from one stack of the snapshots'
-    power spectra (dissipation weights kind "D" only)."""
+    power spectra, taken by one batched FFT (dissipation weights kind "D"
+    only)."""
     if len(snapshots) == 0:
         raise ValueError("empty trajectory")
     if len(times) != len(snapshots):
@@ -277,10 +283,15 @@ def _cl_norms(times: Sequence[float], snapshots: Sequence[np.ndarray],
     for kind in kinds:
         if kind not in ("B", "D"):
             raise ValueError(f"unknown kind {kind!r}")
+    shapes = sorted({np.shape(snap) for snap in snapshots})
+    if len(shapes) > 1:
+        raise ValueError(f"snapshots must share one grid, got shapes {shapes}")
     betas = _beta_grid(beta_points)
-    power = np.stack([power_spectrum(snap) for snap in snapshots])
-    n = power.shape[1]
-    folded = fold_power(power).T
+    n = shapes[0][0]
+    # one transform of every snapshot, stacked along axis 1 with a
+    # component axis last: power (n, t)
+    stack = np.stack(snapshots, axis=1).reshape(n, len(snapshots), -1)
+    folded = fold_power(coeff_power(fft_coeffs(stack)).T).T
     out = []
     for kind in kinds:
         gain = folded_gain(beta_points, n)

@@ -27,6 +27,7 @@ __all__ = [
     "fft_coeffs",
     "grid_values",
     "apply_multiplier",
+    "coeff_power",
     "power_spectrum",
     "parseval_norm",
     "magnitude",
@@ -121,10 +122,17 @@ def apply_multiplier(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
     return grid_values(c * mult.reshape((len(mult),) + (1,) * (values.ndim - 1)))
 
 
+def coeff_power(coeffs: np.ndarray) -> np.ndarray:
+    """Power |c_k|^2 of true coefficients summed over the last (component)
+    axis: shape (n,) from (n,) or (n, c), (n, t) from a stack (n, t, c) of
+    t fields."""
+    power = np.abs(coeffs) ** 2
+    return power.sum(axis=-1) if power.ndim > 1 else power
+
+
 def power_spectrum(values: np.ndarray) -> np.ndarray:
     """Power |c_k|^2 of grid samples summed over components, shape (n,)."""
-    power = np.abs(fft_coeffs(values)) ** 2
-    return power.reshape(len(power), -1).sum(axis=1)
+    return coeff_power(fft_coeffs(values))
 
 
 def parseval_norm(power: np.ndarray, weights: np.ndarray | None = None) -> float:
@@ -420,14 +428,16 @@ def _search_tables(m: int) -> tuple:
 def _arc_chord_level(curve: Curve, m: int) -> float:
     """Min over grid theta and half-offset alpha (m of them, a multiple of
     the curve grid size) of |delta_alpha X| / |alpha|, bitwise the dense
-    frame's min: row i is skipped only if min_j |delta X(theta_j, alpha_c)|
-    - |alpha_i - alpha_c| L (c a coarse row next to i, L = sum_k |k| |c_k|
-    >= max |X'|) exceeds |alpha_i| times this level's best so far plus a
-    slack, relative to sum_k |c_k|, that absorbs rounding.  Rows are
+    frame's min.  The frame samples X(theta_j + alpha_i) by one inverse
+    FFT of the curve's coefficients.  Row i is skipped only if min_j
+    |delta X(theta_j, alpha_c)| - |alpha_i - alpha_c| L (c a coarse row
+    next to i, L = sum_k |k| |c_k| >= max |X'|) exceeds |alpha_i| times
+    this level's best so far plus a slack, relative to sum_k |c_k|, that
+    absorbs rounding.  Rows are
     searched max(1, _BLOCK // n) at a time: a block of chords is squared
     in place and x^2 + y^2 written into one float block."""
     xy = curve.nodes.reshape(-1)  # x0, y0, x1, ...: the window's doubles
-    window = half_offset_window(as_complex(half_offset_samples(curve.nodes, m)), curve.n)
+    window = half_offset_window(as_complex(half_offset_values(curve.coeffs, m)), curve.n)
     alphas, coarse, coarse_alphas, below, off, span, rest = _search_tables(m)
     height = max(1, _BLOCK // curve.n)  # alpha rows per block
     r2 = np.empty((height, curve.n))

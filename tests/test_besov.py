@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from peskin_lab.besov import (
     BesovParams,
     MuWeight,
+    _diff_quadrature,
     besov_diff,
     besov_lp,
     cl_norm,
@@ -16,8 +17,9 @@ from peskin_lab.besov import (
     sqrt_weight,
 )
 from peskin_lab.curve import (fft_coeffs, grid_values, half_offset_frame,
-                              parseval_norm, power_spectrum, shift_many,
-                              theta_grid, wavenumbers)
+                              lp_norm, magnitude, parseval_norm,
+                              power_spectrum, shift_many, theta_grid,
+                              wavenumbers)
 from peskin_lab.evolution import SimConfig, make_initial_curve
 from peskin_lab.operators import half_offset_grid, symbol
 from conftest import grid_lp, mu_admissible, random_trig_field
@@ -113,6 +115,20 @@ def test_besov_diff_frame_matches_shift_oracle(n, beta_points, rng):
             oracle = 2.0 * np.pi / beta_points * np.sum(norms / ab**1.5)
             got = besov_diff(f, BesovParams(0.5, p, 1), beta_points=beta_points)
             assert abs(got - oracle) <= 1e-13 * oracle
+
+
+@pytest.mark.parametrize("n, beta_points", [(128, 256), (34, 100), (64, 16)])
+def test_besov_diff_off_p2_is_the_real_layout_formula(n, beta_points, rng):
+    # the complex x + iy frame forms the same differences and the same
+    # hypot as the (beta, theta, 2) frame, bit for bit
+    betas = half_offset_grid(beta_points)
+    for f in (rng.standard_normal(n), rng.standard_normal((n, 2))):
+        diffs = half_offset_frame(f, beta_points) - f[None]
+        for p in (1.0, 4.0, np.inf):
+            params = BesovParams(0.5, p, 1, MuWeight.log4())
+            norms = lp_norm(magnitude(diffs, f.ndim == 2), p)
+            assert besov_diff(f, params, beta_points) == \
+                _diff_quadrature(norms, betas, params)
 
 
 def test_beta_gain_has_no_cancellation_at_small_beta():
@@ -300,6 +316,35 @@ def test_cl_norm_decaying_mode_oracle():
                   0, np.pi, limit=400)
     oracle = exact_time * np.sqrt(2.0 * np.pi * lam1) * 2.0 * val
     assert abs(got - oracle) / oracle < 0.06
+
+
+@pytest.mark.parametrize("shape", [(64,), (64, 2)])
+def test_cl_norm_batched_stack_equals_per_snapshot_loop(shape, rng):
+    # one FFT of the stacked snapshots gives each snapshot's power spectrum
+    # bit for bit, so B and D are the per-snapshot loop's
+    beta_points = 512
+    times = np.linspace(0.0, 1.0, 5)
+    snaps = [rng.standard_normal(shape) for _ in times]
+    params = BesovParams(0.5, 2, 1, MuWeight.log4())
+    k = np.abs(wavenumbers(64)).astype(float)
+    folded = fold_power(np.stack([power_spectrum(f) for f in snaps])).T
+    betas = half_offset_grid(beta_points)
+    g = folded_gain(beta_points, 64) @ folded
+    b = _diff_quadrature(np.sqrt(2.0 * np.pi * g.max(axis=1)), betas, params)
+    g = (folded_gain(beta_points, 64) * k[:33]) @ folded
+    d = _diff_quadrature(np.sqrt(2.0 * np.pi * np.trapezoid(g, times, axis=1)),
+                         betas, params)
+    assert cl_norm(times, snaps, params, "B", beta_points) == b
+    assert cl_norm(times, snaps, params, "D", beta_points, dissipation=k) == d
+
+
+def test_cl_norm_rejects_snapshots_of_different_shapes():
+    snaps = [unit_mode_field(32), unit_mode_field(64)]
+    with pytest.raises(ValueError, match=r"\(32, 2\), \(64, 2\)"):
+        cl_norm([0, 1], snaps, BesovParams(0.5, 2, 1), "B")
+    with pytest.raises(ValueError, match=r"\(32,\), \(32, 2\)"):
+        cl_norm([0, 1], [unit_mode_field(32), unit_mode_field(32)[:, 0]],
+                BesovParams(0.5, 2, 1), "D")
 
 
 def test_cl_norm_empty_rejected():

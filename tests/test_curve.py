@@ -15,6 +15,7 @@ from peskin_lab.curve import (
     alpha_rows,
     arc_chord,
     as_complex,
+    coeff_power,
     enclosed_area,
     fft_coeffs,
     grid_values,
@@ -33,7 +34,7 @@ from peskin_lab.curve import (
     wavenumbers,
     write_curve,
 )
-from peskin_lab.evolution import make_initial_curve
+from peskin_lab.evolution import SimState, law_from_config, make_initial_curve, step
 from conftest import grid_lp, random_bandlimited_curve, random_trig_field
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -365,8 +366,9 @@ def min_chord_quotient(r2, alphas):
 
 
 def dense_arc_chord_level(curve, m):
-    """The whole (m, n) frame at once: the arithmetic the pruned search keeps."""
-    dz = half_offset_window(as_complex(half_offset_samples(curve.nodes, m)),
+    """The whole (m, n) frame at once, sampled from the curve's coefficients:
+    the arithmetic the pruned search keeps."""
+    dz = half_offset_window(as_complex(half_offset_values(curve.coeffs, m)),
                             curve.n) - as_complex(curve.nodes)
     alphas = -np.pi + (np.arange(m) + 0.5) * 2.0 * np.pi / m
     return min_chord_quotient(dz.real**2 + dz.imag**2, alphas)
@@ -440,9 +442,25 @@ def test_arc_chord_searches_one_8n_level(monkeypatch):
        st.integers(1, 12), st.floats(0.0, 1.5))
 def test_arc_chord_level_equals_dense_frame_property(seed, n, modes, amp):
     c = random_bandlimited_curve(np.random.default_rng(seed), n, modes, amp)
-    # 5n is not a multiple of the coarse stride at n = 34: a partial last gap
-    for m in (4 * n, 5 * n, 8 * n):
-        assert _arc_chord_level(c, m) == dense_arc_chord_level(c, m)
+    # from its coefficients, the curve's nodes are grid_values(coeffs), whose
+    # own coefficients differ from coeffs by rounding, as a stepped state's do
+    for curve in (c, Curve.from_coeffs(c.coeffs)):
+        # 5n is not a multiple of the coarse stride at n = 34: a partial last gap
+        for m in (4 * n, 5 * n, 8 * n):
+            assert _arc_chord_level(curve, m) == dense_arc_chord_level(curve, m)
+
+
+def test_arc_chord_of_a_stepped_state_samples_its_coefficients():
+    # an IMEX step builds the next curve from its coefficients
+    # (Curve._built), whose nodes do not transform back to them bit for bit;
+    # sampled from the nodes' transform, step 4 read one ulp lower
+    cfg = config_from_file(CONFIGS / "perturbed.cfg")
+    state = SimState.make(make_initial_curve(cfg), law_from_config(cfg), m=cfg.m)
+    for _ in range(4):
+        state = step(state, cfg.dt)
+        c = state.curve
+        assert not np.array_equal(fft_coeffs(c.nodes), c.coeffs)
+        assert arc_chord(c).value == dense_arc_chord_level(c, 8 * c.n)
 
 
 def test_enclosed_area_of_conics(rng):
@@ -598,6 +616,23 @@ def test_parseval_norm_matches_physical_quadrature(rng, shape):
     sq = f**2 if f.ndim == 1 else np.sum(f**2, axis=-1)
     quadrature = np.sqrt(2.0 * np.pi * np.mean(sq))
     assert abs(parseval_norm(power_spectrum(f)) - quadrature) <= 1e-14 * quadrature
+
+
+@pytest.mark.parametrize("n", [16, 34, 128])
+def test_coeff_power_of_a_curve_is_its_node_power_spectrum(n, rng):
+    # a curve from its nodes holds fft_coeffs(nodes), so the power of its
+    # coefficients is power_spectrum(nodes) bit for bit
+    curves = (Curve.circle(n), random_bandlimited_curve(rng, n, 8, 0.5))
+    for c in curves + tuple(c.derivative() for c in curves):
+        assert np.array_equal(coeff_power(c.coeffs), power_spectrum(c.nodes))
+    # a stack (n, t, c) of t fields gives one power column per field
+    fields = rng.standard_normal((3, n, 2))
+    stacked = coeff_power(fft_coeffs(np.stack(fields, axis=1)))
+    assert stacked.shape == (n, 3)
+    for i, f in enumerate(fields):
+        assert np.array_equal(stacked[:, i], power_spectrum(f))
+    scalar = rng.standard_normal(n)
+    assert np.array_equal(coeff_power(fft_coeffs(scalar)), power_spectrum(scalar))
 
 
 def test_magnitude_is_hypot(rng):

@@ -316,7 +316,9 @@ def test_audits_follow_the_scaling_of_a_p2_power_law():
     # bit for bit: so the apriori audit's lhs and rhs both double (lam
     # doubles and the dissipation integral runs over half the time), the
     # equilibrium rate doubles and the arc-chord number |chord| / |alpha|
-    # doubles.  The rate's log-linear fit rounds, to 1e-12 relative
+    # doubles.  The rate's log-linear fit rounds, to 1e-12 relative.  The
+    # chord-arc Lipschitz excess and its slack, scaled by mean |X'(0)|, both
+    # double, so the verdict holds
     cfg = SimConfig(n=64, m=256, dt=4e-3, horizon=0.4, init_perturb_mode=3,
                     init_perturb_amp=0.05, tension_kind="power", tension_p=2.0,
                     tension_window=(0.5, 2.0), tension_globalize=True,
@@ -329,12 +331,16 @@ def test_audits_follow_the_scaling_of_a_p2_power_law():
         apriori = apriori_audit(traj, MuWeight.log4(), law_from_config(c).lam)
         equilibrium = equilibrium_audit(traj)
         assert equilibrium.name == "equilibrium[perturbed]"
-        audits.append((traj, apriori.measured, equilibrium.measured["rate"]))
-    (traj, apriori, rate), (traj2, apriori2, rate2) = audits
+        audits.append((traj, apriori.measured, equilibrium.measured["rate"],
+                       chord_arc_lipschitz_audit(traj)))
+    (traj, apriori, rate, lip), (traj2, apriori2, rate2, lip2) = audits
     assert apriori2["lhs"] / apriori2["rhs"] == apriori["lhs"] / apriori["rhs"]
     assert abs(rate2 - 2.0 * rate) <= 1e-12 * 2.0 * rate
     assert [r["arc_chord"] / 2.0 for r in traj2.records] == \
         [r["arc_chord"] for r in traj.records]
+    assert lip2.measured["max_excess"] == 2.0 * lip.measured["max_excess"]
+    assert lip2.thresholds["max_excess<="] == 2.0 * lip.thresholds["max_excess<="]
+    assert lip.passed and lip2.passed
 
 
 def test_chord_arc_lipschitz(perturbed_traj):
