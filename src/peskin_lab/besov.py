@@ -259,11 +259,12 @@ def cl_norm(times: Sequence[float], snapshots: Sequence[np.ndarray],
 
     kind "B": besov_diff's beta integral with sup_t ||delta_beta f||_2 as
     the grid norm; kind "D": the same with the L^2-in-time norm
-    (trapezoid) of ||delta_beta f||_2 once the power at wavenumber k is
-    multiplied by dissipation[k], an FFT-order array even in k (default
-    symbol(n, 8n).lam_tilde: the half-order dissipation squared).  s, r
-    and mu come from params; p must be 2.  Snapshots must share one grid
-    and uniform times.
+    (trapezoid over the given times) of ||delta_beta f||_2 once the power
+    at wavenumber k is multiplied by dissipation[k], an FFT-order array
+    even in k (default symbol(n, 8n).lam_tilde: the half-order dissipation
+    squared).  s, r and mu come from params; p must be 2.  Snapshots must
+    share one grid; times must be finite and strictly increasing, and
+    need not be uniform.
     """
     return _cl_norms(times, snapshots, params, (kind,), beta_points, dissipation)[0]
 
@@ -273,11 +274,20 @@ def _cl_norms(times: Sequence[float], snapshots: Sequence[np.ndarray],
               dissipation: np.ndarray | None) -> list:
     """cl_norm of each of kinds, in order, from one stack of the snapshots'
     power spectra, taken by one batched FFT (dissipation weights kind "D"
-    only)."""
+    only).
+
+    The table of squared grid norms is time-major, (t, beta_points), so
+    the sup and the trapezoid reduce along axis 0 in whole rows; kind "D"
+    weights the (n//2 + 1, t) folded power, not the gain."""
     if len(snapshots) == 0:
         raise ValueError("empty trajectory")
     if len(times) != len(snapshots):
         raise ValueError("times and snapshots must align")
+    times = np.asarray(times, dtype=float)
+    increasing = np.all(np.diff(times) > 0)  # False at a nan
+    if times.ndim != 1 or not (increasing and np.all(np.isfinite(times))):
+        raise ValueError(f"times must be finite and strictly increasing, got "
+                         f"{times.tolist()}")
     if params.p != 2:
         raise ValueError(f"time norms need p = 2, got p = {params.p}")
     for kind in kinds:
@@ -292,18 +302,17 @@ def _cl_norms(times: Sequence[float], snapshots: Sequence[np.ndarray],
     # component axis last: power (n, t)
     stack = np.stack(snapshots, axis=1).reshape(n, len(snapshots), -1)
     folded = fold_power(coeff_power(fft_coeffs(stack)).T).T
+    gain_t = folded_gain(beta_points, n).T
     out = []
     for kind in kinds:
-        gain = folded_gain(beta_points, n)
-        if kind == "D":
+        if kind == "B":
+            g = folded.T @ gain_t  # (t, mb): squared L2 norms / 2pi
+            norms = np.sqrt(2.0 * np.pi * g.max(axis=0))
+        else:
             if dissipation is None:
                 dissipation = symbol(n, 8 * n).lam_tilde
-            gain = gain * np.asarray(dissipation)[:n // 2 + 1]
-        g = gain @ folded  # (mb, t): squared L2 norms / 2pi
-        if kind == "B":
-            norms = np.sqrt(2.0 * np.pi * g.max(axis=1))
-        else:
-            norms = np.sqrt(2.0 * np.pi * np.trapezoid(g, np.asarray(times), axis=1))
+            w = np.asarray(dissipation)[:n // 2 + 1, None]
+            g = (folded * w).T @ gain_t
+            norms = np.sqrt(2.0 * np.pi * np.trapezoid(g, times, axis=0))
         out.append(_diff_quadrature(norms, betas, params))
     return out
-

@@ -17,8 +17,9 @@ import numpy as np
 from . import __version__
 from .besov import BesovParams, MuWeight, besov_diff, besov_lp, sqrt_weight
 from .config import config_from_file, write_manifest, write_ndjson
-from .curve import (Curve, magnitude, parseval_norm, power_spectrum, read_curve,
-                    spectral_derivative, theta_grid, wavenumbers, write_curve)
+from .curve import (Curve, fft_coeffs, grid_values, magnitude, parseval_norm,
+                    power_spectrum, read_curve, spectral_derivative, theta_grid,
+                    wavenumbers, write_curve)
 from .evolution import (_MU_WEIGHTS, FORMS, SimState, SimulationAbort,
                         law_from_config, make_initial_curve, right_hand_sides,
                         simulate)
@@ -151,10 +152,10 @@ def _verify_operators(samples: int, seed: int):
     checks["tilde_ratio_bracket_excess"] = (ok, 0.0)
     f = rng.standard_normal(n)
     f -= f.mean()
-    total = np.zeros(n)
-    fam = ops.lp_family(n)
-    for j in fam.js:
-        total += ops.lp_project(f, j)
+    # column i is lp_project(f, js[i]): every block from one forward and
+    # one inverse transform
+    pieces = grid_values(fft_coeffs(f)[:, None] * ops.lp_family(n).blocks.T)
+    total = pieces.sum(axis=1)
     checks["lp_reconstruction"] = (float(np.max(np.abs(total - f))), 1e-10)
     return checks
 

@@ -39,6 +39,7 @@ __all__ = [
     "half_offset_window",
     "alpha_rows",
     "as_complex",
+    "derivative_multiplier",
     "spectral_derivative",
     "spectral_antiderivative",
     "antiderivative_multiplier",
@@ -286,16 +287,19 @@ def as_complex(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=float).view(complex)[..., 0]
 
 
-def spectral_derivative(values: np.ndarray) -> np.ndarray:
-    """Derivative d/dtheta via the ik multiplier.
-
-    The Nyquist mode is zeroed (its derivative is not representable on the
-    grid).
-    """
-    n = np.asarray(values).shape[0]
+@lru_cache(maxsize=64)
+def derivative_multiplier(n: int) -> np.ndarray:
+    """ik per wavenumber of an n-point grid, 0 at the Nyquist mode (its
+    derivative is not representable on the grid): one read-only array per
+    n."""
     mult = 1j * wavenumbers(n).astype(float)
     mult[n // 2] = 0.0
-    return apply_multiplier(values, mult)
+    return _read_only(mult)
+
+
+def spectral_derivative(values: np.ndarray) -> np.ndarray:
+    """Derivative d/dtheta via the ik multiplier of derivative_multiplier."""
+    return apply_multiplier(values, derivative_multiplier(np.asarray(values).shape[0]))
 
 
 @lru_cache(maxsize=64)

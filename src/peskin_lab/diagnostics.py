@@ -102,12 +102,17 @@ def apriori_audit(traj: Trajectory, mu: Optional[MuWeight],
     )
 
 
+def _deriv_coeffs(traj: Trajectory) -> np.ndarray:
+    """The (t, n, 2) stack of every snapshot's X' coefficients."""
+    return np.stack([d.coeffs for d in traj.derivs])
+
+
 def _h1_series(traj: Trajectory) -> np.ndarray:
-    out = np.empty(len(traj.times))
-    for i, d in enumerate(traj.derivs):
-        k = np.abs(wavenumbers(d.n)).astype(float)
-        out[i] = parseval_norm(coeff_power(d.coeffs), k**2)
-    return out
+    """The H^1 seminorm of X' at every output, from one power stack: each
+    row parseval_norm(coeff_power(d.coeffs), k^2), bit for bit."""
+    power = coeff_power(_deriv_coeffs(traj))  # (t, n)
+    k = np.abs(wavenumbers(power.shape[1])).astype(float)
+    return np.sqrt(2.0 * np.pi * np.sum(k**2 * power, axis=1))
 
 
 def _chalf_series(traj: Trajectory) -> np.ndarray:
@@ -238,20 +243,27 @@ def circle_distance(deriv: Curve) -> float:
     The best radius and phase come from the k = +-1 modes (both traversal
     orientations are tried); the center never enters.
     """
-    c = deriv.coeffs
-    c1 = c[1]  # fft layout: index 1 is wavenumber +1
+    return float(_circle_distances(deriv.coeffs[None])[0])
+
+
+def _circle_distances(coeffs: np.ndarray) -> np.ndarray:
+    """circle_distance of every tangent field of a (t, n, 2) coefficient
+    stack, in one pass."""
+    c1 = coeffs[:, 1]  # fft layout: index 1 is wavenumber +1
     # off-circle content summed directly (no cancellation): every slot
-    # except the +-1 pair
-    mask = np.ones(deriv.n, dtype=bool)
-    mask[1] = mask[deriv.n - 1] = False
-    off = float(np.sum(coeff_power(c)[mask]))
-    best = np.inf
+    # except the +-1 pair, compressed into C-order rows, whose sums are
+    # the one-row sums bit for bit (a boolean index lays them out by column)
+    n = coeffs.shape[1]
+    mask = np.ones(n, dtype=bool)
+    mask[1] = mask[n - 1] = False
+    off = np.sum(coeff_power(coeffs).compress(mask, axis=1), axis=1)
+    best = np.full(len(coeffs), np.inf)
     for v in (np.array([0.5j, 0.5]), np.array([0.5j, -0.5])):
-        z = np.vdot(v, c1) / np.vdot(v, v)
+        z = (c1 @ np.conj(v)) / np.vdot(v, v)
         # distance^2 = 2pi (2 |c1 - z v|^2 + off); the -1 slot mirrors +1
-        d2 = 2.0 * np.pi * (2.0 * float(np.sum(np.abs(c1 - z * v) ** 2)) + off)
-        best = min(best, d2)
-    return float(np.sqrt(max(best, 0.0)))
+        d2 = 2.0 * np.pi * (2.0 * np.sum(np.abs(c1 - z[:, None] * v) ** 2, axis=1) + off)
+        best = np.minimum(best, d2)
+    return np.sqrt(np.maximum(best, 0.0))
 
 
 def equilibrium_audit(traj: Trajectory) -> AuditReport:
@@ -261,7 +273,7 @@ def equilibrium_audit(traj: Trajectory) -> AuditReport:
     start: the distance decays and a positive exponential rate fits the
     tail half of the outputs, which must hold at least two.
     """
-    dists = np.array([circle_distance(d) for d in traj.derivs])
+    dists = _circle_distances(_deriv_coeffs(traj))
     times = np.asarray(traj.times)
     if dists[0] <= EXACT_TOL:
         ok = bool(dists.max() <= EXACT_TOL)

@@ -70,8 +70,11 @@ stay exact elementwise differences, the row sums are:
   D T(X') X'' is rational in X', so it is sampled on a doubled grid
   before being treated spectrally (padding factor 2; exact dealiasing is
   impossible for non-polynomial nonlinearities), and the walk needs
-  m >= 2n to sample it without aliasing.  Over the force samples f, a
-  row sums to (s_f + conj(s_rot) - s_log)/2: the smooth log is
+  m >= 2n to sample it without aliasing.  X' and X'' come onto that grid
+  from one inverse transform of their stacked coefficients, and the
+  force's one forward transform serves both its half-offset samples and
+  the log weights.  Over the force samples f, a row sums to
+  (s_f + conj(s_rot) - s_log)/2: the smooth log is
   (log |dz|^2 - log 4 sin^2(alpha/2))/2, whose sum s_log is a real row
   dot, and the G2 part (dhat.f) dhat = (f + conj(rot f))/2 sums to
   (s_f + conj(s_rot))/2, with s_f = sum f one constant per walk and
@@ -120,13 +123,12 @@ from .curve import (
     _cache_aligned,
     alpha_rows,
     antiderivative_multiplier,
-    apply_multiplier,
     arc_chord,
     as_complex,
+    derivative_multiplier,
     fft_coeffs,
     grid_values,
     half_offset_grid,
-    half_offset_samples,
     half_offset_values,
     magnitude,
     parseval_norm,
@@ -511,12 +513,21 @@ def _walk(state: SimState, walk: str) -> dict:
     np.conjugate(a, out=plan.conj_a)
     plan.screen_rows(state.rho_floor, n, m)
     if every:
-        x1_fine = state.deriv.resampled(2 * n).nodes
-        x2_fine = state.deriv.derivative().resampled(2 * n).nodes
-        force_fine = (tension_jacobian(law, x1_fine) @ x2_fine[..., None])[..., 0]
+        # X' and X'' on the 2n grid from one inverse transform of the stacked
+        # spectrum (X', ik X'): X' with its Nyquist mode split onto +-n/2, as
+        # Curve.resampled does, X'' with it zeroed, as spectral_derivative does
+        c1, slots = state.deriv.coeffs, wavenumbers(n) % (2 * n)
+        spectrum = np.zeros((2 * n, 4), dtype=complex)
+        spectrum[slots, :2] = c1
+        spectrum[n // 2, :2] = spectrum[2 * n - n // 2, :2] = c1[n // 2] / 2.0
+        spectrum[slots, 2:] = c1 * derivative_multiplier(n)[:, None]
+        fine = grid_values(spectrum)
+        force_fine = (tension_jacobian(law, fine[:, :2]) @ fine[:, 2:, None])[..., 0]
         # force values at theta_j + alpha from the trigonometric interpolant
-        # of the padded samples
-        fs = as_complex(half_offset_samples(force_fine, m))
+        # of the padded samples; the force's one forward transform also
+        # serves the periodic log kernel
+        force_coeffs = fft_coeffs(force_fine)
+        fs = as_complex(half_offset_values(force_coeffs, m))
         fs_col, fs_pairs = fs[:, None], fs.view(float).reshape(-1, 2)
         np.copyto(plan.b, b[:, None])
     chords, jumps = plan.chords.right, plan.jumps.right
@@ -575,7 +586,7 @@ def _walk(state: SimState, walk: str) -> dict:
         # exact product quadrature for the periodic log kernel
         k = wavenumbers(2 * n).astype(float)
         weights = np.where(k == 0.0, 0.0, -np.pi / np.where(k == 0.0, 1.0, np.abs(k)))
-        log_part = -apply_multiplier(force_fine, weights)[::2]
+        log_part = -grid_values(force_coeffs * weights[:, None])[::2]
         fields["position_bi"] = (field(0.5 * (fs.sum() + np.conj(s_rot) - s_log))
                                  + log_part) / FOUR_PI
         fields["remainder"] = field((s_i + np.conj(s_c)) / FOUR_PI)

@@ -338,6 +338,54 @@ def test_cl_norm_batched_stack_equals_per_snapshot_loop(shape, rng):
     assert cl_norm(times, snaps, params, "D", beta_points, dissipation=k) == d
 
 
+@pytest.mark.parametrize("n", [32, 64, 128, 256])
+@pytest.mark.parametrize("components", [(), (2,)])
+def test_cl_norm_time_major_table_equals_beta_major_formula(n, components, rng):
+    # the (beta, t) table with the dissipation in the gain, reduced along
+    # axis 1: "B" is it bit for bit, "D" (weights on the power) to 1e-15
+    params = BesovParams(0.5, 2, 1, MuWeight.log4())
+    k = np.abs(wavenumbers(n)).astype(float)
+    for t in (1, 2, 7, 21, 40):
+        times = np.linspace(0.0, 2.0, t) if t > 1 else np.zeros(1)
+        snaps = [rng.standard_normal((n,) + components) for _ in range(t)]
+        folded = fold_power(np.stack([power_spectrum(f) for f in snaps])).T
+        for beta_points in (256, 1024, 2048):
+            gain, betas = folded_gain(beta_points, n), half_offset_grid(beta_points)
+            b = _diff_quadrature(np.sqrt(2.0 * np.pi * (gain @ folded).max(axis=1)),
+                                 betas, params)
+            g = (gain * k[:n // 2 + 1]) @ folded
+            d = _diff_quadrature(np.sqrt(2.0 * np.pi * np.trapezoid(g, times, axis=1)),
+                                 betas, params)
+            assert cl_norm(times, snaps, params, "B", beta_points) == b
+            got = cl_norm(times, snaps, params, "D", beta_points, dissipation=k)
+            assert abs(got - d) <= 1e-15 * d
+
+
+@pytest.mark.parametrize("kind", ["B", "D"])
+@pytest.mark.parametrize("times", [[0.0, 2.0, 1.0], [0.0, 1.0, 1.0],
+                                   [0.0, np.nan, 2.0], [0.0, 1.0, np.inf]])
+def test_cl_norm_rejects_times_not_finite_and_increasing(kind, times, monkeypatch):
+    # refused before any transform, with the times in the message
+    def no_transform(values):
+        raise AssertionError("transformed before the times were checked")
+
+    monkeypatch.setattr("peskin_lab.besov.fft_coeffs", no_transform)
+    snaps = [unit_mode_field(32)] * 3
+    with pytest.raises(ValueError, match="strictly increasing") as err:
+        cl_norm(times, snaps, BesovParams(0.5, 2, 1), kind)
+    assert str(list(map(float, times))) in str(err.value)
+
+
+def test_cl_norm_takes_nonuniform_times(rng):
+    # the trapezoid over any increasing grid: a snapshot held over [0, 3]
+    # by outputs at 0, 0.5 and 3 has the "D" norm of two outputs 3 apart
+    f = rng.standard_normal((32, 2))
+    params = BesovParams(0.5, 2, 1)
+    d = cl_norm([0.0, 0.5, 3.0], [f, f, f], params, "D", beta_points=512)
+    want = cl_norm([0.0, 3.0], [f, f], params, "D", beta_points=512)
+    assert abs(d - want) <= 1e-14 * want
+
+
 def test_cl_norm_rejects_snapshots_of_different_shapes():
     snaps = [unit_mode_field(32), unit_mode_field(64)]
     with pytest.raises(ValueError, match=r"\(32, 2\), \(64, 2\)"):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from peskin_lab.besov import MuWeight
-from peskin_lab.curve import (Curve, power_spectrum, spectral_antiderivative,
-                              theta_grid, wavenumbers)
+from peskin_lab.curve import (Curve, coeff_power, parseval_norm, power_spectrum,
+                              spectral_antiderivative, theta_grid, wavenumbers)
 from peskin_lab.diagnostics import (
     APRIORI_C,
+    _circle_distances,
+    _h1_series,
     apriori_audit,
     chord_arc_lipschitz_audit,
     circle_distance,
@@ -36,6 +38,43 @@ def equilibrium_traj():
 
 
 # --- circle distance -----------------------------------------------------------
+
+def _circle_distance_loop(c):
+    """The one-snapshot circle distance of (n, 2) coefficients that the
+    stacked pass replaced, kept as its reference."""
+    c1 = c[1]
+    mask = np.ones(len(c), dtype=bool)
+    mask[1] = mask[len(c) - 1] = False
+    off = float(np.sum(coeff_power(c)[mask]))
+    best = np.inf
+    for v in (np.array([0.5j, 0.5]), np.array([0.5j, -0.5])):
+        z = np.vdot(v, c1) / np.vdot(v, v)
+        d2 = 2.0 * np.pi * (2.0 * float(np.sum(np.abs(c1 - z * v) ** 2)) + off)
+        best = min(best, d2)
+    return float(np.sqrt(max(best, 0.0)))
+
+
+@pytest.mark.parametrize("n, t", [(64, 1), (128, 21), (256, 40)])
+def test_circle_distances_stacked_equal_per_snapshot(n, t, rng):
+    coeffs = rng.standard_normal((t, n, 2)) + 1j * rng.standard_normal((t, n, 2))
+    coeffs[:, 1] *= 1e3  # near circles as well as far ones
+    coeffs[:, 1, 1] = 1j * coeffs[:, 1, 0] * rng.choice([1, -1], t)
+    got = _circle_distances(coeffs)
+    assert np.array_equal(got, [_circle_distance_loop(c) for c in coeffs])
+    for c, d in zip(coeffs, got):
+        assert circle_distance(Curve.from_coeffs(c)) == d
+
+
+def test_stacked_audit_series_equal_per_snapshot(perturbed_traj):
+    traj = perturbed_traj
+    dists = [_circle_distance_loop(d.coeffs) for d in traj.derivs]
+    assert equilibrium_audit(traj).measured["final_distance"] == dists[-1]
+    assert np.array_equal(_circle_distances(np.stack([d.coeffs for d in traj.derivs])),
+                          dists)
+    k = np.abs(wavenumbers(traj.curves[0].n)).astype(float)
+    assert np.array_equal(_h1_series(traj), [parseval_norm(coeff_power(d.coeffs), k**2)
+                                             for d in traj.derivs])
+
 
 def test_circle_distance_vanishes_for_circles():
     for radius, center, phase in ((1.0, (0, 0), 0.0), (2.5, (3, -1), 0.9)):
