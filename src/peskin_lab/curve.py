@@ -34,7 +34,6 @@ __all__ = [
     "lp_norm",
     "shift_many",
     "half_offset_frame",
-    "half_offset_samples",
     "half_offset_values",
     "half_offset_window",
     "alpha_rows",
@@ -213,13 +212,6 @@ def half_offset_frame(values: np.ndarray, m: int) -> np.ndarray:
                       big + big // (2 * m) - big // 2, (m, n), (big // m, big // n))
 
 
-def half_offset_samples(values: np.ndarray, m: int) -> np.ndarray:
-    """Samples of f at the half-offset nodes -pi + (s + 1/2) 2 pi / m, from
-    its grid samples (see half_offset_values).  Returns shape (m,) +
-    values.shape[1:]."""
-    return half_offset_values(fft_coeffs(values), m)
-
-
 @lru_cache(maxsize=64)
 def _half_offset_factor(n: int, m: int) -> np.ndarray:
     # exp(i k phi_s) = (-1)^k exp(i k pi/m) exp(2 pi i k s/m)
@@ -386,22 +378,10 @@ class Curve:
         return self.coeffs[0].real.copy()
 
     def derivative(self) -> "Curve":
-        """X' via the ik multiplier; mean of X' is zero."""
-        return Curve.from_nodes(spectral_derivative(self.nodes))
-
-    def resampled(self, n_new: int) -> "Curve":
-        """Same trigonometric polynomial sampled on an n_new grid."""
-        if n_new < self.n:
-            raise ValueError("refinement only")
-        if n_new == self.n:
-            return self
-        c_new = np.zeros((n_new, 2), dtype=complex)
-        c_new[wavenumbers(self.n) % n_new] = self.coeffs
-        # the grid is even: split its Nyquist mode (index N/2 holds -N/2)
-        # symmetrically onto +-N/2
-        half = self.n // 2
-        c_new[half] = c_new[n_new - half] = self.coeffs[half] / 2.0
-        return Curve.from_coeffs(c_new)
+        """X' via the ik multiplier; mean of X' is zero.  Built from the
+        curve's own nodes, so it skips from_nodes' round-trip check."""
+        nodes = spectral_derivative(self.nodes)
+        return Curve._built(nodes, fft_coeffs(nodes))
 
 
 @dataclass(frozen=True)

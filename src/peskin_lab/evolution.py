@@ -514,8 +514,8 @@ def _walk(state: SimState, walk: str) -> dict:
     plan.screen_rows(state.rho_floor, n, m)
     if every:
         # X' and X'' on the 2n grid from one inverse transform of the stacked
-        # spectrum (X', ik X'): X' with its Nyquist mode split onto +-n/2, as
-        # Curve.resampled does, X'' with it zeroed, as spectral_derivative does
+        # spectrum (X', ik X'): X' with its Nyquist mode split evenly onto
+        # +-n/2, X'' with it zeroed, as spectral_derivative does
         c1, slots = state.deriv.coeffs, wavenumbers(n) % (2 * n)
         spectrum = np.zeros((2 * n, 4), dtype=complex)
         spectrum[slots, :2] = c1

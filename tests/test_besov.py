@@ -361,6 +361,25 @@ def test_cl_norm_time_major_table_equals_beta_major_formula(n, components, rng):
             assert abs(got - d) <= 1e-15 * d
 
 
+def test_cl_norm_d_is_the_trapezoid_of_the_time_major_table(rng, monkeypatch):
+    # the in-place trapezoid gives np.trapezoid's grid norms bit for bit on
+    # random tables, non-uniform times included
+    seen = []
+    monkeypatch.setattr("peskin_lab.besov._diff_quadrature",
+                        lambda norms, betas, params: seen.append(norms) or 0.0)
+    for _ in range(40):
+        t, n = int(rng.integers(2, 41)), int(rng.choice([16, 32, 64, 128]))
+        beta_points = 2 * int(rng.integers(1, 1501))
+        times = np.cumsum(rng.uniform(0.01, 1.0, t)) - 0.5
+        snaps = [rng.standard_normal((n, 2)) for _ in range(t)]
+        k = np.abs(wavenumbers(n)).astype(float) * rng.uniform(0.5, 2.0)
+        folded = fold_power(np.stack([power_spectrum(f) for f in snaps])).T
+        g = (folded * k[:n // 2 + 1, None]).T @ folded_gain(beta_points, n).T
+        cl_norm(times, snaps, BesovParams(0.5, 2, 1), "D", beta_points, dissipation=k)
+        want = np.sqrt(2.0 * np.pi * np.trapezoid(g, times, axis=0))
+        assert np.array_equal(seen.pop(), want), (t, n, beta_points)
+
+
 @pytest.mark.parametrize("kind", ["B", "D"])
 @pytest.mark.parametrize("times", [[0.0, 2.0, 1.0], [0.0, 1.0, 1.0],
                                    [0.0, np.nan, 2.0], [0.0, 1.0, np.inf]])

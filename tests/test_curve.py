@@ -20,7 +20,6 @@ from peskin_lab.curve import (
     fft_coeffs,
     grid_values,
     half_offset_grid,
-    half_offset_samples,
     half_offset_values,
     half_offset_window,
     lp_norm,
@@ -73,6 +72,24 @@ def test_derivative_constant_is_zero():
     nodes = np.tile([1.5, -0.5], (32, 1))
     d = Curve.from_nodes(nodes).derivative()
     assert np.max(np.abs(d.nodes)) < 1e-13
+
+
+@pytest.mark.parametrize("name", ["equilibrium", "perturbed", "power-law", "rough"])
+def test_derivative_makes_three_fft_calls(name, monkeypatch):
+    # the ik multiplier's forward and inverse transform and one forward for
+    # the coefficients: from_nodes' round-trip inverse is gone, and the
+    # nodes and coefficients are from_nodes' bit for bit
+    curve = make_initial_curve(config_from_file(CONFIGS / f"{name}.cfg"))
+    old = Curve.from_nodes(spectral_derivative(curve.nodes))
+    calls = []
+    for fn in ("fft", "ifft"):
+        wrapped = getattr(np.fft, fn)
+        monkeypatch.setattr(np.fft, fn, lambda *a, _f=wrapped, _n=fn, **kw:
+                            calls.append(_n) or _f(*a, **kw))
+    d = curve.derivative()
+    assert calls == ["fft", "ifft", "fft"]
+    assert np.array_equal(d.nodes, old.nodes)
+    assert np.array_equal(d.coeffs, old.coeffs)
 
 
 def test_derivative_multiplier_ik():
@@ -222,9 +239,10 @@ def test_half_offset_gather_matches_shift_many(ratio, rng):
     f = rng.standard_normal((n, 2))
     f_2n = rng.standard_normal((2 * n, 2))
     assert np.max(np.abs(fft_coeffs(f)[n // 2])) > 1e-3
-    pairs = [(half_offset_window(half_offset_samples(f, m), n), shift_many(f, alphas))]
+    pairs = [(half_offset_window(half_offset_values(fft_coeffs(f), m), n),
+              shift_many(f, alphas))]
     if m >= 2 * n:  # the 2n pattern's 2n coefficients need m >= 2n samples
-        pairs.append((half_offset_window(half_offset_samples(f_2n, m), n),
+        pairs.append((half_offset_window(half_offset_values(fft_coeffs(f_2n), m), n),
                       shift_many(f_2n, alphas)[:, ::2]))
     for got, ref in pairs:
         assert got.shape == ref.shape
@@ -529,14 +547,14 @@ def test_half_offset_values_sample_the_grid_field(rng):
     n, m = 32, 96
     curve = random_bandlimited_curve(rng, n)
     assert np.array_equal(half_offset_values(curve.coeffs, m),
-                          half_offset_samples(curve.nodes, m))
+                          half_offset_values(fft_coeffs(curve.nodes), m))
     coeffs = curve.coeffs.copy()
     coeffs[n // 2] = (0.3 + 0.7j, -0.2 - 0.4j)
     moved = Curve.from_coeffs(coeffs)
     got = half_offset_values(moved.coeffs, m)
-    want = half_offset_samples(moved.nodes, m)
+    want = half_offset_values(fft_coeffs(moved.nodes), m)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    assert np.max(np.abs(got - half_offset_samples(curve.nodes, m))) > 0.1
+    assert np.max(np.abs(got - half_offset_values(curve.coeffs, m))) > 0.1
 
 
 def test_half_offset_fold_by_slices_matches_add_at(rng):
@@ -578,22 +596,6 @@ def test_curve_file_bad_header(tmp_path):
     path.write_text("not a curve\n0 0\n")
     with pytest.raises(ValueError):
         read_curve(path)
-
-
-def test_resampled_preserves_values(rng):
-    c = random_bandlimited_curve(rng, 32)
-    fine = c.resampled(128)
-    assert np.max(np.abs(fine.nodes[::4] - c.nodes)) < 1e-12
-    same = c.resampled(32)
-    assert np.max(np.abs(same.nodes - c.nodes)) < 1e-15
-    # a pure Nyquist mode keeps its sampled values after refinement
-    coeffs = np.zeros((32, 2), dtype=complex)
-    coeffs[16] = [1.0, 0.0]
-    nyq = Curve.from_nodes(grid_values(coeffs))
-    fine = nyq.resampled(64)
-    assert np.max(np.abs(fine.nodes[::2] - nyq.nodes)) < 1e-12
-    # split evenly onto +-16, as the transform of the refined samples has it
-    assert np.max(np.abs(fine.coeffs - Curve.from_nodes(fine.nodes).coeffs)) < 1e-14
 
 
 def test_mean_tracked_separately(rng):

@@ -159,10 +159,14 @@ def test_frame_matches_matrix_kernel_sum(rng):
 
 def dense_rhs(state):
     """The five right-hand sides over the whole (m, n) frame at once: the
-    whole-frame formulas the row-block loop replaced, kept as an oracle."""
-    from peskin_lab.curve import (as_complex, fft_coeffs, grid_values,
-                                  half_offset_samples, half_offset_window,
-                                  wavenumbers)
+    whole-frame formulas the row-block loop replaced, kept as an oracle.
+    Every value off the theta grid is sampled from the state's
+    coefficients, as the walk samples it: X, X' and T(X') at theta + alpha
+    on the half-offset m-grid, and X', X'' on the 2n grid, whose even nodes
+    are the theta grid and whose odd nodes its half-offset n-grid."""
+    from peskin_lab.curve import (as_complex, derivative_multiplier, fft_coeffs,
+                                  grid_values, half_offset_values,
+                                  half_offset_window, wavenumbers)
     from peskin_lab.kernels import FOUR_PI
     from peskin_lab.operators import half_offset_grid
     from peskin_lab.tension import tension_jacobian, tension_map
@@ -177,11 +181,17 @@ def dense_rhs(state):
         z = f.sum(axis=0) * (2.0 * np.pi / m)
         return np.stack([z.real, z.imag], axis=-1)
 
-    x, x1 = state.curve.nodes, state.deriv.nodes
-    dz = window(half_offset_samples(x, m)) - as_complex(x)
+    def on_2n_grid(coeffs):
+        fine = np.empty((2 * n, 2))
+        fine[0::2] = grid_values(coeffs)
+        fine[1::2] = half_offset_values(coeffs, n)
+        return fine
+
+    x, x1, c1 = state.curve.nodes, state.deriv.nodes, state.deriv.coeffs
+    dz = window(half_offset_values(state.curve.coeffs, m)) - as_complex(x)
     r2 = dz.real**2 + dz.imag**2
     rot = np.conj(dz) / dz
-    x1_samples = half_offset_samples(x1, m)
+    x1_samples = half_offset_values(c1, m)
     a, b = window(x1_samples), as_complex(x1)
     jump = window(tension_map(law, x1_samples)) - as_complex(tension_map(law, x1))
     out = {}
@@ -192,15 +202,16 @@ def dense_rhs(state):
     mag = np.abs(as_complex(x1_samples))
     weight = half_offset_window(law.eval(mag) / mag, n)
     out["rhs_position_reduced"] = integrate((rot * a * a).real / r2 * weight * dz) / FOUR_PI
-    x1_fine = state.deriv.resampled(2 * n).nodes
-    x2_fine = state.deriv.derivative().resampled(2 * n).nodes
+    x1_fine = on_2n_grid(c1)
+    x2_fine = on_2n_grid(c1 * derivative_multiplier(n)[:, None])
     force = (tension_jacobian(law, x1_fine) @ x2_fine[..., None])[..., 0]
-    fs = window(half_offset_samples(force, m))
+    force_coeffs = fft_coeffs(force)
+    fs = window(half_offset_values(force_coeffs, m))
     smooth_log = np.log(np.sqrt(r2) / np.abs(2.0 * np.sin(al / 2.0)))
     quad = integrate(0.5 * (fs + np.conj(rot * fs)) - smooth_log * fs)
     k = wavenumbers(2 * n).astype(float)
     w = np.where(k == 0.0, 0.0, -np.pi / np.where(k == 0.0, 1.0, np.abs(k)))
-    log_part = -grid_values(fft_coeffs(force) * w[:, None])[::2]
+    log_part = -grid_values(force_coeffs * w[:, None])[::2]
     out["rhs_position_bi"] = (quad + log_part) / FOUR_PI
     return out
 
@@ -222,16 +233,23 @@ def block_test_state(n, m, rng):
 
 @pytest.mark.parametrize("n, m", [(512, 1024), (96, 480)])
 def test_row_blocks_match_dense_frame(n, m, rng):
-    st = block_test_state(n, m, rng)
-    ref = dense_rhs(st)
-    got = {"rhs_derivative": right_hand_sides(st, "derivative")[0],
-           "remainder_V": remainder_V(st),
-           "dissipation_term": dissipation_term(st),
-           "rhs_position_reduced": rhs_position_reduced(st),
-           "rhs_position_bi": rhs_position_bi(st)}
-    for name, value in got.items():
-        scale = np.max(np.abs(ref[name]))
-        assert np.max(np.abs(value - ref[name])) <= 1e-13 * scale, name
+    # the initial state (from nodes) and the states after 1 and 5 steps
+    # (from coefficients, whose nodes transform back to them only to a few
+    # ulps)
+    states = [block_test_state(n, m, rng)]
+    while len(states) <= 5:
+        states.append(step(states[-1], 1e-3))
+    for steps in (0, 1, 5):
+        st = states[steps]
+        ref = dense_rhs(st)
+        got = {"rhs_derivative": right_hand_sides(st, "derivative")[0],
+               "remainder_V": remainder_V(st),
+               "dissipation_term": dissipation_term(st),
+               "rhs_position_reduced": rhs_position_reduced(st),
+               "rhs_position_bi": rhs_position_bi(st)}
+        for name, value in got.items():
+            scale = np.max(np.abs(ref[name]))
+            assert np.max(np.abs(value - ref[name])) <= 1e-13 * scale, (steps, name)
 
 
 @pytest.mark.parametrize("n, m", [(512, 1024), (96, 480)])
